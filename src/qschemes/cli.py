@@ -14,7 +14,7 @@ from pathlib import Path
 from . import orbit as orbit_mod
 from . import regularize as reg_mod
 from . import serialize as ser
-from .errors import QschemeError
+from .errors import MalformedInput, QschemeError
 from .quiver import cartan, expected_dim, parse_quiver, serialize_quiver, to_dot
 from .reflect import random_level_point, reflection_functor
 from .repn import level_check, mesh_check, moment_map, random_rep
@@ -273,6 +273,8 @@ def cmd_reg_verify(args):
 
 
 def cmd_check(args):
+    if args.trials < 1:
+        raise MalformedInput(f"--trials must be at least 1, got {args.trials}")
     corpus_dir = Path(args.corpus)
     quivers = {}
     for path in sorted(corpus_dir.glob("*.quiver")):

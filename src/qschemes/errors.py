@@ -98,7 +98,11 @@ class InvalidLeg(QschemeError):
     code = "invalid-leg"
 
 
-# -- CLI ---------------------------------------------------------------------
+# -- CLI and JSON input --------------------------------------------------------
 
 class UnknownSuite(QschemeError):
     code = "unknown-suite"
+
+
+class MalformedInput(QschemeError):
+    code = "malformed-input"

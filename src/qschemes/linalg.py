@@ -41,8 +41,13 @@ class Matrix:
 
     @staticmethod
     def identity(n) -> "Matrix":
+        return Matrix.diagonal([GQ_ONE] * n)
+
+    @staticmethod
+    def diagonal(entries) -> "Matrix":
+        n = len(entries)
         return Matrix(
-            [[GQ_ONE if i == j else GQ_ZERO for j in range(n)] for i in range(n)],
+            [[entries[i] if i == j else GQ_ZERO for j in range(n)] for i in range(n)],
             ncols=n,
         )
 
@@ -122,17 +127,6 @@ class Matrix:
 
     def is_zero(self) -> bool:
         return all(not a for r in self.rows for a in r)
-
-    def power(self, k) -> "Matrix":
-        if self.nrows != self.ncols:
-            raise ShapeMismatch("power of a non-square matrix")
-        acc = Matrix.identity(self.nrows)
-        for _ in range(k):
-            acc = acc @ self
-        return acc
-
-    def column(self, j) -> list:
-        return [r[j] for r in self.rows]
 
     def select_columns(self, js) -> "Matrix":
         return Matrix([[r[j] for j in js] for r in self.rows], ncols=len(js))
@@ -247,16 +241,5 @@ def int_mat_mul(a, b):
     return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
 
 
-def int_mat_vec(a, v):
-    return [sum(x * y for x, y in zip(row, v)) for row in a]
-
-
 def int_transpose(a):
     return [list(r) for r in zip(*a)]
-
-
-def int_mat_pow(a, k):
-    acc = int_identity(len(a))
-    for _ in range(k):
-        acc = int_mat_mul(acc, a)
-    return acc

@@ -24,23 +24,26 @@ import math
 from dataclasses import dataclass
 
 from .errors import NotInOrbit, ShapeMismatch, TopSliceNotZero
-from .linalg import Matrix, pivot_columns, rank, solve
+from .linalg import Matrix, hstack, pivot_columns, rank, solve, vstack
 from .rmatrix import (
     ModShape,
     RMap,
+    _lower,
     compose,
     extend_scalars,
     extend_scalars_rev,
     from_slices,
     identity_end,
+    invert_end,
     restrict_scalars,
     scalar_end,
     scale_end,
     slices,
     zero_map,
 )
+from .repn import random_unit_end
 from .rng import SplitMix64
-from .scalars import GQ_ZERO, GaussQ, TruncScalar, trunc_inv
+from .scalars import GaussQ, TruncScalar, trunc_inv
 
 
 @dataclass(frozen=True)
@@ -87,17 +90,11 @@ class OrbitSpec:
 
 def big_theta(spec: OrbitSpec) -> RMap:
     """The model point: block-diagonal action of the theta scalars."""
-    n = spec.total
-    shape = ModShape(n, spec.d)
-    rows = [[GQ_ZERO] * shape.dim for _ in range(shape.dim)]
-    pos = 0
-    for w, theta in spec.blocks:
-        for j in range(pos, pos + w):
-            for m in range(spec.d):
-                for k in range(spec.d - m):
-                    rows[shape.flat_index(j, m + k)][shape.flat_index(j, m)] = theta.coeffs[k]
-        pos += w
-    return RMap(shape, shape, spec.d, Matrix(rows, ncols=shape.dim))
+    shape = ModShape(spec.total, spec.d)
+    return RMap(shape, shape, spec.d, [
+        Matrix.diagonal([theta.coeffs[k] for w, theta in spec.blocks for _ in range(w)])
+        for k in range(spec.d)
+    ])
 
 
 # -- membership ----------------------------------------------------------------
@@ -164,24 +161,30 @@ def free_basis(e: RMap) -> RMap:
     column set, and lift those generator columns e(v_j (x) 1); by Nakayama
     they form a free basis of the image.
     """
-    n, d = e.src.rank, e.src.order
-    residue = slices(e)[0]
-    pivots = pivot_columns(residue)
-    r = len(pivots)
-    gen_rows = [
-        [e.flat[row, e.src.flat_index(j, 0)] for j in pivots]
-        for row in range(e.src.dim)
-    ]
-    gens = RMap(ModShape(r, 1), e.src, 1, Matrix(gen_rows, ncols=r))
-    return extend_scalars(gens)
+    parts = slices(e)
+    pivots = pivot_columns(parts[0])
+    d = e.src.order
+    return RMap(ModShape(len(pivots), d), e.src, d, [p.select_columns(pivots) for p in parts])
 
 
 def coordinates(u: RMap, f: RMap) -> RMap:
-    """The map k with u . k = f, for u injective with Im f inside Im u."""
+    """The map k with u . k = f, for u injective with Im f inside Im u.
+
+    Solved slice by slice over the common base ring: u_0 k_m equals
+    f_m - sum_{1<=j<=m} u_j k_(m-j), and u_0 has full column rank exactly
+    when u is injective.
+    """
     if u.dst != f.dst:
         raise ShapeMismatch("targets differ")
-    x = solve(u.flat, f.flat)
-    return RMap(f.src, u.src, math.gcd(u.base, f.base), x)
+    c = math.gcd(u.base, f.base)
+    us, fs = _lower(u, c), _lower(f, c)
+    ks = []
+    for m in range(c):
+        rhs = fs[m]
+        if m:
+            rhs = rhs - hstack(us[1:m + 1]) @ vstack(ks[::-1])
+        ks.append(solve(us[0], rhs))
+    return RMap(f.src, u.src, c, ks)
 
 
 # -- leg points ------------------------------------------------------------------
@@ -237,12 +240,8 @@ def _inclusion(spec: OrbitSpec, i) -> RMap:
     d = spec.d
     src = ModShape(spec.tail_dim(i + 1), d)
     dst = ModShape(spec.tail_dim(i), d)
-    shift = spec.dims[i]
-    rows = [[GQ_ZERO] * src.dim for _ in range(dst.dim)]
-    for j in range(src.rank):
-        for k in range(d):
-            rows[dst.flat_index(j + shift, k)][src.flat_index(j, k)] = GaussQ(1)
-    return RMap(src, dst, d, Matrix(rows, ncols=src.dim))
+    const = Matrix.identity(dst.rank).select_columns(range(spec.dims[i], dst.rank))
+    return RMap(src, dst, d, [const] + [Matrix.zero(dst.rank, src.rank)] * (d - 1))
 
 
 def _scaled_projection(spec: OrbitSpec, i) -> RMap:
@@ -250,18 +249,10 @@ def _scaled_projection(spec: OrbitSpec, i) -> RMap:
     d = spec.d
     src = ModShape(spec.tail_dim(i), d)
     dst = ModShape(spec.tail_dim(i + 1), d)
-    rows = [[GQ_ZERO] * src.dim for _ in range(dst.dim)]
-    pos = 0
-    for blk in range(i + 1, spec.legs + 1):
-        s = spec.thetas[i] - spec.thetas[blk]
-        for j in range(spec.dims[blk]):
-            src_vertex = spec.dims[i] + pos + j
-            dst_vertex = pos + j
-            for m in range(d):
-                for k in range(d - m):
-                    rows[dst.flat_index(dst_vertex, m + k)][src.flat_index(src_vertex, m)] = s.coeffs[k]
-        pos += spec.dims[blk]
-    return RMap(src, dst, d, Matrix(rows, ncols=src.dim))
+    # theta_i - Theta on V_i is the model point of the shifted scalars; drop block i's rows
+    shifted = OrbitSpec(d, tuple((w, spec.thetas[i] - t) for w, t in spec.blocks[i:]))
+    return RMap(src, dst, d, [Matrix(p.rows[spec.dims[i]:], ncols=src.rank)
+                              for p in big_theta(shifted).parts])
 
 
 def nu(spec: OrbitSpec, point: LegPoint) -> RMap:
@@ -310,12 +301,10 @@ def leg_rank_checks(spec: OrbitSpec, point: LegPoint) -> bool:
 
 
 def residue_slice(f: RMap) -> Matrix:
-    """Residue (constant eps-slice) of a possibly rectangular map."""
-    rows = [
-        [f.flat[f.dst.flat_index(i, 0), f.src.flat_index(j, 0)] for j in range(f.src.rank)]
-        for i in range(f.dst.rank)
-    ]
-    return Matrix(rows, ncols=f.src.rank)
+    """Residue (constant eps-slice) of a possibly rectangular map: the rows
+    w_i eps^0 and columns v_j eps^0 of its constant slice."""
+    f1, f2 = f.src.order // f.base, f.dst.order // f.base
+    return Matrix([row[::f1] for row in f.parts[0].rows[::f2]], ncols=f.src.rank)
 
 
 def leg_factorize(spec: OrbitSpec, a_end: RMap) -> LegPoint:
@@ -380,13 +369,9 @@ def orbit_dimension(spec: OrbitSpec) -> int:
 # -- deterministic generators --------------------------------------------------------
 
 def random_conjugate(spec: OrbitSpec, seed) -> RMap:
-    from .repn import random_unit_end
-
     rng = SplitMix64(seed)
     g = random_unit_end(rng, ModShape(spec.total, spec.d))
     theta = big_theta(spec)
-    from .rmatrix import invert_end
-
     return compose(g, compose(theta, invert_end(g)))
 
 
@@ -398,9 +383,6 @@ def random_non_member(spec: OrbitSpec, seed) -> RMap:
     same scalars with swapped block sizes (breaks the residue-rank condition);
     then conjugates.
     """
-    from .repn import random_unit_end
-    from .rmatrix import invert_end
-
     rng = SplitMix64(seed)
     n = spec.total
     mode = rng.randint(0, 1)
@@ -430,10 +412,9 @@ def random_non_member(spec: OrbitSpec, seed) -> RMap:
             if all(cand != other for other in consts):
                 shift = GaussQ(c)
                 break
-        vertex = sum(spec.dims[:block])
-        bump = [[shift if (r == c == vertex) else GQ_ZERO for c in range(n)] for r in range(n)]
-        base = big_theta(spec) + from_slices(
-            [Matrix(bump, ncols=n)] + [Matrix.zero(n, n)] * (spec.d - 1), spec.d
-        )
+        # the first vertex of the block becomes a block of its own, at theta + shift
+        w, theta = spec.blocks[block]
+        split = ((1, theta + shift), (w - 1, theta))
+        base = big_theta(OrbitSpec(spec.d, spec.blocks[:block] + split + spec.blocks[block + 1:]))
     g = random_unit_end(rng, ModShape(n, spec.d))
     return compose(g, compose(base, invert_end(g)))

@@ -26,10 +26,6 @@ from .orbit import OrbitSpec, _inclusion, _scaled_projection, coordinates, free_
 from .quiver import QuiverMult, double
 from .repn import (
     Representation,
-    arrow_extend,
-    arrow_extend_rev,
-    arrow_restrict,
-    arrow_restrict_rev,
     moment_component,
     random_linear_map,
     random_unit_end,
@@ -37,6 +33,7 @@ from .repn import (
 from .rmatrix import (
     ModShape,
     RMap,
+    _lower,
     compose,
     extend_scalars,
     extend_scalars_rev,
@@ -44,6 +41,11 @@ from .rmatrix import (
     restrict_scalars,
     scalar_end,
     scale_end,
+    slice_extend,
+    slice_extend_rev,
+    slice_restrict,
+    slice_restrict_rev,
+    zero_map,
 )
 from .rng import SplitMix64
 from .scalars import GQ_ZERO, TruncScalar, trunc_inv
@@ -81,20 +83,19 @@ def split(rep: Representation, i) -> SplitAtVertex:
     for h in incoming_arrows(q, i):
         dim = h.f_in * rep.v[h.source]
         blocks.append((h.name, dim))
-        x = arrow_restrict(q, h, rep.v, rep.map(h.name))
+        x = slice_restrict(h.base, rep.map(h.name))
         if h.sign < 0:
             x = -x
         in_flats.append(x.flat)
-        rev = next(g for g in rep.arrows if g.name == h.reversed_name)
-        y = arrow_restrict_rev(q, rev, rep.v, rep.map(rev.name))
-        out_flats.append(y.flat)
+        # the reversed arrow of h has the same base ring
+        out_flats.append(slice_restrict_rev(h.base, rep.map(h.reversed_name)).flat)
     tilde = sum(dim for _, dim in blocks)
     if blocks:
-        into = RMap(ModShape(tilde, 1), shape_i, 1, hstack(in_flats))
-        outof = RMap(shape_i, ModShape(tilde, 1), 1, vstack(out_flats))
+        into = RMap(ModShape(tilde, 1), shape_i, 1, [hstack(in_flats)])
+        outof = RMap(shape_i, ModShape(tilde, 1), 1, [vstack(out_flats)])
     else:
-        into = RMap(ModShape(0, 1), shape_i, 1, Matrix.zero(shape_i.dim, 0))
-        outof = RMap(shape_i, ModShape(0, 1), 1, Matrix.zero(0, shape_i.dim))
+        into = zero_map(ModShape(0, 1), shape_i)
+        outof = zero_map(shape_i, ModShape(0, 1))
     rest = {
         h.name: rep.map(h.name)
         for h in rep.arrows
@@ -106,27 +107,22 @@ def split(rep: Representation, i) -> SplitAtVertex:
 def unsplit(q: QuiverMult, v, s: SplitAtVertex) -> Representation:
     """Inverse of split; v may differ from the original at the split vertex."""
     maps = dict(s.rest)
-    col = 0
-    row = 0
+    pos = 0
     incoming = {h.name: h for h in incoming_arrows(q, s.vertex)}
+    mults = q.mults
     for name, dim in s.blocks:
         h = incoming[name]
-        xb = RMap(
-            ModShape(dim, 1), s.into.dst, 1,
-            s.into.flat.select_columns(range(col, col + dim)),
-        )
+        src = ModShape(v[h.source], mults[h.source])
+        dst = ModShape(v[h.target], mults[h.target])
+        xb = RMap(ModShape(dim, 1), s.into.dst, 1,
+                  [s.into.flat.select_columns(range(pos, pos + dim))])
         if h.sign < 0:
             xb = -xb
-        maps[h.name] = arrow_extend(q, h, v, xb)
-        yb = RMap(
-            s.outof.src, ModShape(dim, 1), 1,
-            Matrix([s.outof.flat.rows[r] for r in range(row, row + dim)],
-                   ncols=s.outof.flat.ncols),
-        )
-        rev = next(g for g in double(q) if g.name == h.reversed_name)
-        maps[rev.name] = arrow_extend_rev(q, rev, v, yb)
-        col += dim
-        row += dim
+        maps[h.name] = slice_extend(src, dst, h.base, xb)
+        yb = RMap(s.outof.src, ModShape(dim, 1), 1,
+                  [Matrix(s.outof.flat.rows[pos:pos + dim], ncols=s.outof.src.dim)])
+        maps[h.reversed_name] = slice_extend_rev(dst, src, h.base, yb)
+        pos += dim
     return Representation(q, v, maps)
 
 
@@ -292,7 +288,8 @@ def split_gauge(q: QuiverMult, v, i, g) -> RMap:
     """Induced unit on the stacked slice module from a per-vertex gauge tuple.
 
     Block h acts by the source gauge element rewritten over the arrow's common
-    subring and induced up to order d_i.
+    subring and induced up to order d_i: its slice m over R_base becomes the
+    block's slice m * f_out over R_{d_i}.
     """
     q_i = q.index(i)
     d_i = q.mults[q_i]
@@ -300,30 +297,12 @@ def split_gauge(q: QuiverMult, v, i, g) -> RMap:
     dims = [h.f_in * v[h.source] for h in arrows]
     tilde = sum(dims)
     shape = ModShape(tilde, d_i)
-    rows = [[GQ_ZERO] * shape.dim for _ in range(shape.dim)]
+    parts = [[[GQ_ZERO] * tilde for _ in range(tilde)] for _ in range(d_i)]
     offset = 0
     for h, dim in zip(arrows, dims):
-        gs = g[h.source]
-        ds = q.mults[h.source]
-        src_shape = ModShape(v[h.source], ds)
-        # coefficients of g_s as a matrix polynomial over the arrow's base ring,
-        # in the slice basis {v_j eps^l : l < f_in}
-        for j in range(v[h.source]):
-            for l in range(h.f_in):
-                col_v = gs.flat.column(src_shape.flat_index(j, l))
-                for jj in range(v[h.source]):
-                    for ll in range(h.f_in):
-                        for m in range(h.base):
-                            val = col_v[src_shape.flat_index(jj, ll + h.f_in * m)]
-                            if not val:
-                                continue
-                            src_block = offset + j * h.f_in + l
-                            dst_block = offset + jj * h.f_in + ll
-                            for k in range(d_i):
-                                kk = k + h.f_out * m
-                                if kk < d_i:
-                                    rows[shape.flat_index(dst_block, kk)][
-                                        shape.flat_index(src_block, k)
-                                    ] = val
+        for m, gm in enumerate(_lower(g[h.source], h.base)):
+            block = parts[m * h.f_out]
+            for r, row in enumerate(gm.rows):
+                block[offset + r][offset:offset + dim] = row
         offset += dim
-    return RMap(shape, shape, d_i, Matrix(rows, ncols=shape.dim))
+    return RMap(shape, shape, d_i, [Matrix(rows, ncols=tilde) for rows in parts])

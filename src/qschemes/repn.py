@@ -10,11 +10,9 @@ R_{d_i}-linear endomorphism with alternating signs:
 
 where pr is the averaging map of rmatrix.pr_cd.
 
-The per-arrow ``arrow_extend``/``arrow_restrict`` helpers convert between an
-R_gcd-linear map and its free parameters: a plain linear map out of (or into)
-the base-field slice spanned by the first d/gcd eps-powers of the source (or
-target).  Random points are drawn in that parametrization, so generated maps
-satisfy the linearity constraint by construction.
+Random points are drawn in the free parametrization of rmatrix.slice_extend:
+a plain linear map out of the base-field slice spanned by the first d/gcd
+eps-powers of the source.
 """
 
 from __future__ import annotations
@@ -33,11 +31,12 @@ from .rmatrix import (
     ModShape,
     RMap,
     compose,
+    from_slices,
     invert_end,
-    nilpotent,
     pair_d,
     pr_cd,
     scalar_end,
+    slice_extend,
     trace_r,
     zero_map,
 )
@@ -73,8 +72,8 @@ class Representation:
             if f.base == h.base:
                 normalized[h.name] = f
             else:
-                # re-declare at the arrow's base; constructor re-checks linearity
-                normalized[h.name] = RMap(f.src, f.dst, h.base, f.flat)
+                # re-declare at the arrow's base, checking linearity over it
+                normalized[h.name] = RMap.from_flat(f.src, f.dst, h.base, f.flat)
         extra = set(maps) - set(normalized)
         if extra:
             raise ShapeMismatch(f"maps for unknown arrows: {sorted(extra)}")
@@ -133,118 +132,14 @@ def zero_rep(q: QuiverMult, v) -> Representation:
     return Representation(q, v, maps)
 
 
-# -- slice parametrization of maps linear over a common subring -----------------
-
-def slice_extend(src: ModShape, dst: ModShape, base: int, x: RMap) -> RMap:
-    """R_base-linear map src -> dst from its free parameter block.
-
-    x sends the slice {v_j eps^l : l < src.order/base} into the target; the
-    unique R_base-linear extension fills in the remaining eps-powers.
-    """
-    f_in = src.order // base
-    f_out = dst.order // base
-    if x.src != ModShape(src.rank * f_in, 1) or x.dst != dst:
-        raise ShapeMismatch("parameter block has the wrong shape")
-    step = nilpotent(dst).power(f_out)
-    cols = [None] * src.dim
-    for j in range(src.rank):
-        for l in range(f_in):
-            cur = Matrix([[a] for a in x.flat.column(j * f_in + l)], ncols=1)
-            for k in range(base):
-                cols[src.flat_index(j, l + f_in * k)] = cur
-                if k < base - 1:
-                    cur = step @ cur
-    rows = [[cols[c][r, 0] for c in range(src.dim)] for r in range(dst.dim)]
-    return RMap(src, dst, base, Matrix(rows, ncols=src.dim))
-
-
-def slice_restrict(base: int, b: RMap) -> RMap:
-    """Free parameter block of an R_base-linear map (inverse of slice_extend)."""
-    src = b.src
-    f_in = src.order // base
-    cols = [
-        b.flat.column(src.flat_index(j, l))
-        for j in range(src.rank)
-        for l in range(f_in)
-    ]
-    rows = [[col[r] for col in cols] for r in range(b.dst.dim)]
-    return RMap(
-        ModShape(src.rank * f_in, 1), b.dst, 1, Matrix(rows, ncols=len(cols))
-    )
-
-
-def slice_extend_rev(src: ModShape, dst: ModShape, base: int, y: RMap) -> RMap:
-    """R_base-linear map src -> dst from a plain map onto the target slice.
-
-    y sends the source module into {w_i eps^l : l < dst.order/base}; the
-    extension places y(eps_base^(base-1-k) x) at eps_base-power k.
-    """
-    f_in = src.order // base
-    f_out = dst.order // base
-    if y.src != src or y.dst != ModShape(dst.rank * f_out, 1):
-        raise ShapeMismatch("slice map has the wrong shape")
-    rows = [[GQ_ZERO] * src.dim for _ in range(dst.dim)]
-    for j in range(src.rank):
-        for t in range(src.order):
-            col = src.flat_index(j, t)
-            for k in range(base):
-                s = t + f_in * (base - 1 - k)
-                if s >= src.order:
-                    continue
-                ycol = y.flat.column(src.flat_index(j, s))
-                for i in range(dst.rank):
-                    for l in range(f_out):
-                        val = ycol[i * f_out + l]
-                        if val:
-                            r = dst.flat_index(i, l + f_out * k)
-                            rows[r][col] = rows[r][col] + val
-    return RMap(src, dst, base, Matrix(rows, ncols=src.dim))
-
-
-def slice_restrict_rev(base: int, b: RMap) -> RMap:
-    """Slice map of an R_base-linear map (inverse of slice_extend_rev)."""
-    dst = b.dst
-    f_out = dst.order // base
-    rows = [
-        [b.flat[dst.flat_index(i, l + f_out * (base - 1)), c]
-         for c in range(b.src.dim)]
-        for i in range(dst.rank)
-        for l in range(f_out)
-    ]
-    return RMap(
-        b.src, ModShape(dst.rank * f_out, 1), 1, Matrix(rows, ncols=b.src.dim)
-    )
-
-
-def _arrow_shapes(q: QuiverMult, h: DoubleArrow, v):
-    mults = q.mults
-    return ModShape(v[h.source], mults[h.source]), ModShape(v[h.target], mults[h.target])
-
-
-def arrow_extend(q: QuiverMult, h: DoubleArrow, v, x: RMap) -> RMap:
-    src, dst = _arrow_shapes(q, h, v)
-    return slice_extend(src, dst, h.base, x)
-
-
-def arrow_restrict(q: QuiverMult, h: DoubleArrow, v, b: RMap) -> RMap:
-    return slice_restrict(h.base, b)
-
-
-def arrow_extend_rev(q: QuiverMult, h: DoubleArrow, v, y: RMap) -> RMap:
-    src, dst = _arrow_shapes(q, h, v)
-    return slice_extend_rev(src, dst, h.base, y)
-
-
-def arrow_restrict_rev(q: QuiverMult, h: DoubleArrow, v, b: RMap) -> RMap:
-    return slice_restrict_rev(h.base, b)
-
+# -- random maps linear over a common subring ------------------------------------
 
 def random_linear_map(rng: SplitMix64, src: ModShape, dst: ModShape, base: int) -> RMap:
     """Deterministic random R_base-linear map, drawn in the slice parametrization."""
     f_in = src.order // base
     block = RMap(
         ModShape(src.rank * f_in, 1), dst, 1,
-        _random_matrix(rng, dst.dim, src.rank * f_in),
+        [_random_matrix(rng, dst.dim, src.rank * f_in)],
     )
     return slice_extend(src, dst, base, block)
 
@@ -256,13 +151,13 @@ def moment_component(rep: Representation, i) -> RMap:
     q = rep.quiver
     i = q.index(i)
     shape = ModShape(rep.v[i], q.mults[i])
-    acc = Matrix.zero(shape.dim, shape.dim)
+    acc = zero_map(shape, shape)
     for h in rep.arrows:
         if h.target != i:
             continue
         prod = pr_cd(compose(rep.map(h.name), rep.map(h.reversed_name)))
-        acc = acc + prod.flat if h.sign > 0 else acc - prod.flat
-    return RMap(shape, shape, q.mults[i], acc)
+        acc = acc + prod if h.sign > 0 else acc - prod
+    return acc
 
 
 def moment_map(rep: Representation) -> tuple[RMap, ...]:
@@ -302,12 +197,8 @@ def moment_trace_sum(mu) -> GaussQ:
 
 # -- symplectic structure ---------------------------------------------------------
 
-def symplectic_form(t1: Representation, t2: Representation, sign: int = 1) -> GaussQ:
-    """omega(t1, t2) summed over unreversed arrows at their gcd orders.
-
-    ``sign`` is a view-level orientation flag for consumers wanting the
-    opposite convention; it simply negates the value.
-    """
+def symplectic_form(t1: Representation, t2: Representation) -> GaussQ:
+    """omega(t1, t2) summed over unreversed arrows at their gcd orders."""
     t1._same_space(t2)
     acc = GQ_ZERO
     for h in t1.arrows:
@@ -315,7 +206,7 @@ def symplectic_form(t1: Representation, t2: Representation, sign: int = 1) -> Ga
             continue
         acc = acc + pair_d(t1.map(h.name), t2.map(h.reversed_name), h.base)
         acc = acc - pair_d(t2.map(h.name), t1.map(h.reversed_name), h.base)
-    return acc if sign >= 0 else -acc
+    return acc
 
 
 def symplectic_form_signed(t1: Representation, t2: Representation) -> GaussQ:
@@ -404,8 +295,6 @@ def random_unit_end(rng: SplitMix64, shape: ModShape) -> RMap:
              for j in range(n)] for i in range(n)]
     const = Matrix(lower, ncols=n) @ Matrix(diag, ncols=n) @ Matrix(upper, ncols=n)
     parts = [const] + [_random_matrix(rng, n, n, -2, 2) for _ in range(d - 1)]
-    from .rmatrix import from_slices
-
     return from_slices(parts, d)
 
 
@@ -425,7 +314,8 @@ def random_rep(q: QuiverMult, v, seed) -> Representation:
     rng = SplitMix64(seed)
     maps = {}
     for h in double(q):
-        src, dst = _arrow_shapes(q, h, v)
+        src = ModShape(v[h.source], q.mults[h.source])
+        dst = ModShape(v[h.target], q.mults[h.target])
         maps[h.name] = random_linear_map(rng, src, dst, h.base)
     return Representation(q, v, maps)
 

@@ -1,19 +1,20 @@
-"""Homomorphisms between free modules V (x) R_d.
+"""Homomorphisms between free modules V (x) R_d, stored as matrix polynomials.
 
-An ``RMap`` stores the matrix of an R_c-linear map V (x) R_src.order ->
-W (x) R_dst.order over the base field, in the flat basis {v_j eps^k} ordered
-vertex-major then eps-power ascending: basis index (j, k) sits at column
-j*order + k.  The base order c must divide both module orders, and linearity
-over R_c amounts to the intertwining identity
+Over a subring R_c of R_d (c | d, eps_c = eps^(d/c)) the module V (x) R_d is
+free with basis {v_j eps^l : l < d/c}, indexed j*(d/c) + l.  An R_c-linear
+map V (x) R_d1 -> W (x) R_d2 is therefore a polynomial sum_{m<c} A_m eps_c^m
+whose coefficients ("slices") A_m are (w*d2/c) x (v*d1/c) matrices over the
+base field.  ``RMap`` stores these c slices, so it is linear over its
+declared base by construction.
 
-    flat . N_src^(src.order/c) == N_dst^(dst.order/c) . flat
+``_lower`` rewrites the slices over a smaller subring (block-Toeplitz
+expansion).  ``RMap.flat`` is the base-1 view: the (w*d2) x (v*d1) matrix in
+the basis {v_j eps^k} at index j*d + k, which serialization prints.  Its
+validating inverse ``RMap.from_flat``, for untrusted input, raises
+``NotLinearOverBase`` when the matrix is not linear over the requested base.
 
-with N the multiplication-by-eps matrix of each shape.  Constructors check
-this eagerly, so a constructed RMap is always a genuine homomorphism.
-
-An endomorphism with base == order ("REnd") may be viewed as a matrix
-polynomial sum_k xi_k eps^k with xi_k plain matrices; ``slices``/
-``from_slices`` convert between the two presentations.
+An endomorphism with base == order ("REnd") has n x n slices: the
+matrix-polynomial coefficients xi_k of ``slices``/``from_slices``.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from .errors import (
     NotLinearOverBase,
     ShapeMismatch,
 )
-from .linalg import Matrix, inverse
+from .linalg import Matrix, hstack, inverse, vstack
 from .scalars import GQ_ZERO, GaussQ, TruncScalar
 
 
@@ -49,77 +50,52 @@ class ModShape:
         """Base-field dimension rank * order."""
         return self.rank * self.order
 
-    def flat_index(self, j, k) -> int:
-        return j * self.order + k
-
-
-def nilpotent(shape: ModShape) -> Matrix:
-    """Multiplication by eps on V (x) R_d in the flat basis."""
-    n = shape.dim
-    rows = [[GQ_ZERO] * n for _ in range(n)]
-    for j in range(shape.rank):
-        for k in range(shape.order - 1):
-            rows[shape.flat_index(j, k + 1)][shape.flat_index(j, k)] = GaussQ(1)
-    return Matrix(rows, ncols=n)
-
-
-def eps_shift_left(flat: Matrix, dst: ModShape, steps: int) -> Matrix:
-    """N_dst^steps . flat, using the shift structure instead of a product."""
-    if steps == 0:
-        return flat
-    zero_row = (GQ_ZERO,) * flat.ncols
-    rows = []
-    for j in range(dst.rank):
-        for k in range(dst.order):
-            rows.append(
-                flat.rows[dst.flat_index(j, k - steps)] if k >= steps else zero_row
-            )
-    return Matrix(rows, ncols=flat.ncols)
-
-
-def eps_shift_right(flat: Matrix, src: ModShape, steps: int) -> Matrix:
-    """flat . N_src^steps: column (j, k) becomes column (j, k + steps) or zero."""
-    if steps == 0:
-        return flat
-    rows = []
-    for row in flat.rows:
-        new_row = []
-        for j in range(src.rank):
-            for k in range(src.order):
-                new_row.append(
-                    row[src.flat_index(j, k + steps)]
-                    if k + steps < src.order
-                    else GQ_ZERO
-                )
-        rows.append(new_row)
-    return Matrix(rows, ncols=flat.ncols)
-
 
 class RMap:
-    __slots__ = ("src", "dst", "base", "flat")
+    __slots__ = ("src", "dst", "base", "parts")
 
-    def __init__(self, src: ModShape, dst: ModShape, base: int, flat: Matrix):
-        if src.order % base != 0 or dst.order % base != 0:
+    def __init__(self, src: ModShape, dst: ModShape, base: int, parts):
+        if base < 1 or src.order % base != 0 or dst.order % base != 0:
             raise NotDivisible(
                 f"base {base} must divide orders {src.order}, {dst.order}"
             )
-        if flat.nrows != dst.dim or flat.ncols != src.dim:
-            raise ShapeMismatch(
-                f"flat is {flat.nrows}x{flat.ncols}, expected {dst.dim}x{src.dim}"
-            )
-        if eps_shift_right(flat, src, src.order // base) != eps_shift_left(
-            flat, dst, dst.order // base
+        parts = tuple(parts)
+        nrows, ncols = dst.dim // base, src.dim // base
+        if len(parts) != base or any(
+            p.nrows != nrows or p.ncols != ncols for p in parts
         ):
-            raise NotLinearOverBase(
-                f"matrix does not commute with eps^({src.order // base})"
-            )
+            raise ShapeMismatch(f"need {base} slices of size {nrows}x{ncols}")
         object.__setattr__(self, "src", src)
         object.__setattr__(self, "dst", dst)
         object.__setattr__(self, "base", base)
-        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "parts", parts)
 
     def __setattr__(self, name, value):
         raise AttributeError("RMap is immutable")
+
+    @staticmethod
+    def from_flat(src: ModShape, dst: ModShape, base: int, flat: Matrix) -> "RMap":
+        """The map whose base-1 matrix is ``flat``, checked to be R_base-linear.
+
+        The columns at v_j eps^l (l < src.order/base) determine an
+        R_base-linear map; ``flat`` must be the base-1 matrix of that map.
+        """
+        if base < 1 or src.order % base != 0 or dst.order % base != 0:
+            raise NotDivisible(f"base {base} must divide orders {src.order}, {dst.order}")
+        if flat.nrows != dst.dim or flat.ncols != src.dim:
+            raise ShapeMismatch(f"flat is {flat.nrows}x{flat.ncols}, expected {dst.dim}x{src.dim}")
+        f_in = src.order // base
+        block = RMap(ModShape(src.rank * f_in, 1), dst, 1, [flat.select_columns(
+            [j * src.order + l for j in range(src.rank) for l in range(f_in)])])
+        g = slice_extend(src, dst, base, block)
+        if g.flat != flat:
+            raise NotLinearOverBase(f"matrix does not commute with eps^({f_in})")
+        return g
+
+    @property
+    def flat(self) -> Matrix:
+        """The matrix over the base field in the basis {v_j eps^k}, at j*order + k."""
+        return _lower(self, 1)[0]
 
     # basics -------------------------------------------------------------------
 
@@ -129,34 +105,34 @@ class RMap:
     def __eq__(self, other):
         if not isinstance(other, RMap):
             return NotImplemented
-        return (
-            self.src == other.src
-            and self.dst == other.dst
-            and self.flat == other.flat
-        )
+        if self.src != other.src or self.dst != other.dst:
+            return False
+        c = math.gcd(self.base, other.base)
+        return _lower(self, c) == _lower(other, c)
 
     def __hash__(self):
         return hash((self.src, self.dst, self.flat))
 
     def is_zero(self) -> bool:
-        return self.flat.is_zero()
+        return all(p.is_zero() for p in self.parts)
 
     def __add__(self, other):
         if self.src != other.src or self.dst != other.dst:
             raise ShapeMismatch("sum of maps with different shapes")
+        c = math.gcd(self.base, other.base)
         return RMap(
-            self.src, self.dst, math.gcd(self.base, other.base),
-            self.flat + other.flat,
+            self.src, self.dst, c,
+            [a + b for a, b in zip(_lower(self, c), _lower(other, c))],
         )
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return RMap(self.src, self.dst, self.base, -self.flat)
+        return RMap(self.src, self.dst, self.base, [-p for p in self.parts])
 
     def scale(self, c: GaussQ) -> "RMap":
-        return RMap(self.src, self.dst, self.base, self.flat.scale(c))
+        return RMap(self.src, self.dst, self.base, [p.scale(c) for p in self.parts])
 
     def __repr__(self):
         return (
@@ -169,73 +145,82 @@ class RMap:
 REnd = RMap
 
 
+def _lower(f: RMap, c: int) -> tuple:
+    """Slices of f over the subring R_c, for c dividing f.base.
+
+    With r = f.base / c, the R_c-basis vector v_j eps^(l + f1*s) (l < f1, s < r)
+    is v_j eps^l times eps_base^s.  Entry ((i, l2 + f2*t), (j, l1 + f1*s)) of
+    slice m is therefore entry ((i, l2), (j, l1)) of f's slice r*m + t - s,
+    and zero when that index falls outside 0..f.base-1: a block-Toeplitz
+    expansion.
+    """
+    if f.base % c != 0:
+        raise NotLinearOverBase(f"map over R_{f.base} is not declared R_{c}-linear")
+    r = f.base // c
+    if r == 1:
+        return f.parts
+    f1, f2 = f.src.order // f.base, f.dst.order // f.base
+    zero = (GQ_ZERO,) * f1
+    out = []
+    for m in range(c):
+        rows = []
+        for i in range(f.dst.rank):
+            for t in range(r):
+                for l2 in range(f2):
+                    row = []
+                    for j in range(f.src.rank):
+                        for s in range(r):
+                            k = r * m + t - s
+                            if 0 <= k < f.base:
+                                row.extend(f.parts[k].rows[i * f2 + l2][j * f1:(j + 1) * f1])
+                            else:
+                                row.extend(zero)
+                    rows.append(row)
+        out.append(Matrix(rows, ncols=f.src.rank * f1 * r))
+    return tuple(out)
+
+
 def zero_map(src: ModShape, dst: ModShape, base=None) -> RMap:
     if base is None:
         base = math.gcd(src.order, dst.order)
-    return RMap(src, dst, base, Matrix.zero(dst.dim, src.dim))
+    return RMap(src, dst, base, [Matrix.zero(dst.dim // base, src.dim // base)] * base)
 
 
 def identity_end(shape: ModShape) -> REnd:
-    return RMap(shape, shape, shape.order, Matrix.identity(shape.dim))
-
-
-def eps_end(shape: ModShape, power=1) -> REnd:
-    return RMap(shape, shape, shape.order, nilpotent(shape).power(power))
+    return scalar_end(TruncScalar.const(shape.order, 1), shape.rank)
 
 
 def scalar_end(c: TruncScalar, rank: int) -> REnd:
     """The endomorphism acting as the scalar c on a rank-n module."""
     shape = ModShape(rank, c.d)
-    rows = [[GQ_ZERO] * shape.dim for _ in range(shape.dim)]
-    for j in range(rank):
-        for m in range(c.d):
-            for k in range(c.d - m):
-                rows[shape.flat_index(j, m + k)][shape.flat_index(j, m)] = c.coeffs[k]
-    return RMap(shape, shape, c.d, Matrix(rows, ncols=shape.dim))
+    return RMap(shape, shape, c.d, [Matrix.diagonal([x] * rank) for x in c.coeffs])
 
 
 def compose(f: RMap, g: RMap) -> RMap:
-    """f after g.  The result is linear over the common base gcd(f.base, g.base)."""
+    """f after g: the truncated product of the two matrix polynomials over
+    the common base gcd(f.base, g.base)."""
     if g.dst != f.src:
         raise ShapeMismatch(f"cannot compose: inner shapes {g.dst} vs {f.src}")
-    return RMap(g.src, f.dst, math.gcd(f.base, g.base), f.flat @ g.flat)
+    c = math.gcd(f.base, g.base)
+    fs, gs = _lower(f, c), _lower(g, c)
+    return RMap(
+        g.src, f.dst, c,
+        [hstack(fs[:m + 1]) @ vstack(gs[m::-1]) for m in range(c)],
+    )
 
 
 def slices(f: REnd) -> list[Matrix]:
     """Matrix-polynomial coefficients xi_k of an endomorphism."""
     if not f.is_end():
         raise NotEndomorphism("slices need src == dst and base == order")
-    n, d = f.src.rank, f.src.order
-    out = []
-    for k in range(d):
-        out.append(
-            Matrix(
-                [
-                    [f.flat[f.src.flat_index(i, k), f.src.flat_index(j, 0)] for j in range(n)]
-                    for i in range(n)
-                ],
-                ncols=n,
-            )
-        )
-    return out
+    return list(f.parts)
 
 
 def from_slices(parts: list[Matrix], order: int) -> REnd:
     if len(parts) != order:
         raise MismatchedOrder(f"need {order} slices, got {len(parts)}")
-    rank = parts[0].nrows
-    shape = ModShape(rank, order)
-    rows = [[GQ_ZERO] * shape.dim for _ in range(shape.dim)]
-    for k, xi in enumerate(parts):
-        if xi.nrows != rank or xi.ncols != rank:
-            raise ShapeMismatch("slice is not square of the right rank")
-        for i in range(rank):
-            for j in range(rank):
-                v = xi[i, j]
-                if v:
-                    for m in range(order - k):
-                        rows[shape.flat_index(i, m + k)][shape.flat_index(j, m)] = v
-    return RMap(shape, shape, order, Matrix(rows, ncols=shape.dim))
+    shape = ModShape(parts[0].nrows, order)
+    return RMap(shape, shape, order, parts)
 
 
 def trace_base(f: RMap, c: int) -> TruncScalar:
@@ -244,15 +229,12 @@ def trace_base(f: RMap, c: int) -> TruncScalar:
         raise NotEndomorphism("trace of a non-square map")
     if f.base % c != 0:
         raise NotLinearOverBase(f"map is not R_{c}-linear")
-    n, d = f.src.rank, f.src.order
-    step = d // c
-    coeffs = [GQ_ZERO] * c
-    for m in range(c):
+    coeffs = []
+    for p in _lower(f, c):
         acc = GQ_ZERO
-        for j in range(n):
-            for l in range(step):
-                acc = acc + f.flat[f.src.flat_index(j, l + m * step), f.src.flat_index(j, l)]
-        coeffs[m] = acc
+        for k in range(p.nrows):
+            acc = acc + p.rows[k][k]
+        coeffs.append(acc)
     return TruncScalar(c, coeffs)
 
 
@@ -278,17 +260,85 @@ def pr_cd(z: RMap) -> REnd:
 
     pr(Z) = sum_{k<d/c} N^k Z N^(d/c-1-k); it is adjoint to the inclusion of
     the R_d-endomorphisms into the R_c-endomorphisms: <pr(Z), Z'>_d = <Z, Z'>_c
-    for every R_d-linear Z'.
+    for every R_d-linear Z'.  On v_j, pr(Z) is sum_k eps^k Z(v_j eps^(q-1-k))
+    with q = d/c, so the (l2, l1) block of slice m of Z lands in slice
+    q*m + q-1 + l2 - l1 of the result.
     """
     if z.src != z.dst:
         raise ShapeMismatch("pr_cd needs a square map")
-    d = z.src.order
+    n, d = z.src.rank, z.src.order
     q = d // z.base
-    acc = Matrix.zero(z.src.dim, z.src.dim)
-    for k in range(q):
-        term = eps_shift_left(eps_shift_right(z.flat, z.src, q - 1 - k), z.dst, k)
-        acc = acc + term
-    return RMap(z.src, z.dst, d, acc)
+    out = [Matrix.zero(n, n)] * d
+    for m, a in enumerate(z.parts):
+        for l2 in range(q):
+            for l1 in range(q):
+                p = q * m + q - 1 + l2 - l1
+                if p < d:
+                    out[p] = out[p] + Matrix([row[l1::q] for row in a.rows[l2::q]], ncols=n)
+    return RMap(z.src, z.dst, d, out)
+
+
+# -- slice parametrization of maps linear over a common subring -----------------
+
+def slice_extend(src: ModShape, dst: ModShape, base: int, x: RMap) -> RMap:
+    """R_base-linear map src -> dst from its free parameter block.
+
+    x sends the slice {v_j eps^l : l < src.order/base} into the target; the
+    unique R_base-linear extension fills in the remaining eps-powers.  Its
+    slice m holds the rows of x at target powers eps^(l + m*dst.order/base).
+    """
+    f_in = src.order // base
+    f_out = dst.order // base
+    if x.src != ModShape(src.rank * f_in, 1) or x.dst != dst:
+        raise ShapeMismatch("parameter block has the wrong shape")
+    rows = x.parts[0].rows
+    return RMap(src, dst, base, [
+        Matrix([rows[i * dst.order + m * f_out + l]
+                for i in range(dst.rank) for l in range(f_out)], ncols=x.src.rank)
+        for m in range(base)
+    ])
+
+
+def slice_restrict(base: int, b: RMap) -> RMap:
+    """Free parameter block of an R_base-linear map (inverse of slice_extend)."""
+    dst = b.dst
+    f_out = dst.order // base
+    parts = _lower(b, base)
+    rows = [parts[k // f_out].rows[i * f_out + k % f_out]
+            for i in range(dst.rank) for k in range(dst.order)]
+    ncols = b.src.dim // base
+    return RMap(ModShape(ncols, 1), dst, 1, [Matrix(rows, ncols=ncols)])
+
+
+def slice_extend_rev(src: ModShape, dst: ModShape, base: int, y: RMap) -> RMap:
+    """R_base-linear map src -> dst from a plain map onto the target slice.
+
+    y sends the source module into {w_i eps^l : l < dst.order/base}; the
+    extension places y(eps_base^(base-1-k) x) at eps_base-power k, so its
+    slice m holds the columns of y at source powers eps^(l + (base-1-m)*f_in).
+    """
+    f_in = src.order // base
+    f_out = dst.order // base
+    if y.src != src or y.dst != ModShape(dst.rank * f_out, 1):
+        raise ShapeMismatch("slice map has the wrong shape")
+    return RMap(src, dst, base, [
+        y.parts[0].select_columns([j * src.order + (base - 1 - m) * f_in + l
+                                   for j in range(src.rank) for l in range(f_in)])
+        for m in range(base)
+    ])
+
+
+def slice_restrict_rev(base: int, b: RMap) -> RMap:
+    """Slice map of an R_base-linear map (inverse of slice_extend_rev)."""
+    src = b.src
+    f_in = src.order // base
+    parts = _lower(b, base)
+    rows = [
+        [parts[base - 1 - k // f_in].rows[r][j * f_in + k % f_in]
+         for j in range(src.rank) for k in range(src.order)]
+        for r in range(b.dst.dim // base)
+    ]
+    return RMap(src, ModShape(b.dst.dim // base, 1), 1, [Matrix(rows, ncols=src.dim)])
 
 
 def extend_scalars(x: RMap) -> RMap:
@@ -303,23 +353,7 @@ def extend_scalars(x: RMap) -> RMap:
         raise NotLinearOverBase("source must be fully linear over its own order")
     if d % c != 0:
         raise NotDivisible(f"{c} does not divide {d}")
-    if c == d:
-        return x
-    w = x.src.rank
-    new_src = ModShape(w, d)
-    nd = nilpotent(x.dst)
-    cols = {}
-    for j in range(w):
-        base_col = Matrix([[v] for v in x.flat.column(x.src.flat_index(j, 0))], ncols=1)
-        cur = base_col
-        for t in range(d):
-            cols[new_src.flat_index(j, t)] = cur
-            if t < d - 1:
-                cur = nd @ cur
-    rows = [
-        [cols[jj][ii, 0] for jj in range(new_src.dim)] for ii in range(x.dst.dim)
-    ]
-    return RMap(new_src, x.dst, d, Matrix(rows, ncols=new_src.dim))
+    return slice_extend(ModShape(x.src.rank, d), x.dst, d, slice_restrict(c, x))
 
 
 def extend_scalars_rev(y: RMap) -> RMap:
@@ -333,27 +367,7 @@ def extend_scalars_rev(y: RMap) -> RMap:
         raise NotLinearOverBase("target must be fully linear over its own order")
     if d % c != 0:
         raise NotDivisible(f"{c} does not divide {d}")
-    if c == d:
-        return y
-    w = y.dst.rank
-    q = d // c
-    new_dst = ModShape(w, d)
-    rows = [[GQ_ZERO] * y.src.dim for _ in range(new_dst.dim)]
-    for j in range(y.src.rank):
-        for t in range(d):
-            col = y.src.flat_index(j, t)
-            for k in range(q):
-                s = t + q - 1 - k
-                if s >= d:
-                    continue
-                ycol = y.src.flat_index(j, s)
-                for i in range(w):
-                    for m in range(c):
-                        v = y.flat[y.dst.flat_index(i, m), ycol]
-                        if v:
-                            row = new_dst.flat_index(i, m * q + k)
-                            rows[row][col] = rows[row][col] + v
-    return RMap(y.src, new_dst, d, Matrix(rows, ncols=y.src.dim))
+    return slice_extend_rev(y.src, ModShape(y.dst.rank, d), d, slice_restrict_rev(c, y))
 
 
 def restrict_scalars(f: RMap, kind: str, base: int) -> RMap:
@@ -363,43 +377,17 @@ def restrict_scalars(f: RMap, kind: str, base: int) -> RMap:
     remember it.
     """
     c = base
+    shape = {"forward": f.src, "reverse": f.dst}.get(kind)
+    if shape is None:
+        raise ValueError(f"unknown restriction kind {kind!r}")
+    d = shape.order
+    if f.base != d:
+        raise NotLinearOverBase("map must be fully linear for restriction")
+    if d % c != 0:
+        raise NotDivisible(f"{c} does not divide {d}")
     if kind == "forward":
-        d = f.src.order
-        if f.base != f.src.order:
-            raise NotLinearOverBase("map must be fully linear for restriction")
-        if d % c != 0:
-            raise NotDivisible(f"{c} does not divide {d}")
-        if c == d:
-            return f
-        q = d // c
-        w = f.src.rank
-        new_src = ModShape(w, c)
-        rows = [
-            [f.flat[i, f.src.flat_index(j, m * q)] for j in range(w) for m in range(c)]
-            for i in range(f.dst.dim)
-        ]
-        return RMap(new_src, f.dst, c, Matrix(rows, ncols=new_src.dim))
-    if kind == "reverse":
-        d = f.dst.order
-        if f.base != f.dst.order:
-            raise NotLinearOverBase("map must be fully linear for restriction")
-        if d % c != 0:
-            raise NotDivisible(f"{c} does not divide {d}")
-        if c == d:
-            return f
-        q = d // c
-        w = f.dst.rank
-        new_dst = ModShape(w, c)
-        rows = [
-            [
-                f.flat[f.dst.flat_index(i, m * q + q - 1), col]
-                for col in range(f.src.dim)
-            ]
-            for i in range(w)
-            for m in range(c)
-        ]
-        return RMap(f.src, new_dst, c, Matrix(rows, ncols=f.src.dim))
-    raise ValueError(f"unknown restriction kind {kind!r}")
+        return slice_extend(ModShape(shape.rank, c), f.dst, c, slice_restrict(d, f))
+    return slice_extend_rev(f.src, ModShape(shape.rank, c), c, slice_restrict_rev(d, f))
 
 
 def scale_end(f: RMap, t: TruncScalar) -> RMap:
@@ -412,11 +400,18 @@ def scale_end(f: RMap, t: TruncScalar) -> RMap:
 
 
 def invert_end(g: REnd) -> REnd:
-    """Inverse of a unit endomorphism (invertible constant slice)."""
+    """Inverse of a unit endomorphism (invertible constant slice).
+
+    With X_0 the inverse of the constant slice A_0, the slices of the inverse
+    are X_k = -X_0 sum_{1<=j<=k} A_j X_{k-j}.
+    """
     if not g.is_end():
         raise NotEndomorphism("inverse needs a full endomorphism")
     try:
-        inv = inverse(g.flat)
+        x0 = inverse(g.parts[0])
     except NotInvertible:
         raise NotInvertible("constant slice is singular") from None
-    return RMap(g.src, g.dst, g.base, inv)
+    xs = [x0]
+    for k in range(1, g.base):
+        xs.append(-(x0 @ (hstack(g.parts[1:k + 1]) @ vstack(xs[::-1]))))
+    return RMap(g.src, g.dst, g.base, xs)

@@ -25,7 +25,3 @@ class SplitMix64:
             raise ValueError("empty range")
         span = hi - lo + 1
         return lo + self.next_u64() % span
-
-    def split(self):
-        """Child generator with an independent stream."""
-        return SplitMix64(self.next_u64())

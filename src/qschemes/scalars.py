@@ -15,17 +15,10 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 
-try:  # GMP-backed rationals when available; plain Fractions otherwise
-    from gmpy2 import mpq as _Q
-except ImportError:  # pragma: no cover
-    _Q = Fraction
-
 from .errors import MismatchedOrder, NotAUnit, NotDivisible
 
 _FRAC = r"-?\d+(?:/\d+)?"
 _GQ_RE = _re.compile(rf"^({_FRAC})(?:\s*([+-])\s*({_FRAC})i)?$")
-
-_RAT_ZERO = _Q(0)
 
 
 class GaussQ:
@@ -34,10 +27,10 @@ class GaussQ:
     __slots__ = ("re", "im")
 
     def __init__(self, re=0, im=0):
-        if type(re) is not type(_RAT_ZERO):
-            re = _Q(re)
-        if type(im) is not type(_RAT_ZERO):
-            im = _Q(im)
+        if type(re) is not Fraction:
+            re = Fraction(re)
+        if type(im) is not Fraction:
+            im = Fraction(im)
         object.__setattr__(self, "re", re)
         object.__setattr__(self, "im", im)
 
@@ -98,7 +91,8 @@ class GaussQ:
         return self.re == other.re and self.im == other.im
 
     def __hash__(self):
-        return hash((self.re, self.im))
+        # equal to the hash of the int or Fraction it equals when real
+        return hash(self.re) if not self.im else hash((self.re, self.im))
 
     def __bool__(self):
         return bool(self.re) or bool(self.im)
@@ -120,10 +114,10 @@ class GaussQ:
         m = _GQ_RE.match(text.strip())
         if m is None:
             raise ValueError(f"not a GaussQ literal: {text!r}")
-        re_part = _Q(Fraction(m.group(1)))
+        re_part = Fraction(m.group(1))
         if m.group(3) is None:
             return GaussQ(re_part)
-        im_part = _Q(Fraction(m.group(3)))
+        im_part = Fraction(m.group(3))
         if m.group(2) == "-":
             im_part = -im_part
         return GaussQ(re_part, im_part)
@@ -132,7 +126,7 @@ class GaussQ:
 def _coerce(x) -> GaussQ:
     if isinstance(x, GaussQ):
         return x
-    if isinstance(x, (int, Fraction, type(_RAT_ZERO))):
+    if isinstance(x, (int, Fraction)):
         return GaussQ(x)
     raise TypeError(f"cannot coerce {type(x).__name__} to GaussQ")
 

@@ -4,12 +4,16 @@ Scalars are strings ("a/b" or "a/b+c/di"), truncated scalars are coefficient
 lists low-to-high, matrices are row-major string grids in the canonical flat
 basis order.  ``dumps`` fixes key order and spacing, so serialization is
 byte-identical across runs.
+
+The ``*_from_obj`` readers take untrusted JSON: a value of the wrong type
+raises ``MalformedInput``, a matrix of the wrong size ``ShapeMismatch``.
 """
 
 from __future__ import annotations
 
 import json
 
+from .errors import MalformedInput, ShapeMismatch
 from .linalg import Matrix
 from .orbit import LegPoint, OrbitSpec
 from .quiver import QuiverMult
@@ -23,6 +27,16 @@ def dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2, ensure_ascii=True) + "\n"
 
 
+_KINDS = {int: "an integer", str: "a string", list: "a list", dict: "an object"}
+
+
+def _typed(x, kind, what):
+    """x itself when it is exactly of type kind (so no bool for int)."""
+    if type(x) is not kind:
+        raise MalformedInput(f"{what} must be {_KINDS[kind]}, got {type(x).__name__}")
+    return x
+
+
 # -- scalars -----------------------------------------------------------------
 
 def trunc_to_obj(t: TruncScalar) -> list:
@@ -30,10 +44,11 @@ def trunc_to_obj(t: TruncScalar) -> list:
 
 
 def trunc_from_obj(obj, d=None) -> TruncScalar:
-    coeffs = [GaussQ.parse(c) for c in obj]
+    coeffs = [GaussQ.parse(_typed(c, str, "coefficient"))
+              for c in _typed(obj, list, "truncated scalar")]
     if d is None:
         d = len(coeffs)
-    return TruncScalar(d, coeffs)
+    return TruncScalar(_typed(d, int, "order"), coeffs)
 
 
 # -- maps ---------------------------------------------------------------------
@@ -47,11 +62,21 @@ def rmap_to_obj(f: RMap) -> dict:
     }
 
 
+def _shape(obj, what) -> ModShape:
+    obj = _typed(obj, dict, what)
+    return ModShape(_typed(obj["rank"], int, f"{what} rank"),
+                    _typed(obj["order"], int, f"{what} order"))
+
+
 def rmap_from_obj(obj) -> RMap:
-    src = ModShape(obj["src"]["rank"], obj["src"]["order"])
-    dst = ModShape(obj["dst"]["rank"], obj["dst"]["order"])
-    rows = [[GaussQ.parse(x) for x in row] for row in obj["flat"]]
-    return RMap(src, dst, obj["base"], Matrix(rows, ncols=src.dim))
+    obj = _typed(obj, dict, "map")
+    src, dst = _shape(obj["src"], "src"), _shape(obj["dst"], "dst")
+    rows = [[GaussQ.parse(_typed(x, str, "matrix entry"))
+             for x in _typed(row, list, "matrix row")]
+            for row in _typed(obj["flat"], list, "flat")]
+    if len(rows) != dst.dim or any(len(row) != src.dim for row in rows):
+        raise ShapeMismatch(f"flat must be {dst.dim}x{src.dim}")
+    return RMap.from_flat(src, dst, _typed(obj["base"], int, "base"), Matrix(rows, ncols=src.dim))
 
 
 # -- parameters ------------------------------------------------------------------
@@ -62,6 +87,7 @@ def params_to_obj(q: QuiverMult, lam) -> dict:
 
 
 def params_from_obj(q: QuiverMult, obj) -> tuple:
+    obj = _typed(obj, dict, "parameters")
     out = []
     for i, v in enumerate(q.vertices):
         if v.name not in obj:
@@ -80,8 +106,10 @@ def rep_to_obj(rep: Representation) -> dict:
 
 
 def rep_from_obj(q: QuiverMult, obj) -> Representation:
-    v = tuple(obj["v"][q.name(i)] for i in range(q.n))
-    maps = {name: rmap_from_obj(o) for name, o in obj["maps"].items()}
+    obj = _typed(obj, dict, "representation")
+    dims = _typed(obj["v"], dict, "v")
+    v = tuple(_typed(dims[q.name(i)], int, "dimension") for i in range(q.n))
+    maps = {name: rmap_from_obj(o) for name, o in _typed(obj["maps"], dict, "maps").items()}
     return Representation(q, v, maps)
 
 
@@ -97,9 +125,11 @@ def orbit_spec_to_obj(spec: OrbitSpec) -> dict:
 
 
 def orbit_spec_from_obj(obj) -> OrbitSpec:
-    d = obj["d"]
+    obj = _typed(obj, dict, "orbit spec")
+    d = _typed(obj["d"], int, "d")
     blocks = tuple(
-        (b["dim"], trunc_from_obj(b["theta"], d)) for b in obj["blocks"]
+        (_typed(_typed(b, dict, "block")["dim"], int, "block dim"), trunc_from_obj(b["theta"], d))
+        for b in _typed(obj["blocks"], list, "blocks")
     )
     return OrbitSpec(d, blocks)
 
@@ -112,19 +142,4 @@ def leg_point_to_obj(p: LegPoint) -> dict:
         "up": [rmap_to_obj(f) for f in p.up],
         "a": rmap_to_obj(p.a),
         "b": rmap_to_obj(p.b),
-    }
-
-
-def rend_dual_view(f: RMap) -> dict:
-    """Formatting view of an endomorphism as a pole part in negative eps-powers.
-
-    The eps^k coefficient is displayed at exponent k - d.  This is a
-    presentation only; nothing consumes it as input.
-    """
-    from .rmatrix import slices
-
-    d = f.src.order
-    return {
-        str(k - d): [[str(x) for x in row] for row in xi.rows]
-        for k, xi in enumerate(slices(f))
     }

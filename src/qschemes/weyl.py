@@ -322,12 +322,3 @@ def apply_int_matrix_to_params(q: QuiverMult, m, lam) -> tuple[TruncScalar, ...]
     out = [sum((GaussQ(a) * x for a, x in zip(row, flat) if a), GQ_ZERO) for row in m]
     return unflatten_params(q, out)
 
-
-def apply_transposed_dim(q: QuiverMult, i, vec):
-    """t(s_i) applied to a rational vector indexed by vertices."""
-    m = dim_reflection_matrix(q, i)
-    n = q.n
-    return tuple(
-        sum((GaussQ(m[r][col]) * vec[r] for r in range(n) if m[r][col]), GQ_ZERO)
-        for col in range(n)
-    )

@@ -173,6 +173,37 @@ class TestCheckCommand:
         assert code == 0 and obj["failures"] == []
 
 
+class TestInputBoundary:
+    """Malformed input fails with a typed error and exit 2, not a traceback."""
+
+    def test_orbit_check_non_integer_rank(self, capsys, tmp_path):
+        spec = OrbitSpec(2, ((1, TruncScalar(2, [0, 1])), (1, TruncScalar(2, [2]))))
+        spec_file = tmp_path / "spec.json"
+        spec_file.write_text(ser.dumps(ser.orbit_spec_to_obj(spec)))
+        obj = ser.rmap_to_obj(random_conjugate(spec, 1))
+        obj["src"]["rank"] = "x"
+        a_file = tmp_path / "a.json"
+        a_file.write_text(json.dumps(obj))
+        code, out, err = run(capsys, "orbit-check", str(spec_file), "--a", str(a_file))
+        assert code == 2 and out == ""
+        assert err.startswith("error[malformed-input]") and "rank" in err
+
+    def test_numeric_parameter_coefficients(self, capsys, chain_file, tmp_path):
+        lam = tmp_path / "lam.json"
+        lam.write_text(json.dumps({"i": [1], "j": [1, 2], "k": [1]}))
+        code, out, err = run(capsys, "reflect", chain_file, "--vertex", "i",
+                             "--lambda", str(lam), "--v", "1,1,1")
+        assert code == 2 and out == ""
+        assert err.startswith("error[malformed-input]")
+
+    def test_check_rejects_non_positive_trials(self, capsys, corpus_dir):
+        for trials in ("-3", "0"):
+            code, out, err = run(capsys, "check", str(corpus_dir), "--suite", "coxeter",
+                                 "--trials", trials)
+            assert code == 2 and out == ""
+            assert err.startswith("error[malformed-input]")
+
+
 def test_installed_entry_point(chain_file):
     proc = subprocess.run(
         [sys.executable, "-m", "qschemes.cli", "cartan", chain_file],

@@ -24,7 +24,6 @@ from qschemes.rmatrix import (
     ModShape,
     RMap,
     compose,
-    eps_end,
     from_slices,
     identity_end,
     scalar_end,
@@ -101,7 +100,7 @@ class TestMembership:
     def test_eps_perturbation_fails(self):
         for make in (spec_d2, spec_d3):
             spec = make()
-            a = big_theta(spec) + eps_end(ModShape(spec.total, spec.d))
+            a = big_theta(spec) + scalar_end(T.eps(spec.d), spec.total)
             assert not orbit_membership(spec, a).ok
 
     def test_generated_non_members_fail(self):
@@ -237,7 +236,7 @@ class TestShift:
 
     def test_top_eps_identity(self):
         sh = ModShape(2, 3)
-        a = eps_end(sh, 2)
+        a = scalar_end(T.eps(3, 2), 2)
         top, rest = shift_decompose(a)
         assert top == Matrix.identity(2)
         assert rest.is_zero()
@@ -259,9 +258,9 @@ class TestShift:
 
     def test_shift_map_identity(self):
         sh = ModShape(2, 2)
-        b = RMap(sh, sh, 2, Matrix.zero(4, 4))
+        b = RMap.from_flat(sh, sh, 2, Matrix.zero(4, 4))
         out = shift_map(b, Matrix.identity(2), G(0))
-        assert out == eps_end(sh).scale(G(-1))
+        assert out == scalar_end(T.eps(2), 2).scale(G(-1))
 
     def test_shift_then_decompose(self):
         spec = spec_d2()
@@ -277,4 +276,4 @@ class TestShift:
     def test_rejects_nonzero_top(self):
         sh = ModShape(1, 2)
         with pytest.raises(TopSliceNotZero):
-            shift_map(eps_end(sh), Matrix.zero(1, 1), G(0))
+            shift_map(scalar_end(T.eps(2), 1), Matrix.zero(1, 1), G(0))

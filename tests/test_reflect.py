@@ -51,8 +51,8 @@ def a2():
 @pytest.fixture
 def a2_rep(a2):
     return Representation(a2, (1, 1), {
-        "h": RMap(ModShape(1, 1), ModShape(1, 1), 1, gmat([[2]])),
-        "h~": RMap(ModShape(1, 1), ModShape(1, 1), 1, gmat([[3]])),
+        "h": RMap(ModShape(1, 1), ModShape(1, 1), 1, [gmat([[2]])]),
+        "h~": RMap(ModShape(1, 1), ModShape(1, 1), 1, [gmat([[3]])]),
     })
 
 
@@ -164,10 +164,10 @@ class TestReflectionFunctor:
         q = example_chain(2)
         lam = (T(1, [1]), T(2, [0, -2]), T(1, [1]))
         maps = {
-            "a": RMap(ModShape(1, 2), ModShape(1, 1), 1, gmat([[1, 0]])),
-            "a~": RMap(ModShape(1, 1), ModShape(1, 2), 1, gmat([[-2], [0]])),
-            "b": RMap(ModShape(1, 1), ModShape(1, 1), 1, gmat([[1]])),
-            "b~": RMap(ModShape(1, 1), ModShape(1, 1), 1, gmat([[-1]])),
+            "a": RMap(ModShape(1, 2), ModShape(1, 1), 1, [gmat([[1, 0]])]),
+            "a~": RMap(ModShape(1, 1), ModShape(1, 2), 1, [gmat([[-2], [0]])]),
+            "b": RMap(ModShape(1, 1), ModShape(1, 1), 1, [gmat([[1]])]),
+            "b~": RMap(ModShape(1, 1), ModShape(1, 1), 1, [gmat([[-1]])]),
         }
         rep = Representation(q, (1, 1, 1), maps)
         assert level_check(q, lam, rep.v)
@@ -256,10 +256,10 @@ class TestBraidProbe:
         q = example_chain(2)
         lam = (T(1, [1]), T(2, [3, 1]), T(1, [1]))
         maps = {
-            "a": RMap(ModShape(1, 2), ModShape(1, 1), 1, gmat([[1, 0]])),
-            "a~": RMap(ModShape(1, 1), ModShape(1, 2), 1, gmat([[-2], [0]])),
-            "b": RMap(ModShape(1, 1), ModShape(1, 1), 1, gmat([[1]])),
-            "b~": RMap(ModShape(1, 1), ModShape(1, 1), 1, gmat([[-1]])),
+            "a": RMap(ModShape(1, 2), ModShape(1, 1), 1, [gmat([[1, 0]])]),
+            "a~": RMap(ModShape(1, 1), ModShape(1, 2), 1, [gmat([[-2], [0]])]),
+            "b": RMap(ModShape(1, 1), ModShape(1, 1), 1, [gmat([[1]])]),
+            "b~": RMap(ModShape(1, 1), ModShape(1, 1), 1, [gmat([[-1]])]),
         }
         return q, Representation(q, (1, 1, 1), maps), lam
 

@@ -12,14 +12,13 @@ from qschemes.repn import random_linear_map
 from qschemes.rmatrix import (
     ModShape,
     RMap,
+    _lower,
     compose,
-    eps_end,
     extend_scalars,
     extend_scalars_rev,
     from_slices,
     identity_end,
     invert_end,
-    nilpotent,
     pair_d,
     pr_cd,
     restrict_scalars,
@@ -42,19 +41,45 @@ def rand_end(rng, rank, d, base):
     return random_linear_map(rng, shape, shape, base)
 
 
+def gauss_map(rng, src, dst, base):
+    """Seeded R_base-linear map whose entries are Gaussian integers a + b i."""
+    re, im = (random_linear_map(rng, src, dst, base) for _ in range(2))
+    return re + im.scale(G(0, 1))
+
+
+def gauss_unit(rng, n, d):
+    """Unit endomorphism with non-real entries: unitriangular constant slice."""
+    def entry():
+        return G(rng.randint(-2, 2), rng.randint(-2, 2))
+    lower = Matrix([[G(1) if i == j else entry() if i > j else G(0) for j in range(n)]
+                    for i in range(n)])
+    upper = Matrix([[G(1) if i == j else entry() if i < j else G(0) for j in range(n)]
+                    for i in range(n)])
+    rest = [Matrix([[entry() for _ in range(n)] for _ in range(n)]) for _ in range(d - 1)]
+    return from_slices([lower @ upper] + rest, d)
+
+
+# (d1, d2, c): source order, target order and a base ring R_c with c < d1 != d2
+NONREAL_CASES = [(2, 4, 1), (4, 2, 2), (6, 3, 3), (4, 6, 2), (6, 4, 2)]
+
+
 class TestConstruction:
     def test_rejects_non_linear(self):
         sh = ModShape(1, 2)
         with pytest.raises(NotLinearOverBase):
-            RMap(sh, sh, 2, gmat([[1, 2], [3, 4]]))
+            RMap.from_flat(sh, sh, 2, gmat([[1, 2], [3, 4]]))
 
     def test_rejects_bad_shape(self):
         with pytest.raises(ShapeMismatch):
-            RMap(ModShape(1, 2), ModShape(1, 2), 1, gmat([[1, 2]]))
+            RMap.from_flat(ModShape(1, 2), ModShape(1, 2), 1, gmat([[1, 2]]))
+        with pytest.raises(ShapeMismatch):
+            RMap(ModShape(1, 2), ModShape(1, 2), 2, [gmat([[1]])])
 
     def test_rejects_bad_base(self):
         with pytest.raises(NotDivisible):
-            RMap(ModShape(1, 3), ModShape(1, 3), 2, Matrix.identity(3))
+            RMap.from_flat(ModShape(1, 3), ModShape(1, 3), 2, Matrix.identity(3))
+        with pytest.raises(NotDivisible):
+            RMap(ModShape(1, 3), ModShape(1, 3), 2, [Matrix.identity(1)] * 2)
 
     def test_scalar_end_matches_multiplication(self):
         t = TruncScalar(3, [2, 5, 7])
@@ -85,7 +110,7 @@ class TestTrace:
         assert trace_r(identity_end(ModShape(3, 2))) == TruncScalar.const(2, 3)
 
     def test_eps(self):
-        assert trace_r(eps_end(ModShape(1, 2))) == TruncScalar.eps(2)
+        assert trace_r(scalar_end(TruncScalar.eps(2), 1)) == TruncScalar.eps(2)
 
     def test_diagonal_sum(self):
         f = from_slices([gmat([[1, 0], [0, 2]]), gmat([[1, 0], [0, 0]])], 2)
@@ -98,7 +123,7 @@ class TestTrace:
         assert trace_r(compose(f, g)) == trace_r(compose(g, f))
 
     def test_requires_endomorphism(self):
-        z = RMap(ModShape(1, 2), ModShape(1, 2), 1, gmat([[1, 0], [1, 1]]))
+        z = RMap(ModShape(1, 2), ModShape(1, 2), 1, [gmat([[1, 0], [1, 1]])])
         with pytest.raises(NotEndomorphism):
             trace_r(z)
 
@@ -112,7 +137,7 @@ class TestPairing:
     def test_top_eps_power(self):
         for d in (2, 3):
             sh = ModShape(1, d)
-            assert pair_d(eps_end(sh, d - 1), identity_end(sh)) == G(1)
+            assert pair_d(scalar_end(TruncScalar.eps(d, d - 1), 1), identity_end(sh)) == G(1)
 
     def test_scalar_case(self):
         x = scalar_end(TruncScalar(2, [1, 2]), 1)
@@ -129,16 +154,16 @@ class TestPr:
     def test_rank1_hand_case(self):
         # oracle: N Z + Z N with explicit nilpotent matrix
         sh = ModShape(1, 2)
-        z = RMap(sh, sh, 1, gmat([[1, 2], [3, 4]]))
-        n = nilpotent(sh)
+        z = RMap(sh, sh, 1, [gmat([[1, 2], [3, 4]])])
+        n = scalar_end(TruncScalar.eps(2), 1).flat
         oracle = n @ z.flat + z.flat @ n
         assert pr_cd(z).flat == oracle
         assert trace_r(pr_cd(z)) == TruncScalar(2, [2, 5])
 
     def test_identity_viewed_over_subring(self):
         sh = ModShape(1, 2)
-        z = RMap(sh, sh, 1, Matrix.identity(2))
-        assert pr_cd(z) == eps_end(sh).scale(G(2))
+        z = RMap(sh, sh, 1, [Matrix.identity(2)])
+        assert pr_cd(z) == scalar_end(TruncScalar.eps(2), 1).scale(G(2))
 
     @pytest.mark.parametrize("c,d", [(1, 2), (1, 3), (2, 4), (3, 6)])
     def test_adjointness(self, c, d):
@@ -158,12 +183,12 @@ class TestExtendRestrict:
         assert extend_scalars_rev(x) == x
 
     def test_rank1_forward(self):
-        x = RMap(ModShape(1, 1), ModShape(1, 2), 1, gmat([[5], [7]]))
+        x = RMap(ModShape(1, 1), ModShape(1, 2), 1, [gmat([[5], [7]])])
         assert extend_scalars(x) == scalar_end(TruncScalar(2, [5, 7]), 1)
         assert restrict_scalars(extend_scalars(x), "forward", 1) == x
 
     def test_rank1_reverse(self):
-        y = RMap(ModShape(1, 2), ModShape(1, 1), 1, gmat([[11, 13]]))
+        y = RMap(ModShape(1, 2), ModShape(1, 1), 1, [gmat([[11, 13]])])
         assert extend_scalars_rev(y) == scalar_end(TruncScalar(2, [13, 11]), 1)
         assert restrict_scalars(extend_scalars_rev(y), "reverse", 1) == y
 
@@ -173,9 +198,9 @@ class TestExtendRestrict:
         assert got.flat == gmat([[4, 3]])
 
     def test_zero_maps(self):
-        z = RMap(ModShape(2, 1), ModShape(1, 2), 1, Matrix.zero(2, 2))
+        z = RMap(ModShape(2, 1), ModShape(1, 2), 1, [Matrix.zero(2, 2)])
         assert extend_scalars(z).is_zero()
-        zr = RMap(ModShape(1, 2), ModShape(2, 1), 1, Matrix.zero(2, 2))
+        zr = RMap(ModShape(1, 2), ModShape(2, 1), 1, [Matrix.zero(2, 2)])
         assert extend_scalars_rev(zr).is_zero()
 
     @pytest.mark.parametrize("c,d,w,v", [(1, 2, 2, 1), (1, 3, 1, 2), (2, 4, 2, 1), (3, 6, 1, 1)])
@@ -194,7 +219,7 @@ class TestExtendRestrict:
 
     def test_restrict_rejects_partial_linearity(self):
         sh = ModShape(1, 2)
-        z = RMap(sh, sh, 1, gmat([[1, 2], [3, 4]]))
+        z = RMap(sh, sh, 1, [gmat([[1, 2], [3, 4]])])
         with pytest.raises(NotLinearOverBase):
             restrict_scalars(z, "forward", 1)
 
@@ -210,7 +235,7 @@ class TestInvert:
 
     def test_non_unit_rejected(self):
         with pytest.raises(NotInvertible):
-            invert_end(eps_end(ModShape(1, 2)))
+            invert_end(scalar_end(TruncScalar.eps(2), 1))
 
 
 class TestSlices:
@@ -218,3 +243,66 @@ class TestSlices:
         rng = SplitMix64(4)
         f = rand_end(rng, 2, 3, 3)
         assert from_slices(slices(f), 3) == f
+
+
+class TestSliceCore:
+    """The slice storage against the flat base-field matrices, on maps with
+    non-real Gaussian entries."""
+
+    @pytest.mark.parametrize("d1,d2,c", NONREAL_CASES)
+    def test_compose_matches_flat_product(self, d1, d2, c):
+        rng = SplitMix64(100 * d1 + 10 * d2 + c)
+        u, v, w = ModShape(2, d1), ModShape(1, d2), ModShape(2, c)
+        for _ in range(3):
+            f = gauss_map(rng, u, v, c)
+            g = gauss_map(rng, w, u, c)
+            assert any(x.im for row in f.flat.rows for x in row)
+            fg = compose(f, g)
+            assert fg.base == c
+            assert fg.flat == f.flat @ g.flat
+            # a map over a larger ring composed with one over R_c
+            e = gauss_map(rng, v, v, d2)
+            assert compose(e, f).flat == e.flat @ f.flat
+
+    @pytest.mark.parametrize("d1,d2,c", NONREAL_CASES)
+    def test_lower_then_raise_is_identity(self, d1, d2, c):
+        rng = SplitMix64(200 * d1 + 10 * d2 + c)
+        src, dst = ModShape(2, d1), ModShape(1, d2)
+        f = gauss_map(rng, src, dst, c)
+        for sub in range(1, c + 1):
+            if c % sub:
+                continue
+            low = RMap(src, dst, sub, _lower(f, sub))
+            assert low == f and hash(low) == hash(f)
+            back = RMap.from_flat(src, dst, c, low.flat)
+            assert back.parts == f.parts and back.base == c
+
+    @pytest.mark.parametrize("d1,d2,c", NONREAL_CASES)
+    def test_pr_adjointness(self, d1, d2, c):
+        rng = SplitMix64(300 * d1 + 10 * d2 + c)
+        sh = ModShape(2, d1)
+        for _ in range(3):
+            z = gauss_map(rng, sh, sh, c)
+            zp = gauss_map(rng, sh, sh, d1)
+            assert pair_d(pr_cd(z), zp, d1) == pair_d(z, zp, c)
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_invert_end(self, d):
+        rng = SplitMix64(400 + d)
+        for n in (1, 2, 3):
+            g = gauss_unit(rng, n, d)
+            gi = invert_end(g)
+            assert compose(gi, g) == identity_end(g.src)
+            assert compose(g, gi) == identity_end(g.src)
+
+    @pytest.mark.parametrize("d1,d2,c", [x for x in NONREAL_CASES if x[2] > 1])
+    def test_from_flat_rejects_non_linear(self, d1, d2, c):
+        rng = SplitMix64(500 * d1 + 10 * d2 + c)
+        src, dst = ModShape(2, d1), ModShape(1, d2)
+        flat = gauss_map(rng, src, dst, c).flat
+        # v_0 -> w_0 alone, with v_0 eps^(d1/c) -> 0, is only R_1-linear
+        bump = Matrix([[G(0, 1) if (r, k) == (0, 0) else G(0) for k in range(flat.ncols)]
+                       for r in range(flat.nrows)])
+        with pytest.raises(NotLinearOverBase):
+            RMap.from_flat(src, dst, c, flat + bump)
+        assert RMap.from_flat(src, dst, 1, flat + bump).base == 1

@@ -56,6 +56,15 @@ class TestGaussQ:
             with pytest.raises(ValueError):
                 GaussQ.parse(bad)
 
+    def test_hash_agrees_with_equality(self):
+        assert len({GaussQ(1), 1}) == 1
+        for g, x in ((GaussQ(1), 1), (GaussQ(-3), -3), (GaussQ(0), 0),
+                     (GaussQ(Fraction(1, 2)), Fraction(1, 2)),
+                     (GaussQ(Fraction(4, 2)), 2)):
+            assert g == x and hash(g) == hash(x)
+        assert GaussQ(1, 1) != 1
+        assert len({GaussQ(1, 1), GaussQ(Fraction(2, 2), 1), 1}) == 2
+
 
 class TestTruncMul:
     def test_truncation_kills_square(self):

@@ -61,12 +61,3 @@ class TestDeterminism:
         obj = ser.rmap_to_obj(identity_end(ModShape(1, 2)))
         assert obj["flat"] == [["1", "0"], ["0", "1"]]
         assert obj["base"] == 2
-
-
-class TestDualView:
-    def test_pole_exponents(self):
-        from qschemes.rmatrix import scalar_end
-
-        f = scalar_end(TruncScalar(2, [4, 11]), 1)
-        view = ser.rend_dual_view(f)
-        assert view == {"-2": [["4"]], "-1": [["11"]]}
