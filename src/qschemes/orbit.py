@@ -3,12 +3,31 @@
 An ``OrbitSpec`` fixes block dimensions w_0..w_l and scalars theta_0..theta_l
 of R_d whose pairwise differences are units; the model point Theta acts as
 theta_i on the i-th block.  Membership of an endomorphism A in the orbit of
-Theta is decided constructively: the candidate projectors
+Theta is decided by two conditions:
 
-    pi_i = prod_{j != i} (theta_i - theta_j)^{-1} (A - theta_j)
+    (1) prod_j (A - theta_j) = 0;
+    (2) for each i the residue of the projector
+            pi_i = c_i^{-1} prod_{j != i} (A - theta_j),
+            c_i = prod_{j != i} (theta_i - theta_j),
+        has rank w_i.
 
-must be orthogonal idempotents summing to the identity, with A pi_i =
-theta_i pi_i and the residue rank of pi_i equal to w_i.
+They suffice because the differences theta_i - theta_j are units: the ideals
+(x - theta_j) of R_d[x] are pairwise comaximal, so by the Chinese remainder
+theorem R_d[x]/prod_j (x - theta_j) is the product of the rings
+R_d[x]/(x - theta_j) = R_d, and the Lagrange polynomials
+c_i^{-1} prod_{j != i} (x - theta_j) are its orthogonal idempotents, summing
+to 1, with x acting as theta_i on the i-th.  Under (1) A makes V (x) R_d a
+module over that quotient, so the pi_i are orthogonal idempotents summing to
+the identity with A pi_i = theta_i pi_i, and V (x) R_d is the direct sum of
+the images of the pi_i.  Each image is a direct summand of a free module over
+the local ring R_d, hence free of rank equal to the residue rank of pi_i, and
+(2) makes A conjugate to Theta.  Both conditions hold at Theta and are
+invariant under conjugation.
+
+``orbit_membership`` tests (1) with the prefix products
+P_k = prod_{j<k} (A - theta_j) (l composes; P_{l+1} is the product) and (2)
+on the n x n constant slices alone; only for a member does it form
+pi_i = c_i^{-1} P_i S_i, with the suffix products S_i = prod_{j>i} (A - theta_j).
 
 ``leg_factorize`` writes a member A as the value of the chain-of-modules
 presentation: nested images V_i = Im(sum_{j>=i} pi_j) get free bases by the
@@ -22,6 +41,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import matmul
 
 from .errors import NotInOrbit, ShapeMismatch, TopSliceNotZero
 from .linalg import Matrix, hstack, pivot_columns, rank, solve, vstack
@@ -39,7 +59,6 @@ from .rmatrix import (
     scalar_end,
     scale_end,
     slices,
-    zero_map,
 )
 from .repn import random_unit_end
 from .rng import SplitMix64
@@ -109,7 +128,24 @@ class MembershipWitness:
         return self.ok
 
 
+def _prefix_products(factors, mul) -> list:
+    """[None, f_0, f_0 f_1, ..., f_0 ... f_(m-1)]; None stands for the identity."""
+    out = [None]
+    for f in factors:
+        out.append(f if out[-1] is None else mul(out[-1], f))
+    return out
+
+
+def _times(x, y, mul):
+    """x y, where None stands for the identity."""
+    return y if x is None else x if y is None else mul(x, y)
+
+
 def orbit_membership(spec: OrbitSpec, a: RMap) -> MembershipWitness:
+    """Decide whether A lies in the orbit of Theta (see the module docstring).
+
+    A non-member's witness has no idempotents and lists the failed conditions.
+    """
     n = spec.total
     shape = ModShape(n, spec.d)
     if a.src != shape or a.dst != shape or not a.is_end():
@@ -117,39 +153,28 @@ def orbit_membership(spec: OrbitSpec, a: RMap) -> MembershipWitness:
             f"endomorphism must act on a rank-{n} order-{spec.d} module"
         )
     thetas = spec.thetas
+    factors = [a - scalar_end(t, n) for t in thetas]
+    prefix = _prefix_products(factors, compose)
     reasons = []
-    minimal = identity_end(shape)
-    for t in thetas:
-        minimal = compose(minimal, a - scalar_end(t, n))
-    if not minimal.is_zero():
+    if not prefix[-1].is_zero():
         reasons.append("product of (A - theta_j) does not vanish")
+    res = [f.parts[0] for f in factors]
+    res_prefix = _prefix_products(res, matmul)
+    res_suffix = _prefix_products(res[:0:-1], matmul)[::-1]
+    for i, w in enumerate(spec.dims):
+        if rank(_times(res_prefix[i], res_suffix[i], matmul)) != w:
+            reasons.append(f"residue rank of pi_{i} differs from block dimension")
+    if reasons:
+        return MembershipWitness(False, (), reasons)
+    suffix = _prefix_products(factors[:0:-1], compose)[::-1]
     pis = []
     for i, ti in enumerate(thetas):
-        prod = identity_end(shape)
-        scal = TruncScalar.const(spec.d, 1)
+        c = TruncScalar.const(spec.d, 1)
         for j, tj in enumerate(thetas):
-            if j == i:
-                continue
-            prod = compose(prod, a - scalar_end(tj, n))
-            scal = scal * (ti - tj)
-        pis.append(scale_end(prod, trunc_inv(scal)))
-    total = pis[0]
-    for p in pis[1:]:
-        total = total + p
-    if total != identity_end(shape):
-        reasons.append("idempotents do not sum to the identity")
-    for i, pi in enumerate(pis):
-        for j, pj in enumerate(pis):
-            want = pi if i == j else zero_map(shape, shape, spec.d)
-            if compose(pi, pj) != want:
-                reasons.append(f"pi_{i} pi_{j} is not {'pi_i' if i == j else 'zero'}")
-    for i, (pi, ti) in enumerate(zip(pis, thetas)):
-        if compose(a, pi) != scale_end(pi, ti):
-            reasons.append(f"A does not act as theta_{i} on the image of pi_{i}")
-    for i, pi in enumerate(pis):
-        if rank(slices(pi)[0]) != spec.dims[i]:
-            reasons.append(f"residue rank of pi_{i} differs from block dimension")
-    return MembershipWitness(not reasons, tuple(pis), reasons)
+            if j != i:
+                c = c * (ti - tj)
+        pis.append(scale_end(_times(prefix[i], suffix[i], compose), trunc_inv(c)))
+    return MembershipWitness(True, tuple(pis), [])
 
 
 # -- free bases over the truncated ring -----------------------------------------
@@ -307,9 +332,14 @@ def residue_slice(f: RMap) -> Matrix:
     return Matrix([row[::f1] for row in f.parts[0].rows[::f2]], ncols=f.src.rank)
 
 
-def leg_factorize(spec: OrbitSpec, a_end: RMap) -> LegPoint:
-    """Present a member of the orbit as a chain point with nu equal to it."""
-    witness = orbit_membership(spec, a_end)
+def leg_factorize(spec: OrbitSpec, a_end: RMap, witness=None) -> LegPoint:
+    """Present a member of the orbit as a chain point with nu equal to it.
+
+    ``witness`` is the result of ``orbit_membership(spec, a_end)`` when the
+    caller already holds it; otherwise membership is decided here.
+    """
+    if witness is None:
+        witness = orbit_membership(spec, a_end)
     if not witness.ok:
         raise NotInOrbit("; ".join(witness.reasons))
     d = spec.d

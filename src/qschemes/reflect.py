@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .errors import EmptyLevelSet, NotAUnit, NotInLevelSet
+from .errors import EmptyLevelSet, LengthMismatch, NotAUnit, NotInLevelSet
 from .linalg import Matrix, hstack, vstack
 from .orbit import OrbitSpec, _inclusion, _scaled_projection, coordinates, free_basis
 from .quiver import QuiverMult, double
@@ -143,6 +143,8 @@ def random_level_point(q: QuiverMult, lam, v, i, seed) -> Representation:
     q_i = q.index(i)
     lam = check_params(q, lam)
     v = tuple(v)
+    if len(v) != q.n:
+        raise LengthMismatch("dimension vector length differs from vertex count")
     if not lam[q_i].is_unit():
         raise NotAUnit(f"parameter at vertex {q.name(q_i)} is not a unit")
     d_i = q.mults[q_i]

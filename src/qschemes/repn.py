@@ -309,6 +309,8 @@ def random_trunc(rng: SplitMix64, d, unit=False) -> TruncScalar:
 def random_rep(q: QuiverMult, v, seed) -> Representation:
     """Deterministic random point, drawn in the per-arrow free parametrization."""
     v = tuple(v)
+    if len(v) != q.n:
+        raise LengthMismatch("dimension vector length differs from vertex count")
     if any(x < 0 for x in v):
         raise NegativeDimension("negative entry in dimension vector")
     rng = SplitMix64(seed)

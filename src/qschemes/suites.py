@@ -310,7 +310,7 @@ def suite_orbit(seed, trials) -> SuiteReport:
                           "; ".join(w.reasons))
             if not w.ok:
                 continue
-            point = leg_factorize(spec, a)
+            point = leg_factorize(spec, a, w)
             report.record(nu(spec, point) == a, f"{case}: nu recovers", case_seed)
             report.record(
                 all(r.is_zero() for r in leg_mesh_residuals(spec, point)),

@@ -196,6 +196,19 @@ class TestInputBoundary:
         assert code == 2 and out == ""
         assert err.startswith("error[malformed-input]")
 
+    def test_random_level_short_dimension_vector(self, capsys, corpus_dir):
+        lam = corpus_dir.parent / "tests" / "golden" / "lam_chain_d2.json"
+        code, out, err = run(capsys, "random-level", str(corpus_dir / "chain_d2.quiver"),
+                             "--vertex", "i", "--lambda", str(lam), "--v", "1,1", "--seed", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error[length-mismatch]")
+
+    def test_random_rep_short_dimension_vector(self, capsys, corpus_dir):
+        code, out, err = run(capsys, "random-rep", str(corpus_dir / "a3.quiver"),
+                             "--v", "1,2", "--seed", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error[length-mismatch]")
+
     def test_check_rejects_non_positive_trials(self, capsys, corpus_dir):
         for trials in ("-3", "0"):
             code, out, err = run(capsys, "check", str(corpus_dir), "--suite", "coxeter",

@@ -1,5 +1,10 @@
+import json
+from pathlib import Path
+
 import pytest
 
+import qschemes.orbit
+from qschemes import serialize as ser
 from qschemes.errors import NotInOrbit, ShapeMismatch, TopSliceNotZero
 from qschemes.linalg import Matrix, hstack, rank
 from qschemes.orbit import (
@@ -27,10 +32,12 @@ from qschemes.rmatrix import (
     from_slices,
     identity_end,
     scalar_end,
+    scale_end,
     slices,
+    zero_map,
 )
 from qschemes.rng import SplitMix64
-from qschemes.scalars import GaussQ, TruncScalar
+from qschemes.scalars import GaussQ, TruncScalar, trunc_inv
 
 G = GaussQ
 T = TruncScalar
@@ -48,7 +55,56 @@ def spec_d3():
     return OrbitSpec(3, ((2, T(3, [0, 1, 0])), (1, T(3, [2, 0, 1])), (1, T(3, [-1, 1, 1]))))
 
 
+def spec_golden():
+    """The d = 3 spec with a non-real theta that the golden CLI cases use."""
+    path = Path(__file__).resolve().parent / "golden" / "spec.json"
+    return ser.orbit_spec_from_obj(json.loads(path.read_text()))
+
+
 ALL_SPECS = [spec_d1, spec_d2, spec_d3]
+
+
+def exhaustive_membership(spec, a):
+    """Every identity of the Lagrange projectors, checked one by one.
+
+    The verdict and the projectors pi_i = c_i^{-1} prod_{j != i} (A - theta_j);
+    an oracle for ``orbit_membership``, which tests only the product and the
+    residue ranks.
+    """
+    n, thetas = spec.total, spec.thetas
+    shape = a.src
+    product = identity_end(shape)
+    for t in thetas:
+        product = compose(product, a - scalar_end(t, n))
+    pis = []
+    for i, ti in enumerate(thetas):
+        prod, c = identity_end(shape), T.const(spec.d, 1)
+        for j, tj in enumerate(thetas):
+            if j != i:
+                prod = compose(prod, a - scalar_end(tj, n))
+                c = c * (ti - tj)
+        pis.append(scale_end(prod, trunc_inv(c)))
+    total = pis[0]
+    for pi in pis[1:]:
+        total = total + pi
+    ok = product.is_zero() and total == identity_end(shape)
+    for i, pi in enumerate(pis):
+        for j, pj in enumerate(pis):
+            ok = ok and compose(pi, pj) == (pi if i == j else zero_map(shape, shape))
+        ok = ok and compose(a, pi) == scale_end(pi, thetas[i])
+        ok = ok and rank(slices(pi)[0]) == spec.dims[i]
+    return ok, tuple(pis)
+
+
+def swapped_dims_non_member(spec, seed):
+    """A conjugate of Theta with the dimension of block 0 swapped with the first
+    block dimension that differs from it: the product vanishes, the residue
+    ranks do not match."""
+    dims = list(spec.dims)
+    i = next(k for k in range(1, len(dims)) if dims[k] != dims[0])
+    dims[0], dims[i] = dims[i], dims[0]
+    return random_conjugate(
+        OrbitSpec(spec.d, tuple(zip(dims, spec.thetas))), seed)
 
 
 class TestSpecValidation:
@@ -93,6 +149,7 @@ class TestMembership:
                 assert total == identity_end(a.src)
                 for i, pi in enumerate(w.idempotents):
                     assert compose(pi, pi) == pi
+                    assert compose(a, pi) == scale_end(pi, spec.thetas[i])
                     for j, pj in enumerate(w.idempotents):
                         if i != j:
                             assert compose(pi, pj).is_zero()
@@ -114,6 +171,99 @@ class TestMembership:
         spec = spec_d1()
         with pytest.raises(ShapeMismatch):
             orbit_membership(spec, identity_end(ModShape(3, 1)))
+
+
+class TestAgainstExhaustiveCheck:
+    """``orbit_membership`` agrees with checking every projector identity."""
+
+    DECISIVE = ("product of (A - theta_j) does not vanish",
+                "residue rank of pi_")
+
+    def cases(self, spec):
+        yield "model", big_theta(spec)
+        for seed in range(3):
+            yield f"conjugate {seed}", random_conjugate(spec, seed)
+            yield f"non-member {seed}", random_non_member(spec, seed)
+        if spec.d > 1:
+            yield "eps-perturbed", big_theta(spec) + scalar_end(T.eps(spec.d), spec.total)
+        if len(set(spec.dims)) > 1:
+            yield "swapped dims", swapped_dims_non_member(spec, 1)
+
+    def test_verdicts_and_idempotents_agree(self):
+        kinds = set()
+        for make in ALL_SPECS + [spec_golden]:
+            spec = make()
+            for name, a in self.cases(spec):
+                want_ok, want_pis = exhaustive_membership(spec, a)
+                w = orbit_membership(spec, a)
+                assert w.ok == want_ok, (make.__name__, name, w.reasons)
+                if w.ok:
+                    assert w.idempotents == want_pis, (make.__name__, name)
+                    assert w.reasons == []
+                else:
+                    assert w.idempotents == ()
+                    assert w.reasons and all(r.startswith(self.DECISIVE) for r in w.reasons)
+                kinds.add((name.split()[0], w.ok))
+        # both verdicts occur, and every kind of non-member is rejected
+        assert {("model", True), ("conjugate", True), ("non-member", False),
+                ("eps-perturbed", False), ("swapped", False)} <= kinds
+
+    def test_golden_inputs(self):
+        golden = Path(__file__).resolve().parent / "golden"
+        spec = spec_golden()
+        for name, member in (("a_member.json", True), ("a_non_member.json", False)):
+            a = ser.rmap_from_obj(json.loads((golden / name).read_text()))
+            want_ok, want_pis = exhaustive_membership(spec, a)
+            w = orbit_membership(spec, a)
+            assert w.ok == want_ok == member
+            assert w.idempotents == (want_pis if member else ())
+
+
+class TestOperationCount:
+    """Membership is decided with at most l composes; a member costs at
+    most 3l - 2 (the count does not see the compose inside ``scale_end``)."""
+
+    @staticmethod
+    def count_composes(monkeypatch, spec, a):
+        calls = []
+
+        def counting(f, g):
+            calls.append(1)
+            return compose(f, g)
+
+        with monkeypatch.context() as m:
+            m.setattr(qschemes.orbit, "compose", counting)
+            w = orbit_membership(spec, a)
+        return w, len(calls)
+
+    def test_compose_budget(self, monkeypatch):
+        for make in ALL_SPECS + [spec_golden]:
+            spec = make()
+            l = spec.legs
+            for seed in range(3):
+                w, n = self.count_composes(monkeypatch, spec, random_conjugate(spec, seed))
+                assert w.ok and n <= 3 * l - 2, (make.__name__, seed, n)
+            # Theta + eps (Theta + 1 at d = 1): the product does not vanish
+            shift = T.eps(spec.d) if spec.d > 1 else T.const(1, 1)
+            bad = big_theta(spec) + scalar_end(shift, spec.total)
+            w, n = self.count_composes(monkeypatch, spec, bad)
+            assert not w.ok and w.reasons[0].startswith("product")
+            assert n <= l, (make.__name__, n)
+
+    def test_witness_reuse(self, monkeypatch):
+        for make in ALL_SPECS:
+            spec = make()
+            a = random_conjugate(spec, 2)
+            w = orbit_membership(spec, a)
+            bad = random_non_member(spec, 2)
+            w_bad = orbit_membership(spec, bad)
+            want = leg_factorize(spec, a)
+            with monkeypatch.context() as m:
+                # a given witness is used as it is, not recomputed
+                m.setattr(qschemes.orbit, "orbit_membership", None)
+                assert leg_factorize(spec, a, w) == want
+                with pytest.raises(NotInOrbit):
+                    leg_factorize(spec, bad, w_bad)
 
 
 class TestCanonicalPoint:
