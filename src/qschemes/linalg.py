@@ -1,14 +1,29 @@
 """Dense exact linear algebra over GaussQ.
 
-Small immutable matrices with Gaussian-elimination kernels (rank, pivot
-columns, solve, inverse).  Degenerate shapes (0 rows or 0 columns) are legal
-and arise naturally from zero dimension vectors.
+Small immutable matrices of ``GaussQ`` entries with a product and
+Gauss-Jordan elimination kernels (rank, pivot columns, solve, inverse).
+Degenerate shapes (0 rows or 0 columns) are legal and arise naturally from
+zero dimension vectors.
+
+The kernels keep ``GaussQ`` at their boundary only.  The product brings each
+operand once to integer numerator rows over one common denominator (an
+imaginary part only when some entry is non-real), multiplies Python ints and
+builds each output entry once.  Elimination of a real matrix clears
+denominators row by row and runs fraction-free Gauss-Jordan over the
+integers, keeping every row primitive by its gcd; a non-real matrix is
+reduced over ``GaussQ``.  Fractions are normalized and the reduced
+row-echelon form is unique, so both kernels give exactly the values of the
+schoolbook ``GaussQ`` versions.
 
 Plain ``list[list[int]]`` matrices are used elsewhere for lattice actions;
 the ``int_*`` helpers at the bottom cover those.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
+from math import gcd, lcm
+from operator import mul
 
 from .errors import NotInvertible, ShapeMismatch
 from .scalars import GQ_ONE, GQ_ZERO, GaussQ
@@ -89,35 +104,26 @@ class Matrix:
             raise ShapeMismatch(
                 f"cannot multiply {self.nrows}x{self.ncols} by {other.nrows}x{other.ncols}"
             )
-        cols = list(zip(*other.rows)) if other.rows else [()] * other.ncols
-        out = []
-        for r in self.rows:
-            out_row = []
-            for c in cols:
-                # accumulate raw components to avoid intermediate allocations
-                acc_re = acc_im = None
-                for a, b in zip(r, c):
-                    ar, ai = a.re, a.im
-                    br, bi = b.re, b.im
-                    if not ((ar or ai) and (br or bi)):
-                        continue
-                    if ai or bi:
-                        re_part = ar * br - ai * bi
-                        im_part = ar * bi + ai * br
-                    else:
-                        re_part = ar * br
-                        im_part = None
-                    acc_re = re_part if acc_re is None else acc_re + re_part
-                    if im_part is not None:
-                        acc_im = im_part if acc_im is None else acc_im + im_part
-                if acc_re is None:
-                    out_row.append(GQ_ZERO)
-                elif acc_im is None:
-                    out_row.append(GaussQ(acc_re))
-                else:
-                    out_row.append(GaussQ(acc_re, acc_im))
-            out.append(out_row)
-        return Matrix(out, ncols=other.ncols) if out else Matrix([], ncols=other.ncols)
+        if not (self.nrows and self.ncols and other.ncols):
+            return Matrix.zero(self.nrows, other.ncols)
+        a_re, a_im, da = _integral(self.rows)
+        b_re, b_im, db = _integral(other.rows)
+        den = da * db
+        if a_im is None and b_im is None:
+            cols = list(zip(*b_re))
+            out = [[_entry(sum(map(mul, r, c)), 0, den) for c in cols] for r in a_re]
+        else:
+            # (Ar + i Ai)(Br + i Bi) = (ArBr - AiBi) + i (ArBi + AiBr)
+            a_im = a_im or [[0] * self.ncols for _ in a_re]
+            b_im = b_im or [[0] * other.ncols for _ in b_re]
+            cols = list(zip(zip(*b_re), zip(*b_im)))
+            out = [
+                [_entry(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)),
+                        sum(map(mul, ar, bi)) + sum(map(mul, ai, br)), den)
+                 for br, bi in cols]
+                for ar, ai in zip(a_re, a_im)
+            ]
+        return Matrix(out, ncols=other.ncols)
 
     def scale(self, c) -> "Matrix":
         return Matrix([[a * c for a in r] for r in self.rows], ncols=self.ncols)
@@ -163,8 +169,98 @@ def vstack(mats) -> Matrix:
     return Matrix(rows, ncols=n)
 
 
+def _integral(rows):
+    """(re, im, den): the integer numerators of the entries' real and
+    imaginary parts over one common denominator den; im is None when every
+    entry is real."""
+    nonreal = _nonreal(rows)
+    dens = {x.re.denominator for r in rows for x in r}
+    if nonreal:
+        dens.update([x.im.denominator for r in rows for x in r])
+    den = lcm(*dens)
+    if den == 1:
+        re = [[x.re.numerator for x in r] for r in rows]
+        im = [[x.im.numerator for x in r] for r in rows] if nonreal else None
+    else:
+        re = [[x.re.numerator * (den // x.re.denominator) for x in r] for r in rows]
+        im = ([[x.im.numerator * (den // x.im.denominator) for x in r] for r in rows]
+              if nonreal else None)
+    return re, im, den
+
+
+def _nonreal(rows):
+    return any([x.im for r in rows for x in r])
+
+
+_F0 = Fraction(0)
+
+
+def _entry(re, im, den):
+    """The GaussQ (re + i im) / den of integer numerators and denominator."""
+    if not (re or im):
+        return GQ_ZERO
+    if den == 1:
+        return GaussQ(re, im or _F0)
+    return GaussQ(Fraction(re, den), Fraction(im, den) if im else _F0)
+
+
 def _echelon(rows, ncols):
-    """Row-reduce in place; return pivot column indices (leftmost-first)."""
+    """Row-reduce in place; return pivot column indices (leftmost-first).
+
+    Pivots are searched in the first ``ncols`` columns; the row operations
+    act on whole rows.  Afterwards ``rows[k]`` is the k-th row of the reduced
+    row-echelon form for k < len(pivots), and the rows below hold what the
+    eliminated rows became, exactly as schoolbook elimination over GaussQ
+    leaves them.
+    """
+    if _nonreal(rows):
+        return _echelon_gaussq(rows, ncols)
+    # Over Z every row stays the nonzero multiple num[i]/den[i] of the row
+    # that elimination over the field would hold: clearing denominators
+    # scales a row by their lcm, an update pv*row_i - f*row_r scales row_i by
+    # pv and dividing by the row's gcd g divides the multiple by g.  A pivot
+    # row is its pivot entry times its reduced row.
+    z, num = [], []
+    for r in rows:
+        q = [x.re for x in r]
+        c = lcm(*{x.denominator for x in q})
+        z.append([x.numerator * (c // x.denominator) for x in q])
+        num.append(c)
+    m = len(z)
+    den = [1] * m
+    pivots = []
+    r = 0
+    for j in range(ncols):
+        p = next((i for i in range(r, m) if z[i][j]), None)
+        if p is None:
+            continue
+        for v in (z, num, den):
+            v[r], v[p] = v[p], v[r]
+        pr = z[r]
+        pv = pr[j]
+        for i in range(m):
+            f = z[i][j]
+            if f and i != r:
+                row = [pv * a - f * b for a, b in zip(z[i], pr)]
+                g = gcd(*row)
+                if g > 1:
+                    row = [a // g for a in row]
+                    den[i] *= g
+                z[i] = row
+                num[i] *= pv
+        pivots.append(j)
+        r += 1
+        if r == m:
+            break
+    for k, j in enumerate(pivots):
+        num[k], den[k] = z[k][j], 1
+    for k, row in enumerate(z):
+        rows[k] = [GaussQ(Fraction(a * den[k], num[k]), _F0) if a else GQ_ZERO for a in row]
+    return pivots
+
+
+def _echelon_gaussq(rows, ncols):
+    """``_echelon`` over GaussQ, for rows with a non-real entry."""
     pivots = []
     r = 0
     for j in range(ncols):

@@ -114,10 +114,11 @@ class GaussQ:
         m = _GQ_RE.match(text.strip())
         if m is None:
             raise ValueError(f"not a GaussQ literal: {text!r}")
-        re_part = Fraction(m.group(1))
-        if m.group(3) is None:
-            return GaussQ(re_part)
-        im_part = Fraction(m.group(3))
+        try:
+            re_part = Fraction(m.group(1))
+            im_part = Fraction(m.group(3) or 0)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator in GaussQ literal: {text!r}") from None
         if m.group(2) == "-":
             im_part = -im_part
         return GaussQ(re_part, im_part)

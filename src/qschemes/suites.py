@@ -8,6 +8,7 @@ so a failing case is reproducible from the seed recorded in the report.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import accumulate
 
 from .errors import EmptyLevelSet, UnknownSuite
 from .linalg import hstack, int_mat_mul, int_transpose, rank
@@ -319,16 +320,16 @@ def suite_orbit(seed, trials) -> SuiteReport:
             report.record(
                 leg_rank_checks(spec, point), f"{case}: rank witnesses", case_seed
             )
+            # leg i: Im(sum_{j>=i} pi_j) = Im(prod_{j<i} (theta_j - A)), with
+            # the sums built as suffix sums and the products as prefix products
+            tails = list(accumulate(reversed(w.idempotents[1:]), lambda s, pi: pi + s))
+            tails.reverse()
             img_ok = True
-            for i in range(1, spec.legs + 1):
-                proj = w.idempotents[i]
-                for pjj in w.idempotents[i + 1:]:
-                    proj = proj + pjj
+            prod = None
+            for theta_j, proj in zip(spec.thetas, tails):
+                f = scalar_end(theta_j, spec.total) - a
+                prod = f if prod is None else compose(f, prod)
                 u = free_basis(proj)
-                prod = None
-                for j in range(i):
-                    f = scalar_end(spec.thetas[j], spec.total) - a
-                    prod = f if prod is None else compose(f, prod)
                 stacked = hstack([u.flat, prod.flat])
                 if not (rank(stacked) == rank(u.flat) == rank(prod.flat)):
                     img_ok = False

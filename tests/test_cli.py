@@ -176,17 +176,47 @@ class TestCheckCommand:
 class TestInputBoundary:
     """Malformed input fails with a typed error and exit 2, not a traceback."""
 
-    def test_orbit_check_non_integer_rank(self, capsys, tmp_path):
+    @staticmethod
+    def orbit_check(capsys, tmp_path, edit_spec=lambda obj: None, edit_map=lambda obj: None):
+        """Run orbit-check on a member whose spec and map JSON are edited first."""
         spec = OrbitSpec(2, ((1, TruncScalar(2, [0, 1])), (1, TruncScalar(2, [2]))))
-        spec_file = tmp_path / "spec.json"
-        spec_file.write_text(ser.dumps(ser.orbit_spec_to_obj(spec)))
-        obj = ser.rmap_to_obj(random_conjugate(spec, 1))
-        obj["src"]["rank"] = "x"
-        a_file = tmp_path / "a.json"
-        a_file.write_text(json.dumps(obj))
-        code, out, err = run(capsys, "orbit-check", str(spec_file), "--a", str(a_file))
+        spec_obj = ser.orbit_spec_to_obj(spec)
+        map_obj = ser.rmap_to_obj(random_conjugate(spec, 1))
+        edit_spec(spec_obj)
+        edit_map(map_obj)
+        spec_file, a_file = tmp_path / "spec.json", tmp_path / "a.json"
+        spec_file.write_text(json.dumps(spec_obj))
+        a_file.write_text(json.dumps(map_obj))
+        return run(capsys, "orbit-check", str(spec_file), "--a", str(a_file))
+
+    def test_orbit_check_non_integer_rank(self, capsys, tmp_path):
+        def edit(obj):
+            obj["src"]["rank"] = "x"
+        code, out, err = self.orbit_check(capsys, tmp_path, edit_map=edit)
         assert code == 2 and out == ""
         assert err.startswith("error[malformed-input]") and "rank" in err
+
+    def test_orbit_spec_zero_denominator(self, capsys, tmp_path):
+        def edit(obj):
+            obj["blocks"][0]["theta"][0] = "1/0"
+        code, out, err = self.orbit_check(capsys, tmp_path, edit_spec=edit)
+        assert code == 2 and out == ""
+        assert err.startswith("error[input]") and "zero denominator" in err
+
+    def test_map_zero_denominator(self, capsys, tmp_path):
+        def edit(obj):
+            obj["flat"][0][0] = "2/0"
+        code, out, err = self.orbit_check(capsys, tmp_path, edit_map=edit)
+        assert code == 2 and out == ""
+        assert err.startswith("error[input]") and "zero denominator" in err
+
+    def test_parameter_zero_denominator(self, capsys, chain_file, tmp_path):
+        lam = tmp_path / "lam.json"
+        lam.write_text(json.dumps({"i": ["5"], "j": ["1", "3/0"], "k": ["-3"]}))
+        code, out, err = run(capsys, "reflect", chain_file, "--vertex", "i",
+                             "--lambda", str(lam), "--v", "1,1,1")
+        assert code == 2 and out == ""
+        assert err.startswith("error[input]") and "zero denominator" in err
 
     def test_numeric_parameter_coefficients(self, capsys, chain_file, tmp_path):
         lam = tmp_path / "lam.json"

@@ -1,0 +1,230 @@
+"""Differential tests of the exact linear-algebra kernels.
+
+``Matrix.__matmul__`` and ``_echelon`` compute over integer numerators; the
+oracles here are the schoolbook ``GaussQ`` product and Gauss-Jordan
+elimination they replaced, which must give exactly the same entries and
+pivots.  sympy's ``DomainMatrix`` over ``QQ_I`` is an independent check of
+rank, solve and inverse on real and non-real matrices.
+"""
+
+import random
+from fractions import Fraction
+from itertools import product
+
+import pytest
+
+from qschemes.errors import NotInvertible, ShapeMismatch
+from qschemes.linalg import Matrix, _echelon, hstack, inverse, pivot_columns, rank, solve
+from qschemes.scalars import GQ_ONE, GQ_ZERO, GaussQ
+
+KINDS = ("integer", "fraction", "gaussian", "sparse")
+
+
+def oracle_matmul(a, b):
+    return Matrix(
+        [[sum((a[i, t] * b[t, j] for t in range(a.ncols)), GQ_ZERO)
+          for j in range(b.ncols)]
+         for i in range(a.nrows)],
+        ncols=b.ncols,
+    )
+
+
+def oracle_echelon(rows, ncols):
+    pivots = []
+    r = 0
+    for j in range(ncols):
+        p = next((i for i in range(r, len(rows)) if rows[i][j]), None)
+        if p is None:
+            continue
+        rows[r], rows[p] = rows[p], rows[r]
+        inv = GQ_ONE / rows[r][j]
+        rows[r] = [a * inv for a in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][j]:
+                f = rows[i][j]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(j)
+        r += 1
+        if r == len(rows):
+            break
+    return pivots
+
+
+def oracle_rank(mat):
+    return len(oracle_echelon([list(r) for r in mat.rows], mat.ncols))
+
+
+def random_entry(rng, kind):
+    if kind == "sparse" and rng.random() < 0.7:
+        return GQ_ZERO
+    if kind == "integer":
+        return GaussQ(rng.randint(-9, 9))
+    re = Fraction(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 6, 35)))
+    if kind != "gaussian":
+        return GaussQ(re)
+    return GaussQ(re, Fraction(rng.randint(-5, 5), rng.choice((1, 2, 7))))
+
+
+def random_matrix(rng, kind, m, n):
+    return Matrix([[random_entry(rng, kind) for _ in range(n)] for _ in range(m)], ncols=n)
+
+
+def rank_at_most(rng, kind, m, n, r):
+    """An m x n matrix of rank at most r: a product through an r-dimensional space."""
+    return oracle_matmul(random_matrix(rng, kind, m, r), random_matrix(rng, kind, r, n))
+
+
+def invertible(rng, kind, n):
+    while True:
+        a = random_matrix(rng, kind, n, n)
+        if oracle_rank(a) == n:
+            return a
+
+
+def all_gaussq(mat_rows):
+    return all(type(x) is GaussQ for r in mat_rows for x in r)
+
+
+class TestMatmul:
+    @pytest.mark.parametrize("kind_a,kind_b", list(product(KINDS, KINDS)))
+    def test_matches_oracle(self, kind_a, kind_b):
+        rng = random.Random(f"matmul/{kind_a}/{kind_b}")
+        for _ in range(12):
+            m, k, n = (rng.randint(1, 6) for _ in range(3))
+            a, b = random_matrix(rng, kind_a, m, k), random_matrix(rng, kind_b, k, n)
+            got = a @ b
+            assert got == oracle_matmul(a, b)
+            assert all_gaussq(got.rows)
+
+    @pytest.mark.parametrize("m,k,n", [(0, 3, 2), (3, 0, 2), (2, 3, 0), (0, 0, 0), (3, 0, 0)])
+    def test_degenerate_shapes(self, m, k, n):
+        rng = random.Random(f"degenerate/{m}/{k}/{n}")
+        a, b = random_matrix(rng, "gaussian", m, k), random_matrix(rng, "fraction", k, n)
+        got = a @ b
+        assert (got.nrows, got.ncols) == (m, n)
+        assert got == oracle_matmul(a, b) == Matrix.zero(m, n)
+
+    def test_shape_mismatch(self):
+        with pytest.raises(ShapeMismatch):
+            Matrix.zero(2, 3) @ Matrix.zero(2, 3)
+
+
+class TestEchelon:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_matches_oracle(self, kind):
+        rng = random.Random(f"echelon/{kind}")
+        for _ in range(40):
+            m, n, extra = rng.randint(0, 6), rng.randint(0, 6), rng.randint(0, 3)
+            a = rank_at_most(rng, kind, m, n, rng.randint(0, min(m, n)))
+            # extra columns take part in the row operations but not in the
+            # pivot search, as the right-hand sides do in solve
+            aug = hstack([a, random_matrix(rng, kind, m, extra)])
+            rows = [list(r) for r in aug.rows]
+            want = [list(r) for r in aug.rows]
+            assert _echelon(rows, n) == oracle_echelon(want, n)
+            assert rows == want
+            assert all_gaussq(rows)
+
+    def test_rank_and_pivots_of_rank_deficient(self):
+        rng = random.Random("rank-deficient")
+        for kind in KINDS:
+            for r in range(4):
+                a = rank_at_most(rng, kind, 5, 4, r)
+                assert rank(a) == oracle_rank(a) <= r
+                assert pivot_columns(a) == oracle_echelon([list(x) for x in a.rows], 4)
+
+
+class TestSolveInverse:
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_solve_recovers_solution(self, kind):
+        rng = random.Random(f"solve/{kind}")
+        for _ in range(10):
+            n = rng.randint(1, 5)
+            # a tall matrix of full column rank: an invertible block on top
+            a = Matrix(invertible(rng, kind, n).rows
+                       + random_matrix(rng, kind, rng.randint(0, 2), n).rows, ncols=n)
+            x = random_matrix(rng, kind, n, rng.randint(1, 3))
+            assert solve(a, oracle_matmul(a, x)) == x
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_inverse(self, kind):
+        rng = random.Random(f"inverse/{kind}")
+        for n in range(6):
+            a = invertible(rng, kind, n)
+            assert oracle_matmul(inverse(a), a) == Matrix.identity(n)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_solve_rejects_rank_deficient(self, kind):
+        rng = random.Random(f"deficient/{kind}")
+        for n in range(1, 5):
+            a = rank_at_most(rng, kind, n + 1, n, n - 1)
+            b = oracle_matmul(a, random_matrix(rng, kind, n, 1))
+            with pytest.raises(ShapeMismatch, match="rank-deficient"):
+                solve(a, b)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_solve_rejects_inconsistent(self, kind):
+        rng = random.Random(f"inconsistent/{kind}")
+        for n in range(1, 5):
+            # the last row of a is a combination of the invertible block above
+            # it, so moving the last entry of a consistent b breaks consistency
+            a = Matrix(invertible(rng, kind, n).rows + random_matrix(rng, kind, 1, n).rows,
+                       ncols=n)
+            b = oracle_matmul(a, random_matrix(rng, kind, n, 1)).rows
+            b = Matrix(b[:n] + ((b[n][0] + 1,),), ncols=1)
+            with pytest.raises(ShapeMismatch, match="inconsistent"):
+                solve(a, b)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_inverse_rejects_singular(self, kind):
+        rng = random.Random(f"singular/{kind}")
+        for n in range(1, 5):
+            with pytest.raises(NotInvertible):
+                inverse(rank_at_most(rng, kind, n, n, n - 1))
+        with pytest.raises(NotInvertible):
+            inverse(random_matrix(rng, kind, 2, 3))
+
+
+class TestAgainstSympy:
+    """rank, pivots, solve and inverse against DomainMatrix over QQ_I."""
+
+    @pytest.fixture
+    def qq_i(self):
+        matrices = pytest.importorskip("sympy.polys.matrices")
+        domains = pytest.importorskip("sympy.polys.domains")
+        QQ, QQ_I = domains.QQ, domains.QQ_I
+
+        def to_dm(mat):
+            return matrices.DomainMatrix(
+                [[QQ_I(QQ(x.re.numerator, x.re.denominator),
+                       QQ(x.im.numerator, x.im.denominator)) for x in r] for r in mat.rows],
+                (mat.nrows, mat.ncols), QQ_I,
+            )
+
+        def from_dm(dm):
+            return Matrix(
+                [[GaussQ(Fraction(int(v.x.numerator), int(v.x.denominator)),
+                         Fraction(int(v.y.numerator), int(v.y.denominator))) for v in r]
+                 for r in dm.to_list()],
+                ncols=dm.shape[1],
+            )
+
+        return to_dm, from_dm
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rank_solve_inverse(self, kind, qq_i):
+        to_dm, from_dm = qq_i
+        rng = random.Random(f"sympy/{kind}")
+        for _ in range(12):
+            n = rng.randint(1, 5)
+            a = rank_at_most(rng, kind, n, n, rng.choice((n, n, n - 1)))
+            dm = to_dm(a)
+            assert rank(a) == dm.rank()
+            assert tuple(pivot_columns(a)) == dm.rref()[1]
+            if rank(a) < n:
+                with pytest.raises(NotInvertible):
+                    inverse(a)
+                continue
+            assert inverse(a) == from_dm(dm.inv())
+            b = random_matrix(rng, kind, n, rng.randint(1, 3))
+            assert solve(a, b) == from_dm(dm.lu_solve(to_dm(b)))

@@ -52,7 +52,7 @@ class TestGaussQ:
         assert GaussQ.parse("1/2-7/3i") == GaussQ(Fraction(1, 2), Fraction(-7, 3))
 
     def test_parse_rejects(self):
-        for bad in ("", "i", "1+i", "1.5", "x"):
+        for bad in ("", "i", "1+i", "1.5", "x", "1/0", "2+3/0i", "0/00"):
             with pytest.raises(ValueError):
                 GaussQ.parse(bad)
 
