@@ -72,7 +72,6 @@ from .rmatrix import (
     extend_scalars_rev,
     pair_d,
     pr_cd,
-    restrict_scalars,
     trace_r,
 )
 from .scalars import (

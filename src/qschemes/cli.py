@@ -223,12 +223,14 @@ def _leg_from_arg(q, text):
 
 
 def cmd_regularize(args):
+    if (args.lam is None) != (args.v is None):
+        raise MalformedInput("--lambda and --v must be given together")
     q = _load_quiver(args.file)
     leg = _leg_from_arg(q, args.leg)
     reg = reg_mod.regularize_quiver(q, leg)
     out_text = serialize_quiver(reg)
     result = {"quiver": out_text}
-    if args.lam and args.v:
+    if args.lam is not None:
         lam = ser.params_from_obj(q, _load_json(args.lam))
         v = _parse_dims(args.v)
         lamc, vc = reg_mod.regularize_params(q, leg, lam, v)

@@ -53,11 +53,11 @@ from .rmatrix import (
     extend_scalars,
     extend_scalars_rev,
     from_slices,
-    identity_end,
     invert_end,
-    restrict_scalars,
     scalar_end,
     scale_end,
+    slice_restrict,
+    slice_restrict_rev,
     slices,
 )
 from .repn import random_unit_end
@@ -253,10 +253,8 @@ def canonical_leg_point(spec: OrbitSpec) -> LegPoint:
     for i in range(1, l):
         down.append(_scaled_projection(spec, i))
         up.append(_inclusion(spec, i))
-    b10 = _scaled_projection(spec, 0)
-    b01 = _inclusion(spec, 0)
-    a = restrict_scalars(b10, "forward", 1)
-    b = restrict_scalars(b01, "reverse", 1)
+    a = slice_restrict(d, _scaled_projection(spec, 0))
+    b = slice_restrict_rev(d, _inclusion(spec, 0))
     return LegPoint(d, tuple(dims), tuple(down), tuple(up), a, b)
 
 
@@ -345,9 +343,8 @@ def leg_factorize(spec: OrbitSpec, a_end: RMap, witness=None) -> LegPoint:
     d = spec.d
     n = spec.total
     l = spec.legs
-    shape = ModShape(n, d)
     thetas = spec.thetas
-    bases = [identity_end(shape)]
+    bases = [None]  # V_0 is the ambient module itself
     for i in range(1, l + 1):
         proj = witness.idempotents[i]
         for p in witness.idempotents[i + 1:]:
@@ -359,9 +356,8 @@ def leg_factorize(spec: OrbitSpec, a_end: RMap, witness=None) -> LegPoint:
     for i in range(1, l):
         down.append(coordinates(bases[i + 1], compose(minus_a_plus(thetas[i]), bases[i])))
         up.append(coordinates(bases[i], bases[i + 1]))
-    b10 = coordinates(bases[1], minus_a_plus(thetas[0]))
-    a = restrict_scalars(b10, "forward", 1)
-    b = restrict_scalars(bases[1], "reverse", 1)
+    a = slice_restrict(d, coordinates(bases[1], minus_a_plus(thetas[0])))
+    b = slice_restrict_rev(d, bases[1])
     dims = tuple(spec.tail_dim(i) for i in range(l + 1))
     return LegPoint(d, dims, tuple(down), tuple(up), a, b)
 

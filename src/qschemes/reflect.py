@@ -7,12 +7,26 @@ i, and the untouched remainder.  Stacking the per-arrow free parameter blocks
     into : V~ -> V_i (x) R_{d_i},     outof : V_i (x) R_{d_i} -> V~
 
 over the base field, where V~ concatenates one slice block per incoming
-arrow of the double.  When the moment value at i equals -lam_i Id with lam_i
-a unit, the composite A = -outof^R . into^R lies in the orbit of
-diag(lam_i .. lam_i, 0 .. 0), and the functor replaces it by the shifted
-endomorphism A - lam_i Id refactored through a fresh vertex module of rank
-dim V~ - v_i.  The output is one specific gauge representative, pinned by the
-deterministic basis rule of orbit.free_basis.
+arrow of the double.  The functor refactors the shifted composite A - lam_i,
+A = -outof^R . into^R, through a fresh vertex module of rank dim V~ - v_i: the
+one-leg case of orbit.leg_factorize, for the orbit of
+diag(0 .. 0, lam_i .. lam_i) with block dimensions (dim V~ - v_i, v_i).  The
+output is one specific gauge representative, pinned by the deterministic basis
+rule of orbit.free_basis.
+
+The moment condition alone puts A in that orbit.  Write X = into^R and
+Y = outof^R, so A = -Y X; the moment value at i is X Y, since inducing both
+maps of an arrow pair turns the pr_cd average of their product into a plain
+composite.  If X Y = -lam_i Id with lam_i a unit, then
+
+    A^2 = Y (X Y) X = -lam_i Y X = lam_i A,
+
+so E = -lam_i^{-1} (A - lam_i) satisfies E^2 = lam_i^{-2} (A^2 - 2 lam_i A
++ lam_i^2) = -lam_i^{-1} (A - lam_i) = E.  On residues X(0) Y(0) = -lam_i(0) I
+is invertible, so rank A(0) = v_i; as A(0)^2 = lam_i(0) A(0) with lam_i(0) != 0,
+rank E(0) = dim ker A(0) = dim V~ - v_i, the reflected dimension.  So
+``reflection_functor`` checks the moment value only, then takes the free basis
+U of Im E and the coordinates of -(A - lam_i) = lam_i E against U.
 """
 
 from __future__ import annotations
@@ -22,7 +36,7 @@ from types import MappingProxyType
 
 from .errors import EmptyLevelSet, LengthMismatch, NotAUnit, NotInLevelSet
 from .linalg import Matrix, hstack, vstack
-from .orbit import OrbitSpec, _inclusion, _scaled_projection, coordinates, free_basis
+from .orbit import OrbitSpec, canonical_leg_point, coordinates, free_basis
 from .quiver import QuiverMult, double
 from .repn import (
     Representation,
@@ -38,7 +52,6 @@ from .rmatrix import (
     extend_scalars,
     extend_scalars_rev,
     invert_end,
-    restrict_scalars,
     scalar_end,
     scale_end,
     slice_extend,
@@ -158,14 +171,13 @@ def random_level_point(q: QuiverMult, lam, v, i, seed) -> Representation:
     spec = OrbitSpec(
         d_i, ((comp, TruncScalar(d_i)), (v[q_i], lam[q_i]))
     )
-    b10 = _scaled_projection(spec, 0)
-    b01 = _inclusion(spec, 0)
+    point = canonical_leg_point(spec)
     g = random_unit_end(rng, ModShape(tilde, d_i))
     h_gauge = random_unit_end(rng, ModShape(v[q_i], d_i))
-    b10 = compose(h_gauge, compose(b10, invert_end(g)))
-    b01 = compose(g, compose(b01, invert_end(h_gauge)))
-    into = restrict_scalars(b10, "forward", 1)
-    outof = restrict_scalars(b01, "reverse", 1)
+    b10 = compose(h_gauge, compose(point.junction_in(), invert_end(g)))
+    b01 = compose(g, compose(point.junction_out(), invert_end(h_gauge)))
+    into = slice_restrict(d_i, b10)
+    outof = slice_restrict_rev(d_i, b01)
     blocks = tuple(
         (h.name, h.f_in * v[h.source]) for h in incoming_arrows(q, q_i)
     )
@@ -194,6 +206,7 @@ def reflection_functor(rep: Representation, i, lam) -> Representation:
     lam_i = lam[q_i]
     if not lam_i.is_unit():
         raise NotAUnit(f"parameter at vertex {q.name(q_i)} is not a unit")
+    d_i = q.mults[q_i]
     tilde = tilde_dimension(q, q_i, rep.v)
     new_rank = tilde - rep.v[q_i]
     if new_rank < 0:
@@ -205,18 +218,13 @@ def reflection_functor(rep: Representation, i, lam) -> Representation:
         raise NotInLevelSet(
             f"moment value at {q.name(q_i)} is not -lambda Id"
         )
+    # the moment condition makes the shifted component lam_i times an
+    # idempotent of residue rank new_rank (see the module docstring)
     a, s = phi(rep, q_i)
     shifted = a - scalar_end(lam_i, tilde)
-    idem = scale_end(shifted, -trunc_inv(lam_i))
-    if compose(idem, idem) != idem:
-        raise NotInLevelSet("shifted component is not a scaled idempotent")
-    basis = free_basis(idem)
-    if basis.src.rank != new_rank:
-        raise NotInLevelSet("idempotent rank differs from reflected dimension")
-    coords = coordinates(basis, idem)
-    new_into_full = compose(scalar_end(lam_i, new_rank), coords)
-    new_into = restrict_scalars(new_into_full, "forward", 1)
-    new_outof = restrict_scalars(basis, "reverse", 1)
+    basis = free_basis(scale_end(shifted, -trunc_inv(lam_i)))
+    new_into = slice_restrict(d_i, coordinates(basis, -shifted))
+    new_outof = slice_restrict_rev(d_i, basis)
     new_v = reflect_dim(q, q_i, rep.v)
     s2 = SplitAtVertex(q_i, s.blocks, new_into, new_outof, s.rest)
     return unsplit(q, new_v, s2)

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidLeg
+from .errors import InvalidLeg, LengthMismatch
 from .linalg import int_identity, int_mat_mul, int_transpose
 from .quiver import QuiverMult, cartan
 from .scalars import TruncScalar
@@ -167,9 +167,17 @@ def regularize_quiver(q: QuiverMult, leg: LegDescriptor) -> QuiverMult:
     return QuiverMult.build(vertices, arrows)
 
 
+def _check_dims(q: QuiverMult, v) -> tuple:
+    v = tuple(v)
+    if len(v) != q.n:
+        raise LengthMismatch(f"{len(v)} dimensions for {q.n} vertices")
+    return v
+
+
 def regularize_params(q: QuiverMult, leg: LegDescriptor, lam, v):
     """(lam, v) for the rewritten quiver: partial top-residue sums and differences."""
     lam = check_params(q, lam)
+    v = _check_dims(q, v)
     chain = leg.chain()
     new_v = list(v)
     for pos in range(len(chain) - 1):
@@ -211,6 +219,7 @@ class HypothesisReport:
 def check_theorem_hypotheses(q, leg: LegDescriptor, lam, v) -> HypothesisReport:
     """Evaluate the two transfer hypotheses exactly."""
     lam = check_params(q, lam)
+    v = _check_dims(q, v)
     chain = leg.chain()
     report = HypothesisReport()
     for pos in range(len(chain) - 1):

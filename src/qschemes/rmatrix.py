@@ -20,6 +20,7 @@ matrix-polynomial coefficients xi_k of ``slices``/``from_slices``.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .errors import (
@@ -116,17 +117,21 @@ class RMap:
     def is_zero(self) -> bool:
         return all(p.is_zero() for p in self.parts)
 
-    def __add__(self, other):
+    def _slicewise(self, other, op):
+        """op applied slice by slice over the common base ring."""
         if self.src != other.src or self.dst != other.dst:
             raise ShapeMismatch("sum of maps with different shapes")
         c = math.gcd(self.base, other.base)
         return RMap(
             self.src, self.dst, c,
-            [a + b for a, b in zip(_lower(self, c), _lower(other, c))],
+            [op(a, b) for a, b in zip(_lower(self, c), _lower(other, c))],
         )
 
+    def __add__(self, other):
+        return self._slicewise(other, operator.add)
+
     def __sub__(self, other):
-        return self + (-other)
+        return self._slicewise(other, operator.sub)
 
     def __neg__(self):
         return RMap(self.src, self.dst, self.base, [-p for p in self.parts])
@@ -368,26 +373,6 @@ def extend_scalars_rev(y: RMap) -> RMap:
     if d % c != 0:
         raise NotDivisible(f"{c} does not divide {d}")
     return slice_extend_rev(y.src, ModShape(y.dst.rank, d), d, slice_restrict_rev(c, y))
-
-
-def restrict_scalars(f: RMap, kind: str, base: int) -> RMap:
-    """Undo extend_scalars ("forward") or extend_scalars_rev ("reverse").
-
-    ``base`` is the order c of the un-induced side; the induced shape does not
-    remember it.
-    """
-    c = base
-    shape = {"forward": f.src, "reverse": f.dst}.get(kind)
-    if shape is None:
-        raise ValueError(f"unknown restriction kind {kind!r}")
-    d = shape.order
-    if f.base != d:
-        raise NotLinearOverBase("map must be fully linear for restriction")
-    if d % c != 0:
-        raise NotDivisible(f"{c} does not divide {d}")
-    if kind == "forward":
-        return slice_extend(ModShape(shape.rank, c), f.dst, c, slice_restrict(d, f))
-    return slice_extend_rev(f.src, ModShape(shape.rank, c), c, slice_restrict_rev(d, f))
 
 
 def scale_end(f: RMap, t: TruncScalar) -> RMap:

@@ -40,30 +40,12 @@ def check_params(q: QuiverMult, lam) -> tuple[TruncScalar, ...]:
     return lam
 
 
-def zero_params(q: QuiverMult) -> tuple[TruncScalar, ...]:
-    return tuple(TruncScalar(m) for m in q.mults)
-
-
 def param_offsets(q: QuiverMult) -> list[int]:
     offs, total = [], 0
     for m in q.mults:
         offs.append(total)
         total += m
     return offs
-
-
-def flatten_params(q: QuiverMult, lam) -> list[GaussQ]:
-    return [c for x in check_params(q, lam) for c in x.coeffs]
-
-
-def unflatten_params(q: QuiverMult, coords) -> tuple[TruncScalar, ...]:
-    out, pos = [], 0
-    for m in q.mults:
-        out.append(TruncScalar(m, coords[pos:pos + m]))
-        pos += m
-    if pos != len(coords):
-        raise LengthMismatch("flat coordinate length mismatch")
-    return tuple(out)
 
 
 # -- reflections --------------------------------------------------------------
@@ -315,10 +297,3 @@ def verify_coxeter(q: QuiverMult) -> CoxeterReport:
             report.checks.append(RelationCheck(
                 "dim", (q.name(i), q.name(j)), m, sacc == sid))
     return report
-
-
-def apply_int_matrix_to_params(q: QuiverMult, m, lam) -> tuple[TruncScalar, ...]:
-    flat = flatten_params(q, lam)
-    out = [sum((GaussQ(a) * x for a, x in zip(row, flat) if a), GQ_ZERO) for row in m]
-    return unflatten_params(q, out)
-

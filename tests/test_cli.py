@@ -239,6 +239,26 @@ class TestInputBoundary:
         assert code == 2 and out == ""
         assert err.startswith("error[length-mismatch]")
 
+    @staticmethod
+    def regularize(capsys, corpus_dir, *flags):
+        """Run regularize on double_d3 along its leg k,i,j with extra flags."""
+        return run(capsys, "--format", "json", "regularize",
+                   str(corpus_dir / "double_d3.quiver"), "--leg", "k,i,j", *flags)
+
+    def test_regularize_wrong_length_dimension_vector(self, capsys, corpus_dir):
+        lam = str(corpus_dir.parent / "tests" / "golden" / "lam_double_d3.json")
+        for v in ("1", "1,1", "1,1,2,4"):
+            code, out, err = self.regularize(capsys, corpus_dir, "--lambda", lam, "--v", v)
+            assert code == 2 and out == ""
+            assert err.startswith("error[length-mismatch]")
+
+    def test_regularize_needs_lambda_and_v_together(self, capsys, corpus_dir):
+        lam = str(corpus_dir.parent / "tests" / "golden" / "lam_double_d3.json")
+        for flags in (("--lambda", lam), ("--v", "1,1,2")):
+            code, out, err = self.regularize(capsys, corpus_dir, *flags)
+            assert code == 2 and out == ""
+            assert err.startswith("error[malformed-input]")
+
     def test_check_rejects_non_positive_trials(self, capsys, corpus_dir):
         for trials in ("-3", "0"):
             code, out, err = run(capsys, "check", str(corpus_dir), "--suite", "coxeter",

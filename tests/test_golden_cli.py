@@ -65,6 +65,23 @@ CASES = [
      J + ("leg-factor", _g("spec.json"), "--a", _g("a_non_member.json")), 2),
     ("check_all",
      J + ("check", str(CORPUS), "--suite", "all", "--seed", "1", "--trials", "2"), 0),
+    ("parse_double_d3", J + ("parse", _q("double_d3")), 0),
+    ("parse_dot_kronecker", J + ("parse", _q("kronecker"), "--dot"), 0),
+    ("cartan_double_d3", J + ("cartan", _q("double_d3")), 0),
+    ("dim_chain_d2", J + ("dim", _q("chain_d2"), "--v", "1,1,1"), 0),
+    ("reflect_chain_d2",
+     J + ("reflect", _q("chain_d2"), "--vertex", "i", "--lambda", _g("lam_chain_d2.json"),
+          "--v", "1,1,1"), 0),
+    ("weyl_verify_double_d3", J + ("weyl-verify", _q("double_d3")), 0),
+    ("weyl_verify_kronecker", J + ("weyl-verify", _q("kronecker")), 0),
+    ("mesh_chain_d2",
+     J + ("mesh", _q("chain_d2"), "--rep", _g("out_random_level_chain_d2.json"),
+          "--lambda", _g("lam_chain_d2.json")), 1),
+    ("legs_twolegs_n4_d3", J + ("legs", _q("twolegs_n4_d3")), 0),
+    ("regularize_double_d3",
+     J + ("regularize", _q("double_d3"), "--leg", "k,i,j", "--lambda", _g("lam_double_d3.json"),
+          "--v", "1,1,2"), 0),
+    ("reg_verify_double_d3", J + ("reg-verify", _q("double_d3"), "--leg", "k,i,j"), 0),
 ]
 
 

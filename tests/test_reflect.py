@@ -2,7 +2,7 @@ import pytest
 
 from qschemes.corpus import example_chain, example_double
 from qschemes.errors import EmptyLevelSet, NotAUnit, NotInLevelSet
-from qschemes.linalg import Matrix
+from qschemes.linalg import Matrix, rank
 from qschemes.orbit import OrbitSpec, orbit_membership
 from qschemes.quiver import QuiverMult
 from qschemes.reflect import (
@@ -30,9 +30,10 @@ from qschemes.rmatrix import (
     compose,
     invert_end,
     scalar_end,
+    scale_end,
 )
 from qschemes.rng import SplitMix64
-from qschemes.scalars import GaussQ, TruncScalar
+from qschemes.scalars import GaussQ, TruncScalar, trunc_inv
 from qschemes.weyl import reflect_dim, reflect_param
 
 G = GaussQ
@@ -247,6 +248,51 @@ class TestReflectionFunctor:
         big = zero_rep(q, (5, 0, 0))
         with pytest.raises(EmptyLevelSet):
             reflection_functor(big, "i", lam)
+
+
+class TestImpliedByMomentCondition:
+    """What reflection_functor no longer checks, because mu_i = -lam_i Id implies it."""
+
+    @staticmethod
+    def level_points(corpus):
+        """(quiver, vertex, lam, v, point) over every corpus quiver and vertex."""
+        rng = SplitMix64(31)
+        for q in corpus.values():
+            for i in range(q.n):
+                for _ in range(2):
+                    lam = random_params(q, rng.next_u64(), units=[i])
+                    v = tuple(rng.randint(0, 2) for _ in range(q.n))
+                    if tilde_dimension(q, i, v) < v[i]:
+                        continue
+                    yield q, i, lam, v, random_level_point(q, lam, v, i, rng.next_u64())
+
+    def test_shifted_component_is_scaled_idempotent_of_reflected_rank(self, corpus):
+        seen = 0
+        for q, i, lam, v, p in self.level_points(corpus):
+            a, _ = phi(p, i)
+            e = scale_end(a - scalar_end(lam[i], a.src.rank), -trunc_inv(lam[i]))
+            assert compose(e, e) == e
+            assert rank(e.parts[0]) == reflect_dim(q, i, v)[i]
+            seen += 1
+        assert seen >= 40
+
+    def test_one_compose_per_functor_call(self, corpus, monkeypatch):
+        import qschemes.reflect as reflect_mod
+
+        calls = []
+
+        def counting_compose(f, g):
+            calls.append(1)
+            return compose(f, g)
+
+        monkeypatch.setattr(reflect_mod, "compose", counting_compose)
+        runs = 0
+        for q, i, lam, v, p in self.level_points(corpus):
+            del calls[:]
+            reflection_functor(p, i, lam)
+            assert len(calls) <= 1
+            runs += 1
+        assert runs >= 40
 
 
 class TestBraidProbe:

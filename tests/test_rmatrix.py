@@ -21,8 +21,11 @@ from qschemes.rmatrix import (
     invert_end,
     pair_d,
     pr_cd,
-    restrict_scalars,
     scalar_end,
+    slice_extend,
+    slice_extend_rev,
+    slice_restrict,
+    slice_restrict_rev,
     slices,
     trace_r,
 )
@@ -185,16 +188,16 @@ class TestExtendRestrict:
     def test_rank1_forward(self):
         x = RMap(ModShape(1, 1), ModShape(1, 2), 1, [gmat([[5], [7]])])
         assert extend_scalars(x) == scalar_end(TruncScalar(2, [5, 7]), 1)
-        assert restrict_scalars(extend_scalars(x), "forward", 1) == x
+        assert slice_restrict(2, extend_scalars(x)) == x
 
     def test_rank1_reverse(self):
         y = RMap(ModShape(1, 2), ModShape(1, 1), 1, [gmat([[11, 13]])])
         assert extend_scalars_rev(y) == scalar_end(TruncScalar(2, [13, 11]), 1)
-        assert restrict_scalars(extend_scalars_rev(y), "reverse", 1) == y
+        assert slice_restrict_rev(2, extend_scalars_rev(y)) == y
 
     def test_reverse_restrict_hand_case(self):
         f = scalar_end(TruncScalar(2, [3, 4]), 1)
-        got = restrict_scalars(f, "reverse", 1)
+        got = slice_restrict_rev(2, f)
         assert got.flat == gmat([[4, 3]])
 
     def test_zero_maps(self):
@@ -210,8 +213,9 @@ class TestExtendRestrict:
             x = random_linear_map(rng, ModShape(w, c), ModShape(v, d), c)
             y = random_linear_map(rng, ModShape(v, d), ModShape(w, c), c)
             xe, ye = extend_scalars(x), extend_scalars_rev(y)
-            assert restrict_scalars(xe, "forward", c) == x
-            assert restrict_scalars(ye, "reverse", c) == y
+            # the parameter block over R_d is the one over R_c: it gives x, y back
+            assert slice_extend(x.src, x.dst, c, slice_restrict(d, xe)) == x
+            assert slice_extend_rev(y.src, y.dst, c, slice_restrict_rev(d, ye)) == y
             # extension composite averages the plain composite
             assert compose(xe, ye) == pr_cd(compose(x, y))
             # and the pairing is preserved
@@ -221,7 +225,9 @@ class TestExtendRestrict:
         sh = ModShape(1, 2)
         z = RMap(sh, sh, 1, [gmat([[1, 2], [3, 4]])])
         with pytest.raises(NotLinearOverBase):
-            restrict_scalars(z, "forward", 1)
+            slice_restrict(2, z)
+        with pytest.raises(NotLinearOverBase):
+            slice_restrict_rev(2, z)
 
 
 class TestInvert:

@@ -10,10 +10,9 @@ from qschemes.repn import random_params
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar, residue_pair
 from qschemes.weyl import (
-    apply_int_matrix_to_params,
+    check_params,
     coxeter_order,
     dim_reflection_matrix,
-    flatten_params,
     lift_cartan,
     pairing_matrix,
     param_reflection_matrix,
@@ -23,13 +22,37 @@ from qschemes.weyl import (
     rho_matrix,
     transpose_action,
     transpose_action_matrix,
-    unflatten_params,
     verify_coxeter,
-    zero_params,
 )
 
 G = GaussQ
 T = TruncScalar
+
+
+# -- test-local oracles: parameters as flat coordinate vectors -------------------
+
+def zero_params(q):
+    return tuple(T(m) for m in q.mults)
+
+
+def flatten_params(q, lam):
+    return [c for x in check_params(q, lam) for c in x.coeffs]
+
+
+def unflatten_params(q, coords):
+    out, pos = [], 0
+    for m in q.mults:
+        out.append(T(m, coords[pos:pos + m]))
+        pos += m
+    assert pos == len(coords), "flat coordinate length mismatch"
+    return tuple(out)
+
+
+def apply_int_matrix_to_params(q, m, lam):
+    """The parameter vector moved by an integer matrix on flat coordinates."""
+    flat = flatten_params(q, lam)
+    out = [sum((G(a) * x for a, x in zip(row, flat) if a), G(0)) for row in m]
+    return unflatten_params(q, out)
 
 
 class TestReflectDim:
