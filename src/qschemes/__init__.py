@@ -21,8 +21,6 @@ from .orbit import (
     nu,
     orbit_dimension,
     orbit_membership,
-    shift_decompose,
-    shift_map,
 )
 from .quiver import (
     CartanData,
@@ -37,7 +35,6 @@ from .quiver import (
 )
 from .reflect import (
     SplitAtVertex,
-    braid_probe,
     phi,
     random_level_point,
     reflection_functor,

@@ -1,19 +1,31 @@
-"""Dense exact linear algebra over GaussQ.
+"""Dense exact linear algebra over the Gaussian rationals.
 
-Small immutable matrices of ``GaussQ`` entries with a product and
-Gauss-Jordan elimination kernels (rank, pivot columns, solve, inverse).
-Degenerate shapes (0 rows or 0 columns) are legal and arise naturally from
-zero dimension vectors.
+A ``Matrix`` stores integer numerators over one shared denominator: ``re``
+holds the numerator rows of the real parts, ``im`` those of the imaginary
+parts, and ``den`` the positive common denominator, so entry (i, j) is
+(re[i][j] + i im[i][j]) / den.  The form is canonical: gcd(den, every
+numerator) = 1, and ``im`` is None exactly when every entry is real.  Equal
+matrices therefore have equal fields, and ``==`` and ``hash`` read the fields.
+Rows are never mutated after construction, so matrices may share them.
+``GaussQ`` appears only at the boundary: ``Matrix(rows)`` parses rows of
+scalars, and entry access and the read-only ``rows`` view build ``GaussQ``
+entries on demand.  Degenerate shapes (0 rows or 0 columns) are legal and
+arise naturally from zero dimension vectors.
 
-The kernels keep ``GaussQ`` at their boundary only.  The product brings each
-operand once to integer numerator rows over one common denominator (an
-imaginary part only when some entry is non-real), multiplies Python ints and
-builds each output entry once.  Elimination of a real matrix clears
-denominators row by row and runs fraction-free Gauss-Jordan over the
-integers, keeping every row primitive by its gcd; a non-real matrix is
-reduced over ``GaussQ``.  Fractions are normalized and the reduced
-row-echelon form is unique, so both kernels give exactly the values of the
-schoolbook ``GaussQ`` versions.
+Sums, scalar multiples, stacking, slicing (``take``) and the product work on
+the integer numerators; a real operand takes no imaginary dot products.
+
+Elimination (``_echelon``) is fraction-free Gauss-Jordan in the style of
+Bareiss (Math. Comp. 22, 1968), over Z for real matrices and over Z[i]
+otherwise.  Every row stays a nonzero multiple ``mult[i]`` of the row that
+schoolbook elimination over the field would hold.  A pivot row is first
+brought to the multiple p of the previous pivot; its pivot entry is then the
+determinant of the leading pivot minor.  An eliminated row becomes
+(pivot * row - f * pivot_row) / mult[i], whose entries are, by the Schur
+complement, minors of the input: the division is exact in Z or Z[i] and
+entries grow no faster than minors do.  Rows with a zero in the pivot column
+are left alone.  The reduced row-echelon form is unique, so the results are
+exactly those of schoolbook elimination over ``GaussQ``.
 
 Plain ``list[list[int]]`` matrices are used elsewhere for lattice actions;
 the ``int_*`` helpers at the bottom cover those.
@@ -22,53 +34,64 @@ the ``int_*`` helpers at the bottom cover those.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import chain, repeat
 from math import gcd, lcm
-from operator import mul
+from operator import add, itemgetter, mul
 
 from .errors import NotInvertible, ShapeMismatch
-from .scalars import GQ_ONE, GQ_ZERO, GaussQ
+from .scalars import GQ_ONE, GQ_ZERO, GaussQ, _coerce
 
 
 class Matrix:
-    __slots__ = ("nrows", "ncols", "rows")
+    __slots__ = ("nrows", "ncols", "re", "im", "den")
 
     def __init__(self, rows, ncols=None):
-        rows = [tuple(r) for r in rows]
+        rows = [list(map(_coerce, r)) for r in rows]
         if rows:
             width = len(rows[0])
-            if any(len(r) != width for r in rows):
+            if set(map(len, rows)) != {width}:
                 raise ValueError("ragged rows")
             if ncols is not None and ncols != width:
                 raise ValueError("ncols disagrees with row width")
             ncols = width
         elif ncols is None:
             ncols = 0
-        object.__setattr__(self, "nrows", len(rows))
-        object.__setattr__(self, "ncols", ncols)
-        object.__setattr__(self, "rows", tuple(rows))
+        # the lcm of reduced denominators leaves gcd(den, numerators) = 1
+        den = lcm(*{f.denominator for r in rows for x in r for f in (x.re, x.im)})
+        im = [[x.im.numerator * (den // x.im.denominator) for x in r] for r in rows]
+        _SET_NROWS(self, len(rows))
+        _SET_NCOLS(self, ncols)
+        _SET_RE(self, [[x.re.numerator * (den // x.re.denominator) for x in r] for r in rows])
+        _SET_IM(self, im if any(map(any, im)) else None)
+        _SET_DEN(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("Matrix is immutable")
 
     @staticmethod
     def zero(m, n) -> "Matrix":
-        return Matrix([[GQ_ZERO] * n for _ in range(m)], ncols=n)
+        return _new([[0] * n] * m, None, 1, n)
 
     @staticmethod
     def identity(n) -> "Matrix":
-        return Matrix.diagonal([GQ_ONE] * n)
+        return _new([[int(i == j) for j in range(n)] for i in range(n)], None, 1, n)
 
     @staticmethod
     def diagonal(entries) -> "Matrix":
         n = len(entries)
-        return Matrix(
-            [[entries[i] if i == j else GQ_ZERO for j in range(n)] for i in range(n)],
-            ncols=n,
-        )
+        return Matrix([[x if i == j else GQ_ZERO for j in range(n)]
+                       for i, x in enumerate(entries)], ncols=n)
+
+    @property
+    def rows(self) -> tuple:
+        """The entries as ``GaussQ``, row by row (built on each read)."""
+        den = self.den
+        im = self.im or [[0] * self.ncols] * self.nrows
+        return tuple(tuple(map(_entry, r, s, repeat(den))) for r, s in zip(self.re, im))
 
     def __getitem__(self, ij):
         i, j = ij
-        return self.rows[i][j]
+        return _entry(self.re[i][j], self.im[i][j] if self.im else 0, self.den)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -76,28 +99,39 @@ class Matrix:
         return (
             self.nrows == other.nrows
             and self.ncols == other.ncols
-            and self.rows == other.rows
+            and self.den == other.den
+            and self.re == other.re
+            and self.im == other.im
         )
 
     def __hash__(self):
-        return hash((self.nrows, self.ncols, self.rows))
+        im = None if self.im is None else tuple(map(tuple, self.im))
+        return hash((self.nrows, self.ncols, self.den, tuple(map(tuple, self.re)), im))
 
-    def __add__(self, other):
-        self._same_shape(other)
-        return Matrix(
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
+    def _scaled(self, den):
+        """(re, im) as numerators over den, a multiple of self.den."""
+        f = den // self.den
+        if f == 1:
+            return self.re, self.im
+        return _times(self.re, f), self.im and _times(self.im, f)
+
+    def __add__(self, other, sign=1):
+        """self + sign * other."""
+        if self.nrows != other.nrows or self.ncols != other.ncols:
+            raise ShapeMismatch(
+                f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
+            )
+        da, db = self.den, other.den
+        den = da if da == db else lcm(da, db)
+        fa, fb = den // da, sign * (den // db)
+        return _canon(_lincomb(self.re, fa, other.re, fb),
+                      _lincomb(self.im, fa, other.im, fb), den, self.ncols)
 
     def __sub__(self, other):
-        self._same_shape(other)
-        return Matrix(
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
-            ncols=self.ncols,
-        )
+        return self.__add__(other, -1)
 
     def __neg__(self):
-        return Matrix([[-a for a in r] for r in self.rows], ncols=self.ncols)
+        return _new(_times(self.re, -1), self.im and _times(self.im, -1), self.den, self.ncols)
 
     def __matmul__(self, other):
         if self.ncols != other.nrows:
@@ -106,189 +140,241 @@ class Matrix:
             )
         if not (self.nrows and self.ncols and other.ncols):
             return Matrix.zero(self.nrows, other.ncols)
-        a_re, a_im, da = _integral(self.rows)
-        b_re, b_im, db = _integral(other.rows)
-        den = da * db
-        if a_im is None and b_im is None:
-            cols = list(zip(*b_re))
-            out = [[_entry(sum(map(mul, r, c)), 0, den) for c in cols] for r in a_re]
+        ar, ai, bi = self.re, self.im, other.im
+        br = list(zip(*other.re))
+        re = _dots(ar, br)
+        if bi is None:
+            im = ai and _dots(ai, br)
         else:
             # (Ar + i Ai)(Br + i Bi) = (ArBr - AiBi) + i (ArBi + AiBr)
-            a_im = a_im or [[0] * self.ncols for _ in a_re]
-            b_im = b_im or [[0] * other.ncols for _ in b_re]
-            cols = list(zip(zip(*b_re), zip(*b_im)))
-            out = [
-                [_entry(sum(map(mul, ar, br)) - sum(map(mul, ai, bi)),
-                        sum(map(mul, ar, bi)) + sum(map(mul, ai, br)), den)
-                 for br, bi in cols]
-                for ar, ai in zip(a_re, a_im)
-            ]
-        return Matrix(out, ncols=other.ncols)
+            bi = list(zip(*bi))
+            im = _dots(ar, bi)
+            if ai is not None:
+                re = _lincomb(re, 1, _dots(ai, bi), -1)
+                im = _lincomb(im, 1, _dots(ai, br), 1)
+        return _canon(re, im, self.den * other.den, other.ncols)
 
     def scale(self, c) -> "Matrix":
-        return Matrix([[a * c for a in r] for r in self.rows], ncols=self.ncols)
+        """The multiple c * self for a scalar c of Q(i)."""
+        c = _coerce(c)
+        w = lcm(c.re.denominator, c.im.denominator)
+        u = c.re.numerator * (w // c.re.denominator)
+        v = c.im.numerator * (w // c.im.denominator)
+        # (u + i v)(re + i im) = (u re - v im) + i (v re + u im)
+        re, im = self.re, self.im
+        return _canon(_lincomb(re, u, im, -v), _lincomb(im, u, v and re, v),
+                      self.den * w, self.ncols)
 
     def transpose(self) -> "Matrix":
-        return Matrix(list(zip(*self.rows)) if self.rows else [], ncols=self.nrows)
+        if not self.nrows:
+            return Matrix.zero(self.ncols, 0)
+        return _new(list(map(list, zip(*self.re))), self.im and list(map(list, zip(*self.im))),
+                    self.den, self.nrows)
 
     def is_zero(self) -> bool:
-        return all(not a for r in self.rows for a in r)
+        return self.im is None and not any(map(any, self.re))
 
-    def select_columns(self, js) -> "Matrix":
-        return Matrix([[r[j] for j in js] for r in self.rows], ncols=len(js))
+    def take(self, rows=None, cols=None) -> "Matrix":
+        """The submatrix on the given rows and columns.
 
-    def _same_shape(self, other):
-        if self.nrows != other.nrows or self.ncols != other.ncols:
-            raise ShapeMismatch(
-                f"{self.nrows}x{self.ncols} vs {other.nrows}x{other.ncols}"
-            )
+        Each of ``rows`` and ``cols`` is None (all of them), a slice, or a
+        sequence of indices, which may repeat or reorder.
+        """
+        ncols = self.ncols
+        if cols is not None:
+            ncols = len(range(ncols)[cols] if type(cols) is slice else cols)
+        return _canon(_gather(self.re, rows, cols),
+                      self.im and _gather(self.im, rows, cols), self.den, ncols)
 
     def __str__(self):
         return "[" + "; ".join(" ".join(str(a) for a in r) for r in self.rows) + "]"
 
 
-def hstack(mats) -> Matrix:
-    mats = list(mats)
-    if not mats:
-        raise ValueError("hstack of nothing")
-    m = mats[0].nrows
-    if any(a.nrows != m for a in mats):
-        raise ShapeMismatch("hstack with differing row counts")
-    rows = [[x for a in mats for x in a.rows[i]] for i in range(m)]
-    return Matrix(rows, ncols=sum(a.ncols for a in mats))
+_SET_NROWS = Matrix.nrows.__set__
+_SET_NCOLS = Matrix.ncols.__set__
+_SET_RE = Matrix.re.__set__
+_SET_IM = Matrix.im.__set__
+_SET_DEN = Matrix.den.__set__
+_NEW = object.__new__
 
 
-def vstack(mats) -> Matrix:
-    mats = list(mats)
-    if not mats:
-        raise ValueError("vstack of nothing")
-    n = mats[0].ncols
-    if any(a.ncols != n for a in mats):
-        raise ShapeMismatch("vstack with differing column counts")
-    rows = [r for a in mats for r in a.rows]
-    return Matrix(rows, ncols=n)
+def _new(re, im, den, ncols) -> Matrix:
+    """A matrix from fields already in canonical form (no checks)."""
+    self = _NEW(Matrix)
+    _SET_NROWS(self, len(re))
+    _SET_NCOLS(self, ncols)
+    _SET_RE(self, re)
+    _SET_IM(self, im)
+    _SET_DEN(self, den)
+    return self
 
 
-def _integral(rows):
-    """(re, im, den): the integer numerators of the entries' real and
-    imaginary parts over one common denominator den; im is None when every
-    entry is real."""
-    nonreal = _nonreal(rows)
-    dens = {x.re.denominator for r in rows for x in r}
-    if nonreal:
-        dens.update([x.im.denominator for r in rows for x in r])
-    den = lcm(*dens)
-    if den == 1:
-        re = [[x.re.numerator for x in r] for r in rows]
-        im = [[x.im.numerator for x in r] for r in rows] if nonreal else None
-    else:
-        re = [[x.re.numerator * (den // x.re.denominator) for x in r] for r in rows]
-        im = ([[x.im.numerator * (den // x.im.denominator) for x in r] for r in rows]
-              if nonreal else None)
-    return re, im, den
+def _canon(re, im, den, ncols) -> Matrix:
+    """A matrix from equal-width integer rows over den > 0, brought to
+    canonical form: a zero imaginary block is dropped, and den and the
+    numerators are divided by their gcd."""
+    if im is not None and not any(map(any, im)):
+        im = None
+    if den != 1:
+        g = gcd(den, *chain.from_iterable(re), *chain.from_iterable(im or ()))
+        if g != 1:
+            re, im, den = _exact_div(re, g), im and _exact_div(im, g), den // g
+    return _new(re, im, den, ncols)
 
 
-def _nonreal(rows):
-    return any([x.im for r in rows for x in r])
+def _gather(block, rows, cols):
+    if rows is not None:
+        block = block[rows] if type(rows) is slice else list(map(block.__getitem__, rows))
+    if cols is None:
+        return block
+    if type(cols) is slice:
+        return list(map(itemgetter(cols), block))
+    return [list(map(r.__getitem__, cols)) for r in block]
 
 
-_F0 = Fraction(0)
+def _times(block, f):
+    return [list(map(f.__mul__, r)) for r in block]
+
+
+def _exact_div(block, g):
+    return [list(map(g.__rfloordiv__, r)) for r in block]
+
+
+def _lincomb(a, fa, b, fb):
+    """fa * a + fb * b for integer blocks of one shape; None is a zero block."""
+    if b is None or not fb:
+        return a if a is None or fa == 1 else _times(a, fa)
+    if a is None or not fa:
+        return b if fb == 1 else _times(b, fb)
+    return [list(map(add, map(fa.__mul__, r), map(fb.__mul__, s))) for r, s in zip(a, b)]
+
+
+def _dots(rows, cols):
+    """Integer matrix product, from the rows of one factor and the columns of
+    the other."""
+    return [[sum(map(mul, r, c)) for c in cols] for r in rows]
 
 
 def _entry(re, im, den):
     """The GaussQ (re + i im) / den of integer numerators and denominator."""
-    if not (re or im):
-        return GQ_ZERO
-    if den == 1:
-        return GaussQ(re, im or _F0)
-    return GaussQ(Fraction(re, den), Fraction(im, den) if im else _F0)
+    return GaussQ(Fraction(re, den), Fraction(im, den)) if re or im else GQ_ZERO
 
 
-def _echelon(rows, ncols):
-    """Row-reduce in place; return pivot column indices (leftmost-first).
+def hstack(mats) -> Matrix:
+    return _stack(list(mats), "nrows", _join_columns)
 
-    Pivots are searched in the first ``ncols`` columns; the row operations
-    act on whole rows.  Afterwards ``rows[k]`` is the k-th row of the reduced
-    row-echelon form for k < len(pivots), and the rows below hold what the
-    eliminated rows became, exactly as schoolbook elimination over GaussQ
-    leaves them.
+
+def vstack(mats) -> Matrix:
+    return _stack(list(mats), "ncols", _join_rows)
+
+
+def _join_columns(blocks):
+    return [list(chain.from_iterable(rs)) for rs in zip(*blocks)]
+
+
+def _join_rows(blocks):
+    return list(chain.from_iterable(blocks))
+
+
+def _stack(mats, shared, join):
+    """Join the numerator blocks of mats, which agree in ``shared``, over the
+    lcm of their denominators.
+
+    That lcm keeps the form canonical: a prime power dividing it exactly
+    divides some block's denominator exactly, and that block has a numerator
+    the prime does not divide, left so by a cofactor the prime does not
+    divide either.
     """
-    if _nonreal(rows):
-        return _echelon_gaussq(rows, ncols)
-    # Over Z every row stays the nonzero multiple num[i]/den[i] of the row
-    # that elimination over the field would hold: clearing denominators
-    # scales a row by their lcm, an update pv*row_i - f*row_r scales row_i by
-    # pv and dividing by the row's gcd g divides the multiple by g.  A pivot
-    # row is its pivot entry times its reduced row.
-    z, num = [], []
-    for r in rows:
-        q = [x.re for x in r]
-        c = lcm(*{x.denominator for x in q})
-        z.append([x.numerator * (c // x.denominator) for x in q])
-        num.append(c)
-    m = len(z)
-    den = [1] * m
+    if len(mats) == 1:
+        return mats[0]
+    if not mats:
+        raise ValueError("stacking nothing")
+    if len({getattr(a, shared) for a in mats}) != 1:
+        raise ShapeMismatch(f"stacking matrices with differing {shared}")
+    den = lcm(*[a.den for a in mats])
+    scaled = [a._scaled(den) for a in mats]
+    im = None
+    if any(a.im is not None for a in mats):
+        im = join([b if b is not None else [[0] * a.ncols] * a.nrows
+                   for a, (_, b) in zip(mats, scaled)])
+    ncols = sum(a.ncols for a in mats) if shared == "nrows" else mats[0].ncols
+    return _new(join([r for r, _ in scaled]), im, den, ncols)
+
+
+def _echelon(rows, ncols, im=None, mult=None):
+    """Fraction-free Gauss-Jordan elimination in place; return the pivot
+    columns (leftmost-first).
+
+    ``rows`` are integer rows of equal width and ``im`` their imaginary
+    parts (None when every entry is real).  Pivots are searched in the first
+    ``ncols`` columns; the row operations act on whole rows.  Afterwards row
+    i is ``mult[i]`` times the row that schoolbook elimination over the field
+    leaves there: for k < len(pivots) the k-th row of the reduced row-echelon
+    form, below that what the eliminated rows became.  ``mult`` (filled in
+    when given) holds ints for real rows and (re, im) pairs of Gaussian
+    integers otherwise.  Rows are replaced, never mutated.
+    """
+    m = len(rows)
+    real = im is None
+    if real:
+        im = [None] * m
+    if mult is None:
+        mult = []
+    prev = 1 if real else (1, 0)
+    mult[:] = [prev] * m
     pivots = []
-    r = 0
     for j in range(ncols):
-        p = next((i for i in range(r, m) if z[i][j]), None)
+        r = len(pivots)
+        p = next((i for i in range(r, m) if rows[i][j] or not real and im[i][j]), None)
         if p is None:
             continue
-        for v in (z, num, den):
+        for v in (rows, im, mult):
             v[r], v[p] = v[p], v[r]
-        pr = z[r]
-        pv = pr[j]
+        _rescale(rows, im, mult, r, prev)
+        pr, pi = rows[r], im[r]
+        prev = mult[r] = pr[j] if real else (pr[j], pi[j])
         for i in range(m):
-            f = z[i][j]
-            if f and i != r:
-                row = [pv * a - f * b for a, b in zip(z[i], pr)]
-                g = gcd(*row)
-                if g > 1:
-                    row = [a // g for a in row]
-                    den[i] *= g
-                z[i] = row
-                num[i] *= pv
+            f = rows[i][j] if real else (rows[i][j], im[i][j])
+            if i != r and (f if real else f != (0, 0)):
+                rows[i], im[i] = _axpy(rows[i], im[i], prev, pr, pi, f, mult[i])
+                mult[i] = prev
         pivots.append(j)
-        r += 1
-        if r == m:
+        if r + 1 == m:
             break
-    for k, j in enumerate(pivots):
-        num[k], den[k] = z[k][j], 1
-    for k, row in enumerate(z):
-        rows[k] = [GaussQ(Fraction(a * den[k], num[k]), _F0) if a else GQ_ZERO for a in row]
     return pivots
 
 
-def _echelon_gaussq(rows, ncols):
-    """``_echelon`` over GaussQ, for rows with a non-real entry."""
-    pivots = []
-    r = 0
-    for j in range(ncols):
-        p = None
-        for i in range(r, len(rows)):
-            if rows[i][j]:
-                p = i
-                break
-        if p is None:
-            continue
-        rows[r], rows[p] = rows[p], rows[r]
-        inv = GQ_ONE / rows[r][j]
-        rows[r] = [a * inv for a in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][j]:
-                f = rows[i][j]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(j)
-        r += 1
-        if r == len(rows):
-            break
-    return pivots
+def _rescale(rows, im, mult, i, q):
+    """Bring row i to the multiple q of its schoolbook row; exact when q is
+    the pivot of a later step."""
+    if mult[i] != q:
+        zero = 0 if im[i] is None else (0, 0)
+        rows[i], im[i] = _axpy(rows[i], im[i], q, rows[i], im[i], zero, mult[i])
+        mult[i] = q
+
+
+def _axpy(xr, xi, a, yr, yi, b, q):
+    """(a x - b y) / q, exactly: over Z when xi is None (a, b, q ints),
+    otherwise over Z[i] with rows as (re, im) parts and a, b, q pairs.
+
+    Division by a Gaussian integer q multiplies by its conjugate and divides
+    both parts exactly by the norm q conj(q).
+    """
+    if xi is None:
+        return [(a * u - b * v) // q for u, v in zip(xr, yr)], None
+    (a0, a1), (b0, b1), (q0, q1) = a, b, q
+    if q1:
+        a0, a1 = a0 * q0 + a1 * q1, a1 * q0 - a0 * q1
+        b0, b1 = b0 * q0 + b1 * q1, b1 * q0 - b0 * q1
+        q0 = q0 * q0 + q1 * q1
+    rows = list(zip(xr, xi, yr, yi))
+    return ([(a0 * x0 - a1 * x1 - b0 * y0 + b1 * y1) // q0 for x0, x1, y0, y1 in rows],
+            [(a0 * x1 + a1 * x0 - b0 * y1 - b1 * y0) // q0 for x0, x1, y0, y1 in rows])
 
 
 def pivot_columns(mat: Matrix) -> list[int]:
     """Lexicographically smallest column set spanning the column space."""
-    rows = [list(r) for r in mat.rows]
-    return _echelon(rows, mat.ncols)
+    return _echelon(list(mat.re), mat.ncols, mat.im and list(mat.im))
 
 
 def rank(mat: Matrix) -> int:
@@ -304,17 +390,24 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     if a.nrows != b.nrows:
         raise ShapeMismatch("row counts differ")
     n = a.ncols
-    aug = [list(ra) + list(rb) for ra, rb in zip(a.rows, b.rows)]
-    pivots = _echelon(aug, n)
+    aug = hstack([a, b])
+    rows, im = aug.re[:], aug.im and aug.im[:]
+    mult = []
+    pivots = _echelon(rows, n, im, mult)
     if len(pivots) != n:
         raise ShapeMismatch("coefficient matrix is rank-deficient")
-    for row in aug[n:]:
-        if any(row[n:]):
+    for i in range(n, len(rows)):
+        if any(rows[i][n:]) or (im is not None and any(im[i][n:])):
             raise ShapeMismatch("inconsistent system")
-    x = [[GQ_ZERO] * b.ncols for _ in range(n)]
-    for r, j in enumerate(pivots):
-        x[j] = aug[r][n:]
-    return Matrix(x, ncols=b.ncols)
+    # pivots == range(n); rows[k] is q times row k of the reduced form, for
+    # the last pivot q, once brought to that multiple
+    if not n:
+        return Matrix.zero(0, b.ncols)
+    q = mult[n - 1]
+    for k in range(n):
+        _rescale(rows, im or [None] * n, mult, k, q)
+    x = _canon([r[n:] for r in rows[:n]], im and [r[n:] for r in im[:n]], 1, b.ncols)
+    return x.scale(GQ_ONE / GaussQ(*q) if im else Fraction(1, q))
 
 
 def inverse(a: Matrix) -> Matrix:

@@ -43,7 +43,7 @@ import math
 from dataclasses import dataclass
 from operator import matmul
 
-from .errors import NotInOrbit, ShapeMismatch, TopSliceNotZero
+from .errors import NotInOrbit, ShapeMismatch
 from .linalg import Matrix, hstack, pivot_columns, rank, solve, vstack
 from .rmatrix import (
     ModShape,
@@ -52,7 +52,6 @@ from .rmatrix import (
     compose,
     extend_scalars,
     extend_scalars_rev,
-    from_slices,
     invert_end,
     scalar_end,
     scale_end,
@@ -189,7 +188,7 @@ def free_basis(e: RMap) -> RMap:
     parts = slices(e)
     pivots = pivot_columns(parts[0])
     d = e.src.order
-    return RMap(ModShape(len(pivots), d), e.src, d, [p.select_columns(pivots) for p in parts])
+    return RMap(ModShape(len(pivots), d), e.src, d, [p.take(cols=pivots) for p in parts])
 
 
 def coordinates(u: RMap, f: RMap) -> RMap:
@@ -263,7 +262,7 @@ def _inclusion(spec: OrbitSpec, i) -> RMap:
     d = spec.d
     src = ModShape(spec.tail_dim(i + 1), d)
     dst = ModShape(spec.tail_dim(i), d)
-    const = Matrix.identity(dst.rank).select_columns(range(spec.dims[i], dst.rank))
+    const = Matrix.identity(dst.rank).take(cols=slice(spec.dims[i], None))
     return RMap(src, dst, d, [const] + [Matrix.zero(dst.rank, src.rank)] * (d - 1))
 
 
@@ -274,7 +273,7 @@ def _scaled_projection(spec: OrbitSpec, i) -> RMap:
     dst = ModShape(spec.tail_dim(i + 1), d)
     # theta_i - Theta on V_i is the model point of the shifted scalars; drop block i's rows
     shifted = OrbitSpec(d, tuple((w, spec.thetas[i] - t) for w, t in spec.blocks[i:]))
-    return RMap(src, dst, d, [Matrix(p.rows[spec.dims[i]:], ncols=src.rank)
+    return RMap(src, dst, d, [p.take(slice(spec.dims[i], None))
                               for p in big_theta(shifted).parts])
 
 
@@ -327,7 +326,7 @@ def residue_slice(f: RMap) -> Matrix:
     """Residue (constant eps-slice) of a possibly rectangular map: the rows
     w_i eps^0 and columns v_j eps^0 of its constant slice."""
     f1, f2 = f.src.order // f.base, f.dst.order // f.base
-    return Matrix([row[::f1] for row in f.parts[0].rows[::f2]], ncols=f.src.rank)
+    return f.parts[0].take(slice(None, None, f2), slice(None, None, f1))
 
 
 def leg_factorize(spec: OrbitSpec, a_end: RMap, witness=None) -> LegPoint:
@@ -360,30 +359,6 @@ def leg_factorize(spec: OrbitSpec, a_end: RMap, witness=None) -> LegPoint:
     b = slice_restrict_rev(d, bases[1])
     dims = tuple(spec.tail_dim(i) for i in range(l + 1))
     return LegPoint(d, dims, tuple(down), tuple(up), a, b)
-
-
-# -- shifting between full and constant-free coordinates ---------------------------
-
-def shift_decompose(a_end: RMap):
-    """Split off the top eps-slice: A = eps^(d-1) top + rest."""
-    parts = slices(a_end)
-    d = a_end.src.order
-    top = parts[d - 1]
-    rest = from_slices(parts[:-1] + [Matrix.zero(top.nrows, top.ncols)], d)
-    return top, rest
-
-
-def shift_map(b_end: RMap, m: Matrix, zeta: GaussQ) -> RMap:
-    """B - eps^(d-1) (m + zeta Id), for B with vanishing top slice."""
-    parts = slices(b_end)
-    d = b_end.src.order
-    if not parts[d - 1].is_zero():
-        raise TopSliceNotZero("input already has a top eps-slice")
-    n = b_end.src.rank
-    if m.nrows != n or m.ncols != n:
-        raise ShapeMismatch("shift matrix has wrong size")
-    top = -(m + Matrix.identity(n).scale(zeta))
-    return from_slices(parts[:-1] + [top], d)
 
 
 def orbit_dimension(spec: OrbitSpec) -> int:

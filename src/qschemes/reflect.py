@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from types import MappingProxyType
 
 from .errors import EmptyLevelSet, LengthMismatch, NotAUnit, NotInLevelSet
-from .linalg import Matrix, hstack, vstack
+from .linalg import hstack, vstack
 from .orbit import OrbitSpec, canonical_leg_point, coordinates, free_basis
 from .quiver import QuiverMult, double
 from .repn import (
@@ -47,7 +47,6 @@ from .repn import (
 from .rmatrix import (
     ModShape,
     RMap,
-    _lower,
     compose,
     extend_scalars,
     extend_scalars_rev,
@@ -61,7 +60,7 @@ from .rmatrix import (
     zero_map,
 )
 from .rng import SplitMix64
-from .scalars import GQ_ZERO, TruncScalar, trunc_inv
+from .scalars import TruncScalar, trunc_inv
 from .weyl import check_params, reflect_dim
 
 
@@ -128,12 +127,12 @@ def unsplit(q: QuiverMult, v, s: SplitAtVertex) -> Representation:
         src = ModShape(v[h.source], mults[h.source])
         dst = ModShape(v[h.target], mults[h.target])
         xb = RMap(ModShape(dim, 1), s.into.dst, 1,
-                  [s.into.flat.select_columns(range(pos, pos + dim))])
+                  [s.into.flat.take(cols=slice(pos, pos + dim))])
         if h.sign < 0:
             xb = -xb
         maps[h.name] = slice_extend(src, dst, h.base, xb)
         yb = RMap(s.outof.src, ModShape(dim, 1), 1,
-                  [Matrix(s.outof.flat.rows[pos:pos + dim], ncols=s.outof.src.dim)])
+                  [s.outof.flat.take(slice(pos, pos + dim))])
         maps[h.reversed_name] = slice_extend_rev(dst, src, h.base, yb)
         pos += dim
     return Representation(q, v, maps)
@@ -228,91 +227,3 @@ def reflection_functor(rep: Representation, i, lam) -> Representation:
     new_v = reflect_dim(q, q_i, rep.v)
     s2 = SplitAtVertex(q_i, s.blocks, new_into, new_outof, s.rest)
     return unsplit(q, new_v, s2)
-
-
-def braid_probe(rep: Representation, lam, i, j) -> dict:
-    """Experimental comparison of the two alternating functor words at i, j.
-
-    Applies the functor m times alternating starting from each of the two
-    vertices (m the Coxeter order of the pair) and reports gauge-invariant
-    data of both endpoints: traces of the products along each arrow pair and
-    of powers of the vertex factorization component.  Whether these agree is
-    a conjecture, so callers get a report, never an assertion.
-
-    The input must satisfy the moment condition at both vertices; every
-    intermediate parameter must stay a unit at its active vertex, otherwise
-    the report marks the probe as not applicable.
-    """
-    from .weyl import coxeter_order, reflect_param as _reflect_param
-
-    q = rep.quiver
-    i, j = q.index(i), q.index(j)
-    m = coxeter_order(q, i, j)
-    if m == float("inf"):
-        return {"applicable": False, "reason": "infinite order pair"}
-
-    def run_word(start):
-        cur_rep, cur_lam = rep, check_params(q, lam)
-        word = [start if k % 2 == 0 else (j if start == i else i) for k in range(m)]
-        for vertex in word:
-            if not cur_lam[vertex].is_unit():
-                return None, word
-            cur_rep = reflection_functor(cur_rep, vertex, cur_lam)
-            cur_lam = _reflect_param(q, vertex, cur_lam)
-        return cur_rep, word
-
-    out1, word1 = run_word(i)
-    out2, word2 = run_word(j)
-    if out1 is None or out2 is None:
-        return {"applicable": False, "reason": "parameter became a non-unit"}
-
-    def invariants(r):
-        from .rmatrix import trace_r, trace_base
-
-        data = {}
-        for h in r.arrows:
-            if h.sign < 0:
-                continue
-            prod = compose(r.map(h.reversed_name), r.map(h.name))
-            data[f"loop({h.name})"] = str(trace_base(prod, h.base))
-        for vertex in (i, j):
-            a, _ = phi(r, vertex)
-            power = a
-            for p in range(1, a.src.rank * a.src.order + 1):
-                data[f"phi({q.name(vertex)})^{p}"] = str(trace_r(power))
-                if p < a.src.rank * a.src.order:
-                    power = compose(power, a)
-        return data
-
-    inv1, inv2 = invariants(out1), invariants(out2)
-    return {
-        "applicable": True,
-        "words": [[q.name(x) for x in word1], [q.name(x) for x in word2]],
-        "endpoint_dims": [list(out1.v), list(out2.v)],
-        "invariants": [inv1, inv2],
-        "agree": inv1 == inv2 and out1.v == out2.v,
-    }
-
-
-def split_gauge(q: QuiverMult, v, i, g) -> RMap:
-    """Induced unit on the stacked slice module from a per-vertex gauge tuple.
-
-    Block h acts by the source gauge element rewritten over the arrow's common
-    subring and induced up to order d_i: its slice m over R_base becomes the
-    block's slice m * f_out over R_{d_i}.
-    """
-    q_i = q.index(i)
-    d_i = q.mults[q_i]
-    arrows = incoming_arrows(q, q_i)
-    dims = [h.f_in * v[h.source] for h in arrows]
-    tilde = sum(dims)
-    shape = ModShape(tilde, d_i)
-    parts = [[[GQ_ZERO] * tilde for _ in range(tilde)] for _ in range(d_i)]
-    offset = 0
-    for h, dim in zip(arrows, dims):
-        for m, gm in enumerate(_lower(g[h.source], h.base)):
-            block = parts[m * h.f_out]
-            for r, row in enumerate(gm.rows):
-                block[offset + r][offset:offset + dim] = row
-        offset += dim
-    return RMap(shape, shape, d_i, [Matrix(rows, ncols=tilde) for rows in parts])

@@ -120,18 +120,6 @@ class Representation:
             raise ShapeMismatch("representations live on different spaces")
 
 
-def zero_rep(q: QuiverMult, v) -> Representation:
-    mults = q.mults
-    maps = {}
-    for h in double(q):
-        maps[h.name] = zero_map(
-            ModShape(v[h.source], mults[h.source]),
-            ModShape(v[h.target], mults[h.target]),
-            h.base,
-        )
-    return Representation(q, v, maps)
-
-
 # -- random maps linear over a common subring ------------------------------------
 
 def random_linear_map(rng: SplitMix64, src: ModShape, dst: ModShape, base: int) -> RMap:

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     MismatchedOrder,
@@ -31,8 +32,8 @@ from .errors import (
     NotLinearOverBase,
     ShapeMismatch,
 )
-from .linalg import Matrix, hstack, inverse, vstack
-from .scalars import GQ_ZERO, GaussQ, TruncScalar
+from .linalg import Matrix, _canon, hstack, inverse, vstack
+from .scalars import GaussQ, TruncScalar
 
 
 @dataclass(frozen=True)
@@ -62,14 +63,15 @@ class RMap:
             )
         parts = tuple(parts)
         nrows, ncols = dst.dim // base, src.dim // base
-        if len(parts) != base or any(
-            p.nrows != nrows or p.ncols != ncols for p in parts
-        ):
+        if len(parts) != base:
             raise ShapeMismatch(f"need {base} slices of size {nrows}x{ncols}")
-        object.__setattr__(self, "src", src)
-        object.__setattr__(self, "dst", dst)
-        object.__setattr__(self, "base", base)
-        object.__setattr__(self, "parts", parts)
+        for p in parts:
+            if p.nrows != nrows or p.ncols != ncols:
+                raise ShapeMismatch(f"need {base} slices of size {nrows}x{ncols}")
+        _SET_SRC(self, src)
+        _SET_DST(self, dst)
+        _SET_BASE(self, base)
+        _SET_PARTS(self, parts)
 
     def __setattr__(self, name, value):
         raise AttributeError("RMap is immutable")
@@ -86,8 +88,8 @@ class RMap:
         if flat.nrows != dst.dim or flat.ncols != src.dim:
             raise ShapeMismatch(f"flat is {flat.nrows}x{flat.ncols}, expected {dst.dim}x{src.dim}")
         f_in = src.order // base
-        block = RMap(ModShape(src.rank * f_in, 1), dst, 1, [flat.select_columns(
-            [j * src.order + l for j in range(src.rank) for l in range(f_in)])])
+        block = RMap(ModShape(src.rank * f_in, 1), dst, 1, [flat.take(cols=[
+            j * src.order + l for j in range(src.rank) for l in range(f_in)])])
         g = slice_extend(src, dst, base, block)
         if g.flat != flat:
             raise NotLinearOverBase(f"matrix does not commute with eps^({f_in})")
@@ -146,6 +148,11 @@ class RMap:
         )
 
 
+_SET_SRC = RMap.src.__set__
+_SET_DST = RMap.dst.__set__
+_SET_BASE = RMap.base.__set__
+_SET_PARTS = RMap.parts.__set__
+
 # REnd is an RMap with src == dst and base == src.order.
 REnd = RMap
 
@@ -165,34 +172,26 @@ def _lower(f: RMap, c: int) -> tuple:
     if r == 1:
         return f.parts
     f1, f2 = f.src.order // f.base, f.dst.order // f.base
-    zero = (GQ_ZERO,) * f1
-    out = []
-    for m in range(c):
-        rows = []
-        for i in range(f.dst.rank):
-            for t in range(r):
-                for l2 in range(f2):
-                    row = []
-                    for j in range(f.src.rank):
-                        for s in range(r):
-                            k = r * m + t - s
-                            if 0 <= k < f.base:
-                                row.extend(f.parts[k].rows[i * f2 + l2][j * f1:(j + 1) * f1])
-                            else:
-                                row.extend(zero)
-                    rows.append(row)
-        out.append(Matrix(rows, ncols=f.src.rank * f1 * r))
-    return tuple(out)
+    den = math.lcm(*[p.den for p in f.parts])
+    scaled = [p._scaled(den) for p in f.parts]
+    # r - 1 zero slices on either side stand for the indices outside 0..f.base-1
+    pad = [[[0] * (f.src.rank * f1)] * (f.dst.rank * f2)] * (r - 1)
+
+    def block(m, part):
+        nums = pad + [s[part] or pad[0] for s in scaled] + pad
+        return [[x for j in range(f.src.rank) for s in range(r)
+                 for x in nums[r * m + t - s + r - 1][i * f2 + l2][j * f1:(j + 1) * f1]]
+                for i in range(f.dst.rank) for t in range(r) for l2 in range(f2)]
+
+    nonreal = any(p.im is not None for p in f.parts)
+    return tuple(_canon(block(m, 0), block(m, 1) if nonreal else None, den, f.src.rank * f1 * r)
+                 for m in range(c))
 
 
 def zero_map(src: ModShape, dst: ModShape, base=None) -> RMap:
     if base is None:
         base = math.gcd(src.order, dst.order)
     return RMap(src, dst, base, [Matrix.zero(dst.dim // base, src.dim // base)] * base)
-
-
-def identity_end(shape: ModShape) -> REnd:
-    return scalar_end(TruncScalar.const(shape.order, 1), shape.rank)
 
 
 def scalar_end(c: TruncScalar, rank: int) -> REnd:
@@ -236,10 +235,9 @@ def trace_base(f: RMap, c: int) -> TruncScalar:
         raise NotLinearOverBase(f"map is not R_{c}-linear")
     coeffs = []
     for p in _lower(f, c):
-        acc = GQ_ZERO
-        for k in range(p.nrows):
-            acc = acc + p.rows[k][k]
-        coeffs.append(acc)
+        re = sum(r[k] for k, r in enumerate(p.re))
+        im = sum(r[k] for k, r in enumerate(p.im)) if p.im else 0
+        coeffs.append(GaussQ(Fraction(re, p.den), Fraction(im, p.den)))
     return TruncScalar(c, coeffs)
 
 
@@ -279,7 +277,7 @@ def pr_cd(z: RMap) -> REnd:
             for l1 in range(q):
                 p = q * m + q - 1 + l2 - l1
                 if p < d:
-                    out[p] = out[p] + Matrix([row[l1::q] for row in a.rows[l2::q]], ncols=n)
+                    out[p] = out[p] + a.take(slice(l2, None, q), slice(l1, None, q))
     return RMap(z.src, z.dst, d, out)
 
 
@@ -296,10 +294,9 @@ def slice_extend(src: ModShape, dst: ModShape, base: int, x: RMap) -> RMap:
     f_out = dst.order // base
     if x.src != ModShape(src.rank * f_in, 1) or x.dst != dst:
         raise ShapeMismatch("parameter block has the wrong shape")
-    rows = x.parts[0].rows
     return RMap(src, dst, base, [
-        Matrix([rows[i * dst.order + m * f_out + l]
-                for i in range(dst.rank) for l in range(f_out)], ncols=x.src.rank)
+        x.parts[0].take([i * dst.order + m * f_out + l
+                         for i in range(dst.rank) for l in range(f_out)])
         for m in range(base)
     ])
 
@@ -308,11 +305,11 @@ def slice_restrict(base: int, b: RMap) -> RMap:
     """Free parameter block of an R_base-linear map (inverse of slice_extend)."""
     dst = b.dst
     f_out = dst.order // base
-    parts = _lower(b, base)
-    rows = [parts[k // f_out].rows[i * f_out + k % f_out]
-            for i in range(dst.rank) for k in range(dst.order)]
-    ncols = b.src.dim // base
-    return RMap(ModShape(ncols, 1), dst, 1, [Matrix(rows, ncols=ncols)])
+    # row i*f_out + l of slice m is row i*order + m*f_out + l of the block
+    rows = dst.dim // base
+    block = vstack(_lower(b, base)).take([(k // f_out) * rows + i * f_out + k % f_out
+                                          for i in range(dst.rank) for k in range(dst.order)])
+    return RMap(ModShape(b.src.dim // base, 1), dst, 1, [block])
 
 
 def slice_extend_rev(src: ModShape, dst: ModShape, base: int, y: RMap) -> RMap:
@@ -327,8 +324,8 @@ def slice_extend_rev(src: ModShape, dst: ModShape, base: int, y: RMap) -> RMap:
     if y.src != src or y.dst != ModShape(dst.rank * f_out, 1):
         raise ShapeMismatch("slice map has the wrong shape")
     return RMap(src, dst, base, [
-        y.parts[0].select_columns([j * src.order + (base - 1 - m) * f_in + l
-                                   for j in range(src.rank) for l in range(f_in)])
+        y.parts[0].take(cols=[j * src.order + (base - 1 - m) * f_in + l
+                              for j in range(src.rank) for l in range(f_in)])
         for m in range(base)
     ])
 
@@ -337,13 +334,12 @@ def slice_restrict_rev(base: int, b: RMap) -> RMap:
     """Slice map of an R_base-linear map (inverse of slice_extend_rev)."""
     src = b.src
     f_in = src.order // base
-    parts = _lower(b, base)
-    rows = [
-        [parts[base - 1 - k // f_in].rows[r][j * f_in + k % f_in]
-         for j in range(src.rank) for k in range(src.order)]
-        for r in range(b.dst.dim // base)
-    ]
-    return RMap(src, ModShape(b.dst.dim // base, 1), 1, [Matrix(rows, ncols=src.dim)])
+    # column j*f_in + l of slice m is column j*order + (base-1-m)*f_in + l
+    cols = src.dim // base
+    block = hstack(_lower(b, base)).take(cols=[
+        (base - 1 - k // f_in) * cols + j * f_in + k % f_in
+        for j in range(src.rank) for k in range(src.order)])
+    return RMap(src, ModShape(b.dst.dim // base, 1), 1, [block])
 
 
 def extend_scalars(x: RMap) -> RMap:

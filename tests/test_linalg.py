@@ -1,20 +1,32 @@
 """Differential tests of the exact linear-algebra kernels.
 
-``Matrix.__matmul__`` and ``_echelon`` compute over integer numerators; the
-oracles here are the schoolbook ``GaussQ`` product and Gauss-Jordan
-elimination they replaced, which must give exactly the same entries and
-pivots.  sympy's ``DomainMatrix`` over ``QQ_I`` is an independent check of
-rank, solve and inverse on real and non-real matrices.
+``Matrix`` stores integer numerators over a shared denominator, and
+``Matrix.__matmul__`` and ``_echelon`` compute over Z or Z[i]; the oracles
+here are the schoolbook ``GaussQ`` product and Gauss-Jordan elimination they
+replaced, which must give exactly the same entries and pivots.  sympy's
+``DomainMatrix`` over ``QQ_I`` is an independent check of rank, solve and
+inverse on real and non-real matrices.  ``TestCanonicalForm`` checks that
+every operation leaves the stored form canonical.
 """
 
 import random
 from fractions import Fraction
 from itertools import product
+from math import gcd
 
 import pytest
 
 from qschemes.errors import NotInvertible, ShapeMismatch
-from qschemes.linalg import Matrix, _echelon, hstack, inverse, pivot_columns, rank, solve
+from qschemes.linalg import (
+    Matrix,
+    _echelon,
+    hstack,
+    inverse,
+    pivot_columns,
+    rank,
+    solve,
+    vstack,
+)
 from qschemes.scalars import GQ_ONE, GQ_ZERO, GaussQ
 
 KINDS = ("integer", "fraction", "gaussian", "sparse")
@@ -81,6 +93,22 @@ def invertible(rng, kind, n):
             return a
 
 
+def echelon_read_back(mat, ncols):
+    """_echelon on mat's numerator rows; the pivots and every row read back as
+    GaussQ: row k divided by its multiple, and the rows below the pivots also
+    by the shared denominator (the schoolbook rows of den * mat are den times
+    those of mat)."""
+    rows, im, mult = list(mat.re), mat.im and list(mat.im), []
+    pivots = _echelon(rows, ncols, im, mult)
+    out = []
+    for k, row in enumerate(rows):
+        q = GaussQ(*mult[k]) if im else GaussQ(mult[k])
+        if k >= len(pivots):
+            q = q * mat.den
+        out.append([GaussQ(a, im[k][j] if im else 0) / q for j, a in enumerate(row)])
+    return pivots, out
+
+
 def all_gaussq(mat_rows):
     return all(type(x) is GaussQ for r in mat_rows for x in r)
 
@@ -119,9 +147,9 @@ class TestEchelon:
             # extra columns take part in the row operations but not in the
             # pivot search, as the right-hand sides do in solve
             aug = hstack([a, random_matrix(rng, kind, m, extra)])
-            rows = [list(r) for r in aug.rows]
             want = [list(r) for r in aug.rows]
-            assert _echelon(rows, n) == oracle_echelon(want, n)
+            pivots, rows = echelon_read_back(aug, n)
+            assert pivots == oracle_echelon(want, n)
             assert rows == want
             assert all_gaussq(rows)
 
@@ -185,6 +213,117 @@ class TestSolveInverse:
             inverse(random_matrix(rng, kind, 2, 3))
 
 
+def assert_canonical(mat):
+    """den > 0 and coprime to the numerators; im None exactly when real."""
+    assert len(mat.re) == mat.nrows and all(len(r) == mat.ncols for r in mat.re)
+    nums = [x for block in (mat.re, mat.im or []) for r in block for x in r]
+    assert mat.den > 0 and gcd(mat.den, *nums) == 1
+    assert (mat.im is None) == all(not x.im for r in mat.rows for x in r)
+    if mat.im is not None:
+        assert len(mat.im) == mat.nrows and all(len(r) == mat.ncols for r in mat.im)
+
+
+def fields(mat):
+    return mat.nrows, mat.ncols, mat.den, mat.re, mat.im
+
+
+def entrywise(op, *mats):
+    """The oracle: op applied to the GaussQ entries."""
+    return Matrix([[op(*xs) for xs in zip(*rs)] for rs in zip(*(m.rows for m in mats))],
+                  ncols=mats[0].ncols)
+
+
+class TestCanonicalForm:
+    SCALARS = (GaussQ(0, 1), GaussQ(Fraction(2, 3), Fraction(-1, 5)), GaussQ(Fraction(-7, 4)),
+               GaussQ(0), GaussQ(1))
+
+    @pytest.mark.parametrize("kind_a,kind_b", list(product(KINDS, KINDS)))
+    def test_operations(self, kind_a, kind_b):
+        rng = random.Random(f"canonical/{kind_a}/{kind_b}")
+        for _ in range(8):
+            m, n = rng.randint(0, 4), rng.randint(0, 4)
+            a, b = random_matrix(rng, kind_a, m, n), random_matrix(rng, kind_b, m, n)
+            cases = [
+                (a + b, entrywise(lambda x, y: x + y, a, b)),
+                (a - b, entrywise(lambda x, y: x - y, a, b)),
+                (-a, entrywise(lambda x: -x, a)),
+                (a - a, Matrix.zero(m, n)),
+            ]
+            for c in self.SCALARS:
+                cases.append((a.scale(c), entrywise(lambda x: x * c, a)))
+            for got, want in cases:
+                assert_canonical(got)
+                assert got == want and fields(got) == fields(want)
+                assert hash(got) == hash(want)
+
+    def test_cancellation(self):
+        x = Matrix([[GaussQ(Fraction(1, 2), 1), GaussQ(Fraction(1, 3))]])
+        y = Matrix([[GaussQ(Fraction(1, 2), -1), GaussQ(Fraction(-1, 3))]])
+        s = x + y
+        assert_canonical(s)
+        assert (s.den, s.re, s.im) == (1, [[1, 0]], None)
+        assert (x - x).den == 1 and (x - x).im is None and (x - x).is_zero()
+        assert x.scale(GaussQ(0, 1)).scale(GaussQ(0, -1)) == x
+        assert_canonical(x.scale(GaussQ(0, 1)))
+
+    def test_stacking_mixed_denominators(self):
+        halves = Matrix([[GaussQ(Fraction(1, 2)), GaussQ(3)]])
+        thirds = Matrix([[GaussQ(Fraction(2, 3), Fraction(1, 3)), GaussQ(0)]])
+        whole = Matrix([[GaussQ(5), GaussQ(0, 1)]])
+        for mats in ([halves, thirds], [thirds, whole], [halves, whole], [whole, whole],
+                     [halves, thirds, whole]):
+            h, v = hstack(mats), vstack(mats)
+            for got in (h, v):
+                assert_canonical(got)
+            assert h.rows == (sum((r.rows[0] for r in mats), ()),)
+            assert v.rows == tuple(r.rows[0] for r in mats)
+        assert hstack([halves, thirds]).den == vstack([halves, thirds]).den == 6
+
+    def test_take(self):
+        rng = random.Random("take")
+        for kind in KINDS:
+            a = random_matrix(rng, kind, 5, 6)
+            for rows, cols in ((None, None), (slice(1, None, 2), None), (None, slice(None, None, 3)),
+                               ([4, 0, 0], [5, 1]), (range(2, 4), slice(0, 0)), ([], None)):
+                got = a.take(rows, cols)
+                assert_canonical(got)
+                ri = range(5) if rows is None else (range(5)[rows] if type(rows) is slice else rows)
+                ci = range(6) if cols is None else (range(6)[cols] if type(cols) is slice else cols)
+                assert (got.nrows, got.ncols) == (len(ri), len(ci))
+                assert got.rows == tuple(tuple(a[i, j] for j in ci) for i in ri)
+        # dropping the only non-real entry and the only fractional one
+        a = Matrix([[GaussQ(1), GaussQ(Fraction(1, 4), 2)], [GaussQ(3), GaussQ(5)]])
+        left = a.take(cols=[0])
+        assert (left.den, left.re, left.im) == (1, [[1], [3]], None)
+        assert a.take(rows=slice(1, 2)).den == 1
+
+    def test_transpose_and_empty_shapes(self):
+        rng = random.Random("transpose")
+        for kind in KINDS:
+            for m, n in ((0, 3), (3, 0), (0, 0), (2, 4)):
+                a = random_matrix(rng, kind, m, n)
+                t = a.transpose()
+                assert_canonical(a)
+                assert_canonical(t)
+                assert (t.nrows, t.ncols) == (n, m)
+                assert t.rows == tuple(zip(*a.rows)) or m == 0
+                assert t.transpose() == a
+        for z in (Matrix.zero(0, 3), Matrix([], ncols=3), vstack([Matrix.zero(0, 3)] * 2),
+                  Matrix([[GaussQ(0, 1)] * 3]).take(rows=[])):
+            assert_canonical(z)
+            assert fields(z) == (0, 3, 1, [], None) and z == Matrix.zero(0, 3)
+            assert hash(z) == hash(Matrix.zero(0, 3))
+
+    def test_equal_values_equal_fields(self):
+        rng = random.Random("equal-fields")
+        for kind in KINDS:
+            a, b = random_matrix(rng, kind, 3, 3), random_matrix(rng, kind, 3, 3)
+            c = (a + b) - b
+            assert fields(c) == fields(a) and hash(c) == hash(a)
+            d = Matrix(a.rows)
+            assert fields(d) == fields(a) and hash(d) == hash(a)
+
+
 class TestAgainstSympy:
     """rank, pivots, solve and inverse against DomainMatrix over QQ_I."""
 
@@ -228,3 +367,18 @@ class TestAgainstSympy:
             assert inverse(a) == from_dm(dm.inv())
             b = random_matrix(rng, kind, n, rng.randint(1, 3))
             assert solve(a, b) == from_dm(dm.lu_solve(to_dm(b)))
+
+    def test_large_nonreal(self, qq_i):
+        to_dm, from_dm = qq_i
+        rng = random.Random("sympy/large")
+        a = random_matrix(rng, "gaussian", 24, 24)
+        dm = to_dm(a)
+        assert rank(a) == dm.rank() == 24
+        assert inverse(a) == from_dm(dm.inv())
+        b = random_matrix(rng, "gaussian", 24, 2)
+        assert solve(a, b) == from_dm(dm.lu_solve(to_dm(b)))
+        # rank at most 17; the product is checked against its oracle in TestMatmul
+        low = random_matrix(rng, "gaussian", 24, 17) @ random_matrix(rng, "gaussian", 17, 24)
+        pivots = to_dm(low).rref()[1]
+        assert tuple(pivot_columns(low)) == pivots
+        assert rank(low) == len(pivots) <= 17

@@ -22,15 +22,12 @@ from qschemes.orbit import (
     orbit_membership,
     random_conjugate,
     random_non_member,
-    shift_decompose,
-    shift_map,
 )
 from qschemes.rmatrix import (
     ModShape,
     RMap,
     compose,
     from_slices,
-    identity_end,
     scalar_end,
     scale_end,
     slices,
@@ -38,6 +35,8 @@ from qschemes.rmatrix import (
 )
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar, trunc_inv
+
+from helpers import identity_end, shift_decompose, shift_map
 
 G = GaussQ
 T = TruncScalar

@@ -10,7 +10,6 @@ from qschemes.reflect import (
     random_level_point,
     reflection_functor,
     split,
-    split_gauge,
     tilde_dimension,
     unsplit,
 )
@@ -22,7 +21,6 @@ from qschemes.repn import (
     random_gauge,
     random_params,
     random_rep,
-    zero_rep,
 )
 from qschemes.rmatrix import (
     ModShape,
@@ -35,6 +33,8 @@ from qschemes.rmatrix import (
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar, trunc_inv
 from qschemes.weyl import reflect_dim, reflect_param
+
+from helpers import braid_probe, split_gauge, zero_rep
 
 G = GaussQ
 T = TruncScalar
@@ -310,8 +310,6 @@ class TestBraidProbe:
         return q, Representation(q, (1, 1, 1), maps), lam
 
     def test_probe_runs_and_reports(self):
-        from qschemes.reflect import braid_probe
-
         q, rep, lam = self._joint_level_chain_point()
         assert moment_component(rep, "i") == scalar_end(-lam[0], 1)
         assert moment_component(rep, "k") == scalar_end(-lam[2], 1)
@@ -321,16 +319,12 @@ class TestBraidProbe:
         print(f"braid probe agreement (conjectural, not asserted): {out['agree']}")
 
     def test_probe_reports_dead_parameter(self, a2, a2_rep):
-        from qschemes.reflect import braid_probe
-
         lam = (T(1, [6]), T(1, [-6]))
         out = braid_probe(a2_rep, lam, "1", "2")
         assert out == {"applicable": False, "reason": "parameter became a non-unit"}
 
     def test_probe_infinite_pair(self):
         from qschemes.corpus import extra_kronecker
-        from qschemes.reflect import braid_probe
-
         q = extra_kronecker()
         rep = zero_rep(q, (0, 0))
         lam = random_params(q, 1)

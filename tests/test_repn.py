@@ -18,7 +18,6 @@ from qschemes.repn import (
     random_rep,
     symplectic_form,
     symplectic_form_signed,
-    zero_rep,
 )
 from qschemes.rmatrix import (
     ModShape,
@@ -33,6 +32,8 @@ from qschemes.rmatrix import (
 )
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar
+
+from helpers import identity_end, zero_rep
 
 G = GaussQ
 T = TruncScalar
@@ -221,8 +222,6 @@ class TestGauge:
     def test_identity_gauge(self, mixed_quiver):
         v = (1, 2, 1)
         rep = random_rep(mixed_quiver, v, 4)
-        from qschemes.rmatrix import identity_end
-
         g = [identity_end(ModShape(v[i], mixed_quiver.mults[i])) for i in range(3)]
         assert gauge(rep, g) == rep
 

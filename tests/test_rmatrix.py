@@ -17,7 +17,6 @@ from qschemes.rmatrix import (
     extend_scalars,
     extend_scalars_rev,
     from_slices,
-    identity_end,
     invert_end,
     pair_d,
     pr_cd,
@@ -31,6 +30,8 @@ from qschemes.rmatrix import (
 )
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar, residue_pair
+
+from helpers import identity_end
 
 G = GaussQ
 

@@ -5,8 +5,10 @@ from qschemes.corpus import example_chain, example_double
 from qschemes.orbit import OrbitSpec, canonical_leg_point
 from qschemes.quiver import parse_quiver, serialize_quiver
 from qschemes.repn import random_params, random_rep
-from qschemes.rmatrix import ModShape, identity_end
+from qschemes.rmatrix import ModShape
 from qschemes.scalars import GaussQ, TruncScalar
+
+from helpers import identity_end
 
 
 class TestRoundTrips:
