@@ -171,6 +171,11 @@ class Matrix:
         return _new(list(map(list, zip(*self.re))), self.im and list(map(list, zip(*self.im))),
                     self.den, self.nrows)
 
+    def trace(self) -> GaussQ:
+        """Sum of the diagonal entries of a square matrix."""
+        im = sum(r[k] for k, r in enumerate(self.im)) if self.im else 0
+        return _entry(sum(r[k] for k, r in enumerate(self.re)), im, self.den)
+
     def is_zero(self) -> bool:
         return self.im is None and not any(map(any, self.re))
 

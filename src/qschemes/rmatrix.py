@@ -22,7 +22,6 @@ from __future__ import annotations
 import math
 import operator
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     MismatchedOrder,
@@ -233,12 +232,7 @@ def trace_base(f: RMap, c: int) -> TruncScalar:
         raise NotEndomorphism("trace of a non-square map")
     if f.base % c != 0:
         raise NotLinearOverBase(f"map is not R_{c}-linear")
-    coeffs = []
-    for p in _lower(f, c):
-        re = sum(r[k] for k, r in enumerate(p.re))
-        im = sum(r[k] for k, r in enumerate(p.im)) if p.im else 0
-        coeffs.append(GaussQ(Fraction(re, p.den), Fraction(im, p.den)))
-    return TruncScalar(c, coeffs)
+    return TruncScalar(c, [p.trace() for p in _lower(f, c)])
 
 
 def trace_r(f: REnd) -> TruncScalar:
