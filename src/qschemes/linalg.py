@@ -36,7 +36,7 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
-from operator import add, itemgetter, mul
+from operator import add, itemgetter, mul, sub
 
 from .errors import NotInvertible, ShapeMismatch
 from .scalars import GQ_ONE, GQ_ZERO, GaussQ, _coerce
@@ -251,7 +251,12 @@ def _lincomb(a, fa, b, fb):
         return a if a is None or fa == 1 else _times(a, fa)
     if a is None or not fa:
         return b if fb == 1 else _times(b, fb)
-    return [list(map(add, map(fa.__mul__, r), map(fb.__mul__, s))) for r, s in zip(a, b)]
+    if fa != 1:
+        a = _times(a, fa)
+    if fb not in (1, -1):
+        b = _times(b, fb)
+    op = sub if fb == -1 else add
+    return [list(map(op, r, s)) for r, s in zip(a, b)]
 
 
 def _dots(rows, cols):
