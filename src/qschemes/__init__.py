@@ -74,8 +74,6 @@ from .rmatrix import (
 from .scalars import (
     GaussQ,
     TruncScalar,
-    embed_subring,
-    residue_pair,
     trunc_inv,
     trunc_mul,
 )

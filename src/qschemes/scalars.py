@@ -15,7 +15,7 @@ from __future__ import annotations
 import re as _re
 from fractions import Fraction
 
-from .errors import MismatchedOrder, NotAUnit, NotDivisible
+from .errors import MismatchedOrder, NotAUnit
 
 _FRAC = r"-?\d+(?:/\d+)?"
 _GQ_RE = _re.compile(rf"^({_FRAC})(?:\s*([+-])\s*({_FRAC})i)?$")
@@ -256,26 +256,4 @@ def trunc_inv(a: TruncScalar) -> TruncScalar:
         for j in range(1, k + 1):
             acc = acc + a.coeffs[j] * out[k - j]
         out[k] = -acc * inv0
-    return TruncScalar(d, out)
-
-
-def residue_pair(f: TruncScalar, g: TruncScalar) -> GaussQ:
-    """Pairing <f,g>_d: the eps^(d-1) coefficient of f*g."""
-    f._check(g)
-    d = f.d
-    acc = GQ_ZERO
-    for k in range(d):
-        acc = acc + f.coeffs[k] * g.coeffs[d - 1 - k]
-    return acc
-
-
-def embed_subring(a: TruncScalar, d: int) -> TruncScalar:
-    """Image of a in R_d under eps_c -> eps_d^(d/c), for c dividing d."""
-    c = a.d
-    if d % c != 0:
-        raise NotDivisible(f"{c} does not divide {d}")
-    step = d // c
-    out = [GQ_ZERO] * d
-    for k, coeff in enumerate(a.coeffs):
-        out[k * step] = coeff
     return TruncScalar(d, out)

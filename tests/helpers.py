@@ -1,9 +1,9 @@
-"""Library-level helpers that only the tests call: the identity
-endomorphism, the zero representation, the top-slice shift maps, the gauge
-unit induced on a split vertex and the braid-word probe of the reflection
-functor."""
+"""Library-level helpers that only the tests call: the residue pairing and
+subring embedding of truncated scalars, the identity endomorphism, the zero
+representation, the top-slice shift maps, the gauge unit induced on a split
+vertex and the braid-word probe of the reflection functor."""
 
-from qschemes.errors import ShapeMismatch, TopSliceNotZero
+from qschemes.errors import NotDivisible, ShapeMismatch, TopSliceNotZero
 from qschemes.linalg import Matrix
 from qschemes.quiver import QuiverMult, double
 from qschemes.reflect import incoming_arrows, phi, reflection_functor
@@ -22,6 +22,28 @@ from qschemes.rmatrix import (
 )
 from qschemes.scalars import GQ_ZERO, GaussQ, TruncScalar
 from qschemes.weyl import check_params, coxeter_order, reflect_param
+
+
+def residue_pair(f: TruncScalar, g: TruncScalar) -> GaussQ:
+    """Pairing <f,g>_d: the eps^(d-1) coefficient of f*g."""
+    f._check(g)
+    d = f.d
+    acc = GQ_ZERO
+    for k in range(d):
+        acc = acc + f.coeffs[k] * g.coeffs[d - 1 - k]
+    return acc
+
+
+def embed_subring(a: TruncScalar, d: int) -> TruncScalar:
+    """Image of a in R_d under eps_c -> eps_d^(d/c), for c dividing d."""
+    c = a.d
+    if d % c != 0:
+        raise NotDivisible(f"{c} does not divide {d}")
+    step = d // c
+    out = [GQ_ZERO] * d
+    for k, coeff in enumerate(a.coeffs):
+        out[k * step] = coeff
+    return TruncScalar(d, out)
 
 
 def identity_end(shape: ModShape) -> RMap:

@@ -29,9 +29,9 @@ from qschemes.rmatrix import (
     trace_r,
 )
 from qschemes.rng import SplitMix64
-from qschemes.scalars import GaussQ, TruncScalar, residue_pair
+from qschemes.scalars import GaussQ, TruncScalar
 
-from helpers import identity_end
+from helpers import identity_end, residue_pair
 
 G = GaussQ
 

@@ -7,11 +7,11 @@ from qschemes.errors import MismatchedOrder, NotAUnit, NotDivisible
 from qschemes.scalars import (
     GaussQ,
     TruncScalar,
-    embed_subring,
-    residue_pair,
     trunc_inv,
     trunc_mul,
 )
+
+from helpers import embed_subring, residue_pair
 
 rationals = st.builds(
     Fraction, st.integers(-20, 20), st.integers(1, 9)

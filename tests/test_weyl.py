@@ -8,7 +8,7 @@ from qschemes.linalg import int_mat_mul, int_transpose
 from qschemes.quiver import QuiverMult, bilinear
 from qschemes.repn import random_params
 from qschemes.rng import SplitMix64
-from qschemes.scalars import GaussQ, TruncScalar, residue_pair
+from qschemes.scalars import GaussQ, TruncScalar
 from qschemes.weyl import (
     check_params,
     coxeter_order,
@@ -24,6 +24,8 @@ from qschemes.weyl import (
     transpose_action_matrix,
     verify_coxeter,
 )
+
+from helpers import residue_pair
 
 G = GaussQ
 T = TruncScalar
