@@ -82,10 +82,6 @@ class NotInOrbit(QschemeError):
     code = "not-in-orbit"
 
 
-class TopSliceNotZero(QschemeError):
-    code = "top-slice-not-zero"
-
-
 class EmptyLevelSet(QschemeError):
     code = "empty-level-set"
 

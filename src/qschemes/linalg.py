@@ -6,7 +6,7 @@ parts, and ``den`` the positive common denominator, so entry (i, j) is
 (re[i][j] + i im[i][j]) / den.  The form is canonical: gcd(den, every
 numerator) = 1, and ``im`` is None exactly when every entry is real.  Equal
 matrices therefore have equal fields, and ``==`` and ``hash`` read the fields.
-Rows are never mutated after construction, so matrices may share them.
+The blocks are tuples of tuples, so matrices can share them safely.
 ``GaussQ`` appears only at the boundary: ``Matrix(rows)`` parses rows of
 scalars, and entry access and the read-only ``rows`` view build ``GaussQ``
 entries on demand.  Degenerate shapes (0 rows or 0 columns) are legal and
@@ -58,10 +58,11 @@ class Matrix:
             ncols = 0
         # the lcm of reduced denominators leaves gcd(den, numerators) = 1
         den = lcm(*{f.denominator for r in rows for x in r for f in (x.re, x.im)})
-        im = [[x.im.numerator * (den // x.im.denominator) for x in r] for r in rows]
+        im = tuple(tuple(x.im.numerator * (den // x.im.denominator) for x in r) for r in rows)
         _SET_NROWS(self, len(rows))
         _SET_NCOLS(self, ncols)
-        _SET_RE(self, [[x.re.numerator * (den // x.re.denominator) for x in r] for r in rows])
+        _SET_RE(self, tuple(tuple(x.re.numerator * (den // x.re.denominator) for x in r)
+                            for r in rows))
         _SET_IM(self, im if any(map(any, im)) else None)
         _SET_DEN(self, den)
 
@@ -70,11 +71,11 @@ class Matrix:
 
     @staticmethod
     def zero(m, n) -> "Matrix":
-        return _new([[0] * n] * m, None, 1, n)
+        return _new(((0,) * n,) * m, None, 1, n)
 
     @staticmethod
     def identity(n) -> "Matrix":
-        return _new([[int(i == j) for j in range(n)] for i in range(n)], None, 1, n)
+        return _new(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), None, 1, n)
 
     @staticmethod
     def diagonal(entries) -> "Matrix":
@@ -86,7 +87,7 @@ class Matrix:
     def rows(self) -> tuple:
         """The entries as ``GaussQ``, row by row (built on each read)."""
         den = self.den
-        im = self.im or [[0] * self.ncols] * self.nrows
+        im = self.im or ((0,) * self.ncols,) * self.nrows
         return tuple(tuple(map(_entry, r, s, repeat(den))) for r, s in zip(self.re, im))
 
     def __getitem__(self, ij):
@@ -105,15 +106,7 @@ class Matrix:
         )
 
     def __hash__(self):
-        im = None if self.im is None else tuple(map(tuple, self.im))
-        return hash((self.nrows, self.ncols, self.den, tuple(map(tuple, self.re)), im))
-
-    def _scaled(self, den):
-        """(re, im) as numerators over den, a multiple of self.den."""
-        f = den // self.den
-        if f == 1:
-            return self.re, self.im
-        return _times(self.re, f), self.im and _times(self.im, f)
+        return hash((self.nrows, self.ncols, self.den, self.re, self.im))
 
     def __add__(self, other, sign=1):
         """self + sign * other."""
@@ -141,13 +134,13 @@ class Matrix:
         if not (self.nrows and self.ncols and other.ncols):
             return Matrix.zero(self.nrows, other.ncols)
         ar, ai, bi = self.re, self.im, other.im
-        br = list(zip(*other.re))
+        br = tuple(zip(*other.re))
         re = _dots(ar, br)
         if bi is None:
             im = ai and _dots(ai, br)
         else:
             # (Ar + i Ai)(Br + i Bi) = (ArBr - AiBi) + i (ArBi + AiBr)
-            bi = list(zip(*bi))
+            bi = tuple(zip(*bi))
             im = _dots(ar, bi)
             if ai is not None:
                 re = _lincomb(re, 1, _dots(ai, bi), -1)
@@ -168,8 +161,7 @@ class Matrix:
     def transpose(self) -> "Matrix":
         if not self.nrows:
             return Matrix.zero(self.ncols, 0)
-        return _new(list(map(list, zip(*self.re))), self.im and list(map(list, zip(*self.im))),
-                    self.den, self.nrows)
+        return _new(tuple(zip(*self.re)), self.im and tuple(zip(*self.im)), self.den, self.nrows)
 
     def trace(self) -> GaussQ:
         """Sum of the diagonal entries of a square matrix."""
@@ -229,20 +221,20 @@ def _canon(re, im, den, ncols) -> Matrix:
 
 def _gather(block, rows, cols):
     if rows is not None:
-        block = block[rows] if type(rows) is slice else list(map(block.__getitem__, rows))
+        block = block[rows] if type(rows) is slice else tuple(map(block.__getitem__, rows))
     if cols is None:
         return block
     if type(cols) is slice:
-        return list(map(itemgetter(cols), block))
-    return [list(map(r.__getitem__, cols)) for r in block]
+        return tuple(map(itemgetter(cols), block))
+    return tuple([tuple(map(r.__getitem__, cols)) for r in block])
 
 
 def _times(block, f):
-    return [list(map(f.__mul__, r)) for r in block]
+    return tuple([tuple(map(f.__mul__, r)) for r in block])
 
 
 def _exact_div(block, g):
-    return [list(map(g.__rfloordiv__, r)) for r in block]
+    return tuple([tuple(map(g.__rfloordiv__, r)) for r in block])
 
 
 def _lincomb(a, fa, b, fb):
@@ -256,13 +248,13 @@ def _lincomb(a, fa, b, fb):
     if fb not in (1, -1):
         b = _times(b, fb)
     op = sub if fb == -1 else add
-    return [list(map(op, r, s)) for r, s in zip(a, b)]
+    return tuple([tuple(map(op, r, s)) for r, s in zip(a, b)])
 
 
 def _dots(rows, cols):
     """Integer matrix product, from the rows of one factor and the columns of
     the other."""
-    return [[sum(map(mul, r, c)) for c in cols] for r in rows]
+    return tuple([tuple([sum(map(mul, r, c)) for c in cols]) for r in rows])
 
 
 def _entry(re, im, den):
@@ -279,11 +271,11 @@ def vstack(mats) -> Matrix:
 
 
 def _join_columns(blocks):
-    return [list(chain.from_iterable(rs)) for rs in zip(*blocks)]
+    return tuple([tuple(chain.from_iterable(rs)) for rs in zip(*blocks)])
 
 
 def _join_rows(blocks):
-    return list(chain.from_iterable(blocks))
+    return tuple(chain.from_iterable(blocks))
 
 
 def _stack(mats, shared, join):
@@ -302,13 +294,13 @@ def _stack(mats, shared, join):
     if len({getattr(a, shared) for a in mats}) != 1:
         raise ShapeMismatch(f"stacking matrices with differing {shared}")
     den = lcm(*[a.den for a in mats])
-    scaled = [a._scaled(den) for a in mats]
+    re = join([a.re if a.den == den else _times(a.re, den // a.den) for a in mats])
     im = None
     if any(a.im is not None for a in mats):
-        im = join([b if b is not None else [[0] * a.ncols] * a.nrows
-                   for a, (_, b) in zip(mats, scaled)])
+        im = join([((0,) * a.ncols,) * a.nrows if a.im is None
+                   else a.im if a.den == den else _times(a.im, den // a.den) for a in mats])
     ncols = sum(a.ncols for a in mats) if shared == "nrows" else mats[0].ncols
-    return _new(join([r for r, _ in scaled]), im, den, ncols)
+    return _new(re, im, den, ncols)
 
 
 def _echelon(rows, ncols, im=None, mult=None):
@@ -401,7 +393,7 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
         raise ShapeMismatch("row counts differ")
     n = a.ncols
     aug = hstack([a, b])
-    rows, im = aug.re[:], aug.im and aug.im[:]
+    rows, im = list(aug.re), aug.im and list(aug.im)
     mult = []
     pivots = _echelon(rows, n, im, mult)
     if len(pivots) != n:
@@ -416,7 +408,8 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     q = mult[n - 1]
     for k in range(n):
         _rescale(rows, im or [None] * n, mult, k, q)
-    x = _canon([r[n:] for r in rows[:n]], im and [r[n:] for r in im[:n]], 1, b.ncols)
+    x = _canon(tuple([tuple(r[n:]) for r in rows[:n]]),
+               im and tuple([tuple(r[n:]) for r in im[:n]]), 1, b.ncols)
     return x.scale(GQ_ONE / GaussQ(*q) if im else Fraction(1, q))
 
 

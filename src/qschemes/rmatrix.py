@@ -31,7 +31,7 @@ from .errors import (
     NotLinearOverBase,
     ShapeMismatch,
 )
-from .linalg import Matrix, _canon, hstack, inverse, vstack
+from .linalg import Matrix, hstack, inverse, vstack
 from .scalars import GaussQ, TruncScalar
 
 
@@ -171,20 +171,22 @@ def _lower(f: RMap, c: int) -> tuple:
     if r == 1:
         return f.parts
     f1, f2 = f.src.order // f.base, f.dst.order // f.base
-    den = math.lcm(*[p.den for p in f.parts])
-    scaled = [p._scaled(den) for p in f.parts]
     # r - 1 zero slices on either side stand for the indices outside 0..f.base-1
-    pad = [[[0] * (f.src.rank * f1)] * (f.dst.rank * f2)] * (r - 1)
+    pad = [Matrix.zero(f.dst.rank * f2, f.src.rank * f1)] * (r - 1)
+    parts = pad + list(f.parts) + pad
+    out = tuple(vstack([hstack([parts[r * m + t - s + r - 1] for s in range(r)])
+                        for t in range(r)]) for m in range(c))
+    if f.src.rank < 2 and f.dst.rank < 2:
+        return out
+    # the stacked blocks run over (t, i, l2) x (s, j, l1); take reorders them
+    rows, cols = _interleave(f.dst.rank, r, f2), _interleave(f.src.rank, r, f1)
+    return tuple(a.take(rows, cols) for a in out)
 
-    def block(m, part):
-        nums = pad + [s[part] or pad[0] for s in scaled] + pad
-        return [[x for j in range(f.src.rank) for s in range(r)
-                 for x in nums[r * m + t - s + r - 1][i * f2 + l2][j * f1:(j + 1) * f1]]
-                for i in range(f.dst.rank) for t in range(r) for l2 in range(f2)]
 
-    nonreal = any(p.im is not None for p in f.parts)
-    return tuple(_canon(block(m, 0), block(m, 1) if nonreal else None, den, f.src.rank * f1 * r)
-                 for m in range(c))
+def _interleave(n, r, q):
+    """The (t, i, l)-major positions of the indices (i, t, l) listed (i, t, l)-major,
+    for i < n, t < r, l < q."""
+    return [t * n * q + i * q + l for i in range(n) for t in range(r) for l in range(q)]
 
 
 def zero_map(src: ModShape, dst: ModShape, base=None) -> RMap:

@@ -3,7 +3,7 @@ subring embedding of truncated scalars, the identity endomorphism, the zero
 representation, the top-slice shift maps, the gauge unit induced on a split
 vertex and the braid-word probe of the reflection functor."""
 
-from qschemes.errors import NotDivisible, ShapeMismatch, TopSliceNotZero
+from qschemes.errors import NotDivisible, QschemeError, ShapeMismatch
 from qschemes.linalg import Matrix
 from qschemes.quiver import QuiverMult, double
 from qschemes.reflect import incoming_arrows, phi, reflection_functor
@@ -60,6 +60,10 @@ def zero_rep(q: QuiverMult, v) -> Representation:
             h.base,
         )
     return Representation(q, v, maps)
+
+
+class TopSliceNotZero(QschemeError):
+    code = "top-slice-not-zero"
 
 
 def shift_decompose(a_end: RMap):

@@ -17,7 +17,7 @@ def records(pairs):
     for i, (base, change) in enumerate(pairs):
         sides = [("base", base), ("change", change)]
         for side, metrics in sides if i % 2 == 0 else sides[::-1]:
-            out.append({"pair": i, "side": side, "seed": 5, "metrics": metrics})
+            out.append({"pair": i, "side": side, "metrics": metrics})
     return out
 
 
@@ -47,7 +47,7 @@ class TestCondense:
 
     def test_incomplete_pairs_and_unknown_metrics_are_skipped(self):
         runs = records([({"setup_s": 2.0, "extra": 1.0}, {"setup_s": 1.0, "extra": 3.0})])
-        runs.append({"pair": 1, "side": "base", "seed": 5, "metrics": {"setup_s": 9.0}})
+        runs.append({"pair": 1, "side": "base", "metrics": {"setup_s": 9.0}})
         got = bench_pairs.condense(runs, {"setup_s": "lower", "peak_rss_mb": "lower"})
         assert set(got) == {"setup_s"}
         assert got["setup_s"]["base"]["runs"] == [2.0]

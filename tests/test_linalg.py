@@ -214,8 +214,11 @@ class TestSolveInverse:
 
 
 def assert_canonical(mat):
-    """den > 0 and coprime to the numerators; im None exactly when real."""
+    """den > 0 and coprime to the numerators; im None exactly when real; the
+    blocks are tuples of tuples, so ``==`` never compares a list to a tuple."""
     assert len(mat.re) == mat.nrows and all(len(r) == mat.ncols for r in mat.re)
+    for block in (mat.re, mat.im or ()):
+        assert type(block) is tuple and all(type(r) is tuple for r in block)
     nums = [x for block in (mat.re, mat.im or []) for r in block for x in r]
     assert mat.den > 0 and gcd(mat.den, *nums) == 1
     assert (mat.im is None) == all(not x.im for r in mat.rows for x in r)
@@ -261,7 +264,7 @@ class TestCanonicalForm:
         y = Matrix([[GaussQ(Fraction(1, 2), -1), GaussQ(Fraction(-1, 3))]])
         s = x + y
         assert_canonical(s)
-        assert (s.den, s.re, s.im) == (1, [[1, 0]], None)
+        assert (s.den, s.re, s.im) == (1, ((1, 0),), None)
         assert (x - x).den == 1 and (x - x).im is None and (x - x).is_zero()
         assert x.scale(GaussQ(0, 1)).scale(GaussQ(0, -1)) == x
         assert_canonical(x.scale(GaussQ(0, 1)))
@@ -294,7 +297,7 @@ class TestCanonicalForm:
         # dropping the only non-real entry and the only fractional one
         a = Matrix([[GaussQ(1), GaussQ(Fraction(1, 4), 2)], [GaussQ(3), GaussQ(5)]])
         left = a.take(cols=[0])
-        assert (left.den, left.re, left.im) == (1, [[1], [3]], None)
+        assert (left.den, left.re, left.im) == (1, ((1,), (3,)), None)
         assert a.take(rows=slice(1, 2)).den == 1
 
     def test_transpose_and_empty_shapes(self):
@@ -311,8 +314,16 @@ class TestCanonicalForm:
         for z in (Matrix.zero(0, 3), Matrix([], ncols=3), vstack([Matrix.zero(0, 3)] * 2),
                   Matrix([[GaussQ(0, 1)] * 3]).take(rows=[])):
             assert_canonical(z)
-            assert fields(z) == (0, 3, 1, [], None) and z == Matrix.zero(0, 3)
+            assert fields(z) == (0, 3, 1, (), None) and z == Matrix.zero(0, 3)
             assert hash(z) == hash(Matrix.zero(0, 3))
+
+    def test_blocks_are_immutable(self):
+        z = Matrix.zero(2, 2)
+        with pytest.raises(TypeError):
+            z.re[0][0] = 1
+        with pytest.raises(TypeError):
+            z.re[0] = (1, 1)
+        assert z == Matrix.zero(2, 2) and z.is_zero()
 
     def test_equal_values_equal_fields(self):
         rng = random.Random("equal-fields")

@@ -5,7 +5,7 @@ import pytest
 
 import qschemes.orbit
 from qschemes import serialize as ser
-from qschemes.errors import NotInOrbit, ShapeMismatch, TopSliceNotZero
+from qschemes.errors import NotInOrbit, ShapeMismatch
 from qschemes.linalg import Matrix, hstack, rank
 from qschemes.orbit import (
     OrbitSpec,
@@ -36,7 +36,7 @@ from qschemes.rmatrix import (
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar, trunc_inv
 
-from helpers import identity_end, shift_decompose, shift_map
+from helpers import TopSliceNotZero, identity_end, shift_decompose, shift_map
 
 G = GaussQ
 T = TruncScalar

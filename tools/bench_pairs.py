@@ -1,18 +1,19 @@
 """Run the benchmark in alternating pairs on two checkouts and condense the runs.
 
     python tools/bench_pairs.py BASE CHANGE --workload moment_gauss --pairs 10 \\
-        --seeds 59 --out BENCH_matrix_storage.json
+        --seed 59 --out BENCH_matrix_storage.json
 
-Each pair runs ``perfbench/run.py --trace 0`` once in each checkout, as a
-subprocess with the checkout as its working directory; pair i runs BASE first
-when i is even and CHANGE first when it is odd, so a slow spell of the host
-hits both sides alike.  ``--setup-only`` times one set-up per run instead (the
+Each pair runs ``perfbench/run.py --trace 0`` at the given seed, for the
+runner's own run length, once in each checkout, as a subprocess with the
+checkout as its working directory; pair i runs BASE first when i is even and
+CHANGE first when it is odd, so a slow spell of the host hits both sides
+alike.  ``--setup-only`` times one set-up per run instead (the
 runner's ``{"setup_s": ...}`` line).  The last line a run prints is its JSON
 result.
 
 The output file holds one section per workload (``<workload>/setup`` for
 set-up pairs), so several invocations can fill one file: the environment
-(python, cpu count, both git shas, load average before and after), the seeds,
+(python, cpu count, both git shas, load average before and after), the seed,
 every run's metrics, each side's median and quartiles per metric, the pair
 ratios CHANGE / BASE and the wins.  A pair is a win for the side whose value
 is better in the direction ``BENCHMARK.json`` gives; ties count for neither.
@@ -30,10 +31,10 @@ import sys
 from pathlib import Path
 
 
-def run_once(checkout: Path, workload, seed, seconds, setup_only):
+def run_once(checkout: Path, workload, seed, setup_only):
     """The metric values and correctness of one benchmark run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
-    cmd += ["--setup-only"] if setup_only else ["--seconds", str(seconds), "--trace", "0"]
+    cmd += ["--setup-only"] if setup_only else ["--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
     if setup_only:
@@ -106,9 +107,7 @@ def main(argv=None):
     p.add_argument("change", type=Path)
     p.add_argument("--workload", required=True)
     p.add_argument("--pairs", type=int, default=10)
-    p.add_argument("--seeds", type=int, nargs="+", required=True,
-                   help="pair i runs seed seeds[i % len(seeds)]")
-    p.add_argument("--seconds", type=float, default=25)
+    p.add_argument("--seed", type=int, required=True)
     p.add_argument("--setup-only", action="store_true")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
@@ -120,12 +119,10 @@ def main(argv=None):
            "loadavg_start": os.getloadavg()}
     runs = []
     for i in range(args.pairs):
-        seed = args.seeds[i % len(args.seeds)]
         order = ("base", "change") if i % 2 == 0 else ("change", "base")
         for side in order:
-            rec = run_once(getattr(args, side), args.workload, seed, args.seconds,
-                           args.setup_only)
-            runs.append({"pair": i, "side": side, "seed": seed, **rec})
+            rec = run_once(getattr(args, side), args.workload, args.seed, args.setup_only)
+            runs.append({"pair": i, "side": side, **rec})
             print(json.dumps(runs[-1]), flush=True)
     env["loadavg_end"] = os.getloadavg()
 
@@ -133,9 +130,8 @@ def main(argv=None):
     table = json.loads(args.out.read_text()) if args.out.exists() else {}
     table[key] = {
         "environment": env,
-        "seeds": args.seeds,
+        "seed": args.seed,
         "pairs": args.pairs,
-        "seconds": None if args.setup_only else args.seconds,
         "all_correct": all(r["correct"] for r in runs),
         "runs": runs,
         "summary": condense(runs, better),

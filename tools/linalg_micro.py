@@ -1,10 +1,10 @@
 """Microbenchmarks of qschemes.linalg on two checkouts.
 
-    python tools/linalg_micro.py BASE CHANGE --rounds 3 --out BENCH_matrix_storage.json
+    python tools/linalg_micro.py BASE CHANGE --out BENCH_matrix_storage.json
 
-Each round times every operation once in a fresh child process per checkout,
-alternating which checkout goes first; the child imports ``qschemes`` from
-the checkout's ``src``.  A timing is the best of five repeats of a timeit
+Each of three rounds times every operation once in a fresh child process per
+checkout, alternating which checkout goes first; the child imports
+``qschemes`` from the checkout's ``src``.  A timing is the best of five repeats of a timeit
 loop, in microseconds per call, and the file keeps the best over the rounds
 under ``"microbench"``, with the ratio CHANGE / BASE.  Inputs are seeded
 integer and Gaussian-integer matrices, built through ``Matrix(rows)`` of
@@ -18,6 +18,8 @@ import json
 import subprocess
 import sys
 from pathlib import Path
+
+ROUNDS = 3
 
 CHILD = r"""
 import json, random, sys, timeit
@@ -60,18 +62,17 @@ def main(argv=None):
     p = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     p.add_argument("base", type=Path)
     p.add_argument("change", type=Path)
-    p.add_argument("--rounds", type=int, default=3)
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
     best = {"base": {}, "change": {}}
-    for i in range(args.rounds):
+    for i in range(ROUNDS):
         for side in ("base", "change") if i % 2 == 0 else ("change", "base"):
             for name, us in time_checkout(getattr(args, side)).items():
                 best[side][name] = min(us, best[side].get(name, us))
     table = json.loads(args.out.read_text()) if args.out.exists() else {}
     table["microbench"] = {
         "unit": "us per call, best of the rounds",
-        "rounds": args.rounds,
+        "rounds": ROUNDS,
         "rows": {name: {"base": best["base"][name], "change": us,
                         "ratio": us / best["base"][name]}
                  for name, us in best["change"].items()},
