@@ -174,11 +174,12 @@ def _lower(f: RMap, c: int) -> tuple:
     # r - 1 zero slices on either side stand for the indices outside 0..f.base-1
     pad = [Matrix.zero(f.dst.rank * f2, f.src.rank * f1)] * (r - 1)
     parts = pad + list(f.parts) + pad
+    # the stacked blocks run over (t, i, l2) x (s, j, l1); take reorders them
+    # into (i, t, l2) x (j, s, l1), which is the same order when no rank exceeds 1
     out = tuple(vstack([hstack([parts[r * m + t - s + r - 1] for s in range(r)])
                         for t in range(r)]) for m in range(c))
     if f.src.rank < 2 and f.dst.rank < 2:
         return out
-    # the stacked blocks run over (t, i, l2) x (s, j, l1); take reorders them
     rows, cols = _interleave(f.dst.rank, r, f2), _interleave(f.src.rank, r, f1)
     return tuple(a.take(rows, cols) for a in out)
 
