@@ -80,12 +80,10 @@ from .scalars import (
 from .suites import run_suite
 from .weyl import (
     LiftedCartan,
-    coxeter_order,
     lift_cartan,
     reflect_dim,
     reflect_param,
     rho,
-    transpose_action,
     verify_coxeter,
 )
 

@@ -72,10 +72,6 @@ class NegativeDimension(QschemeError):
     code = "negative-dimension"
 
 
-class SameVertex(QschemeError):
-    code = "same-vertex"
-
-
 # -- orbits and reflection functors ------------------------------------------
 
 class NotInOrbit(QschemeError):

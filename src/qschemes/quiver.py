@@ -161,9 +161,6 @@ class CartanData:
     d: tuple            # multiplicities (the symmetrizer diagonal)
     c: tuple            # generalized Cartan matrix 2*Id - A'D, integer
 
-    def c_list(self):
-        return [list(r) for r in self.c]
-
     def dc_list(self):
         return [[self.d[i] * self.c[i][j] for j in range(len(self.d))]
                 for i in range(len(self.d))]

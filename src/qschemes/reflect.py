@@ -72,10 +72,6 @@ class SplitAtVertex:
     outof: RMap          # V_i (x) R_{d_i} -> stacked slice blocks
     rest: object         # mapping from untouched arrow names to their maps
 
-    @property
-    def tilde_dim(self) -> int:
-        return sum(dim for _, dim in self.blocks)
-
 
 def incoming_arrows(q: QuiverMult, i):
     return tuple(h for h in double(q) if h.target == q.index(i))

@@ -248,11 +248,6 @@ class PhiMap:
             sum(row[j] * v[j] for j in range(len(v))) for row in self.matrix
         )
 
-    def apply_inverse(self, v):
-        return tuple(
-            sum(row[j] * v[j] for j in range(len(v))) for row in self.inverse
-        )
-
 
 def phi_map(q: QuiverMult, leg: LegDescriptor) -> PhiMap:
     """Lattice comparison map: consecutive differences along the chain."""

@@ -171,6 +171,8 @@ def _lower(f: RMap, c: int) -> tuple:
     if r == 1:
         return f.parts
     f1, f2 = f.src.order // f.base, f.dst.order // f.base
+    if not (f.src.rank and f.dst.rank):
+        return (Matrix.zero(r * f.dst.rank * f2, r * f.src.rank * f1),) * c
     # r - 1 zero slices on either side stand for the indices outside 0..f.base-1
     pad = [Matrix.zero(f.dst.rank * f2, f.src.rank * f1)] * (r - 1)
     parts = pad + list(f.parts) + pad

@@ -1,8 +1,14 @@
 """Randomized and exact property suites behind ``qs check``.
 
-Each suite walks its invariants over a corpus of quivers (and built-in orbit
-profiles), drawing any randomness from a SplitMix64 stream seeded per case,
-so a failing case is reproducible from the seed recorded in the report.
+Each suite walks its invariants over a corpus of quivers, drawing any
+randomness from a SplitMix64 stream seeded per case, so a failing case is
+reproducible from the seed recorded in the report.  The orbit suite walks
+five built-in profiles instead, given as (d, block sizes): (1, (1, 1)),
+(2, (2, 1)), (2, (1, 1, 1, 1)), (3, (1, 2)) and (3, (2, 1, 1)), chains with
+l = 1, 1, 3, 1 and 2 legs.
+
+The acceptance criteria in ``tests/test_acceptance.py`` are runs of these
+suites at fixed quivers, seeds and trial counts.
 """
 
 from __future__ import annotations
@@ -273,11 +279,11 @@ def suite_functor(quivers, seed, trials) -> SuiteReport:
 def _orbit_profiles(seed):
     rng = SplitMix64(seed)
     profiles = [
-        (1, (1, 1)),
-        (2, (2, 1)),
-        (2, (1, 2, 1)),
-        (3, (1, 1)),
-        (3, (2, 1, 1)),
+        (1, (1, 1)),           # l = 1
+        (2, (2, 1)),           # l = 1
+        (2, (1, 1, 1, 1)),     # l = 3
+        (3, (1, 2)),           # l = 1
+        (3, (2, 1, 1)),        # l = 2
     ]
     specs = []
     for d, dims in profiles:

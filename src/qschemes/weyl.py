@@ -3,9 +3,9 @@
 Two mutually transposed actions of the simple reflections are implemented:
 ``reflect_dim`` (s_i) on integer dimension vectors, and ``reflect_param``
 (r_i) on tuples of truncated scalars, one of order d_j per vertex.  The
-transpose is taken with respect to the per-vertex residue pairings; it equals
-``transpose_action`` and factors through the lifted Cartan matrix on the
-index set {(i, k) : k < d_i}.
+transpose of r_i with respect to the per-vertex residue pairings is
+``transpose_action_matrix``; it factors through the lifted Cartan matrix on
+the index set {(i, k) : k < d_i}.
 
 Parameter vectors are flattened vertex-major with eps-powers ascending, so
 every action here is also available as an exact integer matrix; Coxeter
@@ -17,13 +17,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .errors import LengthMismatch, MismatchedOrder, SameVertex
+from .errors import LengthMismatch, MismatchedOrder
 from .linalg import int_identity, int_mat_mul
 from .quiver import QuiverMult, cartan
 from .scalars import GQ_ZERO, GaussQ, TruncScalar
 
 COXETER_TABLE = {0: 2, 1: 3, 2: 4, 3: 6}
-INFINITE = math.inf
 
 
 # -- parameter vectors --------------------------------------------------------
@@ -83,26 +82,6 @@ def reflect_param(q: QuiverMult, i, lam) -> tuple[TruncScalar, ...]:
         for l in range(g):
             coeffs[d[j] - fij * l - 1] = lam[i].coeffs[d[i] - fji * l - 1]
         out[j] = lam[j] - TruncScalar(d[j], coeffs) * GaussQ(c[i][j])
-    return tuple(out)
-
-
-def transpose_action(q: QuiverMult, i, kappa) -> tuple[TruncScalar, ...]:
-    """The residue-pairing transpose of r_i; changes only the i-th component."""
-    i = q.index(i)
-    kappa = check_params(q, kappa)
-    d = q.mults
-    c = cartan(q).c
-    corr = [GQ_ZERO] * d[i]
-    for j in range(q.n):
-        if c[i][j] == 0:
-            continue
-        g = math.gcd(d[i], d[j])
-        fji = d[i] // g
-        fij = d[j] // g
-        for m in range(g):
-            corr[fji * m] = corr[fji * m] + GaussQ(c[i][j]) * kappa[j].coeffs[fij * m]
-    out = list(kappa)
-    out[i] = kappa[i] - TruncScalar(d[i], corr)
     return tuple(out)
 
 
@@ -227,15 +206,6 @@ def lift_cartan(q: QuiverMult) -> LiftedCartan:
 
 
 # -- Coxeter relations ----------------------------------------------------------
-
-def coxeter_order(q: QuiverMult, i, j):
-    """Order of s_i s_j from the standard table on c_ij * c_ji."""
-    i, j = q.index(i), q.index(j)
-    if i == j:
-        raise SameVertex("coxeter_order needs two distinct vertices")
-    c = cartan(q).c
-    return COXETER_TABLE.get(c[i][j] * c[j][i], INFINITE)
-
 
 @dataclass
 class RelationCheck:

@@ -16,6 +16,8 @@ def corpus_dir():
 
 @pytest.fixture(scope="session")
 def corpus():
-    from qschemes.corpus import corpus_quivers
+    """The shipped corpus, parsed from ``corpus/*.quiver`` and keyed by file stem."""
+    from qschemes.quiver import parse_quiver
 
-    return corpus_quivers()
+    return {p.stem: parse_quiver(p.read_text(encoding="utf-8"))
+            for p in sorted(CORPUS.glob("*.quiver"))}

@@ -1,11 +1,15 @@
-"""Library-level helpers that only the tests call: the residue pairing and
-subring embedding of truncated scalars, the identity endomorphism, the zero
+"""Library-level helpers that only the tests call: builders for the example
+quivers at sizes beyond ``corpus/``, the residue pairing and subring
+embedding of truncated scalars, the identity endomorphism, the zero
 representation, the top-slice shift maps, the gauge unit induced on a split
-vertex and the braid-word probe of the reflection functor."""
+vertex, the Coxeter order of a vertex pair and the braid-word probe of the
+reflection functor."""
+
+import math
 
 from qschemes.errors import NotDivisible, QschemeError, ShapeMismatch
 from qschemes.linalg import Matrix
-from qschemes.quiver import QuiverMult, double
+from qschemes.quiver import QuiverMult, cartan, double
 from qschemes.reflect import incoming_arrows, phi, reflection_functor
 from qschemes.repn import Representation
 from qschemes.rmatrix import (
@@ -21,7 +25,53 @@ from qschemes.rmatrix import (
     zero_map,
 )
 from qschemes.scalars import GQ_ZERO, GaussQ, TruncScalar
-from qschemes.weyl import check_params, coxeter_order, reflect_param
+from qschemes.weyl import COXETER_TABLE, check_params, reflect_param
+
+
+def example_chain(d: int) -> QuiverMult:
+    """Three-vertex chain j - i - k with multiplicities (d, 1, 1) on (j, i, k)."""
+    return QuiverMult.build(
+        [("i", 1), ("j", d), ("k", 1)],
+        [("a", "j", "i"), ("b", "i", "k")],
+    )
+
+
+def example_double(d: int) -> QuiverMult:
+    """Three-vertex chain with multiplicities (d, d, 1) on (j, i, k)."""
+    return QuiverMult.build(
+        [("i", d), ("j", d), ("k", 1)],
+        [("a", "j", "i"), ("b", "i", "k")],
+    )
+
+
+def example_star(n: int, d: int) -> QuiverMult:
+    """Length-one leg of multiplicity d on the head of an (n-2)-vertex tail.
+
+    Vertices: leg (mult d), base (mult 1), then c1..c_{n-2} of mult 1.
+    """
+    if n < 2:
+        raise ValueError("need at least two vertices")
+    vertices = [("leg", d), ("base", 1)] + [(f"c{i}", 1) for i in range(1, n - 1)]
+    arrows = [("t0", "base", "leg")]
+    prev = "base"
+    for i in range(1, n - 1):
+        arrows.append((f"t{i}", prev, f"c{i}"))
+        prev = f"c{i}"
+    return QuiverMult.build(vertices, arrows)
+
+
+def example_two_legs(n: int, d: int) -> QuiverMult:
+    """Chain of n vertices with multiplicities (d, 1, ..., 1, d)."""
+    if n < 4:
+        raise ValueError("need at least four vertices")
+    vertices = [("legL", d), ("baseL", 1)]
+    vertices += [(f"m{i}", 1) for i in range(1, n - 3)]
+    vertices += [("baseR", 1), ("legR", d)]
+    names = [v[0] for v in vertices]
+    arrows = [
+        (f"t{i}", names[i], names[i + 1]) for i in range(len(names) - 1)
+    ]
+    return QuiverMult.build(vertices, arrows)
 
 
 def residue_pair(f: TruncScalar, g: TruncScalar) -> GaussQ:
@@ -112,6 +162,22 @@ def split_gauge(q: QuiverMult, v, i, g) -> RMap:
     return RMap(shape, shape, d_i, [Matrix(rows, ncols=tilde) for rows in parts])
 
 
+INFINITE = math.inf
+
+
+class SameVertex(QschemeError):
+    code = "same-vertex"
+
+
+def coxeter_order(q: QuiverMult, i, j):
+    """Order of s_i s_j from the standard table on c_ij * c_ji."""
+    i, j = q.index(i), q.index(j)
+    if i == j:
+        raise SameVertex("coxeter_order needs two distinct vertices")
+    c = cartan(q).c
+    return COXETER_TABLE.get(c[i][j] * c[j][i], INFINITE)
+
+
 def braid_probe(rep: Representation, lam, i, j) -> dict:
     """Experimental comparison of the two alternating functor words at i, j.
 
@@ -128,7 +194,7 @@ def braid_probe(rep: Representation, lam, i, j) -> dict:
     q = rep.quiver
     i, j = q.index(i), q.index(j)
     m = coxeter_order(q, i, j)
-    if m == float("inf"):
+    if m == INFINITE:
         return {"applicable": False, "reason": "infinite order pair"}
 
     def run_word(start):

@@ -1,129 +1,52 @@
 """Acceptance criteria, one test per criterion, all exact (zero tolerance).
 
-Run with ``pytest tests/test_acceptance.py -v -s`` to see one line per
-criterion.
+Criteria 1-3 and 5-8 are runs of the ``qs check`` suites at fixed quivers,
+seeds and trial counts: each asserts that the suite reports no failure and
+makes exactly the expected number of checks.  Run with
+``pytest tests/test_acceptance.py -v -s`` to see one line per criterion.
 """
 
 import pytest
 
-from qschemes.corpus import (
-    corpus_quivers,
-    example_chain,
-    example_double,
-    example_star,
-    example_two_legs,
-)
 from qschemes.errors import EmptyLevelSet, QuiverSyntaxError
-from qschemes.linalg import int_mat_mul, int_transpose
-from qschemes.orbit import (
-    OrbitSpec,
-    leg_factorize,
-    leg_mesh_residuals,
-    leg_rank_checks,
-    nu,
-    orbit_membership,
-    random_conjugate,
-    random_non_member,
-)
-from qschemes.quiver import expected_dim, parse_quiver, serialize_quiver
-from qschemes.reflect import (
-    phi,
-    random_level_point,
-    reflection_functor,
-    tilde_dimension,
-)
-from qschemes.regularize import (
-    find_legs,
-    isometry_check,
-    phi_map,
-    regularize_params,
-    regularize_quiver,
-    verify_param_equivariance,
-    verify_semidirect,
-)
-from qschemes.repn import (
-    gauge,
-    level_check,
-    moment_component,
-    moment_derivative_check,
-    moment_map,
-    moment_trace_sum,
-    random_gauge,
-    random_linear_map,
-    random_params,
-    random_rep,
-)
-from qschemes.rmatrix import ModShape, compose, invert_end, pair_d, pr_cd, scalar_end
+from qschemes.quiver import parse_quiver, serialize_quiver
+from qschemes.reflect import random_level_point
+from qschemes.repn import random_linear_map, random_params
+from qschemes.rmatrix import ModShape, pair_d, pr_cd
 from qschemes.rng import SplitMix64
-from qschemes.scalars import GaussQ, TruncScalar
-from qschemes.weyl import (
-    dim_reflection_matrix,
-    lift_cartan,
-    pairing_matrix,
-    param_reflection_matrix,
-    reflect_dim,
-    reflect_param,
-    rho_matrix,
-    transpose_action_matrix,
-    verify_coxeter,
-)
+from qschemes.suites import run_suite
 
-G = GaussQ
-T = TruncScalar
-
-CORPUS = corpus_quivers()
+from helpers import example_star, example_two_legs
 
 
 def report(num, label):
     print(f"ACCEPTANCE {num} ({label}): PASS")
 
 
-def test_criterion_1_coxeter_relations():
-    quivers = {
-        "chain_d2": example_chain(2),
-        "chain_d3": example_chain(3),
-        "double_d2": example_double(2),
-        "double_d3": example_double(3),
-        # three additional corpus quivers
-        "a3": CORPUS["a3"],
-        "pair_d2": CORPUS["pair_d2"],
-        "pair_d3": CORPUS["pair_d3"],
-    }
-    failures = []
-    for name, q in quivers.items():
-        rep = verify_coxeter(q)
-        failures.extend((name, c) for c in rep.checks if not c.ok)
-    assert not failures, failures
+def check_suite(quivers, name, seed, trials, checks):
+    result = run_suite(quivers, name, seed, trials)
+    assert result.ok, result.summary()
+    assert result.checks == checks
+
+
+def pick(corpus, *names):
+    return {name: corpus[name] for name in names}
+
+
+def test_criterion_1_coxeter_relations(corpus):
+    quivers = pick(corpus, "chain_d2", "chain_d3", "double_d2", "double_d3",
+                   "a3", "pair_d2", "pair_d3")
+    check_suite(quivers, "coxeter", 1, 25, 106)
     report(1, "Coxeter relations on parameters and dimensions")
 
 
-def test_criterion_2_transpose_and_lift_coherence():
-    for name, q in CORPUS.items():
-        pairing = pairing_matrix(q)
-        lifted = lift_cartan(q)
-        for i in range(q.n):
-            mr = param_reflection_matrix(q, i)
-            ms = transpose_action_matrix(q, i)
-            assert int_mat_mul(int_transpose(mr), pairing) == int_mat_mul(
-                pairing, ms
-            ), (name, i)
-            prod = None
-            for a, (vi, _) in enumerate(lifted.indices):
-                if vi != i:
-                    continue
-                refl = lifted.reflection_matrix(a)
-                prod = refl if prod is None else int_mat_mul(prod, refl)
-            assert prod == ms, (name, i)
+def test_criterion_2_transpose_and_lift_coherence(corpus):
+    check_suite(corpus, "coxeter", 2, 25, 228)
     report(2, "pairing transpose and lifted-reflection factorization")
 
 
-def test_criterion_3_residue_intertwining():
-    for name, q in CORPUS.items():
-        m_rho = rho_matrix(q)
-        for i in range(q.n):
-            lhs = int_mat_mul(m_rho, param_reflection_matrix(q, i))
-            rhs = int_mat_mul(int_transpose(dim_reflection_matrix(q, i)), m_rho)
-            assert lhs == rhs, (name, i)
+def test_criterion_3_residue_intertwining(corpus):
+    check_suite(corpus, "coxeter", 3, 25, 228)
     report(3, "residue map intertwines the two actions")
 
 
@@ -139,142 +62,39 @@ def test_criterion_4_averaging_adjointness():
     report(4, "averaging map adjoint to the endomorphism inclusion")
 
 
-def test_criterion_5_moment_identities():
-    quivers = [example_chain(2), example_chain(3), example_double(2), example_double(3)]
-    rng = SplitMix64(5)
-    trials_per = 13  # 52 representations across the four quivers
-    for q in quivers:
-        for t in range(trials_per):
-            v = tuple(rng.randint(0, 2) for _ in range(q.n))
-            rep = random_rep(q, v, rng.next_u64())
-            mu = moment_map(rep)
-            assert moment_trace_sum(mu) == G(0)
-            g = random_gauge(q, v, rng.next_u64())
-            mu_g = moment_map(gauge(rep, g))
-            for i in range(q.n):
-                assert mu_g[i] == compose(g[i], compose(mu[i], invert_end(g[i])))
-            delta = random_rep(q, v, rng.next_u64())
-            xi = random_gauge(q, v, rng.next_u64())
-            assert moment_derivative_check(rep, delta, xi)
+def test_criterion_5_moment_identities(corpus):
+    # 52 representations across the four quivers
+    quivers = pick(corpus, "chain_d2", "chain_d3", "double_d2", "double_d3")
+    check_suite(quivers, "moment", 5, 13, 468)
     report(5, "moment map: center-perpendicular, equivariant, Hamiltonian")
 
 
-def test_criterion_6_reflection_functor():
-    rng = SplitMix64(6)
-    raised_empty = 0
-    for qname, q in sorted(CORPUS.items()):
-        for t in range(25):
-            i = t % q.n
-            lam = random_params(q, rng.next_u64(), units=[i])
-            v = tuple(rng.randint(0, 2) for _ in range(q.n))
-            if tilde_dimension(q, i, v) - v[i] < 0:
-                with pytest.raises(EmptyLevelSet):
-                    random_level_point(q, lam, v, i, rng.next_u64())
-                raised_empty += 1
-                continue
-            p = random_level_point(q, lam, v, i, rng.next_u64())
-            out = reflection_functor(p, i, lam)
-            lam2 = reflect_param(q, i, lam)
-            # (c) dimension bookkeeping
-            assert out.v == reflect_dim(q, i, v), (qname, t)
-            # (a) moment value at the reflected vertex
-            assert moment_component(out, i) == scalar_end(lam[i], out.v[i])
-            # (b) scalar corrections away from the vertex
-            for j in range(q.n):
-                if j != i:
-                    want = scalar_end(-(lam2[j] - lam[j]), v[j])
-                    assert moment_component(out, j) - moment_component(p, j) == want
-            # (d) double application fixes the factorization data
-            back = reflection_functor(out, i, lam2)
-            a0, s0 = phi(p, i)
-            a1, s1 = phi(back, i)
-            assert a0 == a1 and dict(s0.rest) == dict(s1.rest)
-    # (e) the empty case is also forced explicitly on every quiver
-    for qname, q in sorted(CORPUS.items()):
+def test_criterion_6_reflection_functor(corpus):
+    check_suite(corpus, "functor", 6, 25, 1439)
+    # (e) the empty level set is also forced on every quiver
+    for q in corpus.values():
         lam = random_params(q, 99, units=[0])
         v = tuple(5 if k == 0 else 0 for k in range(q.n))
         with pytest.raises(EmptyLevelSet):
             random_level_point(q, lam, v, 0, 1)
-        raised_empty += 1
-    assert raised_empty >= len(CORPUS)
     report(6, "reflection functor: moment values, dimensions, involution, emptiness")
 
 
-def _acceptance_orbit_specs():
-    rng = SplitMix64(777)
-    profiles = [
-        (1, (1, 1)),           # l = 1
-        (2, (2, 1)),           # l = 1
-        (2, (1, 1, 1, 1)),     # l = 3
-        (3, (1, 2)),           # l = 1
-        (3, (2, 1, 1)),        # l = 2
-    ]
-    specs = []
-    for d, dims in profiles:
-        consts = []
-        while len(consts) < len(dims):
-            c = rng.randint(-5, 5)
-            if all(c != x for x in consts):
-                consts.append(c)
-        blocks = tuple(
-            (w, T(d, [c] + [rng.randint(-2, 2) for _ in range(d - 1)]))
-            for w, c in zip(dims, consts)
-        )
-        specs.append(OrbitSpec(d, blocks))
-    return specs
-
-
 def test_criterion_7_orbit_module():
-    for spec in _acceptance_orbit_specs():
-        rng = SplitMix64(1000 + spec.d * 7 + spec.total)
-        for t in range(100):
-            a = random_conjugate(spec, rng.next_u64())
-            w = orbit_membership(spec, a)
-            assert w.ok, (spec.dims, t, w.reasons)
-            point = leg_factorize(spec, a)
-            assert nu(spec, point) == a
-            assert all(r.is_zero() for r in leg_mesh_residuals(spec, point))
-            assert leg_rank_checks(spec, point)
-        for t in range(100):
-            bad = random_non_member(spec, rng.next_u64())
-            assert not orbit_membership(spec, bad).ok, (spec.dims, t)
+    # five profiles, each with 100 member and 100 non-member draws
+    check_suite({}, "orbit", 7, 100, 3010)
     report(7, "orbit membership, factorization, rank witnesses, rejection")
 
 
 def test_criterion_8_regularization():
-    family = []
+    family = {}
     for d in (2, 3, 4):
-        family.append((f"star_n3_d{d}", example_star(3, d)))
-        family.append((f"star_n4_d{d}", example_star(4, d)))
-        family.append((f"twolegs_n4_d{d}", example_two_legs(4, d)))
-        family.append((f"twolegs_n5_d{d}", example_two_legs(5, d)))
-    rng = SplitMix64(8)
-    for name, q in family:
-        legs = find_legs(q)
-        assert legs, name
-        for leg in legs:
-            assert isometry_check(q, leg), name
-            sd = verify_semidirect(q, leg)
-            assert sd.all_ok, (name, sd.summary())
-            pe = verify_param_equivariance(q, leg)
-            assert pe.all_ok, (name, pe.summary())
-    # 50 random transfer-invariance draws spread over the family
-    draws = 0
-    while draws < 50:
-        name, q = family[draws % len(family)]
-        leg = find_legs(q)[0]
-        reg = regularize_quiver(q, leg)
-        v = [rng.randint(0, 4) for _ in range(q.n)]
-        ch = leg.chain()
-        for pos in range(1, len(ch)):
-            v[ch[pos]] = min(v[ch[pos]], v[ch[pos - 1]])
-        v = tuple(v)
-        lam = random_params(q, rng.next_u64())
-        lamc, vc = regularize_params(q, leg, lam, v)
-        assert vc == phi_map(q, leg).apply(v)
-        assert expected_dim(q, v) == expected_dim(reg, vc)
-        assert level_check(q, lam, v) == level_check(reg, lamc, vc)
-        draws += 1
+        family[f"star_n3_d{d}"] = example_star(3, d)
+        family[f"star_n4_d{d}"] = example_star(4, d)
+        family[f"twolegs_n4_d{d}"] = example_two_legs(4, d)
+        family[f"twolegs_n5_d{d}"] = example_two_legs(5, d)
+    # 18 legs, each with 4 exact identities and 3 transfer draws
+    check_suite(family, "regularize", 8, 3, 126)
     report(8, "regularization: isometry, semidirect product, equivariance, transfer")
 
 
@@ -295,8 +115,8 @@ MALFORMED = [
 ]
 
 
-def test_criterion_9_parser():
-    for name, q in CORPUS.items():
+def test_criterion_9_parser(corpus):
+    for name, q in corpus.items():
         assert parse_quiver(serialize_quiver(q)) == q, name
     rejected = 0
     for text in MALFORMED:

@@ -5,18 +5,16 @@ import sys
 import pytest
 
 from qschemes import serialize as ser
+from qschemes import suites
 from qschemes.cli import main
-from qschemes.corpus import example_chain
 from qschemes.orbit import OrbitSpec, random_conjugate, random_non_member
-from qschemes.quiver import parse_quiver, serialize_quiver
-from qschemes.scalars import TruncScalar
+from qschemes.quiver import parse_quiver
+from qschemes.scalars import GaussQ, TruncScalar
 
 
 @pytest.fixture
-def chain_file(tmp_path):
-    path = tmp_path / "chain.quiver"
-    path.write_text(serialize_quiver(example_chain(2)))
-    return str(path)
+def chain_file(corpus_dir):
+    return str(corpus_dir / "chain_d2.quiver")
 
 
 @pytest.fixture
@@ -33,10 +31,10 @@ def run(capsys, *argv):
 
 
 class TestBasicCommands:
-    def test_parse_roundtrip(self, capsys, chain_file):
+    def test_parse_roundtrip(self, capsys, chain_file, corpus):
         code, out, _ = run(capsys, "parse", chain_file)
         assert code == 0
-        assert parse_quiver(out) == example_chain(2)
+        assert parse_quiver(out) == corpus["chain_d2"]
 
     def test_parse_dot(self, capsys, chain_file):
         code, out, _ = run(capsys, "parse", chain_file, "--dot")
@@ -132,12 +130,8 @@ class TestOrbitCommands:
 
 
 class TestRegularizeCommands:
-    def test_legs_and_regularize(self, capsys, tmp_path):
-        from qschemes.corpus import example_star
-
-        q = example_star(3, 3)
-        qfile = tmp_path / "star.quiver"
-        qfile.write_text(serialize_quiver(q))
+    def test_legs_and_regularize(self, capsys, corpus_dir):
+        qfile = corpus_dir / "star_n3_d3.quiver"
         code, out, _ = run(capsys, "legs", str(qfile))
         assert code == 0 and "base base" in out
         code, out, _ = run(capsys, "regularize", str(qfile), "--leg", "base,leg")
@@ -147,11 +141,8 @@ class TestRegularizeCommands:
         code, out, _ = run(capsys, "reg-verify", str(qfile), "--leg", "base,leg")
         assert code == 0
 
-    def test_invalid_leg(self, capsys, tmp_path):
-        from qschemes.corpus import example_star
-
-        qfile = tmp_path / "star.quiver"
-        qfile.write_text(serialize_quiver(example_star(3, 3)))
+    def test_invalid_leg(self, capsys, corpus_dir):
+        qfile = corpus_dir / "star_n3_d3.quiver"
         code, _, err = run(capsys, "regularize", str(qfile), "--leg", "base,c1")
         assert code == 2 and err.startswith("error[invalid-leg]")
 
@@ -171,6 +162,29 @@ class TestCheckCommand:
                            "--suite", "regularize", "--seed", "1", "--trials", "2")
         obj = json.loads(out)
         assert code == 0 and obj["failures"] == []
+
+    # per suite: an invariant it imports, and a wrong value made from the right one
+    BROKEN = {
+        "coxeter": ("reflect_dim", lambda v: tuple(x + 1 for x in v)),
+        "moment": ("moment_trace_sum", lambda s: s + GaussQ(1)),
+        "functor": ("reflect_dim", lambda v: tuple(x + 1 for x in v)),
+        "orbit": ("nu", lambda a: -a),
+        "regularize": ("regularize_params", lambda out: (out[0], tuple(x + 1 for x in out[1]))),
+    }
+
+    @pytest.mark.parametrize("suite", BROKEN)
+    def test_broken_invariant_fails(self, capsys, monkeypatch, corpus, corpus_dir, suite):
+        """A suite whose invariant returns a wrong value must report it."""
+        name, wrong = self.BROKEN[suite]
+        right = getattr(suites, name)
+        monkeypatch.setattr(suites, name, lambda *args: wrong(right(*args)))
+        report = suites.run_suite(corpus, suite, 1, 2)
+        assert report.failures
+        assert all(f["case"] and f["seed"] is not None for f in report.failures)
+        code, out, _ = run(capsys, "--format", "json", "check", str(corpus_dir),
+                           "--suite", suite, "--seed", "1", "--trials", "2")
+        assert code == 1
+        assert json.loads(out)["failures"] == report.failures
 
 
 class TestInputBoundary:

@@ -1,7 +1,6 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from qschemes.corpus import example_chain, example_double
 from qschemes.errors import (
     LengthMismatch,
     NegativeDimension,
@@ -17,6 +16,8 @@ from qschemes.quiver import (
     serialize_quiver,
     to_dot,
 )
+
+from helpers import example_chain, example_double
 
 
 class TestParser:
@@ -104,16 +105,16 @@ def test_serialize_parse_roundtrip(vnames, data):
 class TestCartan:
     def test_chain_example(self):
         for d in (2, 3):
-            assert cartan(example_chain(d)).c_list() == [
-                [2, -d, -1], [-1, 2, 0], [-1, 0, 2]]
+            assert cartan(example_chain(d)).c == (
+                (2, -d, -1), (-1, 2, 0), (-1, 0, 2))
 
     def test_double_example(self):
         for d in (2, 3):
-            assert cartan(example_double(d)).c_list() == [
-                [2, -1, -1], [-1, 2, 0], [-d, 0, 2]]
+            assert cartan(example_double(d)).c == (
+                (2, -1, -1), (-1, 2, 0), (-d, 0, 2))
 
     def test_single_vertex(self):
-        assert cartan(QuiverMult.build([("a", 3)])).c_list() == [[2]]
+        assert cartan(QuiverMult.build([("a", 3)])).c == ((2,),)
 
     def test_symmetrizable(self, corpus):
         for q in corpus.values():

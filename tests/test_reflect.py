@@ -1,6 +1,5 @@
 import pytest
 
-from qschemes.corpus import example_chain, example_double
 from qschemes.errors import EmptyLevelSet, NotAUnit, NotInLevelSet
 from qschemes.linalg import Matrix, rank
 from qschemes.orbit import OrbitSpec, orbit_membership
@@ -34,7 +33,7 @@ from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar, trunc_inv
 from qschemes.weyl import reflect_dim, reflect_param
 
-from helpers import braid_probe, split_gauge, zero_rep
+from helpers import braid_probe, example_chain, example_double, split_gauge, zero_rep
 
 G = GaussQ
 T = TruncScalar
@@ -62,7 +61,7 @@ class TestSplit:
         q = example_chain(2)
         s = split(zero_rep(q, (1, 1, 1)), "i")
         assert s.into.is_zero() and s.outof.is_zero()
-        assert s.tilde_dim == tilde_dimension(q, "i", (1, 1, 1)) == 3
+        assert sum(dim for _, dim in s.blocks) == tilde_dimension(q, "i", (1, 1, 1)) == 3
 
     def test_a2_blocks(self, a2, a2_rep):
         s = split(a2_rep, "2")
@@ -323,9 +322,8 @@ class TestBraidProbe:
         out = braid_probe(a2_rep, lam, "1", "2")
         assert out == {"applicable": False, "reason": "parameter became a non-unit"}
 
-    def test_probe_infinite_pair(self):
-        from qschemes.corpus import extra_kronecker
-        q = extra_kronecker()
+    def test_probe_infinite_pair(self, corpus):
+        q = corpus["kronecker"]
         rep = zero_rep(q, (0, 0))
         lam = random_params(q, 1)
         out = braid_probe(rep, lam, "p", "q")

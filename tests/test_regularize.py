@@ -1,15 +1,10 @@
 import pytest
 
-from qschemes.corpus import (
-    example_star,
-    example_two_legs,
-    extra_a3,
-    extra_kronecker,
-)
 from qschemes.errors import InvalidLeg
 from qschemes.quiver import QuiverMult, bilinear, cartan, expected_dim
 from qschemes.regularize import (
     LegDescriptor,
+    PhiMap,
     check_theorem_hypotheses,
     find_legs,
     isometry_check,
@@ -25,6 +20,8 @@ from qschemes.repn import level_check, random_params
 from qschemes.rng import SplitMix64
 from qschemes.scalars import TruncScalar
 
+from helpers import example_star, example_two_legs
+
 T = TruncScalar
 
 
@@ -38,9 +35,9 @@ def long_leg(d, length):
 
 
 class TestFindLegs:
-    def test_multiplicity_free(self):
-        assert find_legs(extra_a3()) == []
-        assert find_legs(extra_kronecker()) == []
+    def test_multiplicity_free(self, corpus):
+        assert find_legs(corpus["a3"]) == []
+        assert find_legs(corpus["kronecker"]) == []
 
     def test_star_has_one(self):
         for n in (2, 3, 5):
@@ -184,7 +181,7 @@ class TestPhiMap:
         pm = phi_map(q, leg)
         # chain is (base, leg) = vertex indices (1, 0)
         assert pm.apply((5, 3, 9)) == (5, 3 - 5, 9)
-        assert pm.apply_inverse(pm.apply((5, 3, 9))) == (5, 3, 9)
+        assert PhiMap(pm.inverse, pm.matrix).apply(pm.apply((5, 3, 9))) == (5, 3, 9)
 
     def test_identity_off_leg(self):
         q = long_leg(2, 2)

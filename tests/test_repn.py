@@ -1,6 +1,5 @@
 import pytest
 
-from qschemes.corpus import example_chain
 from qschemes.errors import NotInvertible, ShapeMismatch
 from qschemes.linalg import Matrix
 from qschemes.quiver import QuiverMult
@@ -33,7 +32,7 @@ from qschemes.rmatrix import (
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar
 
-from helpers import identity_end, zero_rep
+from helpers import example_chain, identity_end, zero_rep
 
 G = GaussQ
 T = TruncScalar

@@ -1,14 +1,13 @@
 import json
 
 from qschemes import serialize as ser
-from qschemes.corpus import example_chain, example_double
 from qschemes.orbit import OrbitSpec, canonical_leg_point
 from qschemes.quiver import parse_quiver, serialize_quiver
 from qschemes.repn import random_params, random_rep
 from qschemes.rmatrix import ModShape
 from qschemes.scalars import GaussQ, TruncScalar
 
-from helpers import identity_end
+from helpers import example_chain, example_double, identity_end
 
 
 class TestRoundTrips:

@@ -2,16 +2,14 @@ import math
 
 import pytest
 
-from qschemes.corpus import example_chain, example_double, extra_kronecker
-from qschemes.errors import SameVertex, UnknownVertex
+from qschemes.errors import UnknownVertex
 from qschemes.linalg import int_mat_mul, int_transpose
-from qschemes.quiver import QuiverMult, bilinear
+from qschemes.quiver import QuiverMult, bilinear, cartan
 from qschemes.repn import random_params
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar
 from qschemes.weyl import (
     check_params,
-    coxeter_order,
     dim_reflection_matrix,
     lift_cartan,
     pairing_matrix,
@@ -20,12 +18,17 @@ from qschemes.weyl import (
     reflect_param,
     rho,
     rho_matrix,
-    transpose_action,
     transpose_action_matrix,
     verify_coxeter,
 )
 
-from helpers import residue_pair
+from helpers import (
+    SameVertex,
+    coxeter_order,
+    example_chain,
+    example_double,
+    residue_pair,
+)
 
 G = GaussQ
 T = TruncScalar
@@ -57,6 +60,26 @@ def apply_int_matrix_to_params(q, m, lam):
     return unflatten_params(q, out)
 
 
+def transpose_action(q, i, kappa):
+    """The residue-pairing transpose of r_i; changes only the i-th component."""
+    i = q.index(i)
+    kappa = check_params(q, kappa)
+    d = q.mults
+    c = cartan(q).c
+    corr = [G(0)] * d[i]
+    for j in range(q.n):
+        if c[i][j] == 0:
+            continue
+        g = math.gcd(d[i], d[j])
+        fji = d[i] // g
+        fij = d[j] // g
+        for m in range(g):
+            corr[fji * m] = corr[fji * m] + G(c[i][j]) * kappa[j].coeffs[fij * m]
+    out = list(kappa)
+    out[i] = kappa[i] - T(d[i], corr)
+    return tuple(out)
+
+
 class TestReflectDim:
     def test_zero(self):
         q = example_chain(2)
@@ -70,9 +93,9 @@ class TestReflectDim:
         q = example_chain(2)
         assert reflect_dim(q, "i", (1, 1, 1)) == (2, 1, 1)
 
-    def test_involution_and_isometry(self):
+    def test_involution_and_isometry(self, corpus):
         rng = SplitMix64(11)
-        for q in (example_chain(2), example_double(3), extra_kronecker()):
+        for q in (example_chain(2), example_double(3), corpus["kronecker"]):
             for _ in range(20):
                 v = tuple(rng.randint(-4, 4) for _ in range(q.n))
                 w = tuple(rng.randint(-4, 4) for _ in range(q.n))
@@ -139,8 +162,6 @@ class TestTransposeAction:
             [("x", "a", "b"), ("y", "b", "c")],
         )
         kappa = (T(1, [2]), T(1, [3]), T(1, [5]))
-        from qschemes.quiver import cartan
-
         c = cartan(q).c
         for i in range(3):
             out = transpose_action(q, i, kappa)
@@ -195,10 +216,7 @@ class TestLiftedCartan:
         q = QuiverMult.build(
             [("a", 1), ("b", 1)], [("x", "a", "b")]
         )
-        from qschemes.quiver import cartan
-
-        lc = lift_cartan(q)
-        assert [list(r) for r in lc.c] == cartan(q).c_list()
+        assert lift_cartan(q).c == cartan(q).c
 
     def test_diagonal_two(self, corpus):
         for q in corpus.values():
@@ -209,8 +227,6 @@ class TestLiftedCartan:
     def test_membership_rule_brute_force(self):
         # entry nonzero exactly when (k, l) are matched multiples for one m
         q = example_chain(2)
-        from qschemes.quiver import cartan
-
         c = cartan(q).c
         d = q.mults
         lc = lift_cartan(q)
@@ -277,8 +293,8 @@ class TestVerifyCoxeter:
         orders = {c.vertices: c.order for c in rep.checks if len(c.vertices) == 2}
         assert orders[("i", "j")] == 3  # unit-Cartan pair
 
-    def test_infinite_pair_skipped(self):
-        rep = verify_coxeter(extra_kronecker())
+    def test_infinite_pair_skipped(self, corpus):
+        rep = verify_coxeter(corpus["kronecker"])
         assert rep.all_ok
         assert rep.skipped == [(("p", "q"), 4)]
 
