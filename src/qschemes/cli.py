@@ -45,6 +45,14 @@ def _emit(args, obj, text):
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
 
 
+def _write_out(args, text):
+    """Write text to the --out file when one is given, else to stdout."""
+    if args.out:
+        Path(args.out).write_text(text, encoding="utf-8")
+    else:
+        sys.stdout.write(text)
+
+
 def cmd_parse(args):
     q = _load_quiver(args.file)
     if args.dot:
@@ -137,11 +145,7 @@ def cmd_mesh(args):
 def cmd_random_rep(args):
     q = _load_quiver(args.file)
     rep = random_rep(q, _parse_dims(args.v), args.seed)
-    out = ser.dumps(ser.rep_to_obj(rep))
-    if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
-    else:
-        sys.stdout.write(out)
+    _write_out(args, ser.dumps(ser.rep_to_obj(rep)))
     return 0
 
 
@@ -159,11 +163,7 @@ def cmd_leg_factor(args):
     spec = ser.orbit_spec_from_obj(_load_json(args.spec))
     a = ser.rmap_from_obj(_load_json(args.a))
     point = orbit_mod.leg_factorize(spec, a)
-    out = ser.dumps(ser.leg_point_to_obj(point))
-    if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
-    else:
-        sys.stdout.write(out)
+    _write_out(args, ser.dumps(ser.leg_point_to_obj(point)))
     return 0
 
 
@@ -178,11 +178,7 @@ def cmd_functor(args):
         "lambda": ser.params_to_obj(q, new_lam),
         "v": list(out_rep.v),
     }
-    out = ser.dumps(obj)
-    if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
-    else:
-        sys.stdout.write(out)
+    _write_out(args, ser.dumps(obj))
     return 0
 
 
@@ -190,11 +186,7 @@ def cmd_random_level(args):
     q = _load_quiver(args.file)
     lam = ser.params_from_obj(q, _load_json(args.lam))
     rep = random_level_point(q, lam, _parse_dims(args.v), args.vertex, args.seed)
-    out = ser.dumps(ser.rep_to_obj(rep))
-    if args.out:
-        Path(args.out).write_text(out, encoding="utf-8")
-    else:
-        sys.stdout.write(out)
+    _write_out(args, ser.dumps(ser.rep_to_obj(rep)))
     return 0
 
 

@@ -35,6 +35,11 @@ deterministic rule of ``free_basis`` (column-reduce the residue, pick the
 lexicographically smallest pivot set, lift those columns), and the connecting
 maps are coordinates of (-A + theta_i) between consecutive bases.  Distinct
 basis choices differ by a gauge transformation only.
+
+Every chain map of a ``LegPoint``, the junction maps with V_0 included, is
+held in one form: the R_d-linear ``RMap`` that ``compose`` takes.  No
+function here converts to the base-field parameter blocks; only
+``serialize`` restricts the junction maps, for printing.
 """
 
 from __future__ import annotations
@@ -50,13 +55,9 @@ from .rmatrix import (
     RMap,
     _lower,
     compose,
-    extend_scalars,
-    extend_scalars_rev,
     invert_end,
     scalar_end,
     scale_end,
-    slice_restrict,
-    slice_restrict_rev,
     slices,
 )
 from .repn import random_unit_end
@@ -215,27 +216,17 @@ def coordinates(u: RMap, f: RMap) -> RMap:
 
 @dataclass(frozen=True)
 class LegPoint:
-    """Chain presentation: down/up maps between nested modules plus end maps.
+    """Chain presentation: down/up maps between the nested modules V_0..V_l.
 
-    down[i-1] : V_i -> V_{i+1} and up[i-1] : V_{i+1} -> V_i for i = 1..l-1;
-    ``a`` and ``b`` are the base-field forms of the junction maps between the
-    ambient module and V_1.
+    down[i] : V_i (x) R_d -> V_{i+1} (x) R_d and up[i] : V_{i+1} (x) R_d ->
+    V_i (x) R_d for i = 0..l-1, all R_d-linear; down[0] and up[0] are the
+    junction maps with the ambient module V_0.
     """
 
     d: int
     dims: tuple          # ranks of V_0..V_l
     down: tuple
     up: tuple
-    a: RMap
-    b: RMap
-
-    def junction_in(self) -> RMap:
-        """a extended to the ambient module: V_0 (x) R_d -> V_1 (x) R_d."""
-        return extend_scalars(self.a)
-
-    def junction_out(self) -> RMap:
-        """b extended: V_1 (x) R_d -> V_0 (x) R_d."""
-        return extend_scalars_rev(self.b)
 
 
 def canonical_leg_point(spec: OrbitSpec) -> LegPoint:
@@ -244,17 +235,11 @@ def canonical_leg_point(spec: OrbitSpec) -> LegPoint:
     Up maps are the inclusions of the nested coordinate modules; down maps act
     as theta_i - theta_j on the j-th block.
     """
-    d = spec.d
     l = spec.legs
-    thetas = spec.thetas
-    dims = [spec.tail_dim(i) for i in range(l + 1)]
-    down, up = [], []
-    for i in range(1, l):
-        down.append(_scaled_projection(spec, i))
-        up.append(_inclusion(spec, i))
-    a = slice_restrict(d, _scaled_projection(spec, 0))
-    b = slice_restrict_rev(d, _inclusion(spec, 0))
-    return LegPoint(d, tuple(dims), tuple(down), tuple(up), a, b)
+    dims = tuple(spec.tail_dim(i) for i in range(l + 1))
+    down = tuple(_scaled_projection(spec, i) for i in range(l))
+    up = tuple(_inclusion(spec, i) for i in range(l))
+    return LegPoint(spec.d, dims, down, up)
 
 
 def _inclusion(spec: OrbitSpec, i) -> RMap:
@@ -279,9 +264,7 @@ def _scaled_projection(spec: OrbitSpec, i) -> RMap:
 
 def nu(spec: OrbitSpec, point: LegPoint) -> RMap:
     """-B_{0,1} B_{1,0} + theta_0; recovers the presented endomorphism."""
-    n = spec.total
-    prod = compose(point.junction_out(), point.junction_in())
-    return scalar_end(spec.thetas[0], n) - prod
+    return scalar_end(spec.thetas[0], spec.total) - compose(point.up[0], point.down[0])
 
 
 def leg_moment(spec: OrbitSpec, point: LegPoint) -> tuple[RMap, ...]:
@@ -289,12 +272,9 @@ def leg_moment(spec: OrbitSpec, point: LegPoint) -> tuple[RMap, ...]:
     l = spec.legs
     out = []
     for i in range(1, l + 1):
-        if i == 1:
-            acc = compose(point.junction_in(), point.junction_out())
-        else:
-            acc = compose(point.down[i - 2], point.up[i - 2])
+        acc = compose(point.down[i - 1], point.up[i - 1])
         if i < l:
-            acc = acc - compose(point.up[i - 1], point.down[i - 1])
+            acc = acc - compose(point.up[i], point.down[i])
         out.append(acc)
     return tuple(out)
 
@@ -311,22 +291,11 @@ def leg_mesh_residuals(spec: OrbitSpec, point: LegPoint) -> tuple[RMap, ...]:
 
 def leg_rank_checks(spec: OrbitSpec, point: LegPoint) -> bool:
     """Residue-rank witnesses: up maps injective, down maps surjective."""
-    ups = [point.junction_out()] + list(point.up)
-    downs = [point.junction_in()] + list(point.down)
-    for i, (u_map, d_map) in enumerate(zip(ups, downs)):
-        target = spec.tail_dim(i + 1)
-        if rank(residue_slice(u_map)) != target:
-            return False
-        if rank(residue_slice(d_map)) != target:
-            return False
-    return True
-
-
-def residue_slice(f: RMap) -> Matrix:
-    """Residue (constant eps-slice) of a possibly rectangular map: the rows
-    w_i eps^0 and columns v_j eps^0 of its constant slice."""
-    f1, f2 = f.src.order // f.base, f.dst.order // f.base
-    return f.parts[0].take(slice(None, None, f2), slice(None, None, f1))
+    return all(
+        rank(f.parts[0]) == spec.tail_dim(i + 1)
+        for i, pair in enumerate(zip(point.up, point.down))
+        for f in pair
+    )
 
 
 def leg_factorize(spec: OrbitSpec, a_end: RMap, witness=None) -> LegPoint:
@@ -339,7 +308,6 @@ def leg_factorize(spec: OrbitSpec, a_end: RMap, witness=None) -> LegPoint:
         witness = orbit_membership(spec, a_end)
     if not witness.ok:
         raise NotInOrbit("; ".join(witness.reasons))
-    d = spec.d
     n = spec.total
     l = spec.legs
     thetas = spec.thetas
@@ -351,14 +319,13 @@ def leg_factorize(spec: OrbitSpec, a_end: RMap, witness=None) -> LegPoint:
         bases.append(free_basis(proj))
     def minus_a_plus(t):
         return scalar_end(t, n) - a_end
-    down, up = [], []
+    down = [coordinates(bases[1], minus_a_plus(thetas[0]))]
+    up = [bases[1]]
     for i in range(1, l):
         down.append(coordinates(bases[i + 1], compose(minus_a_plus(thetas[i]), bases[i])))
         up.append(coordinates(bases[i], bases[i + 1]))
-    a = slice_restrict(d, coordinates(bases[1], minus_a_plus(thetas[0])))
-    b = slice_restrict_rev(d, bases[1])
     dims = tuple(spec.tail_dim(i) for i in range(l + 1))
-    return LegPoint(d, dims, tuple(down), tuple(up), a, b)
+    return LegPoint(spec.d, dims, tuple(down), tuple(up))
 
 
 def orbit_dimension(spec: OrbitSpec) -> int:

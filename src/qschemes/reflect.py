@@ -2,20 +2,23 @@
 
 A representation splits at a vertex i into the maps into i, the maps out of
 i, and the untouched remainder.  Stacking the per-arrow free parameter blocks
-(signs folded into the incoming side) gives a pair
+(signs folded into the incoming side) and inducing them up to R_{d_i} gives
+the R_{d_i}-linear pair
 
-    into : V~ -> V_i (x) R_{d_i},     outof : V_i (x) R_{d_i} -> V~
+    into : V~ (x) R_{d_i} -> V_i (x) R_{d_i},
+    outof : V_i (x) R_{d_i} -> V~ (x) R_{d_i},
 
-over the base field, where V~ concatenates one slice block per incoming
-arrow of the double.  The functor refactors the shifted composite A - lam_i,
-A = -outof^R . into^R, through a fresh vertex module of rank dim V~ - v_i: the
-one-leg case of orbit.leg_factorize, for the orbit of
-diag(0 .. 0, lam_i .. lam_i) with block dimensions (dim V~ - v_i, v_i).  The
-output is one specific gauge representative, pinned by the deterministic basis
-rule of orbit.free_basis.
+where V~ concatenates one slice block per incoming arrow of the double.
+``split`` converts the arrow maps to this form and ``unsplit`` converts back;
+in between, every map is composed as it is.  The functor refactors the
+shifted composite A - lam_i, A = -outof . into, through a fresh vertex module
+of rank dim V~ - v_i: the one-leg case of orbit.leg_factorize, for the orbit
+of diag(0 .. 0, lam_i .. lam_i) with block dimensions (dim V~ - v_i, v_i).
+The output is one specific gauge representative, pinned by the deterministic
+basis rule of orbit.free_basis.
 
-The moment condition alone puts A in that orbit.  Write X = into^R and
-Y = outof^R, so A = -Y X; the moment value at i is X Y, since inducing both
+The moment condition alone puts A in that orbit.  Write X = into and
+Y = outof, so A = -Y X; the moment value at i is X Y, since inducing both
 maps of an arrow pair turns the pr_cd average of their product into a plain
 composite.  If X Y = -lam_i Id with lam_i a unit, then
 
@@ -67,9 +70,8 @@ from .weyl import check_params, reflect_dim
 @dataclass(frozen=True)
 class SplitAtVertex:
     vertex: int
-    blocks: tuple        # (incoming double-arrow name, slice dimension) pairs
-    into: RMap           # stacked slice blocks -> V_i (x) R_{d_i}, signs folded in
-    outof: RMap          # V_i (x) R_{d_i} -> stacked slice blocks
+    into: RMap           # V~ (x) R_{d_i} -> V_i (x) R_{d_i}, signs folded in
+    outof: RMap          # V_i (x) R_{d_i} -> V~ (x) R_{d_i}
     rest: object         # mapping from untouched arrow names to their maps
 
 
@@ -85,60 +87,52 @@ def tilde_dimension(q: QuiverMult, i, v) -> int:
 def split(rep: Representation, i) -> SplitAtVertex:
     q = rep.quiver
     i = q.index(i)
-    d_i = q.mults[i]
-    shape_i = ModShape(rep.v[i], d_i)
-    blocks, in_flats, out_flats = [], [], []
-    for h in incoming_arrows(q, i):
-        dim = h.f_in * rep.v[h.source]
-        blocks.append((h.name, dim))
-        x = slice_restrict(h.base, rep.map(h.name))
-        if h.sign < 0:
-            x = -x
-        in_flats.append(x.flat)
+    shape_i = ModShape(rep.v[i], q.mults[i])
+    arrows = incoming_arrows(q, i)
+    if arrows:
+        into = hstack([slice_restrict(h.base, rep.map(h.name)).flat.scale(h.sign)
+                       for h in arrows])
         # the reversed arrow of h has the same base ring
-        out_flats.append(slice_restrict_rev(h.base, rep.map(h.reversed_name)).flat)
-    tilde = sum(dim for _, dim in blocks)
-    if blocks:
-        into = RMap(ModShape(tilde, 1), shape_i, 1, [hstack(in_flats)])
-        outof = RMap(shape_i, ModShape(tilde, 1), 1, [vstack(out_flats)])
+        outof = vstack([slice_restrict_rev(h.base, rep.map(h.reversed_name)).flat
+                        for h in arrows])
+        tilde = ModShape(into.ncols, 1)
+        into = extend_scalars(RMap(tilde, shape_i, 1, [into]))
+        outof = extend_scalars_rev(RMap(shape_i, tilde, 1, [outof]))
     else:
-        into = zero_map(ModShape(0, 1), shape_i)
-        outof = zero_map(shape_i, ModShape(0, 1))
+        empty = ModShape(0, shape_i.order)
+        into, outof = zero_map(empty, shape_i), zero_map(shape_i, empty)
     rest = {
         h.name: rep.map(h.name)
         for h in rep.arrows
         if h.source != i and h.target != i
     }
-    return SplitAtVertex(i, tuple(blocks), into, outof, MappingProxyType(rest))
+    return SplitAtVertex(i, into, outof, MappingProxyType(rest))
 
 
 def unsplit(q: QuiverMult, v, s: SplitAtVertex) -> Representation:
     """Inverse of split; v may differ from the original at the split vertex."""
     maps = dict(s.rest)
-    pos = 0
-    incoming = {h.name: h for h in incoming_arrows(q, s.vertex)}
     mults = q.mults
-    for name, dim in s.blocks:
-        h = incoming[name]
+    into = slice_restrict(mults[s.vertex], s.into).flat
+    outof = slice_restrict_rev(mults[s.vertex], s.outof).flat
+    pos = 0
+    for h in incoming_arrows(q, s.vertex):
+        dim = h.f_in * v[h.source]
         src = ModShape(v[h.source], mults[h.source])
         dst = ModShape(v[h.target], mults[h.target])
-        xb = RMap(ModShape(dim, 1), s.into.dst, 1,
-                  [s.into.flat.take(cols=slice(pos, pos + dim))])
-        if h.sign < 0:
-            xb = -xb
+        xb = RMap(ModShape(dim, 1), dst, 1,
+                  [into.take(cols=slice(pos, pos + dim)).scale(h.sign)])
         maps[h.name] = slice_extend(src, dst, h.base, xb)
-        yb = RMap(s.outof.src, ModShape(dim, 1), 1,
-                  [s.outof.flat.take(slice(pos, pos + dim))])
+        yb = RMap(dst, ModShape(dim, 1), 1, [outof.take(slice(pos, pos + dim))])
         maps[h.reversed_name] = slice_extend_rev(dst, src, h.base, yb)
         pos += dim
     return Representation(q, v, maps)
 
 
 def phi(rep: Representation, i):
-    """First factorization component -outof^R . into^R, plus the untouched maps."""
+    """First factorization component -outof . into, plus the untouched maps."""
     s = split(rep, i)
-    a = -compose(extend_scalars_rev(s.outof), extend_scalars(s.into))
-    return a, s
+    return -compose(s.outof, s.into), s
 
 
 def random_level_point(q: QuiverMult, lam, v, i, seed) -> Representation:
@@ -169,13 +163,8 @@ def random_level_point(q: QuiverMult, lam, v, i, seed) -> Representation:
     point = canonical_leg_point(spec)
     g = random_unit_end(rng, ModShape(tilde, d_i))
     h_gauge = random_unit_end(rng, ModShape(v[q_i], d_i))
-    b10 = compose(h_gauge, compose(point.junction_in(), invert_end(g)))
-    b01 = compose(g, compose(point.junction_out(), invert_end(h_gauge)))
-    into = slice_restrict(d_i, b10)
-    outof = slice_restrict_rev(d_i, b01)
-    blocks = tuple(
-        (h.name, h.f_in * v[h.source]) for h in incoming_arrows(q, q_i)
-    )
+    into = compose(h_gauge, compose(point.down[0], invert_end(g)))
+    outof = compose(g, compose(point.up[0], invert_end(h_gauge)))
     rest = {}
     for h in double(q):
         if h.source == q_i or h.target == q_i:
@@ -183,8 +172,7 @@ def random_level_point(q: QuiverMult, lam, v, i, seed) -> Representation:
         src = ModShape(v[h.source], q.mults[h.source])
         dst = ModShape(v[h.target], q.mults[h.target])
         rest[h.name] = random_linear_map(rng, src, dst, h.base)
-    s = SplitAtVertex(q_i, blocks, into, outof, MappingProxyType(rest))
-    return unsplit(q, v, s)
+    return unsplit(q, v, SplitAtVertex(q_i, into, outof, MappingProxyType(rest)))
 
 
 def reflection_functor(rep: Representation, i, lam) -> Representation:
@@ -201,7 +189,6 @@ def reflection_functor(rep: Representation, i, lam) -> Representation:
     lam_i = lam[q_i]
     if not lam_i.is_unit():
         raise NotAUnit(f"parameter at vertex {q.name(q_i)} is not a unit")
-    d_i = q.mults[q_i]
     tilde = tilde_dimension(q, q_i, rep.v)
     new_rank = tilde - rep.v[q_i]
     if new_rank < 0:
@@ -218,8 +205,5 @@ def reflection_functor(rep: Representation, i, lam) -> Representation:
     a, s = phi(rep, q_i)
     shifted = a - scalar_end(lam_i, tilde)
     basis = free_basis(scale_end(shifted, -trunc_inv(lam_i)))
-    new_into = slice_restrict(d_i, coordinates(basis, -shifted))
-    new_outof = slice_restrict_rev(d_i, basis)
-    new_v = reflect_dim(q, q_i, rep.v)
-    s2 = SplitAtVertex(q_i, s.blocks, new_into, new_outof, s.rest)
-    return unsplit(q, new_v, s2)
+    s2 = SplitAtVertex(q_i, coordinates(basis, -shifted), basis, s.rest)
+    return unsplit(q, reflect_dim(q, q_i, rep.v), s2)

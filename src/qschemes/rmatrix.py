@@ -15,6 +15,15 @@ validating inverse ``RMap.from_flat``, for untrusted input, raises
 
 An endomorphism with base == order ("REnd") has n x n slices: the
 matrix-polynomial coefficients xi_k of ``slices``/``from_slices``.
+
+A map is kept in the one form its callers compose.  ``slice_restrict`` and
+``slice_restrict_rev`` take an R_base-linear map to its free parameter block
+over the base field, ``slice_extend``/``slice_extend_rev`` go back, and
+``extend_scalars``/``extend_scalars_rev`` induce an R_d-linear map from such
+a block.  The restricting and inducing converters belong to the boundary:
+outside this module only ``reflect`` (splitting a representation at a vertex
+and putting it back together) and ``serialize`` (printing the junction maps
+of a leg point) call them, which ``tests/test_layout.py`` enforces.
 """
 
 from __future__ import annotations
@@ -201,7 +210,8 @@ def zero_map(src: ModShape, dst: ModShape, base=None) -> RMap:
 def scalar_end(c: TruncScalar, rank: int) -> REnd:
     """The endomorphism acting as the scalar c on a rank-n module."""
     shape = ModShape(rank, c.d)
-    return RMap(shape, shape, c.d, [Matrix.diagonal([x] * rank) for x in c.coeffs])
+    one = Matrix.identity(rank)
+    return RMap(shape, shape, c.d, [one.scale(x) for x in c.coeffs])
 
 
 def compose(f: RMap, g: RMap) -> RMap:

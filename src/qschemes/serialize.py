@@ -18,7 +18,7 @@ from .linalg import Matrix
 from .orbit import LegPoint, OrbitSpec
 from .quiver import QuiverMult
 from .repn import Representation
-from .rmatrix import ModShape, RMap
+from .rmatrix import ModShape, RMap, slice_restrict, slice_restrict_rev
 from .scalars import GaussQ, TruncScalar
 from .weyl import check_params
 
@@ -135,11 +135,13 @@ def orbit_spec_from_obj(obj) -> OrbitSpec:
 
 
 def leg_point_to_obj(p: LegPoint) -> dict:
+    """The chain maps past the junction, and the junction maps ``a`` and ``b``
+    as their free parameter blocks over the base field."""
     return {
         "d": p.d,
         "dims": list(p.dims),
-        "down": [rmap_to_obj(f) for f in p.down],
-        "up": [rmap_to_obj(f) for f in p.up],
-        "a": rmap_to_obj(p.a),
-        "b": rmap_to_obj(p.b),
+        "down": [rmap_to_obj(f) for f in p.down[1:]],
+        "up": [rmap_to_obj(f) for f in p.up[1:]],
+        "a": rmap_to_obj(slice_restrict(p.d, p.down[0])),
+        "b": rmap_to_obj(slice_restrict_rev(p.d, p.up[0])),
     }

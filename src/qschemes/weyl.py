@@ -47,6 +47,18 @@ def param_offsets(q: QuiverMult) -> list[int]:
     return offs
 
 
+def _matched_powers(di, dj):
+    """Matched eps-powers (k_i, k_j) = (m d_i/g, m d_j/g), m < g = gcd(d_i, d_j).
+
+    eps_i^(d_i/g) and eps_j^(d_j/g) both act as the generator of the common
+    subring R_g, so k_i and k_j are the same power of it.  The reflections
+    pair the top powers (d_i - 1 - k_i, d_j - 1 - k_j), their transposes the
+    bottom powers themselves.
+    """
+    g = math.gcd(di, dj)
+    return [(m * (di // g), m * (dj // g)) for m in range(g)]
+
+
 # -- reflections --------------------------------------------------------------
 
 def reflect_dim(q: QuiverMult, i, v) -> tuple[int, ...]:
@@ -75,12 +87,9 @@ def reflect_param(q: QuiverMult, i, lam) -> tuple[TruncScalar, ...]:
     for j in range(q.n):
         if j == i or c[i][j] == 0:
             continue
-        g = math.gcd(d[i], d[j])
-        fji = d[i] // g
-        fij = d[j] // g
         coeffs = [GQ_ZERO] * d[j]
-        for l in range(g):
-            coeffs[d[j] - fij * l - 1] = lam[i].coeffs[d[i] - fji * l - 1]
+        for ki, kj in _matched_powers(d[i], d[j]):
+            coeffs[d[j] - 1 - kj] = lam[i].coeffs[d[i] - 1 - ki]
         out[j] = lam[j] - TruncScalar(d[j], coeffs) * GaussQ(c[i][j])
     return tuple(out)
 
@@ -114,13 +123,8 @@ def param_reflection_matrix(q: QuiverMult, i):
     for j in range(q.n):
         if j == i or c[i][j] == 0:
             continue
-        g = math.gcd(d[i], d[j])
-        fji = d[i] // g
-        fij = d[j] // g
-        for l in range(g):
-            row = offs[j] + d[j] - fij * l - 1
-            col = offs[i] + d[i] - fji * l - 1
-            m[row][col] -= c[i][j]
+        for ki, kj in _matched_powers(d[i], d[j]):
+            m[offs[j] + d[j] - 1 - kj][offs[i] + d[i] - 1 - ki] -= c[i][j]
     return m
 
 
@@ -133,11 +137,8 @@ def transpose_action_matrix(q: QuiverMult, i):
     for j in range(q.n):
         if c[i][j] == 0:
             continue
-        g = math.gcd(d[i], d[j])
-        fji = d[i] // g
-        fij = d[j] // g
-        for mm in range(g):
-            m[offs[i] + fji * mm][offs[j] + fij * mm] -= c[i][j]
+        for ki, kj in _matched_powers(d[i], d[j]):
+            m[offs[i] + ki][offs[j] + kj] -= c[i][j]
     return m
 
 
@@ -186,18 +187,14 @@ def lift_cartan(q: QuiverMult) -> LiftedCartan:
     """
     d = q.mults
     c = cartan(q).c
+    offs = param_offsets(q)
     indices = [(i, k) for i in range(q.n) for k in range(d[i])]
     n = len(indices)
     out = [[0] * n for _ in range(n)]
-    for a, (i, k) in enumerate(indices):
-        for b, (j, l) in enumerate(indices):
-            g = math.gcd(d[i], d[j])
-            fji = d[i] // g
-            fij = d[j] // g
-            if k % fji == 0:
-                m = k // fji
-                if l == fij * m:
-                    out[a][b] = c[i][j]
+    for i in range(q.n):
+        for j in range(q.n):
+            for k, l in _matched_powers(d[i], d[j]):
+                out[offs[i] + k][offs[j] + l] = c[i][j]
     return LiftedCartan(
         tuple(indices),
         tuple(tuple(r) for r in out),

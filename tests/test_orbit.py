@@ -300,6 +300,17 @@ class TestFactorize:
             spec = make()
             assert leg_factorize(spec, big_theta(spec)) == canonical_leg_point(spec)
 
+    def test_chain_maps_are_r_d_linear(self):
+        # l maps each way, junction maps included, every one over R_d
+        for make in ALL_SPECS:
+            spec = make()
+            for p in (canonical_leg_point(spec), leg_factorize(spec, random_conjugate(spec, 4))):
+                assert len(p.down) == len(p.up) == spec.legs
+                assert all(f.base == spec.d for f in p.down + p.up)
+                for i, (dn, up) in enumerate(zip(p.down, p.up)):
+                    v_i, v_next = (ModShape(spec.tail_dim(k), spec.d) for k in (i, i + 1))
+                    assert (dn.src, dn.dst, up.src, up.dst) == (v_i, v_next, v_next, v_i)
+
     def test_conjugates_factor_exactly(self):
         for make in ALL_SPECS:
             spec = make()

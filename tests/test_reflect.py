@@ -1,10 +1,11 @@
 import pytest
 
 from qschemes.errors import EmptyLevelSet, NotAUnit, NotInLevelSet
-from qschemes.linalg import Matrix, rank
+from qschemes.linalg import Matrix, hstack, rank, vstack
 from qschemes.orbit import OrbitSpec, orbit_membership
 from qschemes.quiver import QuiverMult
 from qschemes.reflect import (
+    incoming_arrows,
     phi,
     random_level_point,
     reflection_functor,
@@ -28,6 +29,8 @@ from qschemes.rmatrix import (
     invert_end,
     scalar_end,
     scale_end,
+    slice_restrict,
+    slice_restrict_rev,
 )
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar, trunc_inv
@@ -61,7 +64,7 @@ class TestSplit:
         q = example_chain(2)
         s = split(zero_rep(q, (1, 1, 1)), "i")
         assert s.into.is_zero() and s.outof.is_zero()
-        assert sum(dim for _, dim in s.blocks) == tilde_dimension(q, "i", (1, 1, 1)) == 3
+        assert s.into.src.rank == tilde_dimension(q, "i", (1, 1, 1)) == 3
 
     def test_a2_blocks(self, a2, a2_rep):
         s = split(a2_rep, "2")
@@ -70,6 +73,31 @@ class TestSplit:
         s1 = split(a2_rep, "1")
         assert s1.into.flat == gmat([[-3]])  # reversed arrow carries sign -1
         assert s1.outof.flat == gmat([[2]])
+
+    def test_into_outof_are_induced_to_the_vertex_ring(self, corpus):
+        """into/outof are R_{d_i}-linear, and restrict to the signed stack of
+        the per-arrow parameter blocks, on points with non-real entries."""
+        rng = SplitMix64(12)
+        for name in ("double_d3", "nested"):
+            q = corpus[name]
+            v = tuple(1 + rng.randint(0, 1) for _ in range(q.n))
+            a, b = (random_rep(q, v, rng.next_u64()) for _ in range(2))
+            rep = Representation(q, v, {k: a.maps[k] + b.maps[k].scale(G(0, 1))
+                                        for k in a.maps})
+            assert all(f.flat.im is not None for f in rep.maps.values())
+            for i in range(q.n):
+                d_i = q.mults[i]
+                s = split(rep, i)
+                assert s.into.base == s.outof.base == d_i
+                arrows = incoming_arrows(q, i)
+                assert slice_restrict(d_i, s.into).flat == hstack(
+                    [slice_restrict(h.base, rep.map(h.name)).flat.scale(h.sign)
+                     for h in arrows])
+                assert slice_restrict_rev(d_i, s.outof).flat == vstack(
+                    [slice_restrict_rev(h.base, rep.map(h.reversed_name)).flat
+                     for h in arrows])
+                assert compose(s.into, s.outof) == moment_component(rep, i)
+                assert unsplit(q, v, s) == rep
 
     def test_unsplit_inverts(self):
         rng = SplitMix64(3)

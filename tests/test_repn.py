@@ -22,8 +22,6 @@ from qschemes.rmatrix import (
     ModShape,
     RMap,
     compose,
-    extend_scalars,
-    extend_scalars_rev,
     invert_end,
     scalar_end,
     trace_r,
@@ -126,8 +124,7 @@ class TestMomentMap:
         rep = random_rep(mixed_quiver, (2, 1, 2), 23)
         for i in range(mixed_quiver.n):
             s = split(rep, i)
-            alt = compose(extend_scalars(s.into), extend_scalars_rev(s.outof))
-            assert alt == moment_component(rep, i)
+            assert compose(s.into, s.outof) == moment_component(rep, i)
 
 
 class TestMeshAndLevel:
