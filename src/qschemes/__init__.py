@@ -26,8 +26,6 @@ from .quiver import (
     CartanData,
     QuiverMult,
     bilinear,
-    cartan,
-    double,
     expected_dim,
     parse_quiver,
     serialize_quiver,

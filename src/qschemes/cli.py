@@ -15,7 +15,7 @@ from . import orbit as orbit_mod
 from . import regularize as reg_mod
 from . import serialize as ser
 from .errors import MalformedInput, QschemeError
-from .quiver import cartan, expected_dim, parse_quiver, serialize_quiver, to_dot
+from .quiver import expected_dim, parse_quiver, serialize_quiver, to_dot
 from .reflect import random_level_point, reflection_functor
 from .repn import level_check, mesh_check, moment_map, random_rep
 from .suites import SUITE_NAMES, run_suite
@@ -64,7 +64,7 @@ def cmd_parse(args):
 
 def cmd_cartan(args):
     q = _load_quiver(args.file)
-    cd = cartan(q)
+    cd = q.cartan
     obj = {
         "vertices": [v.name for v in q.vertices],
         "a": [list(r) for r in cd.a],

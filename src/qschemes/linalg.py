@@ -158,11 +158,6 @@ class Matrix:
         return _canon(_lincomb(re, u, im, -v), _lincomb(im, u, v and re, v),
                       self.den * w, self.ncols)
 
-    def transpose(self) -> "Matrix":
-        if not self.nrows:
-            return Matrix.zero(self.ncols, 0)
-        return _new(tuple(zip(*self.re)), self.im and tuple(zip(*self.im)), self.den, self.nrows)
-
     def trace(self) -> GaussQ:
         """Sum of the diagonal entries of a square matrix."""
         im = sum(r[k] for k, r in enumerate(self.im)) if self.im else 0

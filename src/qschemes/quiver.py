@@ -1,5 +1,15 @@
 """Quivers with multiplicities: data model, text DSL, Cartan data.
 
+A ``QuiverMult`` is immutable and owns everything derived from its arrows
+and multiplicities.  Its constructor validates the input and then computes,
+once, the fields that the other modules read:
+
+    mults     the multiplicity of each vertex;
+    double    the arrows of the double quiver, originals first, then the
+              reversals, each with its sign and common subring;
+    incoming  per vertex, the double arrows that end there, in double order;
+    cartan    the ``CartanData`` (adjacency counts, symmetrizer, Cartan matrix).
+
 DSL grammar (whitespace-insensitive, '#' starts a line comment):
 
     file  :=  "quiver" "{" stmt* "}"
@@ -45,7 +55,7 @@ class Arrow:
 class QuiverMult:
     """Immutable quiver with a positive multiplicity at each vertex."""
 
-    __slots__ = ("vertices", "arrows", "_index")
+    __slots__ = ("vertices", "arrows", "_index", "mults", "double", "incoming", "cartan")
 
     def __init__(self, vertices, arrows):
         vs = tuple(vertices)
@@ -69,6 +79,12 @@ class QuiverMult:
         object.__setattr__(self, "vertices", vs)
         object.__setattr__(self, "arrows", ars)
         object.__setattr__(self, "_index", index)
+        object.__setattr__(self, "mults", tuple(v.mult for v in vs))
+        dbl = _double(self)
+        object.__setattr__(self, "double", dbl)
+        object.__setattr__(self, "incoming", tuple(
+            tuple(h for h in dbl if h.target == i) for i in range(len(vs))))
+        object.__setattr__(self, "cartan", _cartan(self))
 
     def __setattr__(self, name, value):
         raise AttributeError("QuiverMult is immutable")
@@ -92,10 +108,6 @@ class QuiverMult:
     @property
     def n(self) -> int:
         return len(self.vertices)
-
-    @property
-    def mults(self) -> tuple[int, ...]:
-        return tuple(v.mult for v in self.vertices)
 
     def index(self, vertex) -> int:
         """Vertex index from a name or an already-valid index."""
@@ -139,7 +151,7 @@ class DoubleArrow:
         return self.name[:-1] if self.sign < 0 else self.name + "~"
 
 
-def double(q: QuiverMult) -> tuple[DoubleArrow, ...]:
+def _double(q: QuiverMult) -> tuple[DoubleArrow, ...]:
     """Arrows of the double quiver: originals first, then the reversals."""
     d = q.mults
     out = []
@@ -166,7 +178,7 @@ class CartanData:
                 for i in range(len(self.d))]
 
 
-def cartan(q: QuiverMult) -> CartanData:
+def _cartan(q: QuiverMult) -> CartanData:
     """Cartan data of the underlying graph with multiplicities."""
     n = q.n
     d = q.mults
@@ -196,7 +208,7 @@ def bilinear(q: QuiverMult, v, w) -> int:
     """Symmetric form (v, w) = v^T D C w on the lattice Z^I."""
     if len(v) != q.n or len(w) != q.n:
         raise LengthMismatch("dimension vector length differs from vertex count")
-    cd = cartan(q)
+    cd = q.cartan
     total = 0
     for i in range(q.n):
         row = cd.c[i]

@@ -8,7 +8,8 @@ the R_{d_i}-linear pair
     into : V~ (x) R_{d_i} -> V_i (x) R_{d_i},
     outof : V_i (x) R_{d_i} -> V~ (x) R_{d_i},
 
-where V~ concatenates one slice block per incoming arrow of the double.
+where V~ concatenates one slice block per double arrow that ends at i, in
+the order of ``quiver.incoming[i]``; ``tilde_dimension`` is its rank.
 ``split`` converts the arrow maps to this form and ``unsplit`` converts back;
 in between, every map is composed as it is.  The functor refactors the
 shifted composite A - lam_i, A = -outof . into, through a fresh vertex module
@@ -40,7 +41,7 @@ from types import MappingProxyType
 from .errors import EmptyLevelSet, LengthMismatch, NotAUnit, NotInLevelSet
 from .linalg import hstack, vstack
 from .orbit import OrbitSpec, canonical_leg_point, coordinates, free_basis
-from .quiver import QuiverMult, double
+from .quiver import QuiverMult
 from .repn import (
     Representation,
     moment_component,
@@ -75,25 +76,21 @@ class SplitAtVertex:
     rest: object         # mapping from untouched arrow names to their maps
 
 
-def incoming_arrows(q: QuiverMult, i):
-    return tuple(h for h in double(q) if h.target == q.index(i))
-
-
 def tilde_dimension(q: QuiverMult, i, v) -> int:
     """dim V~ at vertex i: sum of f_in * v_src over incoming double arrows."""
-    return sum(h.f_in * v[h.source] for h in incoming_arrows(q, i))
+    return sum(h.f_in * v[h.source] for h in q.incoming[q.index(i)])
 
 
 def split(rep: Representation, i) -> SplitAtVertex:
     q = rep.quiver
     i = q.index(i)
     shape_i = ModShape(rep.v[i], q.mults[i])
-    arrows = incoming_arrows(q, i)
+    arrows = q.incoming[i]
     if arrows:
-        into = hstack([slice_restrict(h.base, rep.map(h.name)).flat.scale(h.sign)
+        into = hstack([slice_restrict(h.base, rep.maps[h.name]).flat.scale(h.sign)
                        for h in arrows])
         # the reversed arrow of h has the same base ring
-        outof = vstack([slice_restrict_rev(h.base, rep.map(h.reversed_name)).flat
+        outof = vstack([slice_restrict_rev(h.base, rep.maps[h.reversed_name]).flat
                         for h in arrows])
         tilde = ModShape(into.ncols, 1)
         into = extend_scalars(RMap(tilde, shape_i, 1, [into]))
@@ -102,8 +99,8 @@ def split(rep: Representation, i) -> SplitAtVertex:
         empty = ModShape(0, shape_i.order)
         into, outof = zero_map(empty, shape_i), zero_map(shape_i, empty)
     rest = {
-        h.name: rep.map(h.name)
-        for h in rep.arrows
+        h.name: rep.maps[h.name]
+        for h in q.double
         if h.source != i and h.target != i
     }
     return SplitAtVertex(i, into, outof, MappingProxyType(rest))
@@ -116,7 +113,7 @@ def unsplit(q: QuiverMult, v, s: SplitAtVertex) -> Representation:
     into = slice_restrict(mults[s.vertex], s.into).flat
     outof = slice_restrict_rev(mults[s.vertex], s.outof).flat
     pos = 0
-    for h in incoming_arrows(q, s.vertex):
+    for h in q.incoming[s.vertex]:
         dim = h.f_in * v[h.source]
         src = ModShape(v[h.source], mults[h.source])
         dst = ModShape(v[h.target], mults[h.target])
@@ -166,7 +163,7 @@ def random_level_point(q: QuiverMult, lam, v, i, seed) -> Representation:
     into = compose(h_gauge, compose(point.down[0], invert_end(g)))
     outof = compose(g, compose(point.up[0], invert_end(h_gauge)))
     rest = {}
-    for h in double(q):
+    for h in q.double:
         if h.source == q_i or h.target == q_i:
             continue
         src = ModShape(v[h.source], q.mults[h.source])

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 from .errors import InvalidLeg, LengthMismatch
 from .linalg import int_identity, int_mat_mul, int_transpose
-from .quiver import QuiverMult, cartan
+from .quiver import QuiverMult
 from .scalars import TruncScalar
 from .weyl import (
     check_params,
@@ -47,51 +47,37 @@ class LegDescriptor:
         return (self.base,) + self.vertices
 
 
-def _edge_count(q: QuiverMult, a, b) -> int:
-    return sum(
-        1 for ar in q.arrows
-        if {ar.source, ar.target} == {a, b}
-    )
-
-
-def _neighbours(q: QuiverMult, a) -> set:
-    out = set()
-    for ar in q.arrows:
-        if ar.source == a:
-            out.add(ar.target)
-        elif ar.target == a:
-            out.add(ar.source)
-    return out
-
-
 def find_legs(q: QuiverMult) -> list[LegDescriptor]:
-    """All maximal chains satisfying the leg conditions, in discovery order."""
-    mults = q.mults
+    """All maximal chains satisfying the leg conditions, in discovery order.
+
+    Row i of the adjacency counts ``q.cartan.a`` gives the neighbours of i in
+    ascending order and the number of arrows joining i to each.
+    """
+    mults, a = q.mults, q.cartan.a
     legs = []
     for b in range(q.n):
         if mults[b] != 1:
             continue
-        for first in sorted(_neighbours(q, b)):
+        for first in range(q.n):
             d = mults[first]
-            if d <= 1 or _edge_count(q, b, first) != 1:
+            if d <= 1 or a[b][first] != 1:
                 continue
             seq = [first]
             prev, cur = b, first
             ok = True
             while True:
-                nbrs = _neighbours(q, cur)
-                extra = nbrs - {prev}
+                extra = [j for j in range(q.n) if a[cur][j] and j != prev]
                 if not extra:
                     break
                 if len(extra) > 1:
                     ok = False
                     break
-                nxt = extra.pop()
+                nxt = extra[0]
                 if (
                     mults[nxt] != d
                     or nxt == b
                     or nxt in seq
-                    or _edge_count(q, cur, nxt) != 1
+                    or a[cur][nxt] != 1
                 ):
                     ok = False
                     break
@@ -203,18 +189,6 @@ class HypothesisReport:
             ok for _, ok in self.unit_conditions
         )
 
-    def summary(self) -> str:
-        lines = []
-        for name, value, ok in self.dim_conditions:
-            lines.append(f"dim at {name}: {value} {'ok' if ok else 'NEGATIVE'}")
-        for names, ok in self.unit_conditions:
-            lines.append(f"sum over {names}: {'unit' if ok else 'NOT a unit'}")
-        if self.weak_condition is not None:
-            lines.append(
-                f"length-1 fallback (lam unit): {'ok' if self.weak_condition else 'fails'}"
-            )
-        return "\n".join(lines)
-
 
 def check_theorem_hypotheses(q, leg: LegDescriptor, lam, v) -> HypothesisReport:
     """Evaluate the two transfer hypotheses exactly."""
@@ -267,17 +241,16 @@ def isometry_check(q: QuiverMult, leg: LegDescriptor) -> bool:
     """t(phi) DC(regularized) phi == DC(original), exactly."""
     phi = phi_map(q, leg)
     reg = regularize_quiver(q, leg)
-    dc = cartan(q).dc_list()
-    dc_reg = cartan(reg).dc_list()
+    dc = q.cartan.dc_list()
+    dc_reg = reg.cartan.dc_list()
     m = [list(r) for r in phi.matrix]
     lhs = int_mat_mul(int_transpose(m), int_mat_mul(dc_reg, m))
     return lhs == dc
 
 
-def _chain_transposition(q: QuiverMult, chain, pos):
-    """Permutation matrix of Z^I swapping chain positions pos-1 and pos."""
-    m = int_identity(q.n)
-    a, b = chain[pos - 1], chain[pos]
+def _swap(n, a, b):
+    """Permutation matrix of Z^n swapping coordinates a and b."""
+    m = int_identity(n)
     m[a][a] = m[b][b] = 0
     m[a][b] = m[b][a] = 1
     return m
@@ -315,13 +288,14 @@ def verify_semidirect(q: QuiverMult, leg: LegDescriptor) -> VerifyReport:
     for i in range(q.n):
         conj = int_mat_mul(m, int_mat_mul(dim_reflection_matrix(q, i), minv))
         if i in leg_positions and leg_positions[i] >= 1:
-            want = _chain_transposition(q, chain, leg_positions[i])
+            pos = leg_positions[i]
+            want = _swap(q.n, chain[pos - 1], chain[pos])
             report.add(f"phi s_{q.name(i)} phi^-1 = swap", conj == want)
         else:
             want = dim_reflection_matrix(reg, i)
             report.add(f"phi s_{q.name(i)} phi^-1 = reflected", conj == want)
     for pos in range(1, len(chain)):
-        sigma = _chain_transposition(q, chain, pos)
+        sigma = _swap(q.n, chain[pos - 1], chain[pos])
         perm = {chain[pos - 1]: chain[pos], chain[pos]: chain[pos - 1]}
         for k in range(q.n):
             lhs = int_mat_mul(sigma, int_mat_mul(dim_reflection_matrix(reg, k), sigma))
@@ -355,30 +329,21 @@ def param_map_matrix(q: QuiverMult, leg: LegDescriptor):
     return m
 
 
-def _chain_param_transposition(q, reg, chain, pos):
-    """Permutation of the regularized flat parameter coordinates for a swap."""
-    offs = param_offsets(reg)
-    size = sum(reg.mults)
-    m = int_identity(size)
-    a, b = chain[pos - 1], chain[pos]
-    # both chain components have order 1 after regularization
-    m[offs[a]][offs[a]] = m[offs[b]][offs[b]] = 0
-    m[offs[a]][offs[b]] = m[offs[b]][offs[a]] = 1
-    return m
-
-
 def verify_param_equivariance(q: QuiverMult, leg: LegDescriptor) -> VerifyReport:
     """The parameter transfer intertwines each r_i with its phi-conjugated image."""
     _validate_leg(q, leg)
     chain = leg.chain()
     reg = regularize_quiver(q, leg)
     psi = param_map_matrix(q, leg)
+    offs = param_offsets(reg)
     report = VerifyReport()
     leg_positions = {v: pos for pos, v in enumerate(chain)}
     for i in range(q.n):
         lhs = int_mat_mul(psi, param_reflection_matrix(q, i))
         if i in leg_positions and leg_positions[i] >= 1:
-            action = _chain_param_transposition(q, reg, chain, leg_positions[i])
+            # both chain components have order 1 after regularization
+            pos = leg_positions[i]
+            action = _swap(sum(reg.mults), offs[chain[pos - 1]], offs[chain[pos]])
             label = f"psi r_{q.name(i)} = swap psi"
         else:
             action = param_reflection_matrix(reg, i)

@@ -1,10 +1,11 @@
 """Representation points, the per-vertex moment map, and its invariances.
 
-A representation assigns to each arrow h of the double an RMap between the
-endpoint modules that is linear over the common subring R_gcd; maps are keyed
-by arrow name, with a "~" suffix for the reversed copy.  The moment component
-at a vertex i averages the incoming composites B_h B_hbar into an
-R_{d_i}-linear endomorphism with alternating signs:
+A representation assigns to each arrow h of the double (``quiver.double``)
+an RMap between the endpoint modules that is linear over the common subring
+R_gcd; ``maps`` is keyed by arrow name, with a "~" suffix for the reversed
+copy.  The moment component at a vertex i averages the composites B_h B_hbar
+over the incoming arrows ``quiver.incoming[i]`` into an R_{d_i}-linear
+endomorphism with alternating signs:
 
     mu_i = sum over incoming h of sgn(h) * pr(B_h . B_hbar)
 
@@ -26,7 +27,7 @@ from .errors import (
     ShapeMismatch,
 )
 from .linalg import Matrix
-from .quiver import DoubleArrow, QuiverMult, double
+from .quiver import QuiverMult
 from .rmatrix import (
     ModShape,
     RMap,
@@ -48,7 +49,7 @@ from .weyl import check_params
 class Representation:
     """A point of the representation space: one RMap per arrow of the double."""
 
-    __slots__ = ("quiver", "v", "maps", "_double")
+    __slots__ = ("quiver", "v", "maps")
 
     def __init__(self, quiver: QuiverMult, v, maps):
         v = tuple(v)
@@ -56,10 +57,9 @@ class Representation:
             raise LengthMismatch("dimension vector length differs from vertex count")
         if any(x < 0 for x in v):
             raise NegativeDimension("negative entry in dimension vector")
-        dbl = double(quiver)
         mults = quiver.mults
         normalized = {}
-        for h in dbl:
+        for h in quiver.double:
             if h.name not in maps:
                 raise ShapeMismatch(f"missing map for arrow {h.name}")
             f = maps[h.name]
@@ -80,17 +80,9 @@ class Representation:
         object.__setattr__(self, "quiver", quiver)
         object.__setattr__(self, "v", v)
         object.__setattr__(self, "maps", MappingProxyType(normalized))
-        object.__setattr__(self, "_double", dbl)
 
     def __setattr__(self, name, value):
         raise AttributeError("Representation is immutable")
-
-    @property
-    def arrows(self) -> tuple[DoubleArrow, ...]:
-        return self._double
-
-    def map(self, name) -> RMap:
-        return self.maps[name]
 
     def __eq__(self, other):
         if not isinstance(other, Representation):
@@ -140,10 +132,8 @@ def moment_component(rep: Representation, i) -> RMap:
     i = q.index(i)
     shape = ModShape(rep.v[i], q.mults[i])
     acc = zero_map(shape, shape)
-    for h in rep.arrows:
-        if h.target != i:
-            continue
-        prod = pr_cd(compose(rep.map(h.name), rep.map(h.reversed_name)))
+    for h in q.incoming[i]:
+        prod = pr_cd(compose(rep.maps[h.name], rep.maps[h.reversed_name]))
         acc = acc + prod if h.sign > 0 else acc - prod
     return acc
 
@@ -189,11 +179,11 @@ def symplectic_form(t1: Representation, t2: Representation) -> GaussQ:
     """omega(t1, t2) summed over unreversed arrows at their gcd orders."""
     t1._same_space(t2)
     acc = GQ_ZERO
-    for h in t1.arrows:
+    for h in t1.quiver.double:
         if h.sign < 0:
             continue
-        acc = acc + pair_d(t1.map(h.name), t2.map(h.reversed_name), h.base)
-        acc = acc - pair_d(t2.map(h.name), t1.map(h.reversed_name), h.base)
+        acc = acc + pair_d(t1.maps[h.name], t2.maps[h.reversed_name], h.base)
+        acc = acc - pair_d(t2.maps[h.name], t1.maps[h.reversed_name], h.base)
     return acc
 
 
@@ -201,9 +191,9 @@ def symplectic_form_signed(t1: Representation, t2: Representation) -> GaussQ:
     """Half the signed sum over the full double; equals symplectic_form."""
     t1._same_space(t2)
     acc = GQ_ZERO
-    for h in t1.arrows:
-        term = pair_d(t1.map(h.name), t2.map(h.reversed_name), h.base)
-        term = term - pair_d(t2.map(h.name), t1.map(h.reversed_name), h.base)
+    for h in t1.quiver.double:
+        term = pair_d(t1.maps[h.name], t2.maps[h.reversed_name], h.base)
+        term = term - pair_d(t2.maps[h.name], t1.maps[h.reversed_name], h.base)
         acc = acc + (GaussQ(h.sign) * term)
     return acc / GaussQ(2)
 
@@ -214,8 +204,8 @@ def generating_tangent(rep: Representation, xi) -> Representation:
     if len(xi) != q.n:
         raise LengthMismatch("one endomorphism per vertex required")
     maps = {}
-    for h in rep.arrows:
-        b = rep.map(h.name)
+    for h in q.double:
+        b = rep.maps[h.name]
         maps[h.name] = compose(xi[h.target], b) - compose(b, xi[h.source])
     return Representation(q, rep.v, maps)
 
@@ -257,8 +247,8 @@ def gauge(rep: Representation, g) -> Representation:
                 f"gauge element at vertex {q.name(i)} is not a unit"
             ) from None
     maps = {}
-    for h in rep.arrows:
-        maps[h.name] = compose(g[h.target], compose(rep.map(h.name), ginv[h.source]))
+    for h in q.double:
+        maps[h.name] = compose(g[h.target], compose(rep.maps[h.name], ginv[h.source]))
     return Representation(q, rep.v, maps)
 
 
@@ -303,7 +293,7 @@ def random_rep(q: QuiverMult, v, seed) -> Representation:
         raise NegativeDimension("negative entry in dimension vector")
     rng = SplitMix64(seed)
     maps = {}
-    for h in double(q):
+    for h in q.double:
         src = ModShape(v[h.source], q.mults[h.source])
         dst = ModShape(v[h.target], q.mults[h.target])
         maps[h.name] = random_linear_map(rng, src, dst, h.base)

@@ -201,9 +201,8 @@ def _interleave(n, r, q):
     return [t * n * q + i * q + l for i in range(n) for t in range(r) for l in range(q)]
 
 
-def zero_map(src: ModShape, dst: ModShape, base=None) -> RMap:
-    if base is None:
-        base = math.gcd(src.order, dst.order)
+def zero_map(src: ModShape, dst: ModShape) -> RMap:
+    base = math.gcd(src.order, dst.order)
     return RMap(src, dst, base, [Matrix.zero(dst.dim // base, src.dim // base)] * base)
 
 

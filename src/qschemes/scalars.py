@@ -37,23 +37,32 @@ class GaussQ:
     def __setattr__(self, name, value):
         raise AttributeError("GaussQ is immutable")
 
-    # arithmetic; the imaginary parts are usually zero, so short-circuit them
+    # arithmetic; the imaginary parts are usually zero, so short-circuit them.
+    # An operand that is no Gaussian rational gets NotImplemented, so that
+    # Python tries its reflected method (TruncScalar.__rmul__, say).
 
     def __add__(self, other):
-        other = _coerce(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         return GaussQ(self.re + other.re, self.im + other.im)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = _coerce(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         return GaussQ(self.re - other.re, self.im - other.im)
 
     def __rsub__(self, other):
-        return _coerce(other) - self
+        other = _operand(other)
+        return other if other is NotImplemented else other - self
 
     def __mul__(self, other):
-        other = _coerce(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         if not self.im and not other.im:
             return GaussQ(self.re * other.re)
         return GaussQ(
@@ -64,7 +73,9 @@ class GaussQ:
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = _coerce(other)
+        other = _operand(other)
+        if other is NotImplemented:
+            return other
         if not self.im and not other.im:
             if not other.re:
                 raise ZeroDivisionError("division by zero GaussQ")
@@ -78,7 +89,8 @@ class GaussQ:
         )
 
     def __rtruediv__(self, other):
-        return _coerce(other) / self
+        other = _operand(other)
+        return other if other is NotImplemented else other / self
 
     def __neg__(self):
         return GaussQ(-self.re, -self.im)
@@ -124,12 +136,21 @@ class GaussQ:
         return GaussQ(re_part, im_part)
 
 
-def _coerce(x) -> GaussQ:
+def _operand(x):
+    """x as a GaussQ, or NotImplemented when it is no Gaussian rational."""
     if isinstance(x, GaussQ):
         return x
     if isinstance(x, (int, Fraction)):
         return GaussQ(x)
-    raise TypeError(f"cannot coerce {type(x).__name__} to GaussQ")
+    return NotImplemented
+
+
+def _coerce(x) -> GaussQ:
+    """x as a GaussQ; anything else is an error (a matrix or polynomial entry)."""
+    y = _operand(x)
+    if y is NotImplemented:
+        raise TypeError(f"cannot coerce {type(x).__name__} to GaussQ")
+    return y
 
 
 GQ_ZERO = GaussQ(0)
@@ -157,15 +178,6 @@ class TruncScalar:
     @staticmethod
     def const(d, value) -> "TruncScalar":
         return TruncScalar(d, [value])
-
-    @staticmethod
-    def eps(d, power=1) -> "TruncScalar":
-        """The monomial eps^power in R_d (zero once power >= d)."""
-        if power >= d:
-            return TruncScalar(d)
-        cs = [GQ_ZERO] * d
-        cs[power] = GQ_ONE
-        return TruncScalar(d, cs)
 
     # ring structure -----------------------------------------------------------
 

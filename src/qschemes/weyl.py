@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .errors import LengthMismatch, MismatchedOrder
 from .linalg import int_identity, int_mat_mul
-from .quiver import QuiverMult, cartan
+from .quiver import QuiverMult
 from .scalars import GQ_ZERO, GaussQ, TruncScalar
 
 COXETER_TABLE = {0: 2, 1: 3, 2: 4, 3: 6}
@@ -66,7 +66,7 @@ def reflect_dim(q: QuiverMult, i, v) -> tuple[int, ...]:
     i = q.index(i)
     if len(v) != q.n:
         raise LengthMismatch("dimension vector length differs from vertex count")
-    c = cartan(q).c
+    c = q.cartan.c
     out = list(v)
     out[i] = v[i] - sum(c[i][j] * v[j] for j in range(q.n))
     return tuple(out)
@@ -81,7 +81,7 @@ def reflect_param(q: QuiverMult, i, lam) -> tuple[TruncScalar, ...]:
     i = q.index(i)
     lam = check_params(q, lam)
     d = q.mults
-    c = cartan(q).c
+    c = q.cartan.c
     out = list(lam)
     out[i] = -lam[i]
     for j in range(q.n):
@@ -104,7 +104,7 @@ def rho(q: QuiverMult, lam) -> tuple[GaussQ, ...]:
 
 def dim_reflection_matrix(q: QuiverMult, i):
     i = q.index(i)
-    c = cartan(q).c
+    c = q.cartan.c
     m = int_identity(q.n)
     for j in range(q.n):
         m[i][j] -= c[i][j]
@@ -114,7 +114,7 @@ def dim_reflection_matrix(q: QuiverMult, i):
 def param_reflection_matrix(q: QuiverMult, i):
     i = q.index(i)
     d = q.mults
-    c = cartan(q).c
+    c = q.cartan.c
     offs = param_offsets(q)
     n = sum(d)
     m = int_identity(n)
@@ -131,7 +131,7 @@ def param_reflection_matrix(q: QuiverMult, i):
 def transpose_action_matrix(q: QuiverMult, i):
     i = q.index(i)
     d = q.mults
-    c = cartan(q).c
+    c = q.cartan.c
     offs = param_offsets(q)
     m = int_identity(sum(d))
     for j in range(q.n):
@@ -186,7 +186,7 @@ def lift_cartan(q: QuiverMult) -> LiftedCartan:
     multiples of d_i/gcd and d_j/gcd for one common m, and 0 otherwise.
     """
     d = q.mults
-    c = cartan(q).c
+    c = q.cartan.c
     offs = param_offsets(q)
     indices = [(i, k) for i in range(q.n) for k in range(d[i])]
     n = len(indices)
@@ -236,7 +236,7 @@ class CoxeterReport:
 def verify_coxeter(q: QuiverMult) -> CoxeterReport:
     """Exact verification of r_i^2 = 1, s_i^2 = 1 and all finite braid relations."""
     report = CoxeterReport()
-    c = cartan(q).c
+    c = q.cartan.c
     size = sum(q.mults)
     rid = int_identity(size)
     sid = int_identity(q.n)

@@ -1,16 +1,16 @@
 """Library-level helpers that only the tests call: builders for the example
-quivers at sizes beyond ``corpus/``, the residue pairing and subring
-embedding of truncated scalars, the identity endomorphism, the zero
-representation, the top-slice shift maps, the gauge unit induced on a split
-vertex, the Coxeter order of a vertex pair and the braid-word probe of the
-reflection functor."""
+quivers at sizes beyond ``corpus/``, the monomial eps^k of R_d, the residue
+pairing and subring embedding of truncated scalars, the matrix transpose,
+the identity endomorphism, the zero representation, the top-slice shift
+maps, the gauge unit induced on a split vertex, the Coxeter order of a
+vertex pair and the braid-word probe of the reflection functor."""
 
 import math
 
 from qschemes.errors import NotDivisible, QschemeError, ShapeMismatch
 from qschemes.linalg import Matrix
-from qschemes.quiver import QuiverMult, cartan, double
-from qschemes.reflect import incoming_arrows, phi, reflection_functor
+from qschemes.quiver import QuiverMult
+from qschemes.reflect import phi, reflection_functor
 from qschemes.repn import Representation
 from qschemes.rmatrix import (
     ModShape,
@@ -74,6 +74,17 @@ def example_two_legs(n: int, d: int) -> QuiverMult:
     return QuiverMult.build(vertices, arrows)
 
 
+def eps(d: int, power: int = 1) -> TruncScalar:
+    """The monomial eps^power in R_d (zero once power >= d)."""
+    return TruncScalar(d, [int(k == power) for k in range(d)])
+
+
+def transpose(a: Matrix) -> Matrix:
+    if not a.nrows:
+        return Matrix.zero(a.ncols, 0)
+    return Matrix([list(col) for col in zip(*a.rows)], ncols=a.nrows)
+
+
 def residue_pair(f: TruncScalar, g: TruncScalar) -> GaussQ:
     """Pairing <f,g>_d: the eps^(d-1) coefficient of f*g."""
     f._check(g)
@@ -103,11 +114,10 @@ def identity_end(shape: ModShape) -> RMap:
 def zero_rep(q: QuiverMult, v) -> Representation:
     mults = q.mults
     maps = {}
-    for h in double(q):
+    for h in q.double:
         maps[h.name] = zero_map(
             ModShape(v[h.source], mults[h.source]),
             ModShape(v[h.target], mults[h.target]),
-            h.base,
         )
     return Representation(q, v, maps)
 
@@ -147,7 +157,7 @@ def split_gauge(q: QuiverMult, v, i, g) -> RMap:
     """
     q_i = q.index(i)
     d_i = q.mults[q_i]
-    arrows = incoming_arrows(q, q_i)
+    arrows = q.incoming[q_i]
     dims = [h.f_in * v[h.source] for h in arrows]
     tilde = sum(dims)
     shape = ModShape(tilde, d_i)
@@ -174,7 +184,7 @@ def coxeter_order(q: QuiverMult, i, j):
     i, j = q.index(i), q.index(j)
     if i == j:
         raise SameVertex("coxeter_order needs two distinct vertices")
-    c = cartan(q).c
+    c = q.cartan.c
     return COXETER_TABLE.get(c[i][j] * c[j][i], INFINITE)
 
 
@@ -214,10 +224,10 @@ def braid_probe(rep: Representation, lam, i, j) -> dict:
 
     def invariants(r):
         data = {}
-        for h in r.arrows:
+        for h in q.double:
             if h.sign < 0:
                 continue
-            prod = compose(r.map(h.reversed_name), r.map(h.name))
+            prod = compose(r.maps[h.reversed_name], r.maps[h.name])
             data[f"loop({h.name})"] = str(trace_base(prod, h.base))
         for vertex in (i, j):
             a, _ = phi(r, vertex)

@@ -1,15 +1,19 @@
 """Layout guards on the library's source.
 
-Every public module-level function and class in ``src/qschemes`` must be
-referenced from library code (any module but ``__init__.py``, whose exports
-do not count) or from the benchmark in ``perfbench/``.  A helper that only
-tests use belongs in ``tests/``.
+Every public module-level function and class in ``src/qschemes``, and every
+public method and property of such a class, must be referenced by name from
+library code (any module but ``__init__.py``, whose exports do not count) or
+from the benchmark in ``perfbench/``.  A helper that only tests use belongs
+in ``tests/``.
 
 Module maps are held in one form, the R_d-linear ``RMap`` that callers
 compose.  The converters to and from base-field parameter blocks may be
 referenced only by ``rmatrix`` (which defines them), ``reflect`` (which
 splits a representation at a vertex and puts it back together) and
 ``serialize`` (which prints the junction maps of a leg point).
+
+A quiver's double and Cartan data are built once, by ``QuiverMult`` itself;
+only ``quiver`` may reference their builders.
 """
 
 import ast
@@ -19,6 +23,7 @@ REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "qschemes"
 CONVERTERS = {"slice_restrict", "slice_restrict_rev", "extend_scalars", "extend_scalars_rev"}
 CONVERTING_MODULES = {"rmatrix", "reflect", "serialize"}
+QUIVER_BUILDERS = {"_double", "_cartan"}
 
 
 def _library_modules():
@@ -36,17 +41,24 @@ def _referenced_names(paths):
     return names
 
 
+def _public_definitions(path):
+    """(qualified name, name) of the public functions and classes of a module
+    and of the public methods and properties of those classes."""
+    for node in ast.parse(path.read_text(encoding="utf-8")).body:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+            continue
+        yield f"{path.stem}.{node.name}", node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                    yield f"{path.stem}.{node.name}.{item.name}", item.name
+
+
 def test_every_public_definition_has_a_library_caller():
     modules = _library_modules()
     used = _referenced_names(modules + sorted((REPO / "perfbench").glob("*.py")))
-    unused = [
-        f"{path.stem}.{node.name}"
-        for path in modules
-        for node in ast.parse(path.read_text(encoding="utf-8")).body
-        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
-        and not node.name.startswith("_")
-        and node.name not in used
-    ]
+    unused = [qualified for path in modules
+              for qualified, name in _public_definitions(path) if name not in used]
     assert not unused, f"not referenced from src or perfbench: {unused}"
 
 
@@ -61,3 +73,9 @@ def test_base_field_converters_stay_at_the_boundary():
         offenders += [f"{path.stem}.{name}"
                       for name in sorted(CONVERTERS & (imported | _referenced_names([path])))]
     assert not offenders, f"base-field converters referenced outside the boundary: {offenders}"
+
+
+def test_only_quiver_builds_its_derived_data():
+    offenders = [f"{path.stem}.{name}" for path in _library_modules() if path.stem != "quiver"
+                 for name in sorted(QUIVER_BUILDERS & _referenced_names([path]))]
+    assert not offenders, f"quiver builders referenced outside quiver: {offenders}"

@@ -29,6 +29,8 @@ from qschemes.linalg import (
 )
 from qschemes.scalars import GQ_ONE, GQ_ZERO, GaussQ
 
+from helpers import transpose
+
 KINDS = ("integer", "fraction", "gaussian", "sparse")
 
 
@@ -305,12 +307,12 @@ class TestCanonicalForm:
         for kind in KINDS:
             for m, n in ((0, 3), (3, 0), (0, 0), (2, 4)):
                 a = random_matrix(rng, kind, m, n)
-                t = a.transpose()
+                t = transpose(a)
                 assert_canonical(a)
                 assert_canonical(t)
                 assert (t.nrows, t.ncols) == (n, m)
                 assert t.rows == tuple(zip(*a.rows)) or m == 0
-                assert t.transpose() == a
+                assert transpose(t) == a
         for z in (Matrix.zero(0, 3), Matrix([], ncols=3), vstack([Matrix.zero(0, 3)] * 2),
                   Matrix([[GaussQ(0, 1)] * 3]).take(rows=[])):
             assert_canonical(z)

@@ -36,7 +36,7 @@ from qschemes.rmatrix import (
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar, trunc_inv
 
-from helpers import TopSliceNotZero, identity_end, shift_decompose, shift_map
+from helpers import TopSliceNotZero, eps, identity_end, shift_decompose, shift_map
 
 G = GaussQ
 T = TruncScalar
@@ -156,7 +156,7 @@ class TestMembership:
     def test_eps_perturbation_fails(self):
         for make in (spec_d2, spec_d3):
             spec = make()
-            a = big_theta(spec) + scalar_end(T.eps(spec.d), spec.total)
+            a = big_theta(spec) + scalar_end(eps(spec.d), spec.total)
             assert not orbit_membership(spec, a).ok
 
     def test_generated_non_members_fail(self):
@@ -184,7 +184,7 @@ class TestAgainstExhaustiveCheck:
             yield f"conjugate {seed}", random_conjugate(spec, seed)
             yield f"non-member {seed}", random_non_member(spec, seed)
         if spec.d > 1:
-            yield "eps-perturbed", big_theta(spec) + scalar_end(T.eps(spec.d), spec.total)
+            yield "eps-perturbed", big_theta(spec) + scalar_end(eps(spec.d), spec.total)
         if len(set(spec.dims)) > 1:
             yield "swapped dims", swapped_dims_non_member(spec, 1)
 
@@ -243,7 +243,7 @@ class TestOperationCount:
                 w, n = self.count_composes(monkeypatch, spec, random_conjugate(spec, seed))
                 assert w.ok and n <= 3 * l - 2, (make.__name__, seed, n)
             # Theta + eps (Theta + 1 at d = 1): the product does not vanish
-            shift = T.eps(spec.d) if spec.d > 1 else T.const(1, 1)
+            shift = eps(spec.d) if spec.d > 1 else T.const(1, 1)
             bad = big_theta(spec) + scalar_end(shift, spec.total)
             w, n = self.count_composes(monkeypatch, spec, bad)
             assert not w.ok and w.reasons[0].startswith("product")
@@ -396,7 +396,7 @@ class TestShift:
 
     def test_top_eps_identity(self):
         sh = ModShape(2, 3)
-        a = scalar_end(T.eps(3, 2), 2)
+        a = scalar_end(eps(3, 2), 2)
         top, rest = shift_decompose(a)
         assert top == Matrix.identity(2)
         assert rest.is_zero()
@@ -420,7 +420,7 @@ class TestShift:
         sh = ModShape(2, 2)
         b = RMap.from_flat(sh, sh, 2, Matrix.zero(4, 4))
         out = shift_map(b, Matrix.identity(2), G(0))
-        assert out == scalar_end(T.eps(2), 2).scale(G(-1))
+        assert out == scalar_end(eps(2), 2).scale(G(-1))
 
     def test_shift_then_decompose(self):
         spec = spec_d2()
@@ -436,4 +436,4 @@ class TestShift:
     def test_rejects_nonzero_top(self):
         sh = ModShape(1, 2)
         with pytest.raises(TopSliceNotZero):
-            shift_map(scalar_end(T.eps(2), 1), Matrix.zero(1, 1), G(0))
+            shift_map(scalar_end(eps(2), 1), Matrix.zero(1, 1), G(0))

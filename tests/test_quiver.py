@@ -10,12 +10,16 @@ from qschemes.errors import (
 from qschemes.quiver import (
     QuiverMult,
     bilinear,
-    cartan,
     expected_dim,
     parse_quiver,
     serialize_quiver,
     to_dot,
 )
+from qschemes.reflect import phi, random_level_point, reflection_functor
+from qschemes.regularize import find_legs
+from qschemes.repn import moment_map, random_params
+from qschemes.rmatrix import scalar_end
+from qschemes.weyl import reflect_param
 
 from helpers import example_chain, example_double
 
@@ -105,20 +109,20 @@ def test_serialize_parse_roundtrip(vnames, data):
 class TestCartan:
     def test_chain_example(self):
         for d in (2, 3):
-            assert cartan(example_chain(d)).c == (
+            assert example_chain(d).cartan.c == (
                 (2, -d, -1), (-1, 2, 0), (-1, 0, 2))
 
     def test_double_example(self):
         for d in (2, 3):
-            assert cartan(example_double(d)).c == (
+            assert example_double(d).cartan.c == (
                 (2, -1, -1), (-1, 2, 0), (-d, 0, 2))
 
     def test_single_vertex(self):
-        assert cartan(QuiverMult.build([("a", 3)])).c == ((2,),)
+        assert QuiverMult.build([("a", 3)]).cartan.c == ((2,),)
 
     def test_symmetrizable(self, corpus):
         for q in corpus.values():
-            cd = cartan(q)
+            cd = q.cartan
             dc = cd.dc_list()
             assert dc == [list(r) for r in zip(*dc)]
             assert all(cd.c[i][i] == 2 for i in range(q.n))
@@ -139,8 +143,44 @@ class TestCartan:
                         for k, a in enumerate(q.arrows)
                     ],
                 )
-                assert cartan(flipped).c == cartan(q).c
-                assert cartan(flipped).d == cartan(q).d
+                assert flipped.cartan.c == q.cartan.c
+                assert flipped.cartan.d == q.cartan.d
+
+
+class TestDerivedData:
+    """The double, incoming arrows and Cartan data are built once, at construction."""
+
+    def test_incoming_arrows_in_double_order(self, corpus):
+        for q in corpus.values():
+            assert len(q.incoming) == q.n
+            for i in range(q.n):
+                assert q.incoming[i] == tuple(h for h in q.double if h.target == i)
+
+    def test_adjacency_counts_arrows(self, corpus):
+        for q in corpus.values():
+            for i in range(q.n):
+                for j in range(q.n):
+                    assert q.cartan.a[i][j] == sum(
+                        1 for ar in q.arrows if {ar.source, ar.target} == {i, j})
+
+    def test_modules_read_the_built_data(self, corpus, monkeypatch):
+        import qschemes.quiver as quiver_mod
+
+        q = corpus["star_n3_d2"]
+
+        def rebuilt(_):
+            raise AssertionError("derived quiver data rebuilt after construction")
+
+        monkeypatch.setattr(quiver_mod, "_double", rebuilt)
+        monkeypatch.setattr(quiver_mod, "_cartan", rebuilt)
+        i, v = q.index("base"), (1, 1, 1)
+        lam = random_params(q, 5, units=[i])
+        p = random_level_point(q, lam, v, i, 7)
+        back = reflection_functor(reflection_functor(p, i, lam), i, reflect_param(q, i, lam))
+        assert back.v == v
+        assert phi(back, i)[0] == phi(p, i)[0]
+        assert moment_map(back)[i] == scalar_end(-lam[i], v[i])
+        assert [leg.vertices for leg in find_legs(q)] == [(q.index("leg"),)]
 
 
 class TestBilinear:

@@ -5,7 +5,6 @@ from qschemes.linalg import Matrix, hstack, rank, vstack
 from qschemes.orbit import OrbitSpec, orbit_membership
 from qschemes.quiver import QuiverMult
 from qschemes.reflect import (
-    incoming_arrows,
     phi,
     random_level_point,
     reflection_functor,
@@ -89,12 +88,12 @@ class TestSplit:
                 d_i = q.mults[i]
                 s = split(rep, i)
                 assert s.into.base == s.outof.base == d_i
-                arrows = incoming_arrows(q, i)
+                arrows = q.incoming[i]
                 assert slice_restrict(d_i, s.into).flat == hstack(
-                    [slice_restrict(h.base, rep.map(h.name)).flat.scale(h.sign)
+                    [slice_restrict(h.base, rep.maps[h.name]).flat.scale(h.sign)
                      for h in arrows])
                 assert slice_restrict_rev(d_i, s.outof).flat == vstack(
-                    [slice_restrict_rev(h.base, rep.map(h.reversed_name)).flat
+                    [slice_restrict_rev(h.base, rep.maps[h.reversed_name]).flat
                      for h in arrows])
                 assert compose(s.into, s.outof) == moment_component(rep, i)
                 assert unsplit(q, v, s) == rep
@@ -263,7 +262,7 @@ class TestReflectionFunctor:
         a1, s1 = phi(out_g, "i")
         assert a1 == compose(induced, compose(a0, invert_end(induced)))
         for name in s0.rest:
-            assert s1.rest[name] == gp.map(name)
+            assert s1.rest[name] == gp.maps[name]
 
     def test_error_paths(self, a2, a2_rep):
         with pytest.raises(NotAUnit):

@@ -1,7 +1,7 @@
 import pytest
 
 from qschemes.errors import InvalidLeg
-from qschemes.quiver import QuiverMult, bilinear, cartan, expected_dim
+from qschemes.quiver import QuiverMult, bilinear, expected_dim
 from qschemes.regularize import (
     LegDescriptor,
     PhiMap,
@@ -84,7 +84,7 @@ class TestRegularizeQuiver:
         for d in (2, 3, 4):
             q = example_star(3, d)
             reg = regularize_quiver(q, find_legs(q)[0])
-            a = cartan(reg).a
+            a = reg.cartan.a
             leg_i, base_i, c1 = 0, 1, 2
             assert a[leg_i][c1] == 1       # duplicated neighbour attachment
             assert a[base_i][c1] == 1      # original attachment survives

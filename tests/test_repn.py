@@ -30,7 +30,7 @@ from qschemes.rmatrix import (
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar
 
-from helpers import example_chain, identity_end, zero_rep
+from helpers import eps, example_chain, identity_end, zero_rep
 
 G = GaussQ
 T = TruncScalar
@@ -107,7 +107,7 @@ class TestMomentMap:
         # oracle: the averaged composite sum_k N^k (B Bbar) N^(1-k) by hand
         sh = ModShape(1, 2)
         prod = maps["h"].flat @ maps["h~"].flat
-        n = scalar_end(T.eps(2), 1).flat
+        n = scalar_end(eps(2), 1).flat
         oracle = n @ prod + prod @ n
         assert mu[1].flat == oracle
         assert trace_r(mu[1]) == T(2, [4, 11])
@@ -244,7 +244,7 @@ class TestGauge:
         assert symplectic_form(gauge(t1, g), gauge(t2, g)) == symplectic_form(t1, t2)
 
     def test_non_unit_rejected(self, a2, a2_rep):
-        bad = [scalar_end(T.eps(1, 0), 1).scale(G(0)), scalar_end(T.eps(1, 0), 1)]
+        bad = [scalar_end(eps(1, 0), 1).scale(G(0)), scalar_end(eps(1, 0), 1)]
         with pytest.raises(NotInvertible):
             gauge(a2_rep, bad)
 

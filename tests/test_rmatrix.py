@@ -31,7 +31,7 @@ from qschemes.rmatrix import (
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar
 
-from helpers import identity_end, residue_pair
+from helpers import eps, identity_end, residue_pair
 
 G = GaussQ
 
@@ -114,7 +114,7 @@ class TestTrace:
         assert trace_r(identity_end(ModShape(3, 2))) == TruncScalar.const(2, 3)
 
     def test_eps(self):
-        assert trace_r(scalar_end(TruncScalar.eps(2), 1)) == TruncScalar.eps(2)
+        assert trace_r(scalar_end(eps(2), 1)) == eps(2)
 
     def test_diagonal_sum(self):
         f = from_slices([gmat([[1, 0], [0, 2]]), gmat([[1, 0], [0, 0]])], 2)
@@ -141,7 +141,7 @@ class TestPairing:
     def test_top_eps_power(self):
         for d in (2, 3):
             sh = ModShape(1, d)
-            assert pair_d(scalar_end(TruncScalar.eps(d, d - 1), 1), identity_end(sh)) == G(1)
+            assert pair_d(scalar_end(eps(d, d - 1), 1), identity_end(sh)) == G(1)
 
     def test_scalar_case(self):
         x = scalar_end(TruncScalar(2, [1, 2]), 1)
@@ -159,7 +159,7 @@ class TestPr:
         # oracle: N Z + Z N with explicit nilpotent matrix
         sh = ModShape(1, 2)
         z = RMap(sh, sh, 1, [gmat([[1, 2], [3, 4]])])
-        n = scalar_end(TruncScalar.eps(2), 1).flat
+        n = scalar_end(eps(2), 1).flat
         oracle = n @ z.flat + z.flat @ n
         assert pr_cd(z).flat == oracle
         assert trace_r(pr_cd(z)) == TruncScalar(2, [2, 5])
@@ -167,7 +167,7 @@ class TestPr:
     def test_identity_viewed_over_subring(self):
         sh = ModShape(1, 2)
         z = RMap(sh, sh, 1, [Matrix.identity(2)])
-        assert pr_cd(z) == scalar_end(TruncScalar.eps(2), 1).scale(G(2))
+        assert pr_cd(z) == scalar_end(eps(2), 1).scale(G(2))
 
     @pytest.mark.parametrize("c,d", [(1, 2), (1, 3), (2, 4), (3, 6)])
     def test_adjointness(self, c, d):
@@ -242,7 +242,7 @@ class TestInvert:
 
     def test_non_unit_rejected(self):
         with pytest.raises(NotInvertible):
-            invert_end(scalar_end(TruncScalar.eps(2), 1))
+            invert_end(scalar_end(eps(2), 1))
 
 
 class TestSlices:

@@ -4,6 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qschemes.errors import MismatchedOrder, NotAUnit, NotDivisible
+from qschemes.linalg import Matrix
 from qschemes.scalars import (
     GaussQ,
     TruncScalar,
@@ -11,7 +12,7 @@ from qschemes.scalars import (
     trunc_mul,
 )
 
-from helpers import embed_subring, residue_pair
+from helpers import embed_subring, eps, residue_pair
 
 rationals = st.builds(
     Fraction, st.integers(-20, 20), st.integers(1, 9)
@@ -65,6 +66,15 @@ class TestGaussQ:
         assert GaussQ(1, 1) != 1
         assert len({GaussQ(1, 1), GaussQ(Fraction(2, 2), 1), 1}) == 2
 
+    def test_other_operands_get_their_reflected_method(self):
+        t = TruncScalar(2, [1, 2])
+        assert GaussQ(2) * t == TruncScalar(2, [2, 4]) == 2 * t
+        assert GaussQ(2) + t == TruncScalar(2, [3, 2]) == 2 + t
+        with pytest.raises(TypeError):
+            GaussQ(2) - t
+        with pytest.raises(TypeError):
+            Matrix([[t]])
+
 
 class TestTruncMul:
     def test_truncation_kills_square(self):
@@ -73,8 +83,8 @@ class TestTruncMul:
         assert trunc_mul(one_plus, one_minus) == TruncScalar.const(2, 1)
 
     def test_nilpotency(self):
-        eps = TruncScalar.eps(2)
-        assert trunc_mul(eps, eps) == TruncScalar(2)
+        e = eps(2)
+        assert trunc_mul(e, e) == TruncScalar(2)
 
     def test_against_poly_oracle(self):
         a = TruncScalar(3, [1, 2])
@@ -114,7 +124,7 @@ class TestTruncInv:
 
     def test_not_a_unit(self):
         with pytest.raises(NotAUnit):
-            trunc_inv(TruncScalar.eps(2))
+            trunc_inv(eps(2))
 
     @given(st.integers(1, 5), st.data())
     def test_units_invert_exactly(self, d, data):
@@ -130,7 +140,7 @@ class TestResiduePair:
         for d in (1, 2, 3, 4):
             for i in range(d):
                 for j in range(d):
-                    value = residue_pair(TruncScalar.eps(d, i), TruncScalar.eps(d, j))
+                    value = residue_pair(eps(d, i), eps(d, j))
                     assert value == GaussQ(1 if i + j == d - 1 else 0)
 
     def test_order_one(self):
@@ -158,7 +168,7 @@ class TestEmbed:
         assert embed_subring(TruncScalar.const(1, 1), 3) == TruncScalar.const(3, 1)
 
     def test_substitution(self):
-        assert embed_subring(TruncScalar.eps(2), 4) == TruncScalar.eps(4, 2)
+        assert embed_subring(eps(2), 4) == eps(4, 2)
         assert embed_subring(TruncScalar(2, [2, 3]), 6) == TruncScalar(6, [2, 0, 0, 3])
 
     def test_not_divisible(self):

@@ -4,7 +4,7 @@ import pytest
 
 from qschemes.errors import UnknownVertex
 from qschemes.linalg import int_mat_mul, int_transpose
-from qschemes.quiver import QuiverMult, bilinear, cartan
+from qschemes.quiver import QuiverMult, bilinear
 from qschemes.repn import random_params
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar
@@ -65,7 +65,7 @@ def transpose_action(q, i, kappa):
     i = q.index(i)
     kappa = check_params(q, kappa)
     d = q.mults
-    c = cartan(q).c
+    c = q.cartan.c
     corr = [G(0)] * d[i]
     for j in range(q.n):
         if c[i][j] == 0:
@@ -162,7 +162,7 @@ class TestTransposeAction:
             [("x", "a", "b"), ("y", "b", "c")],
         )
         kappa = (T(1, [2]), T(1, [3]), T(1, [5]))
-        c = cartan(q).c
+        c = q.cartan.c
         for i in range(3):
             out = transpose_action(q, i, kappa)
             correction = sum(c[i][j] * kappa[j].coeffs[0].re for j in range(3))
@@ -216,7 +216,7 @@ class TestLiftedCartan:
         q = QuiverMult.build(
             [("a", 1), ("b", 1)], [("x", "a", "b")]
         )
-        assert lift_cartan(q).c == cartan(q).c
+        assert lift_cartan(q).c == q.cartan.c
 
     def test_diagonal_two(self, corpus):
         for q in corpus.values():
@@ -227,7 +227,7 @@ class TestLiftedCartan:
     def test_membership_rule_brute_force(self):
         # entry nonzero exactly when (k, l) are matched multiples for one m
         q = example_chain(2)
-        c = cartan(q).c
+        c = q.cartan.c
         d = q.mults
         lc = lift_cartan(q)
         for a, (i, k) in enumerate(lc.indices):
