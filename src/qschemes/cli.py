@@ -31,7 +31,10 @@ def _load_quiver(path):
 
 
 def _load_json(path):
-    return json.loads(_read(path))
+    try:
+        return json.loads(_read(path))
+    except RecursionError:
+        raise MalformedInput(f"{path}: JSON nested too deeply") from None
 
 
 def _parse_dims(text):

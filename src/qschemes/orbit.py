@@ -37,9 +37,9 @@ maps are coordinates of (-A + theta_i) between consecutive bases.  Distinct
 basis choices differ by a gauge transformation only.
 
 Every chain map of a ``LegPoint``, the junction maps with V_0 included, is
-held in one form: the R_d-linear ``RMap`` that ``compose`` takes.  No
-function here converts to the base-field parameter blocks; only
-``serialize`` restricts the junction maps, for printing.
+held in one form: the R_d-linear ``RMap`` that ``compose`` takes.  Only
+``serialize`` reads base-field blocks of the junction maps, off their flat
+views, for printing.
 """
 
 from __future__ import annotations

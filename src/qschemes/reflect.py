@@ -1,18 +1,19 @@
 """Reflection functor at a vertex with a unit parameter.
 
 A representation splits at a vertex i into the maps into i, the maps out of
-i, and the untouched remainder.  Stacking the per-arrow free parameter blocks
-(signs folded into the incoming side) and inducing them up to R_{d_i} gives
-the R_{d_i}-linear pair
+i, and the untouched remainder.  Extending the scalars of each arrow map at i
+to R_{d_i} (rmatrix.extend_scalars*) and joining the results slice by slice
+(signs folded into the incoming side) gives the R_{d_i}-linear pair
 
     into : V~ (x) R_{d_i} -> V_i (x) R_{d_i},
     outof : V_i (x) R_{d_i} -> V~ (x) R_{d_i},
 
-where V~ concatenates one slice block per double arrow that ends at i, in
-the order of ``quiver.incoming[i]``; ``tilde_dimension`` is its rank.
-``split`` converts the arrow maps to this form and ``unsplit`` converts back;
-in between, every map is composed as it is.  The functor refactors the
-shifted composite A - lam_i, A = -outof . into, through a fresh vertex module
+where V~ concatenates, per double arrow h that ends at i and in the order of
+``quiver.incoming[i]``, the source module of h as a free module over the
+arrow's base ring; ``tilde_dimension`` is its rank.  ``unsplit`` cuts the
+pair into its per-arrow blocks and restricts their scalars back; in between,
+every map is composed as it is.  The functor refactors the shifted
+composite A - lam_i, A = -outof . into, through a fresh vertex module
 of rank dim V~ - v_i: the one-leg case of orbit.leg_factorize, for the orbit
 of diag(0 .. 0, lam_i .. lam_i) with block dimensions (dim V~ - v_i, v_i).
 The output is one specific gauge representative, pinned by the deterministic
@@ -38,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .errors import EmptyLevelSet, LengthMismatch, NotAUnit, NotInLevelSet
+from .errors import EmptyLevelSet, LengthMismatch, NegativeDimension, NotAUnit, NotInLevelSet
 from .linalg import hstack, vstack
 from .orbit import OrbitSpec, canonical_leg_point, coordinates, free_basis
 from .quiver import QuiverMult
@@ -55,12 +56,10 @@ from .rmatrix import (
     extend_scalars,
     extend_scalars_rev,
     invert_end,
+    restrict_scalars,
+    restrict_scalars_rev,
     scalar_end,
     scale_end,
-    slice_extend,
-    slice_extend_rev,
-    slice_restrict,
-    slice_restrict_rev,
     zero_map,
 )
 from .rng import SplitMix64
@@ -87,14 +86,13 @@ def split(rep: Representation, i) -> SplitAtVertex:
     shape_i = ModShape(rep.v[i], q.mults[i])
     arrows = q.incoming[i]
     if arrows:
-        into = hstack([slice_restrict(h.base, rep.maps[h.name]).flat.scale(h.sign)
-                       for h in arrows])
-        # the reversed arrow of h has the same base ring
-        outof = vstack([slice_restrict_rev(h.base, rep.maps[h.reversed_name]).flat
-                        for h in arrows])
-        tilde = ModShape(into.ncols, 1)
-        into = extend_scalars(RMap(tilde, shape_i, 1, [into]))
-        outof = extend_scalars_rev(RMap(shape_i, tilde, 1, [outof]))
+        ins = [extend_scalars(rep.maps[h.name]).scale(h.sign) for h in arrows]
+        outs = [extend_scalars_rev(rep.maps[h.reversed_name]) for h in arrows]
+        tilde = ModShape(sum(f.src.rank for f in ins), shape_i.order)
+        into = RMap(tilde, shape_i, shape_i.order,
+                    [hstack(ps) for ps in zip(*(f.parts for f in ins))])
+        outof = RMap(shape_i, tilde, shape_i.order,
+                     [vstack(ps) for ps in zip(*(f.parts for f in outs))])
     else:
         empty = ModShape(0, shape_i.order)
         into, outof = zero_map(empty, shape_i), zero_map(shape_i, empty)
@@ -109,20 +107,17 @@ def split(rep: Representation, i) -> SplitAtVertex:
 def unsplit(q: QuiverMult, v, s: SplitAtVertex) -> Representation:
     """Inverse of split; v may differ from the original at the split vertex."""
     maps = dict(s.rest)
-    mults = q.mults
-    into = slice_restrict(mults[s.vertex], s.into).flat
-    outof = slice_restrict_rev(mults[s.vertex], s.outof).flat
+    d_i = q.mults[s.vertex]
     pos = 0
     for h in q.incoming[s.vertex]:
-        dim = h.f_in * v[h.source]
-        src = ModShape(v[h.source], mults[h.source])
-        dst = ModShape(v[h.target], mults[h.target])
-        xb = RMap(ModShape(dim, 1), dst, 1,
-                  [into.take(cols=slice(pos, pos + dim)).scale(h.sign)])
-        maps[h.name] = slice_extend(src, dst, h.base, xb)
-        yb = RMap(dst, ModShape(dim, 1), 1, [outof.take(slice(pos, pos + dim))])
-        maps[h.reversed_name] = slice_extend_rev(dst, src, h.base, yb)
-        pos += dim
+        src = ModShape(v[h.source], q.mults[h.source])
+        block = ModShape(h.f_in * src.rank, d_i)
+        cut = slice(pos, pos + block.rank)
+        x = RMap(block, s.into.dst, d_i, [p.take(cols=cut) for p in s.into.parts])
+        maps[h.name] = restrict_scalars(x, src, h.base).scale(h.sign)
+        y = RMap(s.outof.src, block, d_i, [p.take(cut) for p in s.outof.parts])
+        maps[h.reversed_name] = restrict_scalars_rev(y, src, h.base)
+        pos += block.rank
     return Representation(q, v, maps)
 
 
@@ -144,6 +139,8 @@ def random_level_point(q: QuiverMult, lam, v, i, seed) -> Representation:
     v = tuple(v)
     if len(v) != q.n:
         raise LengthMismatch("dimension vector length differs from vertex count")
+    if any(x < 0 for x in v):
+        raise NegativeDimension("negative entry in dimension vector")
     if not lam[q_i].is_unit():
         raise NotAUnit(f"parameter at vertex {q.name(q_i)} is not a unit")
     d_i = q.mults[q_i]

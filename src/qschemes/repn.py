@@ -11,9 +11,9 @@ endomorphism with alternating signs:
 
 where pr is the averaging map of rmatrix.pr_cd.
 
-Random points are drawn in the free parametrization of rmatrix.slice_extend:
-a plain linear map out of the base-field slice spanned by the first d/gcd
-eps-powers of the source.
+Random maps are drawn as base-field blocks, extended by rmatrix.slice_extend:
+a plain linear map out of the slice spanned by the first d/gcd eps-powers of
+the source, which determines an R_gcd-linear map.
 """
 
 from __future__ import annotations
@@ -116,11 +116,7 @@ class Representation:
 
 def random_linear_map(rng: SplitMix64, src: ModShape, dst: ModShape, base: int) -> RMap:
     """Deterministic random R_base-linear map, drawn in the slice parametrization."""
-    f_in = src.order // base
-    block = RMap(
-        ModShape(src.rank * f_in, 1), dst, 1,
-        [_random_matrix(rng, dst.dim, src.rank * f_in)],
-    )
+    block = _random_matrix(rng, dst.dim, src.rank * (src.order // base))
     return slice_extend(src, dst, base, block)
 
 

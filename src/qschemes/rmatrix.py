@@ -5,25 +5,24 @@ free with basis {v_j eps^l : l < d/c}, indexed j*(d/c) + l.  An R_c-linear
 map V (x) R_d1 -> W (x) R_d2 is therefore a polynomial sum_{m<c} A_m eps_c^m
 whose coefficients ("slices") A_m are (w*d2/c) x (v*d1/c) matrices over the
 base field.  ``RMap`` stores these c slices, so it is linear over its
-declared base by construction.
+declared base by construction.  An endomorphism with base == order has
+n x n slices: the matrix-polynomial coefficients xi_k of
+``slices``/``from_slices``.
 
 ``_lower`` rewrites the slices over a smaller subring (block-Toeplitz
 expansion).  ``RMap.flat`` is the base-1 view: the (w*d2) x (v*d1) matrix in
 the basis {v_j eps^k} at index j*d + k, which serialization prints.  Its
 validating inverse ``RMap.from_flat``, for untrusted input, raises
-``NotLinearOverBase`` when the matrix is not linear over the requested base.
+``NotLinearOverBase`` when the matrix is not linear over the requested base;
+it and random draws build maps from a base-field block with ``slice_extend``.
 
-An endomorphism with base == order ("REnd") has n x n slices: the
-matrix-polynomial coefficients xi_k of ``slices``/``from_slices``.
-
-A map is kept in the one form its callers compose.  ``slice_restrict`` and
-``slice_restrict_rev`` take an R_base-linear map to its free parameter block
-over the base field, ``slice_extend``/``slice_extend_rev`` go back, and
-``extend_scalars``/``extend_scalars_rev`` induce an R_d-linear map from such
-a block.  The restricting and inducing converters belong to the boundary:
-outside this module only ``reflect`` (splitting a representation at a vertex
-and putting it back together) and ``serialize`` (printing the junction maps
-of a leg point) call them, which ``tests/test_layout.py`` enforces.
+Extension of scalars from R_c to R_d turns an R_c-linear map into an
+R_d-linear one on (or into) the free R_c-module underneath, and restriction
+undoes it.  ``extend_scalars``/``extend_scalars_rev`` and their inverses
+``restrict_scalars``/``restrict_scalars_rev`` only regroup the stored
+slices.  Outside this module only ``reflect`` (splitting a representation at
+a vertex and putting it back together) calls them, which
+``tests/test_layout.py`` enforces.
 """
 
 from __future__ import annotations
@@ -96,9 +95,8 @@ class RMap:
         if flat.nrows != dst.dim or flat.ncols != src.dim:
             raise ShapeMismatch(f"flat is {flat.nrows}x{flat.ncols}, expected {dst.dim}x{src.dim}")
         f_in = src.order // base
-        block = RMap(ModShape(src.rank * f_in, 1), dst, 1, [flat.take(cols=[
-            j * src.order + l for j in range(src.rank) for l in range(f_in)])])
-        g = slice_extend(src, dst, base, block)
+        g = slice_extend(src, dst, base, flat.take(cols=[
+            j * src.order + l for j in range(src.rank) for l in range(f_in)]))
         if g.flat != flat:
             raise NotLinearOverBase(f"matrix does not commute with eps^({f_in})")
         return g
@@ -161,9 +159,6 @@ _SET_DST = RMap.dst.__set__
 _SET_BASE = RMap.base.__set__
 _SET_PARTS = RMap.parts.__set__
 
-# REnd is an RMap with src == dst and base == src.order.
-REnd = RMap
-
 
 def _lower(f: RMap, c: int) -> tuple:
     """Slices of f over the subring R_c, for c dividing f.base.
@@ -206,7 +201,7 @@ def zero_map(src: ModShape, dst: ModShape) -> RMap:
     return RMap(src, dst, base, [Matrix.zero(dst.dim // base, src.dim // base)] * base)
 
 
-def scalar_end(c: TruncScalar, rank: int) -> REnd:
+def scalar_end(c: TruncScalar, rank: int) -> RMap:
     """The endomorphism acting as the scalar c on a rank-n module."""
     shape = ModShape(rank, c.d)
     one = Matrix.identity(rank)
@@ -226,14 +221,14 @@ def compose(f: RMap, g: RMap) -> RMap:
     )
 
 
-def slices(f: REnd) -> list[Matrix]:
+def slices(f: RMap) -> list[Matrix]:
     """Matrix-polynomial coefficients xi_k of an endomorphism."""
     if not f.is_end():
         raise NotEndomorphism("slices need src == dst and base == order")
     return list(f.parts)
 
 
-def from_slices(parts: list[Matrix], order: int) -> REnd:
+def from_slices(parts: list[Matrix], order: int) -> RMap:
     if len(parts) != order:
         raise MismatchedOrder(f"need {order} slices, got {len(parts)}")
     shape = ModShape(parts[0].nrows, order)
@@ -249,7 +244,7 @@ def trace_base(f: RMap, c: int) -> TruncScalar:
     return TruncScalar(c, [p.trace() for p in _lower(f, c)])
 
 
-def trace_r(f: REnd) -> TruncScalar:
+def trace_r(f: RMap) -> TruncScalar:
     """R_d-valued trace of an R_d-endomorphism."""
     if not f.is_end():
         raise NotEndomorphism("trace_r needs src == dst and base == order")
@@ -266,7 +261,7 @@ def pair_d(x: RMap, y: RMap, d=None) -> GaussQ:
     return trace_base(xy, d).coeffs[d - 1]
 
 
-def pr_cd(z: RMap) -> REnd:
+def pr_cd(z: RMap) -> RMap:
     """Average an R_c-linear endomorphism of V (x) R_d into an R_d-linear one.
 
     pr(Z) = sum_{k<d/c} N^k Z N^(d/c-1-k); it is adjoint to the inclusion of
@@ -289,94 +284,80 @@ def pr_cd(z: RMap) -> REnd:
     return RMap(z.src, z.dst, d, out)
 
 
-# -- slice parametrization of maps linear over a common subring -----------------
+# -- base-field blocks and scalar extension --------------------------------------
 
-def slice_extend(src: ModShape, dst: ModShape, base: int, x: RMap) -> RMap:
+def slice_extend(src: ModShape, dst: ModShape, base: int, block: Matrix) -> RMap:
     """R_base-linear map src -> dst from its free parameter block.
 
-    x sends the slice {v_j eps^l : l < src.order/base} into the target; the
-    unique R_base-linear extension fills in the remaining eps-powers.  Its
-    slice m holds the rows of x at target powers eps^(l + m*dst.order/base).
+    The block is the base-field matrix sending the slice {v_j eps^l : l <
+    src.order/base} into the target; the unique R_base-linear extension
+    fills in the remaining eps-powers.  Its slice m holds the rows of the
+    block at target powers eps^(l + m*dst.order/base).
     """
     f_in = src.order // base
     f_out = dst.order // base
-    if x.src != ModShape(src.rank * f_in, 1) or x.dst != dst:
+    if block.nrows != dst.dim or block.ncols != src.rank * f_in:
         raise ShapeMismatch("parameter block has the wrong shape")
     return RMap(src, dst, base, [
-        x.parts[0].take([i * dst.order + m * f_out + l
-                         for i in range(dst.rank) for l in range(f_out)])
+        block.take([i * dst.order + m * f_out + l
+                    for i in range(dst.rank) for l in range(f_out)])
         for m in range(base)
     ])
 
 
-def slice_restrict(base: int, b: RMap) -> RMap:
-    """Free parameter block of an R_base-linear map (inverse of slice_extend)."""
-    dst = b.dst
-    f_out = dst.order // base
-    # row i*f_out + l of slice m is row i*order + m*f_out + l of the block
-    rows = dst.dim // base
-    block = vstack(_lower(b, base)).take([(k // f_out) * rows + i * f_out + k % f_out
-                                          for i in range(dst.rank) for k in range(dst.order)])
-    return RMap(ModShape(b.src.dim // base, 1), dst, 1, [block])
+def extend_scalars(f: RMap) -> RMap:
+    """The R_d-linear map induced by an R_c-linear f: V (x) R_e -> W (x) R_d.
 
-
-def slice_extend_rev(src: ModShape, dst: ModShape, base: int, y: RMap) -> RMap:
-    """R_base-linear map src -> dst from a plain map onto the target slice.
-
-    y sends the source module into {w_i eps^l : l < dst.order/base}; the
-    extension places y(eps_base^(base-1-k) x) at eps_base-power k, so its
-    slice m holds the columns of y at source powers eps^(l + (base-1-m)*f_in).
+    Over R_c the source is free of rank f.src.dim / c; the result is the
+    R_d-linear map on that free module (x) R_d which agrees with f on it.
+    With q = d/c, row (i, l) of f's slice m is the coefficient at
+    w_i eps^(m*q + l), so slice k of the result is rows l = k % q of slice
+    k // q.
     """
-    f_in = src.order // base
-    f_out = dst.order // base
-    if y.src != src or y.dst != ModShape(dst.rank * f_out, 1):
-        raise ShapeMismatch("slice map has the wrong shape")
-    return RMap(src, dst, base, [
-        y.parts[0].take(cols=[j * src.order + (base - 1 - m) * f_in + l
-                              for j in range(src.rank) for l in range(f_in)])
-        for m in range(base)
-    ])
+    c, d = f.base, f.dst.order
+    q = d // c
+    return RMap(ModShape(f.src.dim // c, d), f.dst, d,
+                [f.parts[k // q].take(slice(k % q, None, q)) for k in range(d)])
 
 
-def slice_restrict_rev(base: int, b: RMap) -> RMap:
-    """Slice map of an R_base-linear map (inverse of slice_extend_rev)."""
-    src = b.src
-    f_in = src.order // base
-    # column j*f_in + l of slice m is column j*order + (base-1-m)*f_in + l
-    cols = src.dim // base
-    block = hstack(_lower(b, base)).take(cols=[
-        (base - 1 - k // f_in) * cols + j * f_in + k % f_in
-        for j in range(src.rank) for k in range(src.order)])
-    return RMap(src, ModShape(b.dst.dim // base, 1), 1, [block])
+def extend_scalars_rev(f: RMap) -> RMap:
+    """The R_d-linear map induced by an R_c-linear f: V (x) R_d -> W (x) R_e.
 
-
-def extend_scalars(x: RMap) -> RMap:
-    """Induce an R_d-linear map on W (x) R_d from x: W (x) R_c -> V (x) R_d.
-
-    Requires x fully R_c-linear on its source (base == src.order).  The
-    induced source identifies w eps_c^m eps_d^k with w eps_d^(m*d/c + k);
-    restricting the result to W (x) 1 recovers x.
+    Over R_c the target is free of rank f.dst.dim / c; the result sends v to
+    sum_{k<q} f(eps^(q-1-k) v) eps^k in that free module (x) R_d, q = d/c.
+    Its slice k is therefore columns l = q-1 - k % q of f's slice k // q.
     """
-    c, d = x.src.order, x.dst.order
-    if x.base != c:
-        raise NotLinearOverBase("source must be fully linear over its own order")
-    if d % c != 0:
-        raise NotDivisible(f"{c} does not divide {d}")
-    return slice_extend(ModShape(x.src.rank, d), x.dst, d, slice_restrict(c, x))
+    c, d = f.base, f.src.order
+    q = d // c
+    return RMap(f.src, ModShape(f.dst.dim // c, d), d,
+                [f.parts[k // q].take(cols=slice(q - 1 - k % q, None, q)) for k in range(d)])
 
 
-def extend_scalars_rev(y: RMap) -> RMap:
-    """Induce an R_d-linear map into W (x) R_d from y: V (x) R_d -> W (x) R_c.
+def restrict_scalars(x: RMap, src: ModShape, c: int) -> RMap:
+    """The R_c-linear map f on src with extend_scalars(f) == x.
 
-    The value on v is sum_{k<d/c} y(eps_d^(d/c-1-k) v) (x) eps_d^k; composing
-    with the projection onto the top eps_d-component recovers y.
+    Slice a of f stacks the slices a*q .. a*q+q-1 of x (q = d/c) and
+    reorders the rows from (eps-power, i) to (i, eps-power).
     """
-    c, d = y.dst.order, y.src.order
-    if y.base != c:
-        raise NotLinearOverBase("target must be fully linear over its own order")
-    if d % c != 0:
-        raise NotDivisible(f"{c} does not divide {d}")
-    return slice_extend_rev(y.src, ModShape(y.dst.rank, d), d, slice_restrict_rev(c, y))
+    d = x.dst.order
+    q = d // c
+    xs = _lower(x, d)
+    rows = _interleave(x.dst.rank, q, 1)
+    return RMap(src, x.dst, c, [vstack(xs[a * q:a * q + q]).take(rows) for a in range(c)])
+
+
+def restrict_scalars_rev(y: RMap, dst: ModShape, c: int) -> RMap:
+    """The R_c-linear map f into dst with extend_scalars_rev(f) == y.
+
+    Slice a of f joins the slices a*q+q-1 .. a*q of y side by side (q = d/c)
+    and reorders the columns from (eps-power, j) to (j, eps-power).
+    """
+    d = y.src.order
+    q = d // c
+    ys = _lower(y, d)
+    cols = _interleave(y.src.rank, q, 1)
+    return RMap(y.src, dst, c,
+                [hstack(ys[a * q:a * q + q][::-1]).take(cols=cols) for a in range(c)])
 
 
 def scale_end(f: RMap, t: TruncScalar) -> RMap:
@@ -388,7 +369,7 @@ def scale_end(f: RMap, t: TruncScalar) -> RMap:
     return compose(scalar_end(t, f.src.rank), f)
 
 
-def invert_end(g: REnd) -> REnd:
+def invert_end(g: RMap) -> RMap:
     """Inverse of a unit endomorphism (invertible constant slice).
 
     With X_0 the inverse of the constant slice A_0, the slices of the inverse

@@ -18,7 +18,7 @@ from .linalg import Matrix
 from .orbit import LegPoint, OrbitSpec
 from .quiver import QuiverMult
 from .repn import Representation
-from .rmatrix import ModShape, RMap, slice_restrict, slice_restrict_rev
+from .rmatrix import ModShape, RMap
 from .scalars import GaussQ, TruncScalar
 from .weyl import check_params
 
@@ -136,12 +136,17 @@ def orbit_spec_from_obj(obj) -> OrbitSpec:
 
 def leg_point_to_obj(p: LegPoint) -> dict:
     """The chain maps past the junction, and the junction maps ``a`` and ``b``
-    as their free parameter blocks over the base field."""
+    as base-field blocks read off their flat views: ``a`` is down[0] on
+    V_0 (x) 1, ``b`` the eps^(d-1) component of up[0].  Each determines its
+    R_d-linear map."""
+    down, up, d = p.down[0], p.up[0], p.d
+    a = RMap(ModShape(down.src.rank, 1), down.dst, 1, [down.flat.take(cols=slice(0, None, d))])
+    b = RMap(up.src, ModShape(up.dst.rank, 1), 1, [up.flat.take(slice(d - 1, None, d))])
     return {
         "d": p.d,
         "dims": list(p.dims),
         "down": [rmap_to_obj(f) for f in p.down[1:]],
         "up": [rmap_to_obj(f) for f in p.up[1:]],
-        "a": rmap_to_obj(slice_restrict(p.d, p.down[0])),
-        "b": rmap_to_obj(slice_restrict_rev(p.d, p.up[0])),
+        "a": rmap_to_obj(a),
+        "b": rmap_to_obj(b),
     }

@@ -1,9 +1,10 @@
 """Library-level helpers that only the tests call: builders for the example
 quivers at sizes beyond ``corpus/``, the monomial eps^k of R_d, the residue
 pairing and subring embedding of truncated scalars, the matrix transpose,
-the identity endomorphism, the zero representation, the top-slice shift
-maps, the gauge unit induced on a split vertex, the Coxeter order of a
-vertex pair and the braid-word probe of the reflection functor."""
+the base-field blocks of a map read off its flat view, the identity
+endomorphism, the zero representation, the top-slice shift maps, the gauge
+unit induced on a split vertex, the Coxeter order of a vertex pair and the
+braid-word probe of the reflection functor."""
 
 import math
 
@@ -83,6 +84,22 @@ def transpose(a: Matrix) -> Matrix:
     if not a.nrows:
         return Matrix.zero(a.ncols, 0)
     return Matrix([list(col) for col in zip(*a.rows)], ncols=a.nrows)
+
+
+def parameter_block(f: RMap, base: int) -> Matrix:
+    """The flat columns of an R_base-linear map at v_j eps^l, l < src.order/base,
+    which determine it."""
+    order = f.src.order
+    return f.flat.take(cols=[j * order + l for j in range(f.src.rank)
+                             for l in range(order // base)])
+
+
+def top_block(f: RMap, base: int) -> Matrix:
+    """The flat rows of an R_base-linear map at its top eps_base-power, w_i eps^l
+    for l >= dst.order - dst.order/base, which determine it."""
+    order = f.dst.order
+    top = order - order // base
+    return f.flat.take([i * order + l for i in range(f.dst.rank) for l in range(top, order)])
 
 
 def residue_pair(f: TruncScalar, g: TruncScalar) -> GaussQ:

@@ -247,6 +247,20 @@ class TestInputBoundary:
         assert code == 2 and out == ""
         assert err.startswith("error[length-mismatch]")
 
+    def test_random_level_negative_dimension(self, capsys, corpus_dir):
+        lam = corpus_dir.parent / "tests" / "golden" / "lam_chain_d2.json"
+        code, out, err = run(capsys, "random-level", str(corpus_dir / "chain_d2.quiver"),
+                             "--vertex", "i", "--lambda", str(lam), "--v=1,-1,1", "--seed", "1")
+        assert code == 2 and out == ""
+        assert err.startswith("error[negative-dimension]")
+
+    def test_deeply_nested_json(self, capsys, corpus_dir, tmp_path):
+        rep = tmp_path / "deep.json"
+        rep.write_text("[" * 100000 + "]" * 100000)
+        code, out, err = run(capsys, "moment", str(corpus_dir / "a3.quiver"), "--rep", str(rep))
+        assert code == 2 and out == ""
+        assert err.startswith("error[malformed-input]") and "nested" in err
+
     def test_random_rep_short_dimension_vector(self, capsys, corpus_dir):
         code, out, err = run(capsys, "random-rep", str(corpus_dir / "a3.quiver"),
                              "--v", "1,2", "--seed", "1")

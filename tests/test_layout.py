@@ -7,10 +7,9 @@ from the benchmark in ``perfbench/``.  A helper that only tests use belongs
 in ``tests/``.
 
 Module maps are held in one form, the R_d-linear ``RMap`` that callers
-compose.  The converters to and from base-field parameter blocks may be
-referenced only by ``rmatrix`` (which defines them), ``reflect`` (which
-splits a representation at a vertex and puts it back together) and
-``serialize`` (which prints the junction maps of a leg point).
+compose.  Extension and restriction of scalars may be referenced only by
+``rmatrix`` (which defines them) and ``reflect`` (which splits a
+representation at a vertex and puts it back together).
 
 A quiver's double and Cartan data are built once, by ``QuiverMult`` itself;
 only ``quiver`` may reference their builders.
@@ -21,8 +20,8 @@ from pathlib import Path
 
 REPO = Path(__file__).resolve().parent.parent
 PACKAGE = REPO / "src" / "qschemes"
-CONVERTERS = {"slice_restrict", "slice_restrict_rev", "extend_scalars", "extend_scalars_rev"}
-CONVERTING_MODULES = {"rmatrix", "reflect", "serialize"}
+CONVERTERS = {"extend_scalars", "extend_scalars_rev", "restrict_scalars", "restrict_scalars_rev"}
+CONVERTING_MODULES = {"rmatrix", "reflect"}
 QUIVER_BUILDERS = {"_double", "_cartan"}
 
 
@@ -72,7 +71,7 @@ def test_base_field_converters_stay_at_the_boundary():
                     if isinstance(node, ast.ImportFrom) for a in node.names}
         offenders += [f"{path.stem}.{name}"
                       for name in sorted(CONVERTERS & (imported | _referenced_names([path])))]
-    assert not offenders, f"base-field converters referenced outside the boundary: {offenders}"
+    assert not offenders, f"scalar extension referenced outside the boundary: {offenders}"
 
 
 def test_only_quiver_builds_its_derived_data():

@@ -28,14 +28,20 @@ from qschemes.rmatrix import (
     invert_end,
     scalar_end,
     scale_end,
-    slice_restrict,
-    slice_restrict_rev,
 )
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar, trunc_inv
 from qschemes.weyl import reflect_dim, reflect_param
 
-from helpers import braid_probe, example_chain, example_double, split_gauge, zero_rep
+from helpers import (
+    braid_probe,
+    example_chain,
+    example_double,
+    parameter_block,
+    split_gauge,
+    top_block,
+    zero_rep,
+)
 
 G = GaussQ
 T = TruncScalar
@@ -74,8 +80,8 @@ class TestSplit:
         assert s1.outof.flat == gmat([[2]])
 
     def test_into_outof_are_induced_to_the_vertex_ring(self, corpus):
-        """into/outof are R_{d_i}-linear, and restrict to the signed stack of
-        the per-arrow parameter blocks, on points with non-real entries."""
+        """into/outof are R_{d_i}-linear, and their base-field blocks are the
+        signed stack of the per-arrow blocks, on points with non-real entries."""
         rng = SplitMix64(12)
         for name in ("double_d3", "nested"):
             q = corpus[name]
@@ -89,12 +95,11 @@ class TestSplit:
                 s = split(rep, i)
                 assert s.into.base == s.outof.base == d_i
                 arrows = q.incoming[i]
-                assert slice_restrict(d_i, s.into).flat == hstack(
-                    [slice_restrict(h.base, rep.maps[h.name]).flat.scale(h.sign)
+                assert parameter_block(s.into, d_i) == hstack(
+                    [parameter_block(rep.maps[h.name], h.base).scale(h.sign)
                      for h in arrows])
-                assert slice_restrict_rev(d_i, s.outof).flat == vstack(
-                    [slice_restrict_rev(h.base, rep.maps[h.reversed_name]).flat
-                     for h in arrows])
+                assert top_block(s.outof, d_i) == vstack(
+                    [top_block(rep.maps[h.reversed_name], h.base) for h in arrows])
                 assert compose(s.into, s.outof) == moment_component(rep, i)
                 assert unsplit(q, v, s) == rep
 

@@ -20,11 +20,9 @@ from qschemes.rmatrix import (
     invert_end,
     pair_d,
     pr_cd,
+    restrict_scalars,
+    restrict_scalars_rev,
     scalar_end,
-    slice_extend,
-    slice_extend_rev,
-    slice_restrict,
-    slice_restrict_rev,
     slices,
     trace_r,
 )
@@ -185,27 +183,40 @@ class TestExtendRestrict:
         x = rand_end(rng, 2, 2, 2)
         assert extend_scalars(x) == x
         assert extend_scalars_rev(x) == x
+        assert restrict_scalars(x, x.src, 2) == restrict_scalars_rev(x, x.dst, 2) == x
 
     def test_rank1_forward(self):
         x = RMap(ModShape(1, 1), ModShape(1, 2), 1, [gmat([[5], [7]])])
         assert extend_scalars(x) == scalar_end(TruncScalar(2, [5, 7]), 1)
-        assert slice_restrict(2, extend_scalars(x)) == x
+        assert restrict_scalars(extend_scalars(x), x.src, 1) == x
 
     def test_rank1_reverse(self):
         y = RMap(ModShape(1, 2), ModShape(1, 1), 1, [gmat([[11, 13]])])
         assert extend_scalars_rev(y) == scalar_end(TruncScalar(2, [13, 11]), 1)
-        assert slice_restrict_rev(2, extend_scalars_rev(y)) == y
+        assert restrict_scalars_rev(extend_scalars_rev(y), y.dst, 1) == y
 
     def test_reverse_restrict_hand_case(self):
         f = scalar_end(TruncScalar(2, [3, 4]), 1)
-        got = slice_restrict_rev(2, f)
-        assert got.flat == gmat([[4, 3]])
+        assert restrict_scalars(f, ModShape(1, 1), 1).flat == gmat([[3], [4]])
+        assert restrict_scalars_rev(f, ModShape(1, 1), 1).flat == gmat([[4, 3]])
+
+    def test_source_above_base_hand_case(self):
+        # z(v) = v + 3 v eps, z(v eps) = 2 v + 4 v eps: over R_1 the source is
+        # free on v, v eps, and the target on w, w eps
+        sh = ModShape(1, 2)
+        z = RMap(sh, sh, 1, [gmat([[1, 2], [3, 4]])])
+        assert extend_scalars(z) == RMap(ModShape(2, 2), sh, 2, [gmat([[1, 2]]), gmat([[3, 4]])])
+        # v maps to z(eps v) + z(v) eps
+        assert extend_scalars_rev(z) == RMap(sh, ModShape(2, 2), 2,
+                                             [gmat([[2], [4]]), gmat([[1], [3]])])
 
     def test_zero_maps(self):
         z = RMap(ModShape(2, 1), ModShape(1, 2), 1, [Matrix.zero(2, 2)])
         assert extend_scalars(z).is_zero()
         zr = RMap(ModShape(1, 2), ModShape(2, 1), 1, [Matrix.zero(2, 2)])
         assert extend_scalars_rev(zr).is_zero()
+        assert restrict_scalars(extend_scalars(z), z.src, 1) == z
+        assert restrict_scalars_rev(extend_scalars_rev(zr), zr.dst, 1) == zr
 
     @pytest.mark.parametrize("c,d,w,v", [(1, 2, 2, 1), (1, 3, 1, 2), (2, 4, 2, 1), (3, 6, 1, 1)])
     def test_roundtrips_and_pr_identity(self, c, d, w, v):
@@ -214,21 +225,53 @@ class TestExtendRestrict:
             x = random_linear_map(rng, ModShape(w, c), ModShape(v, d), c)
             y = random_linear_map(rng, ModShape(v, d), ModShape(w, c), c)
             xe, ye = extend_scalars(x), extend_scalars_rev(y)
-            # the parameter block over R_d is the one over R_c: it gives x, y back
-            assert slice_extend(x.src, x.dst, c, slice_restrict(d, xe)) == x
-            assert slice_extend_rev(y.src, y.dst, c, slice_restrict_rev(d, ye)) == y
+            # restriction gives x and y back
+            assert restrict_scalars(xe, x.src, c) == x
+            assert restrict_scalars_rev(ye, y.dst, c) == y
             # extension composite averages the plain composite
             assert compose(xe, ye) == pr_cd(compose(x, y))
             # and the pairing is preserved
             assert pair_d(xe, ye, d) == pair_d(x, y, c)
 
+    # (e, d, c): the order at the far end, the order at the extended end and
+    # the base ring, as on both ways of the arrows of the coprime (2, 3) and
+    # nested (2, 4), (4, 3) corpus quivers, and the non-real cases
+    @pytest.mark.parametrize("e,d,c", [(2, 3, 1), (3, 2, 1), (4, 2, 2), (2, 4, 2), (4, 3, 1)]
+                             + NONREAL_CASES)
+    def test_roundtrips_with_source_order_above_base(self, e, d, c):
+        rng = SplitMix64(100 * e + 10 * d + c)
+        for real in (True, False):
+            draw = random_linear_map if real else gauss_map
+            for _ in range(3):
+                w, v = rng.randint(1, 2), rng.randint(1, 2)
+                x = draw(rng, ModShape(w, e), ModShape(v, d), c)
+                y = draw(rng, ModShape(v, d), ModShape(w, e), c)
+                xe, ye = extend_scalars(x), extend_scalars_rev(y)
+                assert xe.src == ye.dst == ModShape(w * e // c, d)
+                assert xe.base == ye.base == d
+                assert restrict_scalars(xe, x.src, c) == x
+                assert restrict_scalars_rev(ye, y.dst, c) == y
+                assert compose(xe, ye) == pr_cd(compose(x, y))
+                # and restriction is onto: every R_d-linear map is induced
+                big = draw(rng, xe.src, xe.dst, d)
+                assert extend_scalars(restrict_scalars(big, x.src, c)) == big
+                big_rev = draw(rng, ye.src, ye.dst, d)
+                assert extend_scalars_rev(restrict_scalars_rev(big_rev, y.dst, c)) == big_rev
+
     def test_restrict_rejects_partial_linearity(self):
         sh = ModShape(1, 2)
         z = RMap(sh, sh, 1, [gmat([[1, 2], [3, 4]])])
         with pytest.raises(NotLinearOverBase):
-            slice_restrict(2, z)
+            restrict_scalars(z, ModShape(1, 1), 1)
         with pytest.raises(NotLinearOverBase):
-            slice_restrict_rev(2, z)
+            restrict_scalars_rev(z, ModShape(1, 1), 1)
+
+    def test_restrict_rejects_wrong_shape(self):
+        f = scalar_end(TruncScalar(2, [3, 4]), 1)
+        with pytest.raises(ShapeMismatch):
+            restrict_scalars(f, ModShape(1, 2), 1)
+        with pytest.raises(ShapeMismatch):
+            restrict_scalars_rev(f, ModShape(2, 1), 1)
 
 
 class TestInvert:
