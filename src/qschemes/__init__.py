@@ -10,7 +10,6 @@ suites hold exactly; there are no tolerances anywhere.
 from .errors import QschemeError
 from .linalg import Matrix
 from .orbit import (
-    LegPoint,
     OrbitSpec,
     big_theta,
     canonical_leg_point,

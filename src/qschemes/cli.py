@@ -235,15 +235,15 @@ def cmd_regularize(args):
         result["hypotheses_ok"] = hyp.all_ok
     if args.out:
         Path(args.out).write_text(out_text, encoding="utf-8")
-        if args.format == "json":
-            sys.stdout.write(ser.dumps(result))
-    elif args.format == "json":
+    if args.format == "json":
         sys.stdout.write(ser.dumps(result))
-    else:
+        return 0
+    if not args.out:
         sys.stdout.write(out_text)
-        if "v" in result:
-            sys.stdout.write(f"# v: {result['v']}\n")
-            sys.stdout.write(f"# hypotheses ok: {result['hypotheses_ok']}\n")
+    # the transferred data goes to stdout, with or without --out
+    if "v" in result:
+        sys.stdout.write(f"# v: {result['v']}\n")
+        sys.stdout.write(f"# hypotheses ok: {result['hypotheses_ok']}\n")
     return 0
 
 

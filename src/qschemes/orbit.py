@@ -36,14 +36,22 @@ lexicographically smallest pivot set, lift those columns), and the connecting
 maps are coordinates of (-A + theta_i) between consecutive bases.  Distinct
 basis choices differ by a gauge transformation only.
 
-Every chain map of a ``LegPoint``, the junction maps with V_0 included, is
-held in one form: the R_d-linear ``RMap`` that ``compose`` takes.  Only
-``serialize`` reads base-field blocks of the junction maps, off their flat
-views, for printing.
+A chain point is a ``repn.Representation`` of the leg quiver
+``OrbitSpec.quiver``: vertices 0..l, all of multiplicity d, with dimension
+vector (dim V_0, .., dim V_l), and arrows b_i: i -> i+1 carrying
+down[i] : V_i (x) R_d -> V_{i+1} (x) R_d, their reversals b_i~ carrying
+up[i].  Every chain map, the junction maps with V_0 included, is R_d-linear.
+The chain's moment values are those of ``repn.moment_component``: at 0 it
+is -up[0] down[0], so ``nu`` = theta_0 + mu_0 is the presented
+endomorphism, and at i >= 1 it is down[i-1] up[i-1] - up[i] down[i], equal
+to -(theta_i - theta_{i-1}) Id on the level set that ``leg_mesh_residuals``
+tests.  Only ``serialize`` reads base-field blocks of the junction maps,
+off their flat views, for printing.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from operator import matmul
@@ -60,7 +68,8 @@ from .rmatrix import (
     scale_end,
     slices,
 )
-from .repn import random_unit_end
+from .quiver import QuiverMult
+from .repn import Representation, moment_component, random_unit_end
 from .rng import SplitMix64
 from .scalars import GaussQ, TruncScalar, trunc_inv
 
@@ -106,13 +115,30 @@ class OrbitSpec:
         """Dimension of the i-th chain module: sum of block dims from i on."""
         return sum(self.dims[i:])
 
+    @property
+    def quiver(self) -> QuiverMult:
+        """The leg quiver whose representations are the chain points."""
+        return _leg_quiver(self.d, self.legs)
+
+
+@functools.cache
+def _leg_quiver(d, l) -> QuiverMult:
+    """Vertices 0..l, all of multiplicity d, and arrows b_i: i -> i+1."""
+    return QuiverMult.build([(str(i), d) for i in range(l + 1)],
+                            [(f"b{i}", str(i), str(i + 1)) for i in range(l)])
+
 
 def big_theta(spec: OrbitSpec) -> RMap:
     """The model point: block-diagonal action of the theta scalars."""
-    shape = ModShape(spec.total, spec.d)
-    return RMap(shape, shape, spec.d, [
-        Matrix.diagonal([theta.coeffs[k] for w, theta in spec.blocks for _ in range(w)])
-        for k in range(spec.d)
+    return _block_scalar(spec.d, spec.blocks)
+
+
+def _block_scalar(d, blocks) -> RMap:
+    """The endomorphism acting as theta on a block of rank w, per (w, theta)."""
+    shape = ModShape(sum(w for w, _ in blocks), d)
+    return RMap(shape, shape, d, [
+        Matrix.diagonal([theta.coeffs[k] for w, theta in blocks for _ in range(w)])
+        for k in range(d)
     ])
 
 
@@ -214,32 +240,22 @@ def coordinates(u: RMap, f: RMap) -> RMap:
 
 # -- leg points ------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class LegPoint:
-    """Chain presentation: down/up maps between the nested modules V_0..V_l.
-
-    down[i] : V_i (x) R_d -> V_{i+1} (x) R_d and up[i] : V_{i+1} (x) R_d ->
-    V_i (x) R_d for i = 0..l-1, all R_d-linear; down[0] and up[0] are the
-    junction maps with the ambient module V_0.
-    """
-
-    d: int
-    dims: tuple          # ranks of V_0..V_l
-    down: tuple
-    up: tuple
+def _leg_point(spec: OrbitSpec, down, up) -> Representation:
+    """The representation of the leg quiver with down[i] on b_i, up[i] on b_i~."""
+    q = spec.quiver
+    v = tuple(spec.tail_dim(i) for i in range(spec.legs + 1))
+    return Representation(q, v, {h.name: f for h, f in zip(q.double, down + up)})
 
 
-def canonical_leg_point(spec: OrbitSpec) -> LegPoint:
+def canonical_leg_point(spec: OrbitSpec) -> Representation:
     """The distinguished point presenting Theta itself.
 
     Up maps are the inclusions of the nested coordinate modules; down maps act
     as theta_i - theta_j on the j-th block.
     """
     l = spec.legs
-    dims = tuple(spec.tail_dim(i) for i in range(l + 1))
-    down = tuple(_scaled_projection(spec, i) for i in range(l))
-    up = tuple(_inclusion(spec, i) for i in range(l))
-    return LegPoint(spec.d, dims, down, up)
+    return _leg_point(spec, [_scaled_projection(spec, i) for i in range(l)],
+                      [_inclusion(spec, i) for i in range(l)])
 
 
 def _inclusion(spec: OrbitSpec, i) -> RMap:
@@ -256,49 +272,35 @@ def _scaled_projection(spec: OrbitSpec, i) -> RMap:
     d = spec.d
     src = ModShape(spec.tail_dim(i), d)
     dst = ModShape(spec.tail_dim(i + 1), d)
-    # theta_i - Theta on V_i is the model point of the shifted scalars; drop block i's rows
-    shifted = OrbitSpec(d, tuple((w, spec.thetas[i] - t) for w, t in spec.blocks[i:]))
-    return RMap(src, dst, d, [p.take(slice(spec.dims[i], None))
-                              for p in big_theta(shifted).parts])
+    # theta_i - Theta on V_i is block-scalar; drop block i's rows
+    shifted = _block_scalar(d, [(w, spec.thetas[i] - t) for w, t in spec.blocks[i:]])
+    return RMap(src, dst, d, [p.take(slice(spec.dims[i], None)) for p in shifted.parts])
 
 
-def nu(spec: OrbitSpec, point: LegPoint) -> RMap:
-    """-B_{0,1} B_{1,0} + theta_0; recovers the presented endomorphism."""
-    return scalar_end(spec.thetas[0], spec.total) - compose(point.up[0], point.down[0])
+def nu(spec: OrbitSpec, point: Representation) -> RMap:
+    """theta_0 + mu_0 = theta_0 - up[0] down[0]; recovers the presented endomorphism."""
+    return scalar_end(spec.thetas[0], spec.total) + moment_component(point, 0)
 
 
-def leg_moment(spec: OrbitSpec, point: LegPoint) -> tuple[RMap, ...]:
-    """Chain moment values B_{i,i-1} B_{i-1,i} - B_{i,i+1} B_{i+1,i} for i = 1..l."""
-    l = spec.legs
-    out = []
-    for i in range(1, l + 1):
-        acc = compose(point.down[i - 1], point.up[i - 1])
-        if i < l:
-            acc = acc - compose(point.up[i], point.down[i])
-        out.append(acc)
-    return tuple(out)
+def leg_mesh_residuals(spec: OrbitSpec, point: Representation) -> tuple[RMap, ...]:
+    """mu_i + (theta_i - theta_{i-1}) Id at the chain vertices i = 1..l; zero
+    on the level set."""
+    th = spec.thetas
+    return tuple(moment_component(point, i) + scalar_end(th[i] - th[i - 1], point.v[i])
+                 for i in range(1, spec.legs + 1))
 
 
-def leg_mesh_residuals(spec: OrbitSpec, point: LegPoint) -> tuple[RMap, ...]:
-    """mu_i + (theta_i - theta_{i-1}) Id per chain vertex; zero on the level set."""
-    mu = leg_moment(spec, point)
-    out = []
-    for i, m in enumerate(mu, start=1):
-        lam = spec.thetas[i] - spec.thetas[i - 1]
-        out.append(m + scalar_end(lam, m.src.rank))
-    return tuple(out)
+def leg_rank_checks(spec: OrbitSpec, point: Representation) -> bool:
+    """Residue-rank witnesses: up maps injective, down maps surjective.
+
+    Either map of the arrow pair between V_i and V_{i+1} has residue rank
+    dim V_{i+1}.
+    """
+    return all(rank(point.maps[h.name].parts[0]) == spec.tail_dim(max(h.source, h.target))
+               for h in point.quiver.double)
 
 
-def leg_rank_checks(spec: OrbitSpec, point: LegPoint) -> bool:
-    """Residue-rank witnesses: up maps injective, down maps surjective."""
-    return all(
-        rank(f.parts[0]) == spec.tail_dim(i + 1)
-        for i, pair in enumerate(zip(point.up, point.down))
-        for f in pair
-    )
-
-
-def leg_factorize(spec: OrbitSpec, a_end: RMap, witness=None) -> LegPoint:
+def leg_factorize(spec: OrbitSpec, a_end: RMap, witness=None) -> Representation:
     """Present a member of the orbit as a chain point with nu equal to it.
 
     ``witness`` is the result of ``orbit_membership(spec, a_end)`` when the
@@ -324,8 +326,7 @@ def leg_factorize(spec: OrbitSpec, a_end: RMap, witness=None) -> LegPoint:
     for i in range(1, l):
         down.append(coordinates(bases[i + 1], compose(minus_a_plus(thetas[i]), bases[i])))
         up.append(coordinates(bases[i], bases[i + 1]))
-    dims = tuple(spec.tail_dim(i) for i in range(l + 1))
-    return LegPoint(spec.d, dims, tuple(down), tuple(up))
+    return _leg_point(spec, down, up)
 
 
 def orbit_dimension(spec: OrbitSpec) -> int:

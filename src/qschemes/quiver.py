@@ -204,10 +204,20 @@ def _cartan(q: QuiverMult) -> CartanData:
     )
 
 
+def check_dims(q: QuiverMult, v, nonnegative=False) -> tuple[int, ...]:
+    """v as a tuple, checked to have one entry per vertex (and, when asked,
+    no negative entry)."""
+    v = tuple(v)
+    if len(v) != q.n:
+        raise LengthMismatch(f"dimension vector has {len(v)} entries for {q.n} vertices")
+    if nonnegative and any(x < 0 for x in v):
+        raise NegativeDimension("negative entry in dimension vector")
+    return v
+
+
 def bilinear(q: QuiverMult, v, w) -> int:
     """Symmetric form (v, w) = v^T D C w on the lattice Z^I."""
-    if len(v) != q.n or len(w) != q.n:
-        raise LengthMismatch("dimension vector length differs from vertex count")
+    v, w = check_dims(q, v), check_dims(q, w)
     cd = q.cartan
     total = 0
     for i in range(q.n):
@@ -218,10 +228,7 @@ def bilinear(q: QuiverMult, v, w) -> int:
 
 def expected_dim(q: QuiverMult, v) -> int:
     """2 - (v, v) for a componentwise non-negative dimension vector."""
-    if len(v) != q.n:
-        raise LengthMismatch("dimension vector length differs from vertex count")
-    if any(x < 0 for x in v):
-        raise NegativeDimension("dimension vector has a negative entry")
+    v = check_dims(q, v, nonnegative=True)
     return 2 - bilinear(q, v, v)
 
 

@@ -32,6 +32,11 @@ is invertible, so rank A(0) = v_i; as A(0)^2 = lam_i(0) A(0) with lam_i(0) != 0,
 rank E(0) = dim ker A(0) = dim V~ - v_i, the reflected dimension.  So
 ``reflection_functor`` checks the moment value only, then takes the free basis
 U of Im E and the coordinates of -(A - lam_i) = lam_i E against U.
+
+``random_level_point`` runs this the other way round.  The canonical chain
+point of the same two-block orbit is a representation of the one-arrow leg
+quiver 0 -> 1 whose moment value at 1 is -lam_i Id; moved by a random gauge
+transformation (``repn.gauge``), its two maps are ``into`` and ``outof``.
 """
 
 from __future__ import annotations
@@ -39,12 +44,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from types import MappingProxyType
 
-from .errors import EmptyLevelSet, LengthMismatch, NegativeDimension, NotAUnit, NotInLevelSet
+from .errors import EmptyLevelSet, NotAUnit, NotInLevelSet
 from .linalg import hstack, vstack
 from .orbit import OrbitSpec, canonical_leg_point, coordinates, free_basis
-from .quiver import QuiverMult
+from .quiver import QuiverMult, check_dims
 from .repn import (
     Representation,
+    gauge,
     moment_component,
     random_linear_map,
     random_unit_end,
@@ -55,7 +61,6 @@ from .rmatrix import (
     compose,
     extend_scalars,
     extend_scalars_rev,
-    invert_end,
     restrict_scalars,
     restrict_scalars_rev,
     scalar_end,
@@ -130,17 +135,13 @@ def phi(rep: Representation, i):
 def random_level_point(q: QuiverMult, lam, v, i, seed) -> Representation:
     """Deterministic point with moment value exactly -lam_i Id at vertex i.
 
-    Built from the canonical rank-one-junction point of the corresponding
-    two-block orbit, moved by random unit endomorphisms on both sides; the
-    remaining arrows are drawn freely.
+    The canonical point of the two-block orbit (a representation of its
+    one-arrow leg quiver) moved by a random gauge transformation gives the
+    maps into and out of i; the remaining arrows are drawn freely.
     """
     q_i = q.index(i)
     lam = check_params(q, lam)
-    v = tuple(v)
-    if len(v) != q.n:
-        raise LengthMismatch("dimension vector length differs from vertex count")
-    if any(x < 0 for x in v):
-        raise NegativeDimension("negative entry in dimension vector")
+    v = check_dims(q, v, nonnegative=True)
     if not lam[q_i].is_unit():
         raise NotAUnit(f"parameter at vertex {q.name(q_i)} is not a unit")
     d_i = q.mults[q_i]
@@ -154,11 +155,10 @@ def random_level_point(q: QuiverMult, lam, v, i, seed) -> Representation:
     spec = OrbitSpec(
         d_i, ((comp, TruncScalar(d_i)), (v[q_i], lam[q_i]))
     )
-    point = canonical_leg_point(spec)
     g = random_unit_end(rng, ModShape(tilde, d_i))
     h_gauge = random_unit_end(rng, ModShape(v[q_i], d_i))
-    into = compose(h_gauge, compose(point.down[0], invert_end(g)))
-    outof = compose(g, compose(point.up[0], invert_end(h_gauge)))
+    # the double order: b_0 (the map into i), then b_0~
+    into, outof = gauge(canonical_leg_point(spec), (g, h_gauge)).maps.values()
     rest = {}
     for h in q.double:
         if h.source == q_i or h.target == q_i:

@@ -20,9 +20,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import InvalidLeg, LengthMismatch
+from .errors import InvalidLeg
 from .linalg import int_identity, int_mat_mul, int_transpose
-from .quiver import QuiverMult
+from .quiver import QuiverMult, check_dims
 from .scalars import TruncScalar
 from .weyl import (
     check_params,
@@ -153,17 +153,10 @@ def regularize_quiver(q: QuiverMult, leg: LegDescriptor) -> QuiverMult:
     return QuiverMult.build(vertices, arrows)
 
 
-def _check_dims(q: QuiverMult, v) -> tuple:
-    v = tuple(v)
-    if len(v) != q.n:
-        raise LengthMismatch(f"{len(v)} dimensions for {q.n} vertices")
-    return v
-
-
 def regularize_params(q: QuiverMult, leg: LegDescriptor, lam, v):
     """(lam, v) for the rewritten quiver: partial top-residue sums and differences."""
     lam = check_params(q, lam)
-    v = _check_dims(q, v)
+    v = check_dims(q, v)
     chain = leg.chain()
     new_v = list(v)
     for pos in range(len(chain) - 1):
@@ -181,7 +174,6 @@ def regularize_params(q: QuiverMult, leg: LegDescriptor, lam, v):
 class HypothesisReport:
     dim_conditions: list = field(default_factory=list)   # (vertex name, value, ok)
     unit_conditions: list = field(default_factory=list)  # ((i names), ok)
-    weak_condition: bool | None = None                   # length-1 fallback
 
     @property
     def all_ok(self) -> bool:
@@ -193,22 +185,20 @@ class HypothesisReport:
 def check_theorem_hypotheses(q, leg: LegDescriptor, lam, v) -> HypothesisReport:
     """Evaluate the two transfer hypotheses exactly."""
     lam = check_params(q, lam)
-    v = _check_dims(q, v)
+    v = check_dims(q, v)
     chain = leg.chain()
     report = HypothesisReport()
     for pos in range(len(chain) - 1):
         value = v[chain[pos]] - v[chain[pos + 1]]
         report.dim_conditions.append((q.name(chain[pos]), value, value >= 0))
     legs = leg.vertices
-    for a in range(len(legs)):
+    for a in range(leg.length):
         acc = TruncScalar(leg.d)
-        for b in range(a, len(legs)):
+        for b in range(a, leg.length):
             acc = acc + lam[legs[b]]
             report.unit_conditions.append(
                 (tuple(q.name(x) for x in legs[a:b + 1]), acc.is_unit())
             )
-    if leg.length == 1:
-        report.weak_condition = lam[legs[0]].is_unit()
     return report
 
 

@@ -20,14 +20,9 @@ from __future__ import annotations
 
 from types import MappingProxyType
 
-from .errors import (
-    LengthMismatch,
-    NegativeDimension,
-    NotInvertible,
-    ShapeMismatch,
-)
+from .errors import LengthMismatch, NotInvertible, ShapeMismatch
 from .linalg import Matrix
-from .quiver import QuiverMult
+from .quiver import QuiverMult, check_dims
 from .rmatrix import (
     ModShape,
     RMap,
@@ -52,19 +47,14 @@ class Representation:
     __slots__ = ("quiver", "v", "maps")
 
     def __init__(self, quiver: QuiverMult, v, maps):
-        v = tuple(v)
-        if len(v) != quiver.n:
-            raise LengthMismatch("dimension vector length differs from vertex count")
-        if any(x < 0 for x in v):
-            raise NegativeDimension("negative entry in dimension vector")
-        mults = quiver.mults
+        v = check_dims(quiver, v, nonnegative=True)
+        shapes = [ModShape(x, m) for x, m in zip(v, quiver.mults)]
         normalized = {}
         for h in quiver.double:
             if h.name not in maps:
                 raise ShapeMismatch(f"missing map for arrow {h.name}")
             f = maps[h.name]
-            want_src = ModShape(v[h.source], mults[h.source])
-            want_dst = ModShape(v[h.target], mults[h.target])
+            want_src, want_dst = shapes[h.source], shapes[h.target]
             if f.src != want_src or f.dst != want_dst:
                 raise ShapeMismatch(
                     f"arrow {h.name}: got {f.src}->{f.dst}, want {want_src}->{want_dst}"
@@ -126,11 +116,16 @@ def moment_component(rep: Representation, i) -> RMap:
     """Moment value at one vertex."""
     q = rep.quiver
     i = q.index(i)
-    shape = ModShape(rep.v[i], q.mults[i])
-    acc = zero_map(shape, shape)
+    acc = None
     for h in q.incoming[i]:
         prod = pr_cd(compose(rep.maps[h.name], rep.maps[h.reversed_name]))
-        acc = acc + prod if h.sign > 0 else acc - prod
+        if acc is None:
+            acc = prod if h.sign > 0 else -prod
+        else:
+            acc = acc + prod if h.sign > 0 else acc - prod
+    if acc is None:
+        shape = ModShape(rep.v[i], q.mults[i])
+        return zero_map(shape, shape)
     return acc
 
 
@@ -152,8 +147,7 @@ def mesh_check(rep: Representation, lam) -> tuple[RMap, ...]:
 def level_check(q: QuiverMult, lam, v) -> bool:
     """Whether sum_i v_i * (top residue of lam_i) vanishes."""
     lam = check_params(q, lam)
-    if len(v) != q.n:
-        raise LengthMismatch("dimension vector length differs from vertex count")
+    v = check_dims(q, v)
     acc = GQ_ZERO
     for vi, x in zip(v, lam):
         acc = acc + GaussQ(vi) * x.coeffs[x.d - 1]
@@ -282,11 +276,7 @@ def random_trunc(rng: SplitMix64, d, unit=False) -> TruncScalar:
 
 def random_rep(q: QuiverMult, v, seed) -> Representation:
     """Deterministic random point, drawn in the per-arrow free parametrization."""
-    v = tuple(v)
-    if len(v) != q.n:
-        raise LengthMismatch("dimension vector length differs from vertex count")
-    if any(x < 0 for x in v):
-        raise NegativeDimension("negative entry in dimension vector")
+    v = check_dims(q, v, nonnegative=True)
     rng = SplitMix64(seed)
     maps = {}
     for h in q.double:

@@ -268,12 +268,14 @@ def pr_cd(z: RMap) -> RMap:
     the R_d-endomorphisms into the R_c-endomorphisms: <pr(Z), Z'>_d = <Z, Z'>_c
     for every R_d-linear Z'.  On v_j, pr(Z) is sum_k eps^k Z(v_j eps^(q-1-k))
     with q = d/c, so the (l2, l1) block of slice m of Z lands in slice
-    q*m + q-1 + l2 - l1 of the result.
+    q*m + q-1 + l2 - l1 of the result.  For q = 1 that is Z itself.
     """
     if z.src != z.dst:
         raise ShapeMismatch("pr_cd needs a square map")
     n, d = z.src.rank, z.src.order
     q = d // z.base
+    if q == 1:
+        return z
     out = [Matrix.zero(n, n)] * d
     for m, a in enumerate(z.parts):
         for l2 in range(q):

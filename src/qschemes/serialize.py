@@ -15,7 +15,7 @@ import json
 
 from .errors import MalformedInput, ShapeMismatch
 from .linalg import Matrix
-from .orbit import LegPoint, OrbitSpec
+from .orbit import OrbitSpec
 from .quiver import QuiverMult
 from .repn import Representation
 from .rmatrix import ModShape, RMap
@@ -134,19 +134,24 @@ def orbit_spec_from_obj(obj) -> OrbitSpec:
     return OrbitSpec(d, blocks)
 
 
-def leg_point_to_obj(p: LegPoint) -> dict:
-    """The chain maps past the junction, and the junction maps ``a`` and ``b``
-    as base-field blocks read off their flat views: ``a`` is down[0] on
-    V_0 (x) 1, ``b`` the eps^(d-1) component of up[0].  Each determines its
-    R_d-linear map."""
-    down, up, d = p.down[0], p.up[0], p.d
-    a = RMap(ModShape(down.src.rank, 1), down.dst, 1, [down.flat.take(cols=slice(0, None, d))])
-    b = RMap(up.src, ModShape(up.dst.rank, 1), 1, [up.flat.take(slice(d - 1, None, d))])
+def leg_point_to_obj(p: Representation) -> dict:
+    """A chain point (a representation of ``OrbitSpec.quiver``): the down
+    maps (on the arrows b_i) and up maps (on b_i~) past the junction, and the
+    junction maps ``a`` and ``b`` as base-field blocks read off their flat
+    views: ``a`` is down[0] on V_0 (x) 1, ``b`` the eps^(d-1) component of
+    up[0].  Each determines its R_d-linear map."""
+    q = p.quiver
+    l, d = len(q.arrows), q.mults[0]
+    down = [p.maps[h.name] for h in q.double[:l]]
+    up = [p.maps[h.name] for h in q.double[l:]]
+    a = RMap(ModShape(down[0].src.rank, 1), down[0].dst, 1,
+             [down[0].flat.take(cols=slice(0, None, d))])
+    b = RMap(up[0].src, ModShape(up[0].dst.rank, 1), 1, [up[0].flat.take(slice(d - 1, None, d))])
     return {
-        "d": p.d,
-        "dims": list(p.dims),
-        "down": [rmap_to_obj(f) for f in p.down[1:]],
-        "up": [rmap_to_obj(f) for f in p.up[1:]],
+        "d": d,
+        "dims": list(p.v),
+        "down": [rmap_to_obj(f) for f in down[1:]],
+        "up": [rmap_to_obj(f) for f in up[1:]],
         "a": rmap_to_obj(a),
         "b": rmap_to_obj(b),
     }

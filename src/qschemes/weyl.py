@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 from .errors import LengthMismatch, MismatchedOrder
 from .linalg import int_identity, int_mat_mul
-from .quiver import QuiverMult
+from .quiver import QuiverMult, check_dims
 from .scalars import GQ_ZERO, GaussQ, TruncScalar
 
 COXETER_TABLE = {0: 2, 1: 3, 2: 4, 3: 6}
@@ -64,8 +64,7 @@ def _matched_powers(di, dj):
 def reflect_dim(q: QuiverMult, i, v) -> tuple[int, ...]:
     """s_i(v) = v - (sum_j c_ij v_j) e_i."""
     i = q.index(i)
-    if len(v) != q.n:
-        raise LengthMismatch("dimension vector length differs from vertex count")
+    v = check_dims(q, v)
     c = q.cartan.c
     out = list(v)
     out[i] = v[i] - sum(c[i][j] * v[j] for j in range(q.n))

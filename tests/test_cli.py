@@ -141,6 +141,22 @@ class TestRegularizeCommands:
         code, out, _ = run(capsys, "reg-verify", str(qfile), "--leg", "base,leg")
         assert code == 0
 
+    def test_regularize_text_out_keeps_the_transferred_data(self, capsys, corpus_dir, tmp_path):
+        # with --out the quiver goes to the file and the "# v:" and
+        # "# hypotheses ok:" lines still go to stdout
+        qfile = str(corpus_dir / "double_d3.quiver")
+        lam = str(corpus_dir.parent / "tests" / "golden" / "lam_double_d3.json")
+        flags = ("--leg", "k,i,j", "--lambda", lam, "--v", "1,1,2")
+        code, inline, _ = run(capsys, "regularize", qfile, *flags)
+        assert code == 0
+        out_file = tmp_path / "reg.quiver"
+        code, out, _ = run(capsys, "regularize", qfile, *flags, "--out", str(out_file))
+        assert code == 0
+        assert inline == out_file.read_text() + out
+        _, js, _ = run(capsys, "--format", "json", "regularize", qfile, *flags)
+        obj = json.loads(js)
+        assert out == f"# v: {obj['v']}\n# hypotheses ok: {obj['hypotheses_ok']}\n"
+
     def test_invalid_leg(self, capsys, corpus_dir):
         qfile = corpus_dir / "star_n3_d3.quiver"
         code, _, err = run(capsys, "regularize", str(qfile), "--leg", "base,c1")

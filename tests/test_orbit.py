@@ -15,7 +15,6 @@ from qschemes.orbit import (
     free_basis,
     leg_factorize,
     leg_mesh_residuals,
-    leg_moment,
     leg_rank_checks,
     nu,
     orbit_dimension,
@@ -28,11 +27,13 @@ from qschemes.rmatrix import (
     RMap,
     compose,
     from_slices,
+    invert_end,
     scalar_end,
     scale_end,
     slices,
     zero_map,
 )
+from qschemes.repn import gauge, moment_map, random_gauge
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar, trunc_inv
 
@@ -289,7 +290,7 @@ class TestCanonicalPoint:
             assert all(r.is_zero() for r in leg_mesh_residuals(spec, p))
             assert leg_rank_checks(spec, p)
             # moment values are the expected scalars, not just zero residuals
-            for i, m in enumerate(leg_moment(spec, p), start=1):
+            for i, m in enumerate(moment_map(p)[1:], start=1):
                 lam_i = spec.thetas[i] - spec.thetas[i - 1]
                 assert m == scalar_end(-lam_i, m.src.rank)
 
@@ -305,9 +306,10 @@ class TestFactorize:
         for make in ALL_SPECS:
             spec = make()
             for p in (canonical_leg_point(spec), leg_factorize(spec, random_conjugate(spec, 4))):
-                assert len(p.down) == len(p.up) == spec.legs
-                assert all(f.base == spec.d for f in p.down + p.up)
-                for i, (dn, up) in enumerate(zip(p.down, p.up)):
+                assert len(p.maps) == 2 * spec.legs
+                assert all(f.base == spec.d for f in p.maps.values())
+                for i in range(spec.legs):
+                    dn, up = p.maps[f"b{i}"], p.maps[f"b{i}~"]
                     v_i, v_next = (ModShape(spec.tail_dim(k), spec.d) for k in (i, i + 1))
                     assert (dn.src, dn.dst, up.src, up.dst) == (v_i, v_next, v_next, v_i)
 
@@ -325,7 +327,7 @@ class TestFactorize:
         # a vanishing interior block leaves consecutive chain modules equal
         spec = OrbitSpec(2, ((1, T(2, [0, 1])), (0, T(2, [1])), (1, T(2, [3]))))
         p = canonical_leg_point(spec)
-        assert p.dims == (2, 1, 1)
+        assert p.v == (2, 1, 1)
         assert nu(spec, p) == big_theta(spec)
         assert all(r.is_zero() for r in leg_mesh_residuals(spec, p))
         for seed in range(3):
@@ -356,6 +358,43 @@ class TestFactorize:
                     prod = f if prod is None else compose(f, prod)
                 stacked = hstack([u.flat, prod.flat])
                 assert rank(stacked) == rank(u.flat) == rank(prod.flat)
+
+
+class TestChainPointsAreRepresentations:
+    """A chain point is a representation of the spec's leg quiver, so the
+    generic moment map and gauge action apply to it."""
+
+    def test_leg_quiver_is_built_once(self):
+        for make in ALL_SPECS:
+            q = make().quiver
+            assert q is make().quiver
+            assert q.mults == (make().d,) * (make().legs + 1)
+            assert [(a.source, a.target) for a in q.arrows] == [
+                (i, i + 1) for i in range(make().legs)]
+
+    def test_moment_map_and_gauge(self):
+        for make in ALL_SPECS:
+            spec = make()
+            n, thetas = spec.total, spec.thetas
+            for seed in range(3):
+                a = random_conjugate(spec, seed)
+                p = leg_factorize(spec, a)
+                assert p.quiver == spec.quiver
+                # (a - theta_0, -lam_1 Id, ..., -lam_l Id), lam_i = theta_i - theta_{i-1}
+                mu = moment_map(p)
+                assert mu == (a - scalar_end(thetas[0], n),) + tuple(
+                    scalar_end(thetas[i - 1] - thetas[i], p.v[i])
+                    for i in range(1, spec.legs + 1))
+                g = random_gauge(p.quiver, p.v, seed)
+                moved = gauge(p, g)
+
+                def conj(f):
+                    return compose(g[0], compose(f, invert_end(g[0])))
+
+                assert moment_map(moved)[0] == conj(mu[0])
+                assert nu(spec, moved) == conj(a)
+                assert all(r.is_zero() for r in leg_mesh_residuals(spec, moved))
+                assert leg_rank_checks(spec, moved)
 
 
 class TestFreeBasis:

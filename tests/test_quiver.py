@@ -168,11 +168,17 @@ class TestDerivedData:
 
         q = corpus["star_n3_d2"]
 
-        def rebuilt(_):
-            raise AssertionError("derived quiver data rebuilt after construction")
+        def built_once(build):
+            # a newly constructed quiver (the leg quiver of a chain point)
+            # builds its data; q, constructed already, must not rebuild it
+            def guarded(quiver):
+                if quiver == q:
+                    raise AssertionError("derived quiver data rebuilt after construction")
+                return build(quiver)
+            return guarded
 
-        monkeypatch.setattr(quiver_mod, "_double", rebuilt)
-        monkeypatch.setattr(quiver_mod, "_cartan", rebuilt)
+        monkeypatch.setattr(quiver_mod, "_double", built_once(quiver_mod._double))
+        monkeypatch.setattr(quiver_mod, "_cartan", built_once(quiver_mod._cartan))
         i, v = q.index("base"), (1, 1, 1)
         lam = random_params(q, 5, units=[i])
         p = random_level_point(q, lam, v, i, 7)

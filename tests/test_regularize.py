@@ -153,7 +153,7 @@ class TestHypotheses:
         leg = find_legs(q)[0]
         rep = check_theorem_hypotheses(q, leg, (T(2), T(1), T(1)), (1, 1, 1))
         assert not rep.all_ok
-        assert rep.weak_condition is False
+        assert [ok for _, ok in rep.unit_conditions] == [False]
 
     def test_non_increasing_passes_dims(self):
         q = example_star(3, 2)
@@ -161,7 +161,7 @@ class TestHypotheses:
         lam = (T(2, [1, 0]), T(1), T(1))
         rep = check_theorem_hypotheses(q, leg, lam, (1, 2, 0))
         assert all(ok for _, _, ok in rep.dim_conditions)
-        assert rep.all_ok and rep.weak_condition
+        assert rep.all_ok and [ok for _, ok in rep.unit_conditions] == [True]
 
     def test_pair_sum_zero_fails(self):
         q = long_leg(2, 2)
