@@ -8,12 +8,17 @@ numerator) = 1, and ``im`` is None exactly when every entry is real.  Equal
 matrices therefore have equal fields, and ``==`` and ``hash`` read the fields.
 The blocks are tuples of tuples, so matrices can share them safely.
 ``GaussQ`` appears only at the boundary: ``Matrix(rows)`` parses rows of
-scalars, and entry access and the read-only ``rows`` view build ``GaussQ``
-entries on demand.  Degenerate shapes (0 rows or 0 columns) are legal and
-arise naturally from zero dimension vectors.
+scalars, and entry access, the read-only ``rows`` view and ``trace`` build
+``GaussQ`` values on demand; ``Matrix.from_ints`` takes integer rows
+directly.  Degenerate shapes (0 rows or 0 columns) are legal and arise
+naturally from zero dimension vectors.
 
 Sums, scalar multiples, stacking, slicing (``take``) and the product work on
 the integer numerators; a real operand takes no imaginary dot products.
+Two kernels act on matrix polynomials, given as lists of slices:
+``poly_mul`` returns the slices of a truncated product in one pass over the
+numerators, and ``trace_dot`` returns trace(sum_j x_j y_j) without forming
+a product.  The module maps of ``rmatrix`` compose and pair through them.
 
 Elimination (``_echelon``) is fraction-free Gauss-Jordan in the style of
 Bareiss (Math. Comp. 22, 1968), over Z for real matrices and over Z[i]
@@ -25,7 +30,10 @@ determinant of the leading pivot minor.  An eliminated row becomes
 complement, minors of the input: the division is exact in Z or Z[i] and
 entries grow no faster than minors do.  Rows with a zero in the pivot column
 are left alone.  The reduced row-echelon form is unique, so the results are
-exactly those of schoolbook elimination over ``GaussQ``.
+exactly those of schoolbook elimination over ``GaussQ``.  ``solve`` finishes
+on the integers too: the reduced rows are a multiple q of the solution, for
+the last pivot q, and dividing by q is a sign and a denominator |q| when q
+is real, and multiplication by conj(q) over the denominator |q|^2 otherwise.
 
 Plain ``list[list[int]]`` matrices are used elsewhere for lattice actions;
 the ``int_*`` helpers at the bottom cover those.
@@ -39,7 +47,7 @@ from math import gcd, lcm
 from operator import add, itemgetter, mul, sub
 
 from .errors import NotInvertible, ShapeMismatch
-from .scalars import GQ_ONE, GQ_ZERO, GaussQ, _coerce
+from .scalars import GQ_ZERO, GaussQ, _coerce
 
 
 class Matrix:
@@ -72,6 +80,16 @@ class Matrix:
     @staticmethod
     def zero(m, n) -> "Matrix":
         return _new(((0,) * n,) * m, None, 1, n)
+
+    @staticmethod
+    def from_ints(rows, ncols) -> "Matrix":
+        """The real matrix of integer rows, each with ncols entries."""
+        re = tuple(map(tuple, rows))
+        if any(len(r) != ncols for r in re):
+            raise ValueError("rows disagree with ncols")
+        if not {int}.issuperset(map(type, chain.from_iterable(re))):
+            raise TypeError("entries must be ints")
+        return _new(re, None, 1, ncols)
 
     @staticmethod
     def identity(n) -> "Matrix":
@@ -133,18 +151,8 @@ class Matrix:
             )
         if not (self.nrows and self.ncols and other.ncols):
             return Matrix.zero(self.nrows, other.ncols)
-        ar, ai, bi = self.re, self.im, other.im
-        br = tuple(zip(*other.re))
-        re = _dots(ar, br)
-        if bi is None:
-            im = ai and _dots(ai, br)
-        else:
-            # (Ar + i Ai)(Br + i Bi) = (ArBr - AiBi) + i (ArBi + AiBr)
-            bi = tuple(zip(*bi))
-            im = _dots(ar, bi)
-            if ai is not None:
-                re = _lincomb(re, 1, _dots(ai, bi), -1)
-                im = _lincomb(im, 1, _dots(ai, br), 1)
+        re, im = _product(self.re, self.im, _columns(other.re),
+                          other.im and _columns(other.im))
         return _canon(re, im, self.den * other.den, other.ncols)
 
     def scale(self, c) -> "Matrix":
@@ -248,8 +256,30 @@ def _lincomb(a, fa, b, fb):
 
 def _dots(rows, cols):
     """Integer matrix product, from the rows of one factor and the columns of
-    the other."""
+    the other; each dot product stops at the shorter of its row and column."""
     return tuple([tuple([sum(map(mul, r, c)) for c in cols]) for r in rows])
+
+
+def _product(ar, ai, br, bi):
+    """Numerator blocks (re, im) of (ar + i ai)(b), from the rows ar, ai of
+    one factor and the columns br, bi of the other; an imaginary part that is
+    None is zero, and a real operand takes no imaginary dot products."""
+    if bi is None:
+        return _dots(ar, br), ai and _dots(ai, br)
+    if ai is None:
+        return _dots(ar, br), _dots(ar, bi)
+    # (ar + i ai)(br + i bi) = (ar br - ai bi) + i (ar bi + ai br), in one
+    # pass over the rows and columns
+    cols = tuple(zip(br, bi))
+    re, im = [], []
+    for r0, r1 in zip(ar, ai):
+        re.append(tuple([sum(map(mul, r0, c0)) - sum(map(mul, r1, c1)) for c0, c1 in cols]))
+        im.append(tuple([sum(map(mul, r0, c1)) + sum(map(mul, r1, c0)) for c0, c1 in cols]))
+    return tuple(re), tuple(im)
+
+
+def _columns(block):
+    return tuple(zip(*block))
 
 
 def _entry(re, im, den):
@@ -275,27 +305,105 @@ def _join_rows(blocks):
 
 def _stack(mats, shared, join):
     """Join the numerator blocks of mats, which agree in ``shared``, over the
-    lcm of their denominators.
-
-    That lcm keeps the form canonical: a prime power dividing it exactly
-    divides some block's denominator exactly, and that block has a numerator
-    the prime does not divide, left so by a cofactor the prime does not
-    divide either.
-    """
+    lcm of their denominators."""
     if len(mats) == 1:
         return mats[0]
     if not mats:
         raise ValueError("stacking nothing")
     if len({getattr(a, shared) for a in mats}) != 1:
         raise ShapeMismatch(f"stacking matrices with differing {shared}")
+    den, re, im = _over_lcm(mats)
+    ncols = sum(a.ncols for a in mats) if shared == "nrows" else mats[0].ncols
+    return _new(join(re), im and join(im), den, ncols)
+
+
+def _over_lcm(mats):
+    """(den, re, im): the lcm of the denominators of mats and their numerator
+    blocks over it; ``im`` is None when every matrix is real, and otherwise
+    holds zero blocks for the real ones.
+
+    Blocks joined over that lcm stay canonical: a prime power dividing it
+    exactly divides some matrix's denominator exactly, and that matrix has a
+    numerator the prime does not divide, left so by a cofactor the prime does
+    not divide either.
+    """
     den = lcm(*[a.den for a in mats])
-    re = join([a.re if a.den == den else _times(a.re, den // a.den) for a in mats])
+    re = [a.re if a.den == den else _times(a.re, den // a.den) for a in mats]
     im = None
     if any(a.im is not None for a in mats):
-        im = join([((0,) * a.ncols,) * a.nrows if a.im is None
-                   else a.im if a.den == den else _times(a.im, den // a.den) for a in mats])
-    ncols = sum(a.ncols for a in mats) if shared == "nrows" else mats[0].ncols
-    return _new(re, im, den, ncols)
+        im = [((0,) * a.ncols,) * a.nrows if a.im is None
+              else a.im if a.den == den else _times(a.im, den // a.den) for a in mats]
+    return den, re, im
+
+
+# -- matrix polynomials --------------------------------------------------------
+
+def poly_mul(fs, gs) -> list[Matrix]:
+    """The slices sum_{j<=m} f_j g_(m-j), m < c, of the product of two matrix
+    polynomials truncated at degree c = len(fs) = len(gs).
+
+    One slice is the product ``@``.  Otherwise the slices are made in one
+    pass over the integer numerators, each factor over the lcm of its
+    slices' denominators: the rows of f_0, .., f_(c-1) are joined once, and
+    the columns of g_m, g_(m-1), .., g_0 grow by one slice per m.  A row and
+    a column pair up only as far as the shorter reaches, which is f_0 .. f_m.
+    """
+    c = len(fs)
+    if len(gs) != c:
+        raise ShapeMismatch(f"product of polynomials with {c} and {len(gs)} slices")
+    if c == 1:
+        return [fs[0] @ gs[0]]
+    p, k, q = fs[0].nrows, fs[0].ncols, gs[0].ncols
+    if any(f.nrows != p or f.ncols != k for f in fs) or any(
+            g.nrows != k or g.ncols != q for g in gs):
+        raise ShapeMismatch(f"slices of {p}x{k} by {k}x{q} polynomials differ in shape")
+    if not (p and k and q):
+        return [Matrix.zero(p, q)] * c
+    fden, fre, fim = _over_lcm(fs)
+    gden, gre, gim = _over_lcm(gs)
+    ar, ai = _join_columns(fre), fim and _join_columns(fim)
+    den = fden * gden
+    br = bi = ((),) * q
+    out = []
+    for m in range(c):
+        br = tuple(map(add, _columns(gre[m]), br))
+        if gim is not None:
+            bi = tuple(map(add, _columns(gim[m]), bi))
+        out.append(_canon(*_product(ar, ai, br, gim and bi), den, q))
+    return out
+
+
+def trace_dot(xs, ys) -> GaussQ:
+    """trace(sum_j x_j y_j) for x_j of shape p x k and y_j of shape k x p.
+
+    trace(x y) is the sum of the entrywise products of x and the transpose
+    of y, so each pair costs O(p k) integer products on the numerators (each
+    factor over the lcm of its denominators), and no product matrix is
+    formed.
+    """
+    xs, ys = list(xs), list(ys)
+    if len(xs) != len(ys) or any(x.nrows != y.ncols or x.ncols != y.nrows
+                                 for x, y in zip(xs, ys)):
+        raise ShapeMismatch("trace_dot needs pairs x_j, y_j with x_j y_j square")
+    xden, xre, xim = _over_lcm(xs)
+    yden, yre, yim = _over_lcm(ys)
+    re = im = 0
+    for t in range(len(xs)):
+        ar, br = _flat(xre[t]), _flat(_columns(yre[t]))
+        re += sum(map(mul, ar, br))
+        bi = yim and _flat(_columns(yim[t]))
+        if bi:
+            im += sum(map(mul, ar, bi))
+        if xim:
+            ai = _flat(xim[t])
+            im += sum(map(mul, ai, br))
+            if bi:
+                re -= sum(map(mul, ai, bi))
+    return _entry(re, im, xden * yden)
+
+
+def _flat(block):
+    return tuple(chain.from_iterable(block))
 
 
 def _echelon(rows, ncols, im=None, mult=None):
@@ -403,9 +511,17 @@ def solve(a: Matrix, b: Matrix) -> Matrix:
     q = mult[n - 1]
     for k in range(n):
         _rescale(rows, im or [None] * n, mult, k, q)
-    x = _canon(tuple([tuple(r[n:]) for r in rows[:n]]),
-               im and tuple([tuple(r[n:]) for r in im[:n]]), 1, b.ncols)
-    return x.scale(GQ_ONE / GaussQ(*q) if im else Fraction(1, q))
+    re = tuple([tuple(r[n:]) for r in rows[:n]])
+    im = im and tuple([tuple(r[n:]) for r in im[:n]])
+    # divide by q on the numerators: by its sign and |q| when q is real, and
+    # otherwise multiply by conj(q) and divide by |q|^2
+    q0, q1 = (q, 0) if im is None else q
+    if not q1:
+        if q0 < 0:
+            re, im = _times(re, -1), im and _times(im, -1)
+        return _canon(re, im, abs(q0), b.ncols)
+    return _canon(_lincomb(re, q0, im, q1), _lincomb(im, q0, re, -q1), q0 * q0 + q1 * q1,
+                  b.ncols)
 
 
 def inverse(a: Matrix) -> Matrix:

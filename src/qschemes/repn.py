@@ -21,7 +21,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .errors import LengthMismatch, NotInvertible, ShapeMismatch
-from .linalg import Matrix
+from .linalg import Matrix, int_mat_mul
 from .quiver import QuiverMult, check_dims
 from .rmatrix import (
     ModShape,
@@ -245,24 +245,22 @@ def gauge(rep: Representation, g) -> Representation:
 # -- deterministic generators -------------------------------------------------------
 
 def _random_matrix(rng: SplitMix64, nrows, ncols, lo=-3, hi=3) -> Matrix:
-    return Matrix(
-        [[GaussQ(rng.randint(lo, hi)) for _ in range(ncols)] for _ in range(nrows)],
-        ncols=ncols,
-    )
+    return Matrix.from_ints(
+        [[rng.randint(lo, hi) for _ in range(ncols)] for _ in range(nrows)], ncols)
 
 
 def random_unit_end(rng: SplitMix64, shape: ModShape) -> RMap:
     """Deterministic unit of End_{R_d}: unitriangular times nonzero diagonal."""
     n, d = shape.rank, shape.order
-    lower = [[GaussQ(1) if i == j else (GaussQ(rng.randint(-2, 2)) if i > j else GQ_ZERO)
-              for j in range(n)] for i in range(n)]
-    upper = [[GaussQ(1) if i == j else (GaussQ(rng.randint(-2, 2)) if i < j else GQ_ZERO)
-              for j in range(n)] for i in range(n)]
+    lower = [[1 if i == j else (rng.randint(-2, 2) if i > j else 0) for j in range(n)]
+             for i in range(n)]
+    upper = [[1 if i == j else (rng.randint(-2, 2) if i < j else 0) for j in range(n)]
+             for i in range(n)]
     diag_choices = (1, -1, 2, -2, 3)
-    diag = [[GaussQ(diag_choices[rng.randint(0, 4)]) if i == j else GQ_ZERO
-             for j in range(n)] for i in range(n)]
-    const = Matrix(lower, ncols=n) @ Matrix(diag, ncols=n) @ Matrix(upper, ncols=n)
-    parts = [const] + [_random_matrix(rng, n, n, -2, 2) for _ in range(d - 1)]
+    diag = [diag_choices[rng.randint(0, 4)] for _ in range(n)]
+    const = int_mat_mul(lower, [[x * c for c in row] for x, row in zip(diag, upper)])
+    parts = [Matrix.from_ints(const, n)] + [_random_matrix(rng, n, n, -2, 2)
+                                            for _ in range(d - 1)]
     return from_slices(parts, d)
 
 

@@ -10,11 +10,14 @@ n x n slices: the matrix-polynomial coefficients xi_k of
 ``slices``/``from_slices``.
 
 ``_lower`` rewrites the slices over a smaller subring (block-Toeplitz
-expansion).  ``RMap.flat`` is the base-1 view: the (w*d2) x (v*d1) matrix in
-the basis {v_j eps^k} at index j*d + k, which serialization prints.  Its
-validating inverse ``RMap.from_flat``, for untrusted input, raises
-``NotLinearOverBase`` when the matrix is not linear over the requested base;
-it and random draws build maps from a base-field block with ``slice_extend``.
+expansion).  ``compose`` is the truncated product of the slices over the
+common base, ``linalg.poly_mul``; ``pair_d`` reads the top coefficient of
+the trace of that product with ``linalg.trace_dot`` and forms no composite.
+``RMap.flat`` is the base-1 view: the (w*d2) x (v*d1) matrix in the basis
+{v_j eps^k} at index j*d + k, which serialization prints.  Its validating
+inverse ``RMap.from_flat``, for untrusted input, raises ``NotLinearOverBase``
+when the matrix is not linear over the requested base; it and random draws
+build maps from a base-field block with ``slice_extend``.
 
 Extension of scalars from R_c to R_d turns an R_c-linear map into an
 R_d-linear one on (or into) the free R_c-module underneath, and restriction
@@ -39,7 +42,7 @@ from .errors import (
     NotLinearOverBase,
     ShapeMismatch,
 )
-from .linalg import Matrix, hstack, inverse, vstack
+from .linalg import Matrix, hstack, inverse, poly_mul, trace_dot, vstack
 from .scalars import GaussQ, TruncScalar
 
 
@@ -214,11 +217,7 @@ def compose(f: RMap, g: RMap) -> RMap:
     if g.dst != f.src:
         raise ShapeMismatch(f"cannot compose: inner shapes {g.dst} vs {f.src}")
     c = math.gcd(f.base, g.base)
-    fs, gs = _lower(f, c), _lower(g, c)
-    return RMap(
-        g.src, f.dst, c,
-        [hstack(fs[:m + 1]) @ vstack(gs[m::-1]) for m in range(c)],
-    )
+    return RMap(g.src, f.dst, c, poly_mul(_lower(f, c), _lower(g, c)))
 
 
 def slices(f: RMap) -> list[Matrix]:
@@ -252,13 +251,22 @@ def trace_r(f: RMap) -> TruncScalar:
 
 
 def pair_d(x: RMap, y: RMap, d=None) -> GaussQ:
-    """Residue pairing <x,y>_d: eps^(d-1) coefficient of the R_d-trace of x.y."""
-    xy = compose(x, y)
+    """Residue pairing <x,y>_d: eps^(d-1) coefficient of the R_d-trace of x.y.
+
+    Over R_d that coefficient is trace(sum_j x_j y_(d-1-j)) of the slices
+    x_j, y_j, which ``trace_dot`` reads without forming the composite;
+    d defaults to the common base of x and y.
+    """
+    if y.dst != x.src:
+        raise ShapeMismatch(f"cannot compose: inner shapes {y.dst} vs {x.src}")
+    c = math.gcd(x.base, y.base)
     if d is None:
-        d = xy.base
-    if xy.base % d != 0:
+        d = c
+    if c % d != 0:
         raise NotLinearOverBase(f"composite is not R_{d}-linear")
-    return trace_base(xy, d).coeffs[d - 1]
+    if y.src != x.dst:
+        raise NotEndomorphism("trace of a non-square map")
+    return trace_dot(_lower(x, d), reversed(_lower(y, d)))
 
 
 def pr_cd(z: RMap) -> RMap:
@@ -374,8 +382,8 @@ def scale_end(f: RMap, t: TruncScalar) -> RMap:
 def invert_end(g: RMap) -> RMap:
     """Inverse of a unit endomorphism (invertible constant slice).
 
-    With X_0 the inverse of the constant slice A_0, the slices of the inverse
-    are X_k = -X_0 sum_{1<=j<=k} A_j X_{k-j}.
+    With X_0 the inverse of the constant slice A_0 and C_j = -X_0 A_j, the
+    slices of the inverse are X_k = sum_{1<=j<=k} C_j X_{k-j}.
     """
     if not g.is_end():
         raise NotEndomorphism("inverse needs a full endomorphism")
@@ -383,7 +391,9 @@ def invert_end(g: RMap) -> RMap:
         x0 = inverse(g.parts[0])
     except NotInvertible:
         raise NotInvertible("constant slice is singular") from None
+    cs = [-(x0 @ a) for a in g.parts[1:]]
     xs = [x0]
     for k in range(1, g.base):
-        xs.append(-(x0 @ (hstack(g.parts[1:k + 1]) @ vstack(xs[::-1]))))
+        terms = [c @ x for c, x in zip(cs[:k], xs[::-1])]
+        xs.append(sum(terms[1:], terms[0]))
     return RMap(g.src, g.dst, g.base, xs)

@@ -3,8 +3,10 @@
 ``GaussQ`` is the field QQ(i) with exact rational real and imaginary parts;
 equality is exact, there is no floating-point mode.  ``TruncScalar`` is an
 element of the truncated polynomial ring R_d = QQ(i)[eps]/(eps^d), stored as
-the list of its d coefficients.  A truncated scalar is a unit exactly when
-its constant coefficient is nonzero.
+the tuple of its d coefficients.  A truncated scalar is a unit exactly when
+its constant coefficient is nonzero.  The constructor coerces and checks its
+coefficients; the ring operations build their results from the ``GaussQ``
+coefficients they already hold.
 
 Arithmetic never coerces across truncation orders: combining values of
 different order d raises ``MismatchedOrder``.
@@ -12,6 +14,7 @@ different order d raises ``MismatchedOrder``.
 
 from __future__ import annotations
 
+import operator
 import re as _re
 from fractions import Fraction
 
@@ -189,29 +192,29 @@ class TruncScalar:
 
     def __add__(self, other):
         if isinstance(other, (int, Fraction, GaussQ)):
-            other = TruncScalar.const(self.d, other)
+            return _trunc(self.d, (self.coeffs[0] + other,) + self.coeffs[1:])
         self._check(other)
-        return TruncScalar(self.d, [a + b for a, b in zip(self.coeffs, other.coeffs)])
+        return _trunc(self.d, tuple(map(operator.add, self.coeffs, other.coeffs)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
         if isinstance(other, (int, Fraction, GaussQ)):
-            other = TruncScalar.const(self.d, other)
+            return _trunc(self.d, (self.coeffs[0] - other,) + self.coeffs[1:])
         self._check(other)
-        return TruncScalar(self.d, [a - b for a, b in zip(self.coeffs, other.coeffs)])
+        return _trunc(self.d, tuple(map(operator.sub, self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return TruncScalar(self.d, [-a for a in self.coeffs])
+        return _trunc(self.d, tuple(map(operator.neg, self.coeffs)))
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction, GaussQ)):
-            return TruncScalar(self.d, [a * other for a in self.coeffs])
+            return _trunc(self.d, tuple([a * other for a in self.coeffs]))
         return trunc_mul(self, other)
 
     def __rmul__(self, other):
         if isinstance(other, (int, Fraction, GaussQ)):
-            return TruncScalar(self.d, [a * other for a in self.coeffs])
+            return _trunc(self.d, tuple([a * other for a in self.coeffs]))
         return NotImplemented
 
     def __eq__(self, other):
@@ -238,6 +241,20 @@ class TruncScalar:
         return f"TruncScalar({self.d}, {[str(c) for c in self.coeffs]})"
 
 
+_SET_D = TruncScalar.d.__set__
+_SET_COEFFS = TruncScalar.coeffs.__set__
+
+
+def _trunc(d, coeffs) -> TruncScalar:
+    """A TruncScalar from a tuple of d GaussQ coefficients (no checks): the
+    arithmetic builds its results from coefficients it already holds, and
+    only the public constructor coerces its input."""
+    self = object.__new__(TruncScalar)
+    _SET_D(self, d)
+    _SET_COEFFS(self, coeffs)
+    return self
+
+
 def trunc_mul(a: TruncScalar, b: TruncScalar) -> TruncScalar:
     """Product in R_d: coefficient convolution truncated at degree d."""
     a._check(b)
@@ -250,7 +267,7 @@ def trunc_mul(a: TruncScalar, b: TruncScalar) -> TruncScalar:
             cb = b.coeffs[j]
             if cb:
                 out[i + j] = out[i + j] + ca * cb
-    return TruncScalar(d, out)
+    return _trunc(d, tuple(out))
 
 
 def trunc_inv(a: TruncScalar) -> TruncScalar:
@@ -268,4 +285,4 @@ def trunc_inv(a: TruncScalar) -> TruncScalar:
         for j in range(1, k + 1):
             acc = acc + a.coeffs[j] * out[k - j]
         out[k] = -acc * inv0
-    return TruncScalar(d, out)
+    return _trunc(d, tuple(out))

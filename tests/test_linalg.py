@@ -6,7 +6,9 @@ here are the schoolbook ``GaussQ`` product and Gauss-Jordan elimination they
 replaced, which must give exactly the same entries and pivots.  sympy's
 ``DomainMatrix`` over ``QQ_I`` is an independent check of rank, solve and
 inverse on real and non-real matrices.  ``TestCanonicalForm`` checks that
-every operation leaves the stored form canonical.
+every operation leaves the stored form canonical.  ``TestPolyKernels``
+checks the matrix-polynomial kernels against the stacked products and the
+explicit traces they replace.
 """
 
 import random
@@ -16,6 +18,7 @@ from math import gcd
 
 import pytest
 
+import qschemes.linalg as linalg
 from qschemes.errors import NotInvertible, ShapeMismatch
 from qschemes.linalg import (
     Matrix,
@@ -23,8 +26,10 @@ from qschemes.linalg import (
     hstack,
     inverse,
     pivot_columns,
+    poly_mul,
     rank,
     solve,
+    trace_dot,
     vstack,
 )
 from qschemes.scalars import GQ_ONE, GQ_ZERO, GaussQ
@@ -319,6 +324,19 @@ class TestCanonicalForm:
             assert fields(z) == (0, 3, 1, (), None) and z == Matrix.zero(0, 3)
             assert hash(z) == hash(Matrix.zero(0, 3))
 
+    def test_from_ints(self):
+        rng = random.Random("from-ints")
+        for m, n in ((0, 0), (0, 3), (3, 0), (2, 4)):
+            rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(m)]
+            got = Matrix.from_ints(rows, n)
+            assert_canonical(got)
+            assert fields(got) == fields(Matrix([[GaussQ(x) for x in r] for r in rows], ncols=n))
+        assert fields(Matrix.from_ints([[0, 0]], 2)) == fields(Matrix.zero(1, 2))
+        with pytest.raises(ValueError):
+            Matrix.from_ints([[1, 2], [3]], 2)
+        with pytest.raises(TypeError):
+            Matrix.from_ints([[1, Fraction(1, 2)]], 2)
+
     def test_blocks_are_immutable(self):
         z = Matrix.zero(2, 2)
         with pytest.raises(TypeError):
@@ -395,3 +413,100 @@ class TestAgainstSympy:
         pivots = to_dm(low).rref()[1]
         assert tuple(pivot_columns(low)) == pivots
         assert rank(low) == len(pivots) <= 17
+
+
+class TestPolyKernels:
+    """poly_mul and trace_dot against the stacked products and explicit
+    traces, on slices that are real, non-real, with den > 1 or of rank 0."""
+
+    def slices(self, rng, c, m, n):
+        kinds = KINDS + ("zero",)
+        return [Matrix.zero(m, n) if kind == "zero" else random_matrix(rng, kind, m, n)
+                for kind in (rng.choice(kinds) for _ in range(c))]
+
+    SHAPES = [(2, 2, 2), (1, 3, 2), (3, 1, 1), (0, 2, 2), (2, 0, 3), (2, 3, 0), (0, 0, 0)]
+
+    @pytest.mark.parametrize("p,k,q", SHAPES)
+    def test_poly_mul_matches_stacked_products(self, p, k, q):
+        rng = random.Random(f"poly_mul/{p}/{k}/{q}")
+        for c in (1, 2, 3, 4):
+            for _ in range(6):
+                fs, gs = self.slices(rng, c, p, k), self.slices(rng, c, k, q)
+                got = poly_mul(fs, gs)
+                assert len(got) == c
+                for m, h in enumerate(got):
+                    assert_canonical(h)
+                    assert fields(h) == fields(hstack(fs[:m + 1]) @ vstack(gs[m::-1]))
+
+    @pytest.mark.parametrize("p,k,q", SHAPES)
+    def test_trace_dot_matches_trace_of_products(self, p, k, q):
+        rng = random.Random(f"trace_dot/{p}/{k}")
+        for c in (0, 1, 2, 4):
+            for _ in range(6):
+                xs, ys = self.slices(rng, c, p, k), self.slices(rng, c, k, p)
+                want = sum(((x @ y).trace() for x, y in zip(xs, ys)), GQ_ZERO)
+                got = trace_dot(iter(xs), iter(ys))
+                assert type(got) is GaussQ and got == want
+
+    def test_shape_mismatch(self):
+        a, b = Matrix.zero(2, 3), Matrix.zero(3, 2)
+        with pytest.raises(ShapeMismatch):
+            poly_mul([a, a], [b])
+        with pytest.raises(ShapeMismatch):
+            poly_mul([a, a], [b, Matrix.zero(3, 3)])
+        with pytest.raises(ShapeMismatch):
+            poly_mul([a], [a])
+        with pytest.raises(ShapeMismatch):
+            trace_dot([a, a], [b])
+        with pytest.raises(ShapeMismatch):
+            trace_dot([a], [a])
+
+
+class TestSolveOnIntegers:
+    """solve divides by the last pivot q on the numerators: by its sign and
+    |q| when q is real, by conj(q) / |q|^2 otherwise."""
+
+    CASES = [
+        ("negative", [[1, 2], [3, 4]]),
+        ("negative", [[-6]]),
+        ("negative", [[GaussQ(0, 1), 0], [0, GaussQ(0, 1)]]),
+        ("nonreal", [[GaussQ(1, 1), 2], [3, GaussQ(0, 4)]]),
+        ("nonreal", [[GaussQ(Fraction(1, 2), 1), 2], [GaussQ(0, -3), Fraction(5, 3)]]),
+    ]
+
+    @staticmethod
+    def last_pivot(a):
+        """The last pivot as a Gaussian integer (re, im)."""
+        aug = hstack([a, Matrix.identity(a.nrows)])
+        mult = []
+        _echelon(list(aug.re), a.ncols, aug.im and list(aug.im), mult)
+        return (mult[-1], 0) if aug.im is None else mult[-1]
+
+    @pytest.mark.parametrize("kind,rows", CASES)
+    def test_canonical_results(self, kind, rows, monkeypatch):
+        a = Matrix(rows)
+        q0, q1 = self.last_pivot(a)
+        assert (q0 < 0 and not q1) if kind == "negative" else q1
+        b = random_matrix(random.Random(f"solve-integers/{rows}"), "gaussian", a.nrows, 2)
+        want_inv = Matrix(oracle_inverse(a), ncols=a.ncols)
+        want_x = oracle_matmul(want_inv, b)
+
+        def boom(*args):
+            raise AssertionError("solve built a GaussQ or Fraction")
+
+        monkeypatch.setattr(linalg, "GaussQ", boom)
+        monkeypatch.setattr(linalg, "Fraction", boom)
+        inv, x = inverse(a), solve(a, b)
+        monkeypatch.undo()
+        for got, want in ((inv, want_inv), (x, want_x)):
+            assert_canonical(got)
+            assert fields(got) == fields(want)
+
+
+def oracle_inverse(a):
+    """The schoolbook inverse: the right half of the reduced [a | I]."""
+    n = a.nrows
+    rows = [list(r) + [GQ_ONE if i == j else GQ_ZERO for j in range(n)]
+            for i, r in enumerate(a.rows)]
+    assert oracle_echelon(rows, n) == list(range(n))
+    return [r[n:] for r in rows]

@@ -14,7 +14,9 @@ from qschemes.repn import (
     moment_map,
     moment_trace_sum,
     random_gauge,
+    random_linear_map,
     random_rep,
+    random_unit_end,
     symplectic_form,
     symplectic_form_signed,
 )
@@ -22,8 +24,10 @@ from qschemes.rmatrix import (
     ModShape,
     RMap,
     compose,
+    from_slices,
     invert_end,
     scalar_end,
+    slice_extend,
     trace_r,
     zero_map,
 )
@@ -263,3 +267,35 @@ class TestGenerators:
         # constructing the Representation revalidates every invariant
         rep = random_rep(mixed_quiver, (1, 1, 1), 7)
         Representation(mixed_quiver, rep.v, dict(rep.maps))
+
+    def test_draws_match_gaussq_reference(self):
+        """Integer draws give the maps that GaussQ rows drew, from the same
+        stream positions."""
+        def ref_matrix(rng, nrows, ncols, lo=-3, hi=3):
+            return Matrix([[G(rng.randint(lo, hi)) for _ in range(ncols)]
+                           for _ in range(nrows)], ncols=ncols)
+
+        def ref_unit(rng, n, d):
+            lower = [[G(1) if i == j else G(rng.randint(-2, 2)) if i > j else G(0)
+                      for j in range(n)] for i in range(n)]
+            upper = [[G(1) if i == j else G(rng.randint(-2, 2)) if i < j else G(0)
+                      for j in range(n)] for i in range(n)]
+            diag = [[G((1, -1, 2, -2, 3)[rng.randint(0, 4)]) if i == j else G(0)
+                     for j in range(n)] for i in range(n)]
+            const = Matrix(lower, ncols=n) @ Matrix(diag, ncols=n) @ Matrix(upper, ncols=n)
+            return from_slices([const] + [ref_matrix(rng, n, n, -2, 2) for _ in range(d - 1)], d)
+
+        for n in range(4):
+            for d in (1, 2, 3):
+                a, b = SplitMix64(31 * n + d), SplitMix64(31 * n + d)
+                got, want = random_unit_end(a, ModShape(n, d)), ref_unit(b, n, d)
+                assert [fields(p) for p in got.parts] == [fields(p) for p in want.parts]
+                src, dst = ModShape(n, 2 * d), ModShape(2, d)
+                got = random_linear_map(a, src, dst, d)
+                want = slice_extend(src, dst, d, ref_matrix(b, dst.dim, 2 * n))
+                assert [fields(p) for p in got.parts] == [fields(p) for p in want.parts]
+                assert a.next_u64() == b.next_u64()
+
+
+def fields(mat):
+    return mat.nrows, mat.ncols, mat.den, mat.re, mat.im

@@ -1,5 +1,8 @@
+from fractions import Fraction
+
 import pytest
 
+import qschemes.rmatrix as rmatrix
 from qschemes.errors import (
     NotDivisible,
     NotEndomorphism,
@@ -7,7 +10,7 @@ from qschemes.errors import (
     NotLinearOverBase,
     ShapeMismatch,
 )
-from qschemes.linalg import Matrix
+from qschemes.linalg import Matrix, hstack, vstack
 from qschemes.repn import random_linear_map
 from qschemes.rmatrix import (
     ModShape,
@@ -24,6 +27,7 @@ from qschemes.rmatrix import (
     restrict_scalars_rev,
     scalar_end,
     slices,
+    trace_base,
     trace_r,
 )
 from qschemes.rng import SplitMix64
@@ -145,6 +149,61 @@ class TestPairing:
         x = scalar_end(TruncScalar(2, [1, 2]), 1)
         y = scalar_end(TruncScalar(2, [3, 1]), 1)
         assert pair_d(x, y) == residue_pair(TruncScalar(2, [1, 2]), TruncScalar(2, [3, 1]))
+
+
+class TestPairingKernel:
+    """pair_d reads the top coefficient of the trace from the slices."""
+
+    @pytest.mark.parametrize("d1,d2,c", NONREAL_CASES)
+    def test_matches_trace_of_composite(self, d1, d2, c, monkeypatch):
+        rng = SplitMix64(600 * d1 + 10 * d2 + c)
+        u, v = ModShape(2, d1), ModShape(1, d2)
+        for t in range(4):
+            x = gauss_map(rng, u, v, c)
+            y = gauss_map(rng, v, u, c) if t % 2 else random_linear_map(rng, v, u, c)
+            if t > 1:
+                x = x.scale(G(Fraction(1, 6), Fraction(-2, 5)))
+            for d in [None] + [e for e in range(1, c) if c % e == 0]:
+                e = d or c
+                want = trace_base(compose(x, y), e).coeffs[e - 1]
+                with monkeypatch.context() as m:
+                    for name in ("compose", "trace_base"):
+                        m.setattr(rmatrix, name, _refuse(name))
+                    assert pair_d(x, y, d) == want
+
+    def test_errors(self):
+        rng = SplitMix64(7)
+        u, v = ModShape(2, 4), ModShape(1, 2)
+        x, y = random_linear_map(rng, u, v, 2), random_linear_map(rng, v, u, 2)
+        with pytest.raises(ShapeMismatch):
+            pair_d(x, x)
+        with pytest.raises(NotEndomorphism):
+            pair_d(x, random_linear_map(rng, ModShape(1, 4), u, 2))
+        for d in (3, 4):
+            with pytest.raises(NotLinearOverBase):
+                pair_d(x, y, d)
+
+
+def _refuse(name):
+    def refuse(*args):
+        raise AssertionError(f"{name} called")
+    return refuse
+
+
+class TestProductsWithoutStacking:
+    """compose and invert_end multiply slices through linalg.poly_mul and ``@``."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_compose_and_invert_end(self, d, monkeypatch):
+        rng = SplitMix64(700 + d)
+        sh = ModShape(2, d)
+        f, g = gauss_map(rng, sh, sh, d), gauss_unit(rng, 2, d)
+        want = [hstack(f.parts[:m + 1]) @ vstack(g.parts[m::-1]) for m in range(d)]
+        for name in ("hstack", "vstack"):
+            monkeypatch.setattr(rmatrix, name, _refuse(name))
+        assert compose(f, g).parts == tuple(want)
+        gi = invert_end(g)
+        assert compose(gi, g) == compose(g, gi) == identity_end(sh)
 
 
 class TestPr:

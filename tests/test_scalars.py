@@ -135,6 +135,53 @@ class TestTruncInv:
         assert trunc_mul(a, trunc_inv(a)) == TruncScalar.const(d, 1)
 
 
+class TestTruncArithmetic:
+    """The ring operations build their results from the GaussQ coefficients
+    they hold; only the public constructor coerces and validates."""
+
+    OPERANDS = (3, Fraction(-2, 5), GaussQ(Fraction(1, 3), -1))
+
+    def test_results_without_the_constructor(self, monkeypatch):
+        a = TruncScalar(3, [1, GaussQ(Fraction(1, 2), 2), -4])
+        b = TruncScalar(3, [Fraction(-3, 7), 0, GaussQ(0, 1)])
+        with monkeypatch.context() as m:
+            def refuse(self, *args):
+                raise AssertionError("TruncScalar.__init__ called")
+            m.setattr(TruncScalar, "__init__", refuse)
+            results = {
+                "add": a + b, "sub": a - b, "neg": -a, "mul": trunc_mul(a, b),
+                "inv": trunc_inv(a), "mul_op": a * b,
+            }
+            for x in self.OPERANDS:
+                results[f"add {x}"] = (a + x, x + a)
+                results[f"sub {x}"] = a - x
+                results[f"mul {x}"] = (a * x, x * a)
+        assert results["add"] == TruncScalar(3, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        assert results["sub"] == TruncScalar(3, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        assert results["neg"] == TruncScalar(3, [-x for x in a.coeffs])
+        assert results["mul"] == results["mul_op"] == TruncScalar(
+            3, poly_mul_oracle(a.coeffs, b.coeffs, 3))
+        assert trunc_mul(a, results["inv"]) == TruncScalar.const(3, 1)
+        for x in self.OPERANDS:
+            assert results[f"add {x}"] == (a + TruncScalar.const(3, x),) * 2
+            assert results[f"sub {x}"] == a - TruncScalar.const(3, x)
+            assert results[f"mul {x}"] == (TruncScalar(3, [c * x for c in a.coeffs]),) * 2
+        for r in results.values():
+            for t in r if isinstance(r, tuple) else (r,):
+                assert type(t.coeffs) is tuple and len(t.coeffs) == 3
+                assert all(type(c) is GaussQ for c in t.coeffs)
+
+    def test_constructor_validates(self):
+        with pytest.raises(TypeError):
+            TruncScalar(2, ["1"])
+        with pytest.raises(ValueError):
+            TruncScalar(1, [1, 2])
+        with pytest.raises(MismatchedOrder):
+            TruncScalar(2, [1]) + TruncScalar(3, [1])
+        with pytest.raises(TypeError):
+            TruncScalar(2, [1]) - 1.5
+
+
 class TestResiduePair:
     def test_monomials(self):
         for d in (1, 2, 3, 4):
