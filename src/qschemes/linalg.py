@@ -7,18 +7,23 @@ parts, and ``den`` the positive common denominator, so entry (i, j) is
 numerator) = 1, and ``im`` is None exactly when every entry is real.  Equal
 matrices therefore have equal fields, and ``==`` and ``hash`` read the fields.
 The blocks are tuples of tuples, so matrices can share them safely.
-``GaussQ`` appears only at the boundary: ``Matrix(rows)`` parses rows of
-scalars, and entry access, the read-only ``rows`` view and ``trace`` build
-``GaussQ`` values on demand; ``Matrix.from_ints`` takes integer rows
-directly.  Degenerate shapes (0 rows or 0 columns) are legal and arise
-naturally from zero dimension vectors.
+``GaussQ`` keeps the same form for one entry (``num_re``, ``num_im``,
+``den``), so scalars cross the boundary on integers: ``Matrix(rows)`` and
+``scale`` read their numerators, and entry access, the read-only ``rows``
+view and ``trace`` build ``GaussQ`` values from the integers on demand;
+``Matrix.from_ints`` takes integer rows directly and ``Matrix.scalar`` builds
+c I from the numerators of c.  Degenerate shapes (0 rows or 0 columns) are
+legal and arise naturally from zero dimension vectors.
 
 Sums, scalar multiples, stacking, slicing (``take``) and the product work on
 the integer numerators; a real operand takes no imaginary dot products.
-Two kernels act on matrix polynomials, given as lists of slices:
+Four kernels act on matrix polynomials, given as lists of slices:
 ``poly_mul`` returns the slices of a truncated product in one pass over the
-numerators, and ``trace_dot`` returns trace(sum_j x_j y_j) without forming
-a product.  The module maps of ``rmatrix`` compose and pair through them.
+numerators, ``poly_scale`` those of a scalar polynomial times a matrix
+polynomial, entry by entry with no product formed, ``trace_dot`` returns
+trace(sum_j x_j y_j) without forming a product, and ``block_toeplitz``
+rewrites the slices over a subring, one gather of the numerators per slice.
+The module maps of ``rmatrix`` compose, scale, pair and lower through them.
 
 Elimination (``_echelon``) is fraction-free Gauss-Jordan in the style of
 Bareiss (Math. Comp. 22, 1968), over Z for real matrices and over Z[i]
@@ -41,13 +46,12 @@ the ``int_*`` helpers at the bottom cover those.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mul, sub
 
 from .errors import NotInvertible, ShapeMismatch
-from .scalars import GQ_ZERO, GaussQ, _coerce
+from .scalars import GQ_ZERO, GaussQ, _coerce, _reduced
 
 
 class Matrix:
@@ -64,13 +68,12 @@ class Matrix:
             ncols = width
         elif ncols is None:
             ncols = 0
-        # the lcm of reduced denominators leaves gcd(den, numerators) = 1
-        den = lcm(*{f.denominator for r in rows for x in r for f in (x.re, x.im)})
-        im = tuple(tuple(x.im.numerator * (den // x.im.denominator) for x in r) for r in rows)
+        # the lcm of canonical denominators leaves gcd(den, numerators) = 1
+        den = lcm(*{x.den for r in rows for x in r})
+        im = tuple(tuple(x.num_im * (den // x.den) for x in r) for r in rows)
         _SET_NROWS(self, len(rows))
         _SET_NCOLS(self, ncols)
-        _SET_RE(self, tuple(tuple(x.re.numerator * (den // x.re.denominator) for x in r)
-                            for r in rows))
+        _SET_RE(self, tuple(tuple(x.num_re * (den // x.den) for x in r) for r in rows))
         _SET_IM(self, im if any(map(any, im)) else None)
         _SET_DEN(self, den)
 
@@ -93,7 +96,16 @@ class Matrix:
 
     @staticmethod
     def identity(n) -> "Matrix":
-        return _new(tuple(tuple(int(i == j) for j in range(n)) for i in range(n)), None, 1, n)
+        return _new(_diagonal(n, 1), None, 1, n)
+
+    @staticmethod
+    def scalar(n, c) -> "Matrix":
+        """The n x n matrix c * I for a scalar c of Q(i), from its numerators."""
+        c = _coerce(c)
+        if not (n and c):
+            return Matrix.zero(n, n)
+        return _new(_diagonal(n, c.num_re), _diagonal(n, c.num_im) if c.num_im else None,
+                    c.den, n)
 
     @staticmethod
     def diagonal(entries) -> "Matrix":
@@ -158,9 +170,7 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         """The multiple c * self for a scalar c of Q(i)."""
         c = _coerce(c)
-        w = lcm(c.re.denominator, c.im.denominator)
-        u = c.re.numerator * (w // c.re.denominator)
-        v = c.im.numerator * (w // c.im.denominator)
+        u, v, w = c.num_re, c.num_im, c.den
         # (u + i v)(re + i im) = (u re - v im) + i (v re + u im)
         re, im = self.re, self.im
         return _canon(_lincomb(re, u, im, -v), _lincomb(im, u, v and re, v),
@@ -220,6 +230,12 @@ def _canon(re, im, den, ncols) -> Matrix:
         if g != 1:
             re, im, den = _exact_div(re, g), im and _exact_div(im, g), den // g
     return _new(re, im, den, ncols)
+
+
+def _diagonal(n, x):
+    """The integer block x * I of size n."""
+    zero = (0,) * n
+    return tuple([zero[:i] + (x,) + zero[i + 1:] for i in range(n)])
 
 
 def _gather(block, rows, cols):
@@ -284,7 +300,7 @@ def _columns(block):
 
 def _entry(re, im, den):
     """The GaussQ (re + i im) / den of integer numerators and denominator."""
-    return GaussQ(Fraction(re, den), Fraction(im, den)) if re or im else GQ_ZERO
+    return _reduced(re, im, den) if re or im else GQ_ZERO
 
 
 def hstack(mats) -> Matrix:
@@ -373,6 +389,89 @@ def poly_mul(fs, gs) -> list[Matrix]:
     return out
 
 
+def poly_scale(cs, fs) -> list[Matrix]:
+    """The slices sum_{j<=m} c_j f_(m-j), m < c, of the product of a scalar
+    polynomial and a matrix polynomial truncated at degree c = len(cs) =
+    len(fs).
+
+    Each entry of a slice is one integer dot product of the scalars'
+    numerators (over the lcm of their denominators) with the entries of
+    f_m, .., f_0 there (over the lcm of theirs); no scalar matrix or
+    product is formed.
+    """
+    c = len(fs)
+    if len(cs) != c:
+        raise ShapeMismatch(f"product of polynomials with {len(cs)} and {c} slices")
+    p, q = fs[0].nrows, fs[0].ncols
+    if any(f.nrows != p or f.ncols != q for f in fs):
+        raise ShapeMismatch(f"slices of a {p}x{q} polynomial differ in shape")
+    if c == 1:
+        return [fs[0].scale(cs[0])]
+    cs = list(map(_coerce, cs))
+    if not (p and q):
+        return [Matrix.zero(p, q)] * c
+    w = lcm(*[x.den for x in cs])
+    u = [x.num_re * (w // x.den) for x in cs]
+    v = [x.num_im * (w // x.den) for x in cs] if any(x.num_im for x in cs) else None
+    fden, fre, fim = _over_lcm(fs)
+    fre = [_flat(b) for b in fre]
+    fim = fim and [_flat(b) for b in fim]
+    out = []
+    for m in range(c):
+        # entry e of slice m pairs u_m .. u_0 with f_0[e] .. f_m[e]
+        um, vm = u[m::-1], v and v[m::-1]
+        at = list(zip(*fre[:m + 1]))
+        re = [sum(map(mul, um, e)) for e in at]
+        im = [sum(map(mul, vm, e)) for e in at] if v else None
+        if fim:
+            at = list(zip(*fim[:m + 1]))
+            ui = [sum(map(mul, um, e)) for e in at]
+            im = list(map(add, im, ui)) if im else ui
+            if v:
+                re = list(map(sub, re, [sum(map(mul, vm, e)) for e in at]))
+        out.append(_canon(_unflat(re, q), im and _unflat(im, q), fden * w, q))
+    return out
+
+
+def block_toeplitz(parts, r, f_rows, f_cols) -> list[Matrix]:
+    """The b/r slices over R_(b/r) of a matrix polynomial over R_b, b = len(parts).
+
+    The rows of each slice come in groups of ``f_rows``, indexed (i, l),
+    and its columns in groups of ``f_cols``, indexed (j, l').  R_b is free
+    over R_(b/r) on 1, e, .., e^(r-1), so slice m of the result has rows
+    (i, t, l) and columns (j, s, l') for t, s < r, and its entry there is
+    entry ((i, l), (j, l')) of parts[r m + t - s], zero when that index falls
+    outside 0..b-1: a block-Toeplitz expansion.  Each slice is one gather
+    of the numerators of all parts, over the lcm of their denominators.
+
+    The caller (``rmatrix._lower``) guarantees the shapes: r > 1 divides b,
+    and every part is p x k with f_rows | p and f_cols | k.
+    """
+    b = len(parts)
+    p, k = parts[0].nrows, parts[0].ncols
+    if not (p and k):
+        return [Matrix.zero(r * p, r * k)] * (b // r)
+    den, re, im = _over_lcm(parts)
+    # the parts end to end between r - 1 zero parts on either side, so that
+    # part r m + t - s of slice m starts at (t - s + r - 1) p k in the window
+    # of 2 r - 1 parts from r m p k; an entry's index there is a row offset
+    # for (i, t, l) plus a column offset for (j, s, l')
+    n = p * k
+    pad = (0,) * ((r - 1) * n)
+    rows = [(t + r - 1) * n + (i + l) * k
+            for i in range(0, p, f_rows) for t in range(r) for l in range(f_rows)]
+    cols = [j + l - s * n for j in range(0, k, f_cols) for s in range(r) for l in range(f_cols)]
+    get = itemgetter(*[a + x for a in rows for x in cols])
+    re = pad + _flat(chain.from_iterable(re)) + pad
+    im = im and pad + _flat(chain.from_iterable(im)) + pad
+    out = []
+    for m in range(0, b, r):
+        window = slice(m * n, (m + 2 * r - 1) * n)
+        out.append(_canon(_unflat(get(re[window]), r * k),
+                          im and _unflat(get(im[window]), r * k), den, r * k))
+    return out
+
+
 def trace_dot(xs, ys) -> GaussQ:
     """trace(sum_j x_j y_j) for x_j of shape p x k and y_j of shape k x p.
 
@@ -404,6 +503,11 @@ def trace_dot(xs, ys) -> GaussQ:
 
 def _flat(block):
     return tuple(chain.from_iterable(block))
+
+
+def _unflat(entries, width):
+    """The rows of ``width`` entries each, in order."""
+    return tuple(zip(*[iter(entries)] * width))
 
 
 def _echelon(rows, ncols, im=None, mult=None):

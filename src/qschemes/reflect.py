@@ -91,7 +91,7 @@ def split(rep: Representation, i) -> SplitAtVertex:
     shape_i = ModShape(rep.v[i], q.mults[i])
     arrows = q.incoming[i]
     if arrows:
-        ins = [extend_scalars(rep.maps[h.name]).scale(h.sign) for h in arrows]
+        ins = [_signed(extend_scalars(rep.maps[h.name]), h.sign) for h in arrows]
         outs = [extend_scalars_rev(rep.maps[h.reversed_name]) for h in arrows]
         tilde = ModShape(sum(f.src.rank for f in ins), shape_i.order)
         into = RMap(tilde, shape_i, shape_i.order,
@@ -109,6 +109,11 @@ def split(rep: Representation, i) -> SplitAtVertex:
     return SplitAtVertex(i, into, outof, MappingProxyType(rest))
 
 
+def _signed(f: RMap, sign: int) -> RMap:
+    """The map sign * f of a double arrow's sign +1 or -1."""
+    return f if sign > 0 else -f
+
+
 def unsplit(q: QuiverMult, v, s: SplitAtVertex) -> Representation:
     """Inverse of split; v may differ from the original at the split vertex."""
     maps = dict(s.rest)
@@ -119,7 +124,7 @@ def unsplit(q: QuiverMult, v, s: SplitAtVertex) -> Representation:
         block = ModShape(h.f_in * src.rank, d_i)
         cut = slice(pos, pos + block.rank)
         x = RMap(block, s.into.dst, d_i, [p.take(cols=cut) for p in s.into.parts])
-        maps[h.name] = restrict_scalars(x, src, h.base).scale(h.sign)
+        maps[h.name] = _signed(restrict_scalars(x, src, h.base), h.sign)
         y = RMap(s.outof.src, block, d_i, [p.take(cut) for p in s.outof.parts])
         maps[h.reversed_name] = restrict_scalars_rev(y, src, h.base)
         pos += block.rank
@@ -194,10 +199,11 @@ def reflection_functor(rep: Representation, i, lam) -> Representation:
         raise NotInLevelSet(
             f"moment value at {q.name(q_i)} is not -lambda Id"
         )
-    # the moment condition makes the shifted component lam_i times an
-    # idempotent of residue rank new_rank (see the module docstring)
-    a, s = phi(rep, q_i)
-    shifted = a - scalar_end(lam_i, tilde)
-    basis = free_basis(scale_end(shifted, -trunc_inv(lam_i)))
-    s2 = SplitAtVertex(q_i, coordinates(basis, -shifted), basis, s.rest)
+    # for A = -outof . into, the moment condition makes -(A - lam_i) =
+    # outof . into + lam_i equal to lam_i times an idempotent of residue rank
+    # new_rank (see the module docstring)
+    s = split(rep, q_i)
+    shifted = compose(s.outof, s.into) + scalar_end(lam_i, tilde)
+    basis = free_basis(scale_end(shifted, trunc_inv(lam_i)))
+    s2 = SplitAtVertex(q_i, coordinates(basis, shifted), basis, s.rest)
     return unsplit(q, reflect_dim(q, q_i, rep.v), s2)

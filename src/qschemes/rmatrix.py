@@ -9,10 +9,15 @@ declared base by construction.  An endomorphism with base == order has
 n x n slices: the matrix-polynomial coefficients xi_k of
 ``slices``/``from_slices``.
 
-``_lower`` rewrites the slices over a smaller subring (block-Toeplitz
-expansion).  ``compose`` is the truncated product of the slices over the
-common base, ``linalg.poly_mul``; ``pair_d`` reads the top coefficient of
-the trace of that product with ``linalg.trace_dot`` and forms no composite.
+``_lower`` rewrites the slices over a smaller subring, the block-Toeplitz
+expansion ``linalg.block_toeplitz`` (one integer gather per slice).
+``compose`` is the truncated product of the slices over the common base,
+``linalg.poly_mul``; ``pair_d`` reads the top coefficient of the trace of
+that product with ``linalg.trace_dot`` and forms no composite.  Scalar
+multiples form no product either: ``scalar_end`` builds each slice c_k I
+from the coefficient's numerators (``Matrix.scalar``), and ``scale_end`` of
+a map over its full order is ``linalg.poly_scale`` of the scalar's
+coefficients and the slices.
 ``RMap.flat`` is the base-1 view: the (w*d2) x (v*d1) matrix in the basis
 {v_j eps^k} at index j*d + k, which serialization prints.  Its validating
 inverse ``RMap.from_flat``, for untrusted input, raises ``NotLinearOverBase``
@@ -23,7 +28,9 @@ Extension of scalars from R_c to R_d turns an R_c-linear map into an
 R_d-linear one on (or into) the free R_c-module underneath, and restriction
 undoes it.  ``extend_scalars``/``extend_scalars_rev`` and their inverses
 ``restrict_scalars``/``restrict_scalars_rev`` only regroup the stored
-slices.  Outside this module only ``reflect`` (splitting a representation at
+slices; when the map is already linear over the extended order (q = d/c =
+1) they return the stored slices as they are, and extension returns the map
+itself when its shape is unchanged.  Outside this module only ``reflect`` (splitting a representation at
 a vertex and putting it back together) calls them, which
 ``tests/test_layout.py`` enforces.
 """
@@ -42,7 +49,16 @@ from .errors import (
     NotLinearOverBase,
     ShapeMismatch,
 )
-from .linalg import Matrix, hstack, inverse, poly_mul, trace_dot, vstack
+from .linalg import (
+    Matrix,
+    block_toeplitz,
+    hstack,
+    inverse,
+    poly_mul,
+    poly_scale,
+    trace_dot,
+    vstack,
+)
 from .scalars import GaussQ, TruncScalar
 
 
@@ -169,34 +185,20 @@ def _lower(f: RMap, c: int) -> tuple:
     With r = f.base / c, the R_c-basis vector v_j eps^(l + f1*s) (l < f1, s < r)
     is v_j eps^l times eps_base^s.  Entry ((i, l2 + f2*t), (j, l1 + f1*s)) of
     slice m is therefore entry ((i, l2), (j, l1)) of f's slice r*m + t - s,
-    and zero when that index falls outside 0..f.base-1: a block-Toeplitz
-    expansion.
+    and zero when that index falls outside 0..f.base-1: the block-Toeplitz
+    expansion ``linalg.block_toeplitz``, one gather per slice.
     """
     if f.base % c != 0:
         raise NotLinearOverBase(f"map over R_{f.base} is not declared R_{c}-linear")
     r = f.base // c
     if r == 1:
         return f.parts
-    f1, f2 = f.src.order // f.base, f.dst.order // f.base
-    if not (f.src.rank and f.dst.rank):
-        return (Matrix.zero(r * f.dst.rank * f2, r * f.src.rank * f1),) * c
-    # r - 1 zero slices on either side stand for the indices outside 0..f.base-1
-    pad = [Matrix.zero(f.dst.rank * f2, f.src.rank * f1)] * (r - 1)
-    parts = pad + list(f.parts) + pad
-    # the stacked blocks run over (t, i, l2) x (s, j, l1); take reorders them
-    # into (i, t, l2) x (j, s, l1), which is the same order when no rank exceeds 1
-    out = tuple(vstack([hstack([parts[r * m + t - s + r - 1] for s in range(r)])
-                        for t in range(r)]) for m in range(c))
-    if f.src.rank < 2 and f.dst.rank < 2:
-        return out
-    rows, cols = _interleave(f.dst.rank, r, f2), _interleave(f.src.rank, r, f1)
-    return tuple(a.take(rows, cols) for a in out)
+    return tuple(block_toeplitz(f.parts, r, f.dst.order // f.base, f.src.order // f.base))
 
 
-def _interleave(n, r, q):
-    """The (t, i, l)-major positions of the indices (i, t, l) listed (i, t, l)-major,
-    for i < n, t < r, l < q."""
-    return [t * n * q + i * q + l for i in range(n) for t in range(r) for l in range(q)]
+def _interleave(n, r):
+    """The t-major positions of the indices (i, t) listed i-major, for i < n, t < r."""
+    return [t * n + i for i in range(n) for t in range(r)]
 
 
 def zero_map(src: ModShape, dst: ModShape) -> RMap:
@@ -207,8 +209,7 @@ def zero_map(src: ModShape, dst: ModShape) -> RMap:
 def scalar_end(c: TruncScalar, rank: int) -> RMap:
     """The endomorphism acting as the scalar c on a rank-n module."""
     shape = ModShape(rank, c.d)
-    one = Matrix.identity(rank)
-    return RMap(shape, shape, c.d, [one.scale(x) for x in c.coeffs])
+    return RMap(shape, shape, c.d, [Matrix.scalar(rank, x) for x in c.coeffs])
 
 
 def compose(f: RMap, g: RMap) -> RMap:
@@ -326,7 +327,10 @@ def extend_scalars(f: RMap) -> RMap:
     """
     c, d = f.base, f.dst.order
     q = d // c
-    return RMap(ModShape(f.src.dim // c, d), f.dst, d,
+    src = ModShape(f.src.dim // c, d)
+    if q == 1:
+        return f if src == f.src else RMap(src, f.dst, d, f.parts)
+    return RMap(src, f.dst, d,
                 [f.parts[k // q].take(slice(k % q, None, q)) for k in range(d)])
 
 
@@ -339,7 +343,10 @@ def extend_scalars_rev(f: RMap) -> RMap:
     """
     c, d = f.base, f.src.order
     q = d // c
-    return RMap(f.src, ModShape(f.dst.dim // c, d), d,
+    dst = ModShape(f.dst.dim // c, d)
+    if q == 1:
+        return f if dst == f.dst else RMap(f.src, dst, d, f.parts)
+    return RMap(f.src, dst, d,
                 [f.parts[k // q].take(cols=slice(q - 1 - k % q, None, q)) for k in range(d)])
 
 
@@ -352,7 +359,9 @@ def restrict_scalars(x: RMap, src: ModShape, c: int) -> RMap:
     d = x.dst.order
     q = d // c
     xs = _lower(x, d)
-    rows = _interleave(x.dst.rank, q, 1)
+    if q == 1:
+        return RMap(src, x.dst, c, xs)
+    rows = _interleave(x.dst.rank, q)
     return RMap(src, x.dst, c, [vstack(xs[a * q:a * q + q]).take(rows) for a in range(c)])
 
 
@@ -365,17 +374,25 @@ def restrict_scalars_rev(y: RMap, dst: ModShape, c: int) -> RMap:
     d = y.src.order
     q = d // c
     ys = _lower(y, d)
-    cols = _interleave(y.src.rank, q, 1)
+    if q == 1:
+        return RMap(y.src, dst, c, ys)
+    cols = _interleave(y.src.rank, q)
     return RMap(y.src, dst, c,
                 [hstack(ys[a * q:a * q + q][::-1]).take(cols=cols) for a in range(c)])
 
 
 def scale_end(f: RMap, t: TruncScalar) -> RMap:
-    """Multiply a square map on V (x) R_d by the scalar t of R_d."""
+    """Multiply a square map on V (x) R_d by the scalar t of R_d.
+
+    Over R_d the slices of t f are sum_{j<=m} t_j f_(m-j) (``poly_scale``);
+    a map over a smaller base is composed with ``scalar_end(t)``.
+    """
     if f.src != f.dst:
         raise ShapeMismatch("scalar multiple of a non-square map")
     if t.d != f.src.order:
         raise MismatchedOrder(f"scalar order {t.d} vs module order {f.src.order}")
+    if f.base == t.d:
+        return RMap(f.src, f.dst, f.base, poly_scale(t.coeffs, f.parts))
     return compose(scalar_end(t, f.src.rank), f)
 
 

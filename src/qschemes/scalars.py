@@ -1,12 +1,18 @@
 """Exact scalars: Gaussian rationals and truncated polynomials.
 
-``GaussQ`` is the field QQ(i) with exact rational real and imaginary parts;
-equality is exact, there is no floating-point mode.  ``TruncScalar`` is an
-element of the truncated polynomial ring R_d = QQ(i)[eps]/(eps^d), stored as
-the tuple of its d coefficients.  A truncated scalar is a unit exactly when
-its constant coefficient is nonzero.  The constructor coerces and checks its
-coefficients; the ring operations build their results from the ``GaussQ``
-coefficients they already hold.
+``GaussQ`` is the field QQ(i), stored as integer numerators over one
+denominator, the form ``linalg.Matrix`` uses for its entries: the value
+(a + b i) / n is held as ``num_re`` = a, ``num_im`` = b and ``den`` = n, in
+canonical form (n > 0 and gcd(a, b, n) = 1).  Equal values therefore have
+equal fields, and arithmetic and ``==`` work on the integers.  ``re`` and
+``im`` are read-only ``Fraction`` views for the boundary (text form, hash),
+built on each read.  Equality is exact; there is no floating-point mode, so
+the constructor takes int and ``Fraction`` parts only.  ``TruncScalar`` is
+an element of the truncated polynomial ring R_d = QQ(i)[eps]/(eps^d), stored
+as the tuple of its d coefficients.  A truncated scalar is a unit exactly
+when its constant coefficient is nonzero.  The constructor coerces and
+checks its coefficients; the ring operations build their results from the
+``GaussQ`` coefficients they already hold.
 
 Arithmetic never coerces across truncation orders: combining values of
 different order d raises ``MismatchedOrder``.
@@ -17,6 +23,7 @@ from __future__ import annotations
 import operator
 import re as _re
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import MismatchedOrder, NotAUnit
 
@@ -25,30 +32,44 @@ _GQ_RE = _re.compile(rf"^({_FRAC})(?:\s*([+-])\s*({_FRAC})i)?$")
 
 
 class GaussQ:
-    """A Gaussian rational a + b*i with exact rational components."""
+    """A Gaussian rational (num_re + num_im * i) / den in canonical form."""
 
-    __slots__ = ("re", "im")
+    __slots__ = ("num_re", "num_im", "den")
 
     def __init__(self, re=0, im=0):
-        if type(re) is not Fraction:
-            re = Fraction(re)
-        if type(im) is not Fraction:
-            im = Fraction(im)
-        object.__setattr__(self, "re", re)
-        object.__setattr__(self, "im", im)
+        if not (isinstance(re, (int, Fraction)) and isinstance(im, (int, Fraction))):
+            raise TypeError("GaussQ parts must be int or Fraction, not "
+                            f"{type(re).__name__} and {type(im).__name__}")
+        # the lcm of reduced denominators leaves gcd(a, b, n) = 1
+        n = lcm(re.denominator, im.denominator)
+        _SET_RE(self, re.numerator * (n // re.denominator))
+        _SET_IM(self, im.numerator * (n // im.denominator))
+        _SET_DEN(self, n)
 
     def __setattr__(self, name, value):
         raise AttributeError("GaussQ is immutable")
 
-    # arithmetic; the imaginary parts are usually zero, so short-circuit them.
-    # An operand that is no Gaussian rational gets NotImplemented, so that
-    # Python tries its reflected method (TruncScalar.__rmul__, say).
+    @property
+    def re(self) -> Fraction:
+        return Fraction(self.num_re, self.den)
+
+    @property
+    def im(self) -> Fraction:
+        return Fraction(self.num_im, self.den)
+
+    # arithmetic on the numerators.  An operand that is no Gaussian rational
+    # gets NotImplemented, so that Python tries its reflected method
+    # (TruncScalar.__rmul__, say).
 
     def __add__(self, other):
         other = _operand(other)
         if other is NotImplemented:
             return other
-        return GaussQ(self.re + other.re, self.im + other.im)
+        n, m = self.den, other.den
+        if n == m:
+            return _reduced(self.num_re + other.num_re, self.num_im + other.num_im, n)
+        return _reduced(self.num_re * m + other.num_re * n,
+                        self.num_im * m + other.num_im * n, n * m)
 
     __radd__ = __add__
 
@@ -56,7 +77,11 @@ class GaussQ:
         other = _operand(other)
         if other is NotImplemented:
             return other
-        return GaussQ(self.re - other.re, self.im - other.im)
+        n, m = self.den, other.den
+        if n == m:
+            return _reduced(self.num_re - other.num_re, self.num_im - other.num_im, n)
+        return _reduced(self.num_re * m - other.num_re * n,
+                        self.num_im * m - other.num_im * n, n * m)
 
     def __rsub__(self, other):
         other = _operand(other)
@@ -66,12 +91,11 @@ class GaussQ:
         other = _operand(other)
         if other is NotImplemented:
             return other
-        if not self.im and not other.im:
-            return GaussQ(self.re * other.re)
-        return GaussQ(
-            self.re * other.re - self.im * other.im,
-            self.re * other.im + self.im * other.re,
-        )
+        a, b, c, e = self.num_re, self.num_im, other.num_re, other.num_im
+        if not b and not e:
+            # the imaginary parts are usually zero
+            return _reduced(a * c, 0, self.den * other.den)
+        return _reduced(a * c - b * e, a * e + b * c, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -79,45 +103,49 @@ class GaussQ:
         other = _operand(other)
         if other is NotImplemented:
             return other
-        if not self.im and not other.im:
-            if not other.re:
+        # (a + b i)/n divided by (c + e i)/m is m (a + b i)(c - e i) / (n (c^2 + e^2))
+        a, b, c, e, m = self.num_re, self.num_im, other.num_re, other.num_im, other.den
+        if not e:
+            if not c:
                 raise ZeroDivisionError("division by zero GaussQ")
-            return GaussQ(self.re / other.re)
-        n = other.re * other.re + other.im * other.im
-        if not n:
-            raise ZeroDivisionError("division by zero GaussQ")
-        return GaussQ(
-            (self.re * other.re + self.im * other.im) / n,
-            (self.im * other.re - self.re * other.im) / n,
-        )
+            if c < 0:
+                a, b, c = -a, -b, -c
+            return _reduced(a * m, b * m, self.den * c)
+        return _reduced((a * c + b * e) * m, (b * c - a * e) * m, self.den * (c * c + e * e))
 
     def __rtruediv__(self, other):
         other = _operand(other)
         return other if other is NotImplemented else other / self
 
     def __neg__(self):
-        return GaussQ(-self.re, -self.im)
+        return _gq(-self.num_re, -self.num_im, self.den)
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = GaussQ(other)
-        if not isinstance(other, GaussQ):
-            return NotImplemented
-        return self.re == other.re and self.im == other.im
+        if isinstance(other, GaussQ):
+            return (self.num_re == other.num_re and self.num_im == other.num_im
+                    and self.den == other.den)
+        if isinstance(other, int):
+            return self.den == 1 and not self.num_im and self.num_re == other
+        if isinstance(other, Fraction):
+            return (not self.num_im and self.num_re == other.numerator
+                    and self.den == other.denominator)
+        return NotImplemented
 
     def __hash__(self):
         # equal to the hash of the int or Fraction it equals when real
-        return hash(self.re) if not self.im else hash((self.re, self.im))
+        if self.num_im:
+            return hash((self.re, self.im))
+        return hash(self.num_re) if self.den == 1 else hash(self.re)
 
     def __bool__(self):
-        return bool(self.re) or bool(self.im)
+        return bool(self.num_re or self.num_im)
 
     # text form ---------------------------------------------------------------
 
     def __str__(self):
-        if self.im == 0:
+        if not self.num_im:
             return str(self.re)
-        sign = "+" if self.im >= 0 else "-"
+        sign = "+" if self.num_im > 0 else "-"
         return f"{self.re}{sign}{abs(self.im)}i"
 
     def __repr__(self):
@@ -139,12 +167,38 @@ class GaussQ:
         return GaussQ(re_part, im_part)
 
 
+_SET_RE = GaussQ.num_re.__set__
+_SET_IM = GaussQ.num_im.__set__
+_SET_DEN = GaussQ.den.__set__
+_NEW = object.__new__
+
+
+def _gq(a, b, n) -> GaussQ:
+    """(a + b i) / n from ints already in canonical form (no checks)."""
+    self = _NEW(GaussQ)
+    _SET_RE(self, a)
+    _SET_IM(self, b)
+    _SET_DEN(self, n)
+    return self
+
+
+def _reduced(a, b, n) -> GaussQ:
+    """(a + b i) / n for ints a, b and n > 0, brought to canonical form."""
+    if n != 1:
+        g = gcd(a, b, n)
+        if g != 1:
+            a, b, n = a // g, b // g, n // g
+    return _gq(a, b, n)
+
+
 def _operand(x):
     """x as a GaussQ, or NotImplemented when it is no Gaussian rational."""
     if isinstance(x, GaussQ):
         return x
-    if isinstance(x, (int, Fraction)):
-        return GaussQ(x)
+    if isinstance(x, int):
+        return _gq(int(x), 0, 1)
+    if isinstance(x, Fraction):
+        return _gq(x.numerator, 0, x.denominator)
     return NotImplemented
 
 

@@ -1,15 +1,20 @@
 """Library-level helpers that only the tests call: builders for the example
 quivers at sizes beyond ``corpus/``, the monomial eps^k of R_d, the residue
-pairing and subring embedding of truncated scalars, the matrix transpose,
-the base-field blocks of a map read off its flat view, the identity
+pairing and subring embedding of truncated scalars, a Gaussian rational kept
+as a pair of ``Fraction`` values (the reference for ``GaussQ``), the
+canonical-form check of a matrix, the matrix transpose, the stacked lowering
+of a map to a subring (the reference for ``rmatrix._lower``), the
+base-field blocks of a map read off its flat view, the identity
 endomorphism, the zero representation, the top-slice shift maps, the gauge
 unit induced on a split vertex, the Coxeter order of a vertex pair and the
 braid-word probe of the reflection functor."""
 
 import math
+from fractions import Fraction
+from math import gcd
 
 from qschemes.errors import NotDivisible, QschemeError, ShapeMismatch
-from qschemes.linalg import Matrix
+from qschemes.linalg import Matrix, hstack, vstack
 from qschemes.quiver import QuiverMult
 from qschemes.reflect import phi, reflection_functor
 from qschemes.repn import Representation
@@ -78,6 +83,86 @@ def example_two_legs(n: int, d: int) -> QuiverMult:
 def eps(d: int, power: int = 1) -> TruncScalar:
     """The monomial eps^power in R_d (zero once power >= d)."""
     return TruncScalar(d, [int(k == power) for k in range(d)])
+
+
+class FracPair:
+    """A Gaussian rational as its real and imaginary parts, two ``Fraction``
+    values, with schoolbook field arithmetic and the text form of ``GaussQ``."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re=0, im=0):
+        self.re, self.im = Fraction(re), Fraction(im)
+
+    def __add__(self, other):
+        return FracPair(self.re + other.re, self.im + other.im)
+
+    def __sub__(self, other):
+        return FracPair(self.re - other.re, self.im - other.im)
+
+    def __mul__(self, other):
+        return FracPair(self.re * other.re - self.im * other.im,
+                        self.re * other.im + self.im * other.re)
+
+    def __truediv__(self, other):
+        n = other.re * other.re + other.im * other.im
+        return FracPair((self.re * other.re + self.im * other.im) / n,
+                        (self.im * other.re - self.re * other.im) / n)
+
+    def __neg__(self):
+        return FracPair(-self.re, -self.im)
+
+    def __eq__(self, other):
+        return self.re == other.re and self.im == other.im
+
+    def __hash__(self):
+        return hash(self.re) if not self.im else hash((self.re, self.im))
+
+    def __str__(self):
+        if self.im == 0:
+            return str(self.re)
+        sign = "+" if self.im >= 0 else "-"
+        return f"{self.re}{sign}{abs(self.im)}i"
+
+    def __repr__(self):
+        return f"GaussQ({self.re!r}, {self.im!r})"
+
+
+def lower_stacked(f: RMap, c: int) -> tuple:
+    """The slices of f over R_c, c dividing f.base, stacked block by block.
+
+    With r = f.base / c, slice m is the r x r grid whose block (t, s) is f's
+    slice r*m + t - s (zero outside 0..f.base-1), with rows and columns
+    reordered from (t, i, l) to (i, t, l).
+    """
+    r = f.base // c
+    if r == 1:
+        return f.parts
+    f1, f2 = f.src.order // f.base, f.dst.order // f.base
+    if not (f.src.rank and f.dst.rank):
+        return (Matrix.zero(r * f.dst.rank * f2, r * f.src.rank * f1),) * c
+    pad = [Matrix.zero(f.dst.rank * f2, f.src.rank * f1)] * (r - 1)
+    parts = pad + list(f.parts) + pad
+    out = tuple(vstack([hstack([parts[r * m + t - s + r - 1] for s in range(r)])
+                        for t in range(r)]) for m in range(c))
+
+    def interleave(n, q):
+        return [t * n * q + i * q + l for i in range(n) for t in range(r) for l in range(q)]
+
+    return tuple(a.take(interleave(f.dst.rank, f2), interleave(f.src.rank, f1)) for a in out)
+
+
+def assert_canonical(mat):
+    """den > 0 and coprime to the numerators; im None exactly when real; the
+    blocks are tuples of tuples, so ``==`` never compares a list to a tuple."""
+    assert len(mat.re) == mat.nrows and all(len(r) == mat.ncols for r in mat.re)
+    for block in (mat.re, mat.im or ()):
+        assert type(block) is tuple and all(type(r) is tuple for r in block)
+    nums = [x for block in (mat.re, mat.im or []) for r in block for x in r]
+    assert mat.den > 0 and gcd(mat.den, *nums) == 1
+    assert (mat.im is None) == all(not x.im for r in mat.rows for x in r)
+    if mat.im is not None:
+        assert len(mat.im) == mat.nrows and all(len(r) == mat.ncols for r in mat.im)
 
 
 def transpose(a: Matrix) -> Matrix:

@@ -14,7 +14,6 @@ explicit traces they replace.
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
 
 import pytest
 
@@ -27,6 +26,7 @@ from qschemes.linalg import (
     inverse,
     pivot_columns,
     poly_mul,
+    poly_scale,
     rank,
     solve,
     trace_dot,
@@ -34,7 +34,7 @@ from qschemes.linalg import (
 )
 from qschemes.scalars import GQ_ONE, GQ_ZERO, GaussQ
 
-from helpers import transpose
+from helpers import assert_canonical, transpose
 
 KINDS = ("integer", "fraction", "gaussian", "sparse")
 
@@ -218,19 +218,6 @@ class TestSolveInverse:
                 inverse(rank_at_most(rng, kind, n, n, n - 1))
         with pytest.raises(NotInvertible):
             inverse(random_matrix(rng, kind, 2, 3))
-
-
-def assert_canonical(mat):
-    """den > 0 and coprime to the numerators; im None exactly when real; the
-    blocks are tuples of tuples, so ``==`` never compares a list to a tuple."""
-    assert len(mat.re) == mat.nrows and all(len(r) == mat.ncols for r in mat.re)
-    for block in (mat.re, mat.im or ()):
-        assert type(block) is tuple and all(type(r) is tuple for r in block)
-    nums = [x for block in (mat.re, mat.im or []) for r in block for x in r]
-    assert mat.den > 0 and gcd(mat.den, *nums) == 1
-    assert (mat.im is None) == all(not x.im for r in mat.rows for x in r)
-    if mat.im is not None:
-        assert len(mat.im) == mat.nrows and all(len(r) == mat.ncols for r in mat.im)
 
 
 def fields(mat):
@@ -461,6 +448,36 @@ class TestPolyKernels:
         with pytest.raises(ShapeMismatch):
             trace_dot([a], [a])
 
+    @pytest.mark.parametrize("p,q", [(2, 2), (1, 3), (3, 1), (0, 2), (2, 0)])
+    def test_poly_scale_matches_scaled_sums(self, p, q):
+        rng = random.Random(f"poly_scale/{p}/{q}")
+        for c in (1, 2, 3, 4):
+            for _ in range(6):
+                fs = self.slices(rng, c, p, q)
+                cs = [random_entry(rng, rng.choice(KINDS)) for _ in range(c)]
+                got = poly_scale(cs, fs)
+                assert len(got) == c
+                for m, h in enumerate(got):
+                    want = Matrix.zero(p, q)
+                    for j in range(m + 1):
+                        want = want + fs[m - j].scale(cs[j])
+                    assert_canonical(h)
+                    assert fields(h) == fields(want)
+
+    def test_scalar_matrix(self):
+        for n in (0, 1, 3):
+            for x in (GaussQ(0), GaussQ(-2), GaussQ(Fraction(3, 4), Fraction(-1, 6))):
+                got = Matrix.scalar(n, x)
+                assert_canonical(got)
+                assert fields(got) == fields(Matrix.identity(n).scale(x))
+
+    def test_scalar_kernel_shape_mismatch(self):
+        a = Matrix.zero(2, 3)
+        with pytest.raises(ShapeMismatch):
+            poly_scale([1], [a, a])
+        with pytest.raises(ShapeMismatch):
+            poly_scale([1, 2], [a, Matrix.zero(3, 3)])
+
 
 class TestSolveOnIntegers:
     """solve divides by the last pivot q on the numerators: by its sign and
@@ -492,10 +509,11 @@ class TestSolveOnIntegers:
         want_x = oracle_matmul(want_inv, b)
 
         def boom(*args):
-            raise AssertionError("solve built a GaussQ or Fraction")
+            raise AssertionError("solve built a GaussQ")
 
-        monkeypatch.setattr(linalg, "GaussQ", boom)
-        monkeypatch.setattr(linalg, "Fraction", boom)
+        # every way linalg has of making a scalar
+        for name in ("GaussQ", "_coerce", "_reduced"):
+            monkeypatch.setattr(linalg, name, boom)
         inv, x = inverse(a), solve(a, b)
         monkeypatch.undo()
         for got, want in ((inv, want_inv), (x, want_x)):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import qschemes.linalg as linalg
 import qschemes.rmatrix as rmatrix
 from qschemes.errors import (
     NotDivisible,
@@ -26,6 +27,7 @@ from qschemes.rmatrix import (
     restrict_scalars,
     restrict_scalars_rev,
     scalar_end,
+    scale_end,
     slices,
     trace_base,
     trace_r,
@@ -33,7 +35,7 @@ from qschemes.rmatrix import (
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar
 
-from helpers import eps, identity_end, residue_pair
+from helpers import assert_canonical, eps, identity_end, lower_stacked, residue_pair
 
 G = GaussQ
 
@@ -204,6 +206,122 @@ class TestProductsWithoutStacking:
         assert compose(f, g).parts == tuple(want)
         gi = invert_end(g)
         assert compose(gi, g) == compose(g, gi) == identity_end(sh)
+
+    # (d1, d2, d3, c1, c2): g is R_c2-linear from rank-2 modules of order d1
+    # to d2, f is R_c1-linear from order d2 to d3, and the composite lives
+    # over gcd(c1, c2)
+    @pytest.mark.parametrize("d1,d2,d3,c1,c2", [(4, 4, 2, 2, 4), (4, 4, 4, 4, 2),
+                                                (6, 6, 3, 3, 2), (4, 2, 4, 2, 1),
+                                                (3, 6, 6, 6, 3)])
+    def test_compose_over_different_bases(self, d1, d2, d3, c1, c2, monkeypatch):
+        rng = SplitMix64(10 * d1 + d2 + c1 * c2)
+        a, b, e = ModShape(2, d1), ModShape(2, d2), ModShape(1, d3)
+        for draw in (random_linear_map, gauss_map):
+            g, f = draw(rng, a, b, c2), draw(rng, b, e, c1)
+            want = compose(f, g)
+            assert want.flat == f.flat @ g.flat
+            with monkeypatch.context() as m:
+                for module in (rmatrix, linalg):
+                    for name in ("hstack", "vstack"):
+                        m.setattr(module, name, _refuse(name))
+                got = compose(f, g)
+                flat = got.flat
+            assert got.parts == want.parts and flat == want.flat
+
+
+class TestLowerByGather:
+    """_lower gathers the block-Toeplitz slices in one pass; the stacked
+    construction of tests/helpers.py is the reference."""
+
+    # (d1, d2, base): source order, target order and the map's base ring
+    @pytest.mark.parametrize("d1,d2,base", [(2, 2, 2), (4, 2, 2), (2, 4, 2), (6, 3, 3),
+                                            (4, 4, 4), (6, 6, 6), (3, 3, 3), (6, 4, 2)])
+    def test_matches_stacked_lowering(self, d1, d2, base):
+        rng = SplitMix64(31 * d1 + 7 * d2 + base)
+        third = G(Fraction(1, 3), Fraction(-2, 5))
+        for w, v in ((1, 1), (2, 3), (0, 2), (2, 0), (3, 1)):
+            src, dst = ModShape(w, d1), ModShape(v, d2)
+            real = random_linear_map(rng, src, dst, base)
+            for f in (real, gauss_map(rng, src, dst, base), real.scale(third)):
+                for c in range(1, base + 1):
+                    if base % c == 0:
+                        got, want = _lower(f, c), lower_stacked(f, c)
+                        assert got == want
+                        for a in got:
+                            assert_canonical(a)
+
+    def test_den_and_nonreal_cover_the_cases(self):
+        rng = SplitMix64(5)
+        sh = ModShape(2, 4)
+        f = gauss_map(rng, sh, sh, 4).scale(G(Fraction(1, 6)))
+        lowered = _lower(f, 1)[0]
+        assert lowered.den > 1 and lowered.im is not None
+        assert lowered == lower_stacked(f, 1)[0] == f.flat
+
+
+class TestScalarShortcuts:
+    """scalar_end, scale_end and the q = 1 scalar extensions against the
+    longer definitions they replace."""
+
+    @pytest.mark.parametrize("d", [1, 2, 3, 4])
+    def test_scalar_end_is_identity_scaled(self, d):
+        rng = SplitMix64(90 + d)
+        for n in (0, 1, 3):
+            for coeffs in ([rng.randint(-3, 3) for _ in range(d)],
+                           [G(Fraction(rng.randint(-5, 5), rng.randint(1, 4)), rng.randint(-2, 2))
+                            for _ in range(d)],
+                           [0] * d):
+                t = TruncScalar(d, coeffs)
+                shape = ModShape(n, d)
+                want = RMap(shape, shape, d, [Matrix.identity(n).scale(x) for x in t.coeffs])
+                got = scalar_end(t, n)
+                assert got.parts == want.parts
+                for a in got.parts:
+                    assert_canonical(a)
+
+    # (d, base): module order and the base of the scaled map, base < d included
+    @pytest.mark.parametrize("d,base", [(1, 1), (2, 2), (2, 1), (3, 3), (3, 1), (4, 4),
+                                        (4, 2), (6, 3), (6, 2)])
+    def test_scale_end_is_composite_with_scalar_end(self, d, base):
+        rng = SplitMix64(400 + 10 * d + base)
+        for n in (0, 1, 2):
+            sh = ModShape(n, d)
+            for f in (rand_end(rng, n, d, base), gauss_map(rng, sh, sh, base)):
+                for t in (TruncScalar(d, [G(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
+                                            rng.randint(-1, 1)) for _ in range(d)]),
+                          TruncScalar(d, [rng.randint(-3, 3) for _ in range(d)])):
+                    got, want = scale_end(f, t), compose(scalar_end(t, n), f)
+                    assert got == want
+                    if base == d:
+                        assert got.parts == want.parts
+                        for a in got.parts:
+                            assert_canonical(a)
+
+    # (e, d): the order at the far end and at the extended end, which is
+    # also the base, so q = 1; d divides e
+    @pytest.mark.parametrize("e,d", [(1, 1), (2, 2), (2, 1), (4, 2), (3, 3), (6, 3), (6, 2)])
+    def test_q1_extend_and_restrict_match_the_gathers(self, e, d):
+        rng = SplitMix64(60 + 10 * e + d)
+        for w, v in ((1, 1), (2, 3), (0, 2), (2, 0)):
+            for draw in (random_linear_map, gauss_map):
+                x = draw(rng, ModShape(w, e), ModShape(v, d), d)
+                y = draw(rng, ModShape(v, d), ModShape(w, e), d)
+                xe, ye = extend_scalars(x), extend_scalars_rev(y)
+                assert xe.parts == tuple(x.parts[k].take(slice(0, None, 1)) for k in range(d))
+                assert ye.parts == tuple(y.parts[k].take(cols=slice(0, None, 1))
+                                         for k in range(d))
+                assert (xe.src, xe.dst, ye.src, ye.dst) == (
+                    ModShape(w * e // d, d), x.dst, y.src, ModShape(w * e // d, d))
+                if e == d:
+                    assert xe is x and ye is y
+                rows = list(range(v))
+                assert restrict_scalars(xe, x.src, d).parts == tuple(
+                    vstack([a]).take(rows) for a in _lower(xe, d))
+                cols = list(range(v))
+                assert restrict_scalars_rev(ye, y.dst, d).parts == tuple(
+                    hstack([a]).take(cols=cols) for a in _lower(ye, d))
+                assert restrict_scalars(xe, x.src, d) == x
+                assert restrict_scalars_rev(ye, y.dst, d) == y
 
 
 class TestPr:

@@ -1,3 +1,5 @@
+import math
+from decimal import Decimal
 from fractions import Fraction
 
 import pytest
@@ -12,7 +14,7 @@ from qschemes.scalars import (
     trunc_mul,
 )
 
-from helpers import embed_subring, eps, residue_pair
+from helpers import FracPair, embed_subring, eps, residue_pair
 
 rationals = st.builds(
     Fraction, st.integers(-20, 20), st.integers(1, 9)
@@ -74,6 +76,86 @@ class TestGaussQ:
             GaussQ(2) - t
         with pytest.raises(TypeError):
             Matrix([[t]])
+
+
+def canonical(x):
+    """GaussQ stores (num_re + num_im i) / den with ints, den > 0 and
+    gcd(num_re, num_im, den) = 1."""
+    a, b, n = x.num_re, x.num_im, x.den
+    return {type(a), type(b), type(n)} == {int} and n > 0 and math.gcd(a, b, n) == 1
+
+
+parts = st.one_of(st.integers(-50, 50), rationals)
+
+
+class TestGaussQAgainstFractionPairs:
+    """GaussQ on integer numerators agrees with a pair of Fractions."""
+
+    @given(parts, parts, parts, parts)
+    def test_field_operations(self, a, b, c, e):
+        x, y = GaussQ(a, b), GaussQ(c, e)
+        rx, ry = FracPair(a, b), FracPair(c, e)
+        results = [(x + y, rx + ry), (x - y, rx - ry), (x * y, rx * ry), (-x, -rx)]
+        if y:
+            results.append((x / y, rx / ry))
+        for got, want in results:
+            assert canonical(got)
+            assert (got.re, got.im) == (want.re, want.im)
+            assert str(got) == str(want) and repr(got) == repr(want)
+            assert hash(got) == hash(want)
+
+    @given(parts, parts, st.one_of(st.integers(-50, 50), rationals))
+    def test_mixed_operands(self, a, b, k):
+        x, rx, rk = GaussQ(a, b), FracPair(a, b), FracPair(k)
+        for got, want in ((x + k, rx + rk), (k + x, rk + rx), (x - k, rx - rk),
+                          (k - x, rk - rx), (x * k, rx * rk), (k * x, rk * rx)):
+            assert canonical(got) and (got.re, got.im) == (want.re, want.im)
+        if k:
+            got, want = x / k, rx / rk
+            assert canonical(got) and (got.re, got.im) == (want.re, want.im)
+        if x:
+            got, want = k / x, rk / rx
+            assert canonical(got) and (got.re, got.im) == (want.re, want.im)
+
+    @given(parts, parts)
+    def test_equality_and_hash_with_int_and_fraction(self, a, b):
+        x = GaussQ(a, b)
+        assert canonical(x)
+        assert (x.re, x.im) == (Fraction(a), Fraction(b))
+        assert str(x) == str(FracPair(a, b)) and repr(x) == repr(FracPair(a, b))
+        assert GaussQ.parse(str(x)) == x
+        if b == 0:
+            assert x == a and a == x and hash(x) == hash(a)
+            assert x == Fraction(a) and hash(x) == hash(Fraction(a))
+            assert len({x, a}) == 1
+        else:
+            assert x != a and x != Fraction(a) and x != x.re
+        assert x == GaussQ(Fraction(a), Fraction(b)) and hash(x) == hash(GaussQ(a, b))
+
+    def test_text_forms(self):
+        cases = {GaussQ(Fraction(1, 2), 1): ("1/2+1i", "GaussQ(Fraction(1, 2), Fraction(1, 1))"),
+                 GaussQ(0, Fraction(-2, 4)): ("0-1/2i", "GaussQ(Fraction(0, 1), Fraction(-1, 2))"),
+                 GaussQ(Fraction(6, 4)): ("3/2", "GaussQ(Fraction(3, 2), Fraction(0, 1))"),
+                 GaussQ(-7): ("-7", "GaussQ(Fraction(-7, 1), Fraction(0, 1))")}
+        for x, (text, rep) in cases.items():
+            assert (str(x), repr(x)) == (text, rep)
+        # 1/2 + 1/3 i is 3/6 + 2/6 i: the numerators share den 6
+        x = GaussQ(Fraction(1, 2), Fraction(1, 3))
+        assert (x.num_re, x.num_im, x.den) == (3, 2, 6)
+
+    def test_constructor_takes_ints_and_fractions_only(self):
+        for bad in (0.1, 1.0, "1/2", Decimal("0.1"), 1j, None, GaussQ(1)):
+            with pytest.raises(TypeError):
+                GaussQ(bad)
+            with pytest.raises(TypeError):
+                GaussQ(1, bad)
+        assert GaussQ(True) == 1 and type(GaussQ(True).num_re) is int
+
+    def test_immutable(self):
+        x = GaussQ(1, 2)
+        for name in ("num_re", "num_im", "den", "re"):
+            with pytest.raises(AttributeError):
+                setattr(x, name, 3)
 
 
 class TestTruncMul:

@@ -1,4 +1,4 @@
-"""Microbenchmarks of qschemes.linalg on two checkouts.
+"""Microbenchmarks of qschemes.linalg and its scalars on two checkouts.
 
     python tools/linalg_micro.py BASE CHANGE --out BENCH_matrix_storage.json
 
@@ -8,7 +8,11 @@ checkout, alternating which checkout goes first; the child imports
 loop, in microseconds per call, and the file keeps the best over the rounds
 under ``"microbench"``, with the ratio CHANGE / BASE.  Inputs are seeded
 integer and Gaussian-integer matrices, built through ``Matrix(rows)`` of
-``GaussQ`` entries, which every version of the library accepts.
+``GaussQ`` entries, which every version of the library accepts.  The scalar
+rows time ``GaussQ`` arithmetic on Gaussian rationals with denominators,
+``trunc_mul`` and ``trunc_inv`` of such truncated scalars at orders 1 to 4,
+and ``scalar_end`` and ``scale_end`` (over the full order and over R_1) on
+a rank-3 module of order 3.
 """
 
 from __future__ import annotations
@@ -24,8 +28,12 @@ ROUNDS = 3
 CHILD = r"""
 import json, random, sys, timeit
 sys.path.insert(0, sys.argv[1] + "/src")
+from fractions import Fraction
 from qschemes.linalg import Matrix, hstack, inverse, rank
-from qschemes.scalars import GaussQ
+from qschemes.repn import random_linear_map
+from qschemes.rmatrix import ModShape, scalar_end, scale_end
+from qschemes.rng import SplitMix64
+from qschemes.scalars import GaussQ, TruncScalar, trunc_inv, trunc_mul
 
 rng = random.Random(5)
 
@@ -47,6 +55,27 @@ ops = {
     "rank_24_nonreal": (lambda: rank(c24), 2),
     "inverse_24_nonreal": (lambda: inverse(c24), 2),
 }
+
+def gq():
+    return GaussQ(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
+                  Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
+
+def trunc(d):
+    return TruncScalar(d, [GaussQ(rng.randint(1, 9))] + [gq() for _ in range(d - 1)])
+
+x, y = gq(), gq()
+ops["gaussq_mul"] = (lambda: x * y, 20000)
+ops["gaussq_add"] = (lambda: x + y, 20000)
+ops["gaussq_div"] = (lambda: x / y, 20000)
+for d in (1, 2, 3, 4):
+    s, t = trunc(d), trunc(d)
+    ops[f"trunc_mul_d{d}"] = ((lambda s=s, t=t: trunc_mul(s, t)), 2000)
+    ops[f"trunc_inv_d{d}"] = ((lambda s=s: trunc_inv(s)), 2000)
+t3, sh = trunc(3), ModShape(3, 3)
+f3, f1 = (random_linear_map(SplitMix64(3), sh, sh, base) for base in (3, 1))
+ops["scalar_end_3_d3"] = (lambda: scalar_end(t3, 3), 2000)
+ops["scale_end_3_d3"] = (lambda: scale_end(f3, t3), 500)
+ops["scale_end_3_d3_base1"] = (lambda: scale_end(f1, t3), 500)
 out = {name: min(timeit.repeat(f, number=n, repeat=5)) / n * 1e6 for name, (f, n) in ops.items()}
 print(json.dumps(out))
 """
