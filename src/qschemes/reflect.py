@@ -19,10 +19,17 @@ of diag(0 .. 0, lam_i .. lam_i) with block dimensions (dim V~ - v_i, v_i).
 The output is one specific gauge representative, pinned by the deterministic
 basis rule of orbit.free_basis.
 
-The moment condition alone puts A in that orbit.  Write X = into and
-Y = outof, so A = -Y X; the moment value at i is X Y, since inducing both
-maps of an arrow pair turns the pr_cd average of their product into a plain
-composite.  If X Y = -lam_i Id with lam_i a unit, then
+The functor reads the moment value at i off its split: mu_i = X Y for
+X = into and Y = outof.  For a double arrow h into i over R_c, q = d_i/c, the
+map x = extend_scalars(x_h) agrees with x_h on the free R_c-module underneath,
+and y = extend_scalars_rev(x_h~) sends v to sum_{k<q} x_h~(eps^(q-1-k) v) eps^k,
+so x y = pr_cd(x_h x_h~) by the formula of ``pr_cd``.  X joins the maps
+sign_h x side by side and Y stacks the maps y, so X Y = sum_h sign_h
+pr_cd(x_h x_h~), which is ``repn.moment_component``; the moment suite's split
+cross-check certifies this identity independently.
+
+The moment condition alone puts A in that orbit, where A = -Y X.  If
+X Y = -lam_i Id with lam_i a unit, then
 
     A^2 = Y (X Y) X = -lam_i Y X = lam_i A,
 
@@ -30,7 +37,7 @@ so E = -lam_i^{-1} (A - lam_i) satisfies E^2 = lam_i^{-2} (A^2 - 2 lam_i A
 + lam_i^2) = -lam_i^{-1} (A - lam_i) = E.  On residues X(0) Y(0) = -lam_i(0) I
 is invertible, so rank A(0) = v_i; as A(0)^2 = lam_i(0) A(0) with lam_i(0) != 0,
 rank E(0) = dim ker A(0) = dim V~ - v_i, the reflected dimension.  So
-``reflection_functor`` checks the moment value only, then takes the free basis
+``reflection_functor`` checks X Y = -lam_i Id only, then takes the free basis
 U of Im E and the coordinates of -(A - lam_i) = lam_i E against U.
 
 ``random_level_point`` runs this the other way round.  The canonical chain
@@ -51,7 +58,6 @@ from .quiver import QuiverMult, check_dims
 from .repn import (
     Representation,
     gauge,
-    moment_component,
     random_linear_map,
     random_unit_end,
 )
@@ -194,15 +200,14 @@ def reflection_functor(rep: Representation, i, lam) -> Representation:
         raise EmptyLevelSet(
             f"reflected dimension at {q.name(q_i)} would be {new_rank}"
         )
-    mu_i = moment_component(rep, q_i)
-    if mu_i != scalar_end(-lam_i, rep.v[q_i]):
+    s = split(rep, q_i)
+    if compose(s.into, s.outof) != scalar_end(-lam_i, rep.v[q_i]):
         raise NotInLevelSet(
             f"moment value at {q.name(q_i)} is not -lambda Id"
         )
     # for A = -outof . into, the moment condition makes -(A - lam_i) =
     # outof . into + lam_i equal to lam_i times an idempotent of residue rank
     # new_rank (see the module docstring)
-    s = split(rep, q_i)
     shifted = compose(s.outof, s.into) + scalar_end(lam_i, tilde)
     basis = free_basis(scale_end(shifted, trunc_inv(lam_i)))
     s2 = SplitAtVertex(q_i, coordinates(basis, shifted), basis, s.rest)

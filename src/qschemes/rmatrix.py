@@ -10,7 +10,8 @@ n x n slices: the matrix-polynomial coefficients xi_k of
 ``slices``/``from_slices``.
 
 ``_lower`` rewrites the slices over a smaller subring, the block-Toeplitz
-expansion ``linalg.block_toeplitz`` (one integer gather per slice).
+expansion ``linalg.block_toeplitz`` (one integer gather per slice); it is
+the one rule for viewing a map over a subring.
 ``compose`` is the truncated product of the slices over the common base,
 ``linalg.poly_mul``; ``pair_d`` reads the top coefficient of the trace of
 that product with ``linalg.trace_dot`` and forms no composite.  Scalar
@@ -26,12 +27,13 @@ build maps from a base-field block with ``slice_extend``.
 
 Extension of scalars from R_c to R_d turns an R_c-linear map into an
 R_d-linear one on (or into) the free R_c-module underneath, and restriction
-undoes it.  ``extend_scalars``/``extend_scalars_rev`` and their inverses
-``restrict_scalars``/``restrict_scalars_rev`` only regroup the stored
-slices; when the map is already linear over the extended order (q = d/c =
-1) they return the stored slices as they are, and extension returns the map
-itself when its shape is unchanged.  Outside this module only ``reflect`` (splitting a representation at
-a vertex and putting it back together) calls them, which
+undoes it.  ``extend_scalars``/``extend_scalars_rev`` regroup the stored
+slices, and their inverses ``restrict_scalars``/``restrict_scalars_rev``
+read one block column or block row of ``_lower`` over R_c.  When the map is
+already linear over the extended order (q = d/c = 1) all four return the
+stored slices as they are, and extension returns the map itself when its
+shape is unchanged.  Outside this module only ``reflect`` (splitting a
+representation at a vertex and putting it back together) calls them, which
 ``tests/test_layout.py`` enforces.
 """
 
@@ -52,12 +54,10 @@ from .errors import (
 from .linalg import (
     Matrix,
     block_toeplitz,
-    hstack,
     inverse,
     poly_mul,
     poly_scale,
     trace_dot,
-    vstack,
 )
 from .scalars import GaussQ, TruncScalar
 
@@ -194,11 +194,6 @@ def _lower(f: RMap, c: int) -> tuple:
     if r == 1:
         return f.parts
     return tuple(block_toeplitz(f.parts, r, f.dst.order // f.base, f.src.order // f.base))
-
-
-def _interleave(n, r):
-    """The t-major positions of the indices (i, t) listed i-major, for i < n, t < r."""
-    return [t * n + i for i in range(n) for t in range(r)]
 
 
 def zero_map(src: ModShape, dst: ModShape) -> RMap:
@@ -353,32 +348,28 @@ def extend_scalars_rev(f: RMap) -> RMap:
 def restrict_scalars(x: RMap, src: ModShape, c: int) -> RMap:
     """The R_c-linear map f on src with extend_scalars(f) == x.
 
-    Slice a of f stacks the slices a*q .. a*q+q-1 of x (q = d/c) and
-    reorders the rows from (eps-power, i) to (i, eps-power).
+    x is declared over its full order d.  Slice a of ``_lower(x, c)`` has
+    entry ((i, t), (j, s)) = x_(qa+t-s)[i, j] with q = d/c, and slice a of f
+    is its s = 0 block column.
     """
     d = x.dst.order
-    q = d // c
-    xs = _lower(x, d)
-    if q == 1:
-        return RMap(src, x.dst, c, xs)
-    rows = _interleave(x.dst.rank, q)
-    return RMap(src, x.dst, c, [vstack(xs[a * q:a * q + q]).take(rows) for a in range(c)])
+    if x.base != d:
+        raise NotLinearOverBase(f"map over R_{x.base} is not declared R_{d}-linear")
+    q, xs = d // c, _lower(x, c)
+    return RMap(src, x.dst, c, xs if q == 1 else [a.take(cols=slice(0, None, q)) for a in xs])
 
 
 def restrict_scalars_rev(y: RMap, dst: ModShape, c: int) -> RMap:
     """The R_c-linear map f into dst with extend_scalars_rev(f) == y.
 
-    Slice a of f joins the slices a*q+q-1 .. a*q of y side by side (q = d/c)
-    and reorders the columns from (eps-power, j) to (j, eps-power).
+    y is declared over its full order d.  Slice a of f is the t = q-1 block
+    row of slice a of ``_lower(y, c)`` (entries as in ``restrict_scalars``).
     """
     d = y.src.order
-    q = d // c
-    ys = _lower(y, d)
-    if q == 1:
-        return RMap(y.src, dst, c, ys)
-    cols = _interleave(y.src.rank, q)
-    return RMap(y.src, dst, c,
-                [hstack(ys[a * q:a * q + q][::-1]).take(cols=cols) for a in range(c)])
+    if y.base != d:
+        raise NotLinearOverBase(f"map over R_{y.base} is not declared R_{d}-linear")
+    q, ys = d // c, _lower(y, c)
+    return RMap(y.src, dst, c, ys if q == 1 else [a.take(slice(q - 1, None, q)) for a in ys])
 
 
 def scale_end(f: RMap, t: TruncScalar) -> RMap:

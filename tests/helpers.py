@@ -2,12 +2,13 @@
 quivers at sizes beyond ``corpus/``, the monomial eps^k of R_d, the residue
 pairing and subring embedding of truncated scalars, a Gaussian rational kept
 as a pair of ``Fraction`` values (the reference for ``GaussQ``), the
-canonical-form check of a matrix, the matrix transpose, the stacked lowering
-of a map to a subring (the reference for ``rmatrix._lower``), the
-base-field blocks of a map read off its flat view, the identity
-endomorphism, the zero representation, the top-slice shift maps, the gauge
-unit induced on a split vertex, the Coxeter order of a vertex pair and the
-braid-word probe of the reflection functor."""
+canonical-form check and the stored fields of a matrix, the matrix
+transpose, the stacked lowering of a map to a subring and the stacked
+restrictions of scalars (the references for ``rmatrix._lower`` and
+``rmatrix.restrict_scalars*``), the base-field blocks of a map read off its
+flat view, the identity endomorphism, the zero representation, the
+top-slice shift maps, the gauge unit induced on a split vertex, the Coxeter
+order of a vertex pair and the braid-word probe of the reflection functor."""
 
 import math
 from fractions import Fraction
@@ -150,6 +151,43 @@ def lower_stacked(f: RMap, c: int) -> tuple:
         return [t * n * q + i * q + l for i in range(n) for t in range(r) for l in range(q)]
 
     return tuple(a.take(interleave(f.dst.rank, f2), interleave(f.src.rank, f1)) for a in out)
+
+
+def _interleave(n, r):
+    """The t-major positions of the indices (i, t) listed i-major, for i < n, t < r."""
+    return [t * n + i for i in range(n) for t in range(r)]
+
+
+def restrict_stacked(x: RMap, src: ModShape, c: int) -> RMap:
+    """restrict_scalars by stacking: slice a of the result stacks the slices
+    a*q .. a*q+q-1 of x (q = d/c) and reorders the rows from (eps-power, i)
+    to (i, eps-power)."""
+    d = x.dst.order
+    q = d // c
+    xs = _lower(x, d)
+    if q == 1:
+        return RMap(src, x.dst, c, xs)
+    rows = _interleave(x.dst.rank, q)
+    return RMap(src, x.dst, c, [vstack(xs[a * q:a * q + q]).take(rows) for a in range(c)])
+
+
+def restrict_rev_stacked(y: RMap, dst: ModShape, c: int) -> RMap:
+    """restrict_scalars_rev by stacking: slice a of the result joins the
+    slices a*q+q-1 .. a*q of y side by side (q = d/c) and reorders the
+    columns from (eps-power, j) to (j, eps-power)."""
+    d = y.src.order
+    q = d // c
+    ys = _lower(y, d)
+    if q == 1:
+        return RMap(y.src, dst, c, ys)
+    cols = _interleave(y.src.rank, q)
+    return RMap(y.src, dst, c,
+                [hstack(ys[a * q:a * q + q][::-1]).take(cols=cols) for a in range(c)])
+
+
+def fields(mat):
+    """The stored fields of a matrix, for comparing canonical forms exactly."""
+    return mat.nrows, mat.ncols, mat.den, mat.re, mat.im
 
 
 def assert_canonical(mat):

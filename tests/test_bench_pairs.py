@@ -1,6 +1,8 @@
-"""The condensing step of tools/bench_pairs.py on synthetic run records."""
+"""tools/bench_pairs.py: the condensing step on synthetic run records, and
+the checkout sha it records."""
 
 import importlib.util
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -53,3 +55,22 @@ class TestCondense:
         assert got["setup_s"]["base"]["runs"] == [2.0]
         assert got["setup_s"]["wins"] == {"change": 1, "base": 0, "tie": 0}
         assert got["setup_s"]["base"]["q1"] == got["setup_s"]["base"]["q3"] == 2.0
+
+
+class TestGitSha:
+    def test_modified_checkout_is_marked_dirty(self, tmp_path):
+        def git(*args):
+            return subprocess.run(
+                ["git", "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t",
+                 "-c", "commit.gpgsign=false", *args],
+                capture_output=True, text=True, check=True).stdout.strip()
+
+        git("init", "-q")
+        (tmp_path / "f.txt").write_text("one\n")
+        git("add", "f.txt")
+        git("commit", "-q", "-m", "one")
+        head = git("rev-parse", "HEAD")
+        (tmp_path / "new.txt").write_text("untracked\n")
+        assert bench_pairs.git_sha(tmp_path) == head
+        (tmp_path / "f.txt").write_text("two\n")
+        assert bench_pairs.git_sha(tmp_path) == head + "-dirty"

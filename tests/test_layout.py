@@ -2,9 +2,8 @@
 
 Every public module-level function and class in ``src/qschemes``, and every
 public method and property of such a class, must be referenced by name from
-library code (any module but ``__init__.py``, whose exports do not count) or
-from the benchmark in ``perfbench/``.  A helper that only tests use belongs
-in ``tests/``.
+library code or from the benchmark in ``perfbench/``.  A helper that only
+tests use belongs in ``tests/``.
 
 Module maps are held in one form, the R_d-linear ``RMap`` that callers
 compose.  Extension and restriction of scalars may be referenced only by
@@ -26,7 +25,7 @@ QUIVER_BUILDERS = {"_double", "_cartan"}
 
 
 def _library_modules():
-    return sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
+    return sorted(PACKAGE.glob("*.py"))
 
 
 def _referenced_names(paths):

@@ -34,7 +34,7 @@ from qschemes.linalg import (
 )
 from qschemes.scalars import GQ_ONE, GQ_ZERO, GaussQ
 
-from helpers import assert_canonical, transpose
+from helpers import assert_canonical, fields, transpose
 
 KINDS = ("integer", "fraction", "gaussian", "sparse")
 
@@ -218,10 +218,6 @@ class TestSolveInverse:
                 inverse(rank_at_most(rng, kind, n, n, n - 1))
         with pytest.raises(NotInvertible):
             inverse(random_matrix(rng, kind, 2, 3))
-
-
-def fields(mat):
-    return mat.nrows, mat.ncols, mat.den, mat.re, mat.im
 
 
 def entrywise(op, *mats):

@@ -221,7 +221,7 @@ class TestAgainstExhaustiveCheck:
 
 class TestOperationCount:
     """Membership is decided with at most l composes; a member costs at
-    most 3l - 2 (the count does not see the compose inside ``scale_end``)."""
+    most 3l - 2 (``scale_end`` of these full-order maps forms no product)."""
 
     @staticmethod
     def count_composes(monkeypatch, spec, a):

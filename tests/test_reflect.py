@@ -307,23 +307,48 @@ class TestImpliedByMomentCondition:
             seen += 1
         assert seen >= 40
 
-    def test_one_compose_per_functor_call(self, corpus, monkeypatch):
+    def test_two_composes_and_no_pr_cd_per_functor_call(self, corpus, monkeypatch):
+        """The functor reads mu_i off its split as into . outof and then forms
+        outof . into; a moment value summed per arrow would cost one compose
+        and one pr_cd for each of the k double arrows into i."""
         import qschemes.reflect as reflect_mod
+        import qschemes.repn as repn_mod
 
-        calls = []
+        calls = {"compose": 0, "pr_cd": 0}
 
-        def counting_compose(f, g):
-            calls.append(1)
-            return compose(f, g)
+        def counting(name, fn):
+            def counted(*args):
+                calls[name] += 1
+                return fn(*args)
+            return counted
 
-        monkeypatch.setattr(reflect_mod, "compose", counting_compose)
-        runs = 0
+        for module in (reflect_mod, repn_mod):
+            monkeypatch.setattr(module, "compose", counting("compose", module.compose))
+        monkeypatch.setattr(repn_mod, "pr_cd", counting("pr_cd", repn_mod.pr_cd))
+        runs = several_arrows = 0
         for q, i, lam, v, p in self.level_points(corpus):
-            del calls[:]
+            calls.update(compose=0, pr_cd=0)
             reflection_functor(p, i, lam)
-            assert len(calls) <= 1
+            assert calls["compose"] <= 2 and calls["pr_cd"] == 0, (q.name(i), calls)
             runs += 1
-        assert runs >= 40
+            several_arrows += len(q.incoming[i]) >= 2
+        assert runs >= 40 and several_arrows >= 10
+
+    def test_functor_calls_no_moment_component(self, corpus, monkeypatch):
+        import qschemes.reflect as reflect_mod
+        import qschemes.repn as repn_mod
+
+        points = list(self.level_points(corpus))
+        want = [reflection_functor(p, i, lam) for q, i, lam, v, p in points]
+
+        def refuse(*args):
+            raise AssertionError("moment_component called")
+
+        monkeypatch.setattr(repn_mod, "moment_component", refuse)
+        monkeypatch.setattr(reflect_mod, "moment_component", refuse, raising=False)
+        for (q, i, lam, v, p), w in zip(points, want):
+            got = reflection_functor(p, i, lam)
+            assert got.v == w.v and dict(got.maps) == dict(w.maps)
 
 
 class TestBraidProbe:

@@ -34,7 +34,7 @@ from qschemes.rmatrix import (
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar
 
-from helpers import eps, example_chain, identity_end, zero_rep
+from helpers import eps, example_chain, fields, identity_end, zero_rep
 
 G = GaussQ
 T = TruncScalar
@@ -295,7 +295,3 @@ class TestGenerators:
                 want = slice_extend(src, dst, d, ref_matrix(b, dst.dim, 2 * n))
                 assert [fields(p) for p in got.parts] == [fields(p) for p in want.parts]
                 assert a.next_u64() == b.next_u64()
-
-
-def fields(mat):
-    return mat.nrows, mat.ncols, mat.den, mat.re, mat.im

@@ -35,7 +35,16 @@ from qschemes.rmatrix import (
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar
 
-from helpers import assert_canonical, eps, identity_end, lower_stacked, residue_pair
+from helpers import (
+    assert_canonical,
+    eps,
+    fields,
+    identity_end,
+    lower_stacked,
+    residue_pair,
+    restrict_rev_stacked,
+    restrict_stacked,
+)
 
 G = GaussQ
 
@@ -192,8 +201,17 @@ def _refuse(name):
     return refuse
 
 
+def _refuse_stacking(patch):
+    """Make hstack and vstack raise in linalg and wherever rmatrix would
+    import them (it imports neither)."""
+    for module in (rmatrix, linalg):
+        for name in ("hstack", "vstack"):
+            patch.setattr(module, name, _refuse(name), raising=False)
+
+
 class TestProductsWithoutStacking:
-    """compose and invert_end multiply slices through linalg.poly_mul and ``@``."""
+    """compose and invert_end multiply slices through linalg.poly_mul and
+    ``@``; restriction of scalars takes rows or columns of ``_lower``."""
 
     @pytest.mark.parametrize("d", [1, 2, 3, 4])
     def test_compose_and_invert_end(self, d, monkeypatch):
@@ -202,7 +220,7 @@ class TestProductsWithoutStacking:
         f, g = gauss_map(rng, sh, sh, d), gauss_unit(rng, 2, d)
         want = [hstack(f.parts[:m + 1]) @ vstack(g.parts[m::-1]) for m in range(d)]
         for name in ("hstack", "vstack"):
-            monkeypatch.setattr(rmatrix, name, _refuse(name))
+            monkeypatch.setattr(rmatrix, name, _refuse(name), raising=False)
         assert compose(f, g).parts == tuple(want)
         gi = invert_end(g)
         assert compose(gi, g) == compose(g, gi) == identity_end(sh)
@@ -221,12 +239,22 @@ class TestProductsWithoutStacking:
             want = compose(f, g)
             assert want.flat == f.flat @ g.flat
             with monkeypatch.context() as m:
-                for module in (rmatrix, linalg):
-                    for name in ("hstack", "vstack"):
-                        m.setattr(module, name, _refuse(name))
+                _refuse_stacking(m)
                 got = compose(f, g)
                 flat = got.flat
             assert got.parts == want.parts and flat == want.flat
+
+    # (d, c): the order at the extended end and the base of the restriction
+    @pytest.mark.parametrize("d,c", [(2, 1), (4, 2), (6, 3), (6, 2)])
+    def test_restriction(self, d, c, monkeypatch):
+        rng = SplitMix64(300 + 10 * d + c)
+        src, wide = ModShape(2, d), ModShape(2 * d // c, d)
+        x, y = gauss_map(rng, wide, src, d), gauss_map(rng, src, wide, d)
+        want = restrict_stacked(x, src, c), restrict_rev_stacked(y, src, c)
+        _refuse_stacking(monkeypatch)
+        got = restrict_scalars(x, src, c), restrict_scalars_rev(y, src, c)
+        for g, w in zip(got, want):
+            assert [fields(a) for a in g.parts] == [fields(a) for a in w.parts]
 
 
 class TestLowerByGather:
@@ -257,6 +285,42 @@ class TestLowerByGather:
         lowered = _lower(f, 1)[0]
         assert lowered.den > 1 and lowered.im is not None
         assert lowered == lower_stacked(f, 1)[0] == f.flat
+
+
+class TestRestrictByGather:
+    """restrict_scalars reads the s = 0 block column of ``_lower`` and
+    restrict_scalars_rev its t = q-1 block row; the stacked constructions of
+    tests/helpers.py are the reference."""
+
+    # (d, c): the order at the extended end and the base of the restriction
+    @pytest.mark.parametrize("d,c", [(2, 1), (3, 1), (4, 2), (6, 2), (6, 3), (2, 2)])
+    def test_matches_stacked_restriction(self, d, c):
+        rng = SplitMix64(50 * d + c)
+        third = G(Fraction(1, 3), Fraction(-2, 5))
+        # e is the order of the far end, a multiple of c
+        for e in sorted({c, d}):
+            for w, v in ((1, 1), (2, 3), (0, 2), (2, 0)):
+                far, near, wide = ModShape(w, e), ModShape(v, d), ModShape(w * e // c, d)
+                real_x, real_y = (random_linear_map(rng, wide, near, d),
+                                  random_linear_map(rng, near, wide, d))
+                for x, y in ((real_x, real_y),
+                             (gauss_map(rng, wide, near, d), gauss_map(rng, near, wide, d)),
+                             (real_x.scale(third), real_y.scale(third))):
+                    pairs = ((restrict_scalars(x, far, c), restrict_stacked(x, far, c)),
+                             (restrict_scalars_rev(y, far, c), restrict_rev_stacked(y, far, c)))
+                    for got, want in pairs:
+                        assert (got.src, got.dst, got.base) == (want.src, want.dst, want.base)
+                        assert [fields(a) for a in got.parts] == [fields(a) for a in want.parts]
+                        for a in got.parts:
+                            assert_canonical(a)
+
+    def test_den_and_nonreal_cover_the_cases(self):
+        rng = SplitMix64(6)
+        sh, far = ModShape(2, 4), ModShape(2, 2)
+        x = gauss_map(rng, sh, sh, 4).scale(G(Fraction(1, 6)))
+        got = restrict_scalars(x, far, 2)
+        assert got.parts[0].den > 1 and got.parts[0].im is not None
+        assert got.parts == restrict_stacked(x, far, 2).parts
 
 
 class TestScalarShortcuts:

@@ -96,9 +96,15 @@ def condense(runs, better):
 
 
 def git_sha(checkout: Path):
-    proc = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"],
-                          capture_output=True, text=True)
-    return proc.stdout.strip() or None
+    """HEAD of the checkout, suffixed "-dirty" when a tracked file differs from it."""
+    def git(*args):
+        return subprocess.run(["git", "-C", str(checkout), *args],
+                              capture_output=True, text=True).stdout.strip()
+
+    sha = git("rev-parse", "HEAD")
+    if sha and git("status", "--porcelain", "--untracked-files=no"):
+        sha += "-dirty"
+    return sha or None
 
 
 def main(argv=None):

@@ -11,8 +11,10 @@ integer and Gaussian-integer matrices, built through ``Matrix(rows)`` of
 ``GaussQ`` entries, which every version of the library accepts.  The scalar
 rows time ``GaussQ`` arithmetic on Gaussian rationals with denominators,
 ``trunc_mul`` and ``trunc_inv`` of such truncated scalars at orders 1 to 4,
-and ``scalar_end`` and ``scale_end`` (over the full order and over R_1) on
-a rank-3 module of order 3.
+``scalar_end`` and ``scale_end`` (over the full order and over R_1) on
+a rank-3 module of order 3, and ``restrict_scalars`` and
+``restrict_scalars_rev`` from R_q to R_1 (q = 2, 3) of endomorphisms of
+rank-2 and rank-4 modules.
 """
 
 from __future__ import annotations
@@ -31,7 +33,8 @@ sys.path.insert(0, sys.argv[1] + "/src")
 from fractions import Fraction
 from qschemes.linalg import Matrix, hstack, inverse, rank
 from qschemes.repn import random_linear_map
-from qschemes.rmatrix import ModShape, scalar_end, scale_end
+from qschemes.rmatrix import (ModShape, restrict_scalars, restrict_scalars_rev, scalar_end,
+                              scale_end)
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar, trunc_inv, trunc_mul
 
@@ -76,6 +79,14 @@ f3, f1 = (random_linear_map(SplitMix64(3), sh, sh, base) for base in (3, 1))
 ops["scalar_end_3_d3"] = (lambda: scalar_end(t3, 3), 2000)
 ops["scale_end_3_d3"] = (lambda: scale_end(f3, t3), 500)
 ops["scale_end_3_d3_base1"] = (lambda: scale_end(f1, t3), 500)
+for q in (2, 3):
+    for n in (2, 4):
+        near, far, draw = ModShape(n, q), ModShape(n, 1), SplitMix64(10 * q + n)
+        ends = random_linear_map(draw, near, near, q), random_linear_map(draw, near, near, q)
+        ops[f"restrict_scalars_q{q}_n{n}"] = (
+            (lambda f=ends[0], far=far: restrict_scalars(f, far, 1)), 500)
+        ops[f"restrict_scalars_rev_q{q}_n{n}"] = (
+            (lambda f=ends[1], far=far: restrict_scalars_rev(f, far, 1)), 500)
 out = {name: min(timeit.repeat(f, number=n, repeat=5)) / n * 1e6 for name, (f, n) in ops.items()}
 print(json.dumps(out))
 """
