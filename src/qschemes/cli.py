@@ -2,6 +2,8 @@
 
 Exit codes: 0 success, 1 a verification/check reported failures, 2 usage or
 input errors.  Every error prints ``error[<code>]: <message>`` on stderr.
+
+Each command imports the modules it runs in its body, and only those.
 """
 
 from __future__ import annotations
@@ -11,15 +13,9 @@ import json
 import sys
 from pathlib import Path
 
-from . import orbit as orbit_mod
-from . import regularize as reg_mod
 from . import serialize as ser
 from .errors import MalformedInput, QschemeError
 from .quiver import expected_dim, parse_quiver, serialize_quiver, to_dot
-from .reflect import random_level_point, reflection_functor
-from .repn import level_check, mesh_check, moment_map, random_rep
-from .suites import SUITE_NAMES, run_suite
-from .weyl import reflect_dim, reflect_param, verify_coxeter
 
 
 def _read(path):
@@ -92,6 +88,7 @@ def cmd_dim(args):
 
 
 def cmd_reflect(args):
+    from .weyl import reflect_dim, reflect_param
     q = _load_quiver(args.file)
     lam = ser.params_from_obj(q, _load_json(args.lam))
     v = _parse_dims(args.v)
@@ -103,6 +100,7 @@ def cmd_reflect(args):
 
 
 def cmd_weyl_verify(args):
+    from .weyl import verify_coxeter
     q = _load_quiver(args.file)
     report = verify_coxeter(q)
     obj = {
@@ -122,6 +120,7 @@ def cmd_weyl_verify(args):
 
 
 def cmd_moment(args):
+    from .repn import moment_map
     q = _load_quiver(args.file)
     rep = ser.rep_from_obj(q, _load_json(args.rep))
     mu = moment_map(rep)
@@ -131,6 +130,7 @@ def cmd_moment(args):
 
 
 def cmd_mesh(args):
+    from .repn import level_check, mesh_check
     q = _load_quiver(args.file)
     rep = ser.rep_from_obj(q, _load_json(args.rep))
     lam = ser.params_from_obj(q, _load_json(args.lam))
@@ -146,6 +146,7 @@ def cmd_mesh(args):
 
 
 def cmd_random_rep(args):
+    from .repn import random_rep
     q = _load_quiver(args.file)
     rep = random_rep(q, _parse_dims(args.v), args.seed)
     _write_out(args, ser.dumps(ser.rep_to_obj(rep)))
@@ -153,9 +154,10 @@ def cmd_random_rep(args):
 
 
 def cmd_orbit_check(args):
+    from .orbit import orbit_membership
     spec = ser.orbit_spec_from_obj(_load_json(args.spec))
     a = ser.rmap_from_obj(_load_json(args.a))
-    witness = orbit_mod.orbit_membership(spec, a)
+    witness = orbit_membership(spec, a)
     obj = {"member": witness.ok, "reasons": witness.reasons}
     _emit(args, obj, "member" if witness.ok else "not a member:\n  "
           + "\n  ".join(witness.reasons))
@@ -163,14 +165,17 @@ def cmd_orbit_check(args):
 
 
 def cmd_leg_factor(args):
+    from .orbit import leg_factorize
     spec = ser.orbit_spec_from_obj(_load_json(args.spec))
     a = ser.rmap_from_obj(_load_json(args.a))
-    point = orbit_mod.leg_factorize(spec, a)
+    point = leg_factorize(spec, a)
     _write_out(args, ser.dumps(ser.leg_point_to_obj(point)))
     return 0
 
 
 def cmd_functor(args):
+    from .reflect import reflection_functor
+    from .weyl import reflect_param
     q = _load_quiver(args.file)
     rep = ser.rep_from_obj(q, _load_json(args.rep))
     lam = ser.params_from_obj(q, _load_json(args.lam))
@@ -186,6 +191,7 @@ def cmd_functor(args):
 
 
 def cmd_random_level(args):
+    from .reflect import random_level_point
     q = _load_quiver(args.file)
     lam = ser.params_from_obj(q, _load_json(args.lam))
     rep = random_level_point(q, lam, _parse_dims(args.v), args.vertex, args.seed)
@@ -194,8 +200,9 @@ def cmd_random_level(args):
 
 
 def cmd_legs(args):
+    from .regularize import find_legs
     q = _load_quiver(args.file)
-    legs = reg_mod.find_legs(q)
+    legs = find_legs(q)
     obj = [
         {
             "base": q.name(leg.base),
@@ -213,23 +220,25 @@ def cmd_legs(args):
 
 
 def _leg_from_arg(q, text):
+    from .regularize import leg_from_names
     names = [x.strip() for x in text.split(",")]
-    return reg_mod.leg_from_names(q, names)
+    return leg_from_names(q, names)
 
 
 def cmd_regularize(args):
+    from .regularize import check_theorem_hypotheses, regularize_params, regularize_quiver
     if (args.lam is None) != (args.v is None):
         raise MalformedInput("--lambda and --v must be given together")
     q = _load_quiver(args.file)
     leg = _leg_from_arg(q, args.leg)
-    reg = reg_mod.regularize_quiver(q, leg)
+    reg = regularize_quiver(q, leg)
     out_text = serialize_quiver(reg)
     result = {"quiver": out_text}
     if args.lam is not None:
         lam = ser.params_from_obj(q, _load_json(args.lam))
         v = _parse_dims(args.v)
-        lamc, vc = reg_mod.regularize_params(q, leg, lam, v)
-        hyp = reg_mod.check_theorem_hypotheses(q, leg, lam, v)
+        lamc, vc = regularize_params(q, leg, lam, v)
+        hyp = check_theorem_hypotheses(q, leg, lam, v)
         result["lambda"] = ser.params_to_obj(reg, lamc)
         result["v"] = list(vc)
         result["hypotheses_ok"] = hyp.all_ok
@@ -248,11 +257,12 @@ def cmd_regularize(args):
 
 
 def cmd_reg_verify(args):
+    from .regularize import isometry_check, verify_param_equivariance, verify_semidirect
     q = _load_quiver(args.file)
     leg = _leg_from_arg(q, args.leg)
-    iso = reg_mod.isometry_check(q, leg)
-    sd = reg_mod.verify_semidirect(q, leg)
-    pe = reg_mod.verify_param_equivariance(q, leg)
+    iso = isometry_check(q, leg)
+    sd = verify_semidirect(q, leg)
+    pe = verify_param_equivariance(q, leg)
     ok = iso and sd.all_ok and pe.all_ok
     obj = {
         "isometry": iso,
@@ -270,6 +280,7 @@ def cmd_reg_verify(args):
 
 
 def cmd_check(args):
+    from .suites import run_suite
     if args.trials < 1:
         raise MalformedInput(f"--trials must be at least 1, got {args.trials}")
     corpus_dir = Path(args.corpus)
@@ -383,7 +394,7 @@ def build_parser():
 
     sp = sub.add_parser("check", help="run property suites over a corpus")
     sp.add_argument("corpus")
-    sp.add_argument("--suite", choices=SUITE_NAMES, default="all")
+    sp.add_argument("--suite", default="all")
     sp.add_argument("--seed", type=int, default=1)
     sp.add_argument("--trials", type=int, default=25)
     sp.set_defaults(func=cmd_check)

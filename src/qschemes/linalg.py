@@ -39,9 +39,6 @@ exactly those of schoolbook elimination over ``GaussQ``.  ``solve`` finishes
 on the integers too: the reduced rows are a multiple q of the solution, for
 the last pivot q, and dividing by q is a sign and a denominator |q| when q
 is real, and multiplication by conj(q) over the denominator |q|^2 otherwise.
-
-Plain ``list[list[int]]`` matrices are used elsewhere for lattice actions;
-the ``int_*`` helpers at the bottom cover those.
 """
 
 from __future__ import annotations
@@ -433,24 +430,26 @@ def poly_scale(cs, fs) -> list[Matrix]:
     return out
 
 
-def block_toeplitz(parts, r, f_rows, f_cols) -> list[Matrix]:
+def block_toeplitz(parts, r, f_rows, f_cols, ts, ss) -> list[Matrix]:
     """The b/r slices over R_(b/r) of a matrix polynomial over R_b, b = len(parts).
 
     The rows of each slice come in groups of ``f_rows``, indexed (i, l),
     and its columns in groups of ``f_cols``, indexed (j, l').  R_b is free
     over R_(b/r) on 1, e, .., e^(r-1), so slice m of the result has rows
-    (i, t, l) and columns (j, s, l') for t, s < r, and its entry there is
-    entry ((i, l), (j, l')) of parts[r m + t - s], zero when that index falls
-    outside 0..b-1: a block-Toeplitz expansion.  Each slice is one gather
-    of the numerators of all parts, over the lcm of their denominators.
+    (i, t, l) and columns (j, s, l') for t in ts and s in ss, and its entry
+    there is entry ((i, l), (j, l')) of parts[r m + t - s], zero when that
+    index falls outside 0..b-1: (block rows and columns of) a block-Toeplitz
+    expansion.  Each slice is one gather of the numerators of all parts,
+    over the lcm of their denominators.
 
     The caller (``rmatrix._lower``) guarantees the shapes: r > 1 divides b,
-    and every part is p x k with f_rows | p and f_cols | k.
+    every part is p x k with f_rows | p and f_cols | k, ts and ss are
+    ascending indices below r, and one of them is all of range(r).
     """
     b = len(parts)
     p, k = parts[0].nrows, parts[0].ncols
     if not (p and k):
-        return [Matrix.zero(r * p, r * k)] * (b // r)
+        return [Matrix.zero(len(ts) * p, len(ss) * k)] * (b // r)
     den, re, im = _over_lcm(parts)
     # the parts end to end between r - 1 zero parts on either side, so that
     # part r m + t - s of slice m starts at (t - s + r - 1) p k in the window
@@ -459,16 +458,16 @@ def block_toeplitz(parts, r, f_rows, f_cols) -> list[Matrix]:
     n = p * k
     pad = (0,) * ((r - 1) * n)
     rows = [(t + r - 1) * n + (i + l) * k
-            for i in range(0, p, f_rows) for t in range(r) for l in range(f_rows)]
-    cols = [j + l - s * n for j in range(0, k, f_cols) for s in range(r) for l in range(f_cols)]
+            for i in range(0, p, f_rows) for t in ts for l in range(f_rows)]
+    cols = [j + l - s * n for j in range(0, k, f_cols) for s in ss for l in range(f_cols)]
     get = itemgetter(*[a + x for a in rows for x in cols])
     re = pad + _flat(chain.from_iterable(re)) + pad
     im = im and pad + _flat(chain.from_iterable(im)) + pad
     out = []
     for m in range(0, b, r):
         window = slice(m * n, (m + 2 * r - 1) * n)
-        out.append(_canon(_unflat(get(re[window]), r * k),
-                          im and _unflat(get(im[window]), r * k), den, r * k))
+        out.append(_canon(_unflat(get(re[window]), len(cols)),
+                          im and _unflat(get(im[window]), len(cols)), den, len(cols)))
     return out
 
 
@@ -635,18 +634,3 @@ def inverse(a: Matrix) -> Matrix:
         return solve(a, Matrix.identity(a.nrows))
     except ShapeMismatch:
         raise NotInvertible("singular matrix") from None
-
-
-# -- integer matrices (lattice and parameter actions) ------------------------
-
-def int_identity(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def int_mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
-
-
-def int_transpose(a):
-    return [list(r) for r in zip(*a)]

@@ -21,12 +21,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import InvalidLeg
-from .linalg import int_identity, int_mat_mul, int_transpose
 from .quiver import QuiverMult, check_dims
 from .scalars import TruncScalar
 from .weyl import (
     check_params,
     dim_reflection_matrix,
+    int_identity,
+    int_mat_mul,
+    int_transpose,
     param_offsets,
     param_reflection_matrix,
 )

@@ -21,7 +21,7 @@ from __future__ import annotations
 from types import MappingProxyType
 
 from .errors import LengthMismatch, NotInvertible, ShapeMismatch
-from .linalg import Matrix, int_mat_mul
+from .linalg import Matrix
 from .quiver import QuiverMult, check_dims
 from .rmatrix import (
     ModShape,
@@ -38,7 +38,7 @@ from .rmatrix import (
 )
 from .rng import SplitMix64
 from .scalars import GQ_ZERO, GaussQ, TruncScalar
-from .weyl import check_params
+from .weyl import check_params, int_mat_mul
 
 
 class Representation:

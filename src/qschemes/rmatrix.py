@@ -29,7 +29,7 @@ Extension of scalars from R_c to R_d turns an R_c-linear map into an
 R_d-linear one on (or into) the free R_c-module underneath, and restriction
 undoes it.  ``extend_scalars``/``extend_scalars_rev`` regroup the stored
 slices, and their inverses ``restrict_scalars``/``restrict_scalars_rev``
-read one block column or block row of ``_lower`` over R_c.  When the map is
+gather one block column or block row of ``_lower`` over R_c.  When the map is
 already linear over the extended order (q = d/c = 1) all four return the
 stored slices as they are, and extension returns the map itself when its
 shape is unchanged.  Outside this module only ``reflect`` (splitting a
@@ -179,21 +179,23 @@ _SET_BASE = RMap.base.__set__
 _SET_PARTS = RMap.parts.__set__
 
 
-def _lower(f: RMap, c: int) -> tuple:
+def _lower(f: RMap, c: int, ts=None, ss=None) -> tuple:
     """Slices of f over the subring R_c, for c dividing f.base.
 
     With r = f.base / c, the R_c-basis vector v_j eps^(l + f1*s) (l < f1, s < r)
     is v_j eps^l times eps_base^s.  Entry ((i, l2 + f2*t), (j, l1 + f1*s)) of
     slice m is therefore entry ((i, l2), (j, l1)) of f's slice r*m + t - s,
     and zero when that index falls outside 0..f.base-1: the block-Toeplitz
-    expansion ``linalg.block_toeplitz``, one gather per slice.
+    expansion ``linalg.block_toeplitz``, one gather per slice, of only the
+    block rows t in ``ts`` or block columns s in ``ss`` when one is given.
     """
     if f.base % c != 0:
         raise NotLinearOverBase(f"map over R_{f.base} is not declared R_{c}-linear")
     r = f.base // c
     if r == 1:
         return f.parts
-    return tuple(block_toeplitz(f.parts, r, f.dst.order // f.base, f.src.order // f.base))
+    return tuple(block_toeplitz(f.parts, r, f.dst.order // f.base, f.src.order // f.base,
+                                ts or range(r), ss or range(r)))
 
 
 def zero_map(src: ModShape, dst: ModShape) -> RMap:
@@ -350,13 +352,12 @@ def restrict_scalars(x: RMap, src: ModShape, c: int) -> RMap:
 
     x is declared over its full order d.  Slice a of ``_lower(x, c)`` has
     entry ((i, t), (j, s)) = x_(qa+t-s)[i, j] with q = d/c, and slice a of f
-    is its s = 0 block column.
+    is its s = 0 block column, the only one gathered.
     """
     d = x.dst.order
     if x.base != d:
         raise NotLinearOverBase(f"map over R_{x.base} is not declared R_{d}-linear")
-    q, xs = d // c, _lower(x, c)
-    return RMap(src, x.dst, c, xs if q == 1 else [a.take(cols=slice(0, None, q)) for a in xs])
+    return RMap(src, x.dst, c, _lower(x, c, ss=(0,)))
 
 
 def restrict_scalars_rev(y: RMap, dst: ModShape, c: int) -> RMap:
@@ -368,8 +369,7 @@ def restrict_scalars_rev(y: RMap, dst: ModShape, c: int) -> RMap:
     d = y.src.order
     if y.base != d:
         raise NotLinearOverBase(f"map over R_{y.base} is not declared R_{d}-linear")
-    q, ys = d // c, _lower(y, c)
-    return RMap(y.src, dst, c, ys if q == 1 else [a.take(slice(q - 1, None, q)) for a in ys])
+    return RMap(y.src, dst, c, _lower(y, c, ts=(d // c - 1,)))
 
 
 def scale_end(f: RMap, t: TruncScalar) -> RMap:

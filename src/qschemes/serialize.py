@@ -14,11 +14,7 @@ from __future__ import annotations
 import json
 
 from .errors import MalformedInput, ShapeMismatch
-from .linalg import Matrix
-from .orbit import OrbitSpec
 from .quiver import QuiverMult
-from .repn import Representation
-from .rmatrix import ModShape, RMap
 from .scalars import GaussQ, TruncScalar
 from .weyl import check_params
 
@@ -63,12 +59,15 @@ def rmap_to_obj(f: RMap) -> dict:
 
 
 def _shape(obj, what) -> ModShape:
+    from .rmatrix import ModShape
     obj = _typed(obj, dict, what)
     return ModShape(_typed(obj["rank"], int, f"{what} rank"),
                     _typed(obj["order"], int, f"{what} order"))
 
 
 def rmap_from_obj(obj) -> RMap:
+    from .linalg import Matrix
+    from .rmatrix import RMap
     obj = _typed(obj, dict, "map")
     src, dst = _shape(obj["src"], "src"), _shape(obj["dst"], "dst")
     rows = [[GaussQ.parse(_typed(x, str, "matrix entry"))
@@ -106,6 +105,7 @@ def rep_to_obj(rep: Representation) -> dict:
 
 
 def rep_from_obj(q: QuiverMult, obj) -> Representation:
+    from .repn import Representation
     obj = _typed(obj, dict, "representation")
     dims = _typed(obj["v"], dict, "v")
     v = tuple(_typed(dims[q.name(i)], int, "dimension") for i in range(q.n))
@@ -125,6 +125,7 @@ def orbit_spec_to_obj(spec: OrbitSpec) -> dict:
 
 
 def orbit_spec_from_obj(obj) -> OrbitSpec:
+    from .orbit import OrbitSpec
     obj = _typed(obj, dict, "orbit spec")
     d = _typed(obj["d"], int, "d")
     blocks = tuple(
@@ -140,6 +141,7 @@ def leg_point_to_obj(p: Representation) -> dict:
     junction maps ``a`` and ``b`` as base-field blocks read off their flat
     views: ``a`` is down[0] on V_0 (x) 1, ``b`` the eps^(d-1) component of
     up[0].  Each determines its R_d-linear map."""
+    from .rmatrix import ModShape, RMap
     q = p.quiver
     l, d = len(q.arrows), q.mults[0]
     down = [p.maps[h.name] for h in q.double[:l]]

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .errors import EmptyLevelSet, UnknownSuite
-from .linalg import hstack, int_mat_mul, int_transpose, rank
+from .linalg import hstack, rank
 from .orbit import (
     OrbitSpec,
     big_theta,
@@ -66,6 +66,8 @@ from .rng import SplitMix64
 from .scalars import GaussQ, TruncScalar
 from .weyl import (
     dim_reflection_matrix,
+    int_mat_mul,
+    int_transpose,
     lift_cartan,
     param_reflection_matrix,
     pairing_matrix,

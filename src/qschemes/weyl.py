@@ -8,8 +8,9 @@ transpose of r_i with respect to the per-vertex residue pairings is
 the index set {(i, k) : k < d_i}.
 
 Parameter vectors are flattened vertex-major with eps-powers ascending, so
-every action here is also available as an exact integer matrix; Coxeter
-relations are verified by full matrix powering, never by sampling.
+every action here is also available as an exact integer matrix (lists of
+int rows, built with the ``int_*`` helpers); Coxeter relations are verified
+by full matrix powering, never by sampling.
 """
 
 from __future__ import annotations
@@ -18,7 +19,6 @@ import math
 from dataclasses import dataclass, field
 
 from .errors import LengthMismatch, MismatchedOrder
-from .linalg import int_identity, int_mat_mul
 from .quiver import QuiverMult, check_dims
 from .scalars import GQ_ZERO, GaussQ, TruncScalar
 
@@ -100,6 +100,19 @@ def rho(q: QuiverMult, lam) -> tuple[GaussQ, ...]:
 
 
 # -- matrices of the actions ---------------------------------------------------
+
+def int_identity(n):
+    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+
+
+def int_mat_mul(a, b):
+    bt = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in bt] for row in a]
+
+
+def int_transpose(a):
+    return [list(r) for r in zip(*a)]
+
 
 def dim_reflection_matrix(q: QuiverMult, i):
     i = q.index(i)

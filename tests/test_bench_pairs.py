@@ -1,7 +1,8 @@
-"""tools/bench_pairs.py: the condensing step on synthetic run records, and
-the checkout sha it records."""
+"""tools/bench_pairs.py: the condensing step on synthetic run records, the
+checkout sha it records, and its runs on checkouts without bytecode caches."""
 
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -74,3 +75,52 @@ class TestGitSha:
         assert bench_pairs.git_sha(tmp_path) == head
         (tmp_path / "f.txt").write_text("two\n")
         assert bench_pairs.git_sha(tmp_path) == head + "-dirty"
+
+
+# A stand-in for perfbench/run.py: imports a module from the checkout's src
+# and reports a set-up time of 1.0 when bytecode writing is off.
+FAKE_RUN = """
+import json, sys
+sys.path.insert(0, "src")
+import lib
+print(json.dumps({"setup_s": 1.0 if sys.dont_write_bytecode else 0.0}))
+"""
+
+
+def fake_checkout(root):
+    (root / "perfbench").mkdir(parents=True)
+    (root / "src").mkdir()
+    (root / "perfbench" / "run.py").write_text(FAKE_RUN)
+    (root / "src" / "lib.py").write_text("VALUE = 1\n")
+    (root / "BENCHMARK.json").write_text(json.dumps(
+        {"end_to_end": [{"name": "setup_s", "better": "lower"}]}))
+    return root
+
+
+class TestBytecodeCaches:
+    def test_runs_write_no_bytecode(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("PYTHONDONTWRITEBYTECODE", raising=False)
+        base, change = fake_checkout(tmp_path / "base"), fake_checkout(tmp_path / "change")
+        out = tmp_path / "out.json"
+        argv = [str(base), str(change), "--workload", "cli", "--pairs", "2", "--seed", "1",
+                "--setup-only", "--out", str(out)]
+        assert bench_pairs.main(argv) == 0
+        runs = json.loads(out.read_text())["cli/setup"]["runs"]
+        assert [r["metrics"]["setup_s"] for r in runs] == [1.0] * 4
+        assert bench_pairs.bytecode_caches(base) == bench_pairs.bytecode_caches(change) == []
+
+    @pytest.mark.parametrize("where", ["src", "perfbench"])
+    def test_a_cache_in_either_checkout_is_refused(self, tmp_path, capsys, monkeypatch, where):
+        base, change = fake_checkout(tmp_path / "base"), fake_checkout(tmp_path / "change")
+        cache = change / where / "__pycache__"
+        cache.mkdir()
+        (cache / "lib.cpython.pyc").write_bytes(b"")
+        monkeypatch.setattr(bench_pairs, "run_once", None)   # no run may start
+        out = tmp_path / "out.json"
+        for argv in ([base, change], [change, base]):
+            code = bench_pairs.main([*map(str, argv), "--workload", "cli", "--seed", "1",
+                                     "--out", str(out)])
+            assert code == 2
+            assert str(cache) in capsys.readouterr().err
+        assert not out.exists()
+        assert (cache / "lib.cpython.pyc").exists()

@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 
@@ -170,8 +171,10 @@ class TestCheckCommand:
         assert code == 0 and "0 failures" in out
 
     def test_unknown_suite_rejected(self, capsys, corpus_dir):
-        code = main(["check", str(corpus_dir), "--suite", "bogus"])
-        assert code == 2
+        code, out, err = run(capsys, "check", str(corpus_dir), "--suite", "bogus")
+        assert code == 2 and out == ""
+        assert err.startswith("error[unknown-suite]")
+        assert all(repr(name) in err for name in suites.SUITE_NAMES)
 
     def test_json_format(self, capsys, corpus_dir):
         code, out, _ = run(capsys, "--format", "json", "check", str(corpus_dir),
@@ -309,6 +312,65 @@ class TestInputBoundary:
                                  "--trials", trials)
             assert code == 2 and out == ""
             assert err.startswith("error[malformed-input]")
+
+
+class TestImportsPerCommand:
+    """A command loads only the modules it runs.  One fresh interpreter per
+    group of commands runs each of them through ``main`` and lists the
+    ``qschemes`` modules it has loaded."""
+
+    CHILD = (
+        "import contextlib, io, json, sys\n"
+        "from qschemes.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
+        "print(json.dumps([codes, [m for m in sys.modules if m.startswith('qschemes.')]]))\n"
+    )
+
+    @classmethod
+    def loaded(cls, repo, *commands):
+        proc = subprocess.run([sys.executable, "-c", cls.CHILD, json.dumps(commands)],
+                              capture_output=True, text=True, check=True,
+                              env=dict(os.environ, PYTHONPATH=str(repo / "src")))
+        codes, modules = json.loads(proc.stdout)
+        assert codes == [0] * len(commands)
+        return {m.removeprefix("qschemes.") for m in modules}
+
+    def test_quiver_and_lattice_commands(self, corpus_dir):
+        repo = corpus_dir.parent
+        chain, double = corpus_dir / "chain_d2.quiver", corpus_dir / "double_d3.quiver"
+        lam_chain = repo / "tests" / "golden" / "lam_chain_d2.json"
+        lam_double = repo / "tests" / "golden" / "lam_double_d3.json"
+        loaded = self.loaded(
+            repo,
+            ["parse", str(chain), "--dot"],
+            ["cartan", str(chain)],
+            ["dim", str(chain), "--v", "1,1,1"],
+            ["weyl-verify", str(double)],
+            ["legs", str(double)],
+            ["regularize", str(double), "--leg", "k,i,j", "--lambda", str(lam_double),
+             "--v", "1,1,2"],
+            ["reg-verify", str(double), "--leg", "k,i,j"],
+            ["reflect", str(chain), "--vertex", "i", "--lambda", str(lam_chain), "--v", "1,1,1"],
+        )
+        assert "weyl" in loaded and "regularize" in loaded
+        assert not loaded & {"linalg", "rmatrix", "repn", "orbit", "reflect", "suites"}
+
+    def test_representation_commands(self, corpus_dir):
+        repo, a3 = corpus_dir.parent, str(corpus_dir / "a3.quiver")
+        rep = str(repo / "tests" / "golden" / "out_random_rep_a3.json")
+        loaded = self.loaded(repo, ["random-rep", a3, "--v", "1,2,1", "--seed", "7"],
+                             ["moment", a3, "--rep", rep])
+        assert "repn" in loaded
+        assert not loaded & {"orbit", "reflect", "suites", "regularize"}
+
+    def test_orbit_check(self, corpus_dir):
+        repo = corpus_dir.parent
+        golden = repo / "tests" / "golden"
+        loaded = self.loaded(repo, ["orbit-check", str(golden / "spec.json"),
+                                    "--a", str(golden / "a_member.json")])
+        assert "orbit" in loaded
+        assert not loaded & {"reflect", "suites"}
 
 
 def test_installed_entry_point(chain_file):

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from qschemes.errors import UnknownVertex
-from qschemes.linalg import int_mat_mul, int_transpose
 from qschemes.quiver import QuiverMult, bilinear
 from qschemes.repn import random_params
 from qschemes.rng import SplitMix64
@@ -11,6 +10,8 @@ from qschemes.scalars import GaussQ, TruncScalar
 from qschemes.weyl import (
     check_params,
     dim_reflection_matrix,
+    int_mat_mul,
+    int_transpose,
     lift_cartan,
     pairing_matrix,
     param_reflection_matrix,

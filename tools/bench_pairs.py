@@ -11,6 +11,12 @@ alike.  ``--setup-only`` times one set-up per run instead (the
 runner's ``{"setup_s": ...}`` line).  The last line a run prints is its JSON
 result.
 
+Every run sets ``PYTHONDONTWRITEBYTECODE=1``, so each child compiles the
+library from source as a fresh checkout does.  A bytecode cache left in
+either checkout would make its side import faster, so the tool refuses
+(exit 2, naming the directory) when ``src/`` or ``perfbench/`` of either
+checkout holds a ``__pycache__``; it deletes nothing.
+
 The output file holds one section per workload (``<workload>/setup`` for
 set-up pairs), so several invocations can fill one file: the environment
 (python, cpu count, both git shas, load average before and after), the seed,
@@ -30,12 +36,21 @@ import subprocess
 import sys
 from pathlib import Path
 
+CODE_DIRS = ("src", "perfbench")   # where a run imports code from the checkout
+
+
+def bytecode_caches(checkout: Path):
+    """The ``__pycache__`` directories under the checkout's code directories."""
+    return sorted(p for d in CODE_DIRS for p in (checkout / d).rglob("__pycache__"))
+
 
 def run_once(checkout: Path, workload, seed, setup_only):
     """The metric values and correctness of one benchmark run."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed)]
     cmd += ["--setup-only"] if setup_only else ["--trace", "0"]
-    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True, check=True)
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(cmd, cwd=checkout, env=env, capture_output=True, text=True,
+                          check=True)
     result = json.loads(proc.stdout.splitlines()[-1])
     if setup_only:
         return {"correct": True, "metrics": {"setup_s": result["setup_s"]}}
@@ -117,6 +132,12 @@ def main(argv=None):
     p.add_argument("--setup-only", action="store_true")
     p.add_argument("--out", type=Path, required=True)
     args = p.parse_args(argv)
+    for checkout in (args.base, args.change):
+        caches = bytecode_caches(checkout)
+        if caches:
+            print(f"error: {caches[0]} holds bytecode, which would speed up one side's "
+                  "imports; remove it or benchmark a fresh clone", file=sys.stderr)
+            return 2
 
     bench = json.loads((args.change / "BENCHMARK.json").read_text())
     better = {m["name"]: m["better"] for m in bench["end_to_end"]}
