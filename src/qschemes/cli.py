@@ -130,7 +130,8 @@ def cmd_moment(args):
 
 
 def cmd_mesh(args):
-    from .repn import level_check, mesh_check
+    from .repn import mesh_check
+    from .weyl import level_check
     q = _load_quiver(args.file)
     rep = ser.rep_from_obj(q, _load_json(args.rep))
     lam = ser.params_from_obj(q, _load_json(args.lam))

@@ -53,7 +53,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from operator import matmul
 
 from .errors import NotInOrbit, ShapeMismatch
@@ -74,25 +74,27 @@ from .rng import SplitMix64
 from .scalars import GaussQ, TruncScalar, trunc_inv
 
 
-@dataclass(frozen=True)
-class OrbitSpec:
-    d: int
-    blocks: tuple  # (dimension, theta) pairs
+class OrbitSpec(namedtuple("OrbitSpec", (
+    "d",
+    "blocks",   # (dimension, theta) pairs
+))):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if len(self.blocks) < 2:
+    def __new__(cls, d, blocks):
+        if len(blocks) < 2:
             raise ValueError("need at least two blocks")
-        for dim, theta in self.blocks:
+        for dim, theta in blocks:
             if dim < 0:
                 raise ValueError("block dimension must be non-negative")
-            if theta.d != self.d:
+            if theta.d != d:
                 raise ValueError("theta order differs from spec order")
-        for i, (_, ti) in enumerate(self.blocks):
-            for j, (_, tj) in enumerate(self.blocks):
+        for i, (_, ti) in enumerate(blocks):
+            for j, (_, tj) in enumerate(blocks):
                 if i < j and not (ti - tj).is_unit():
                     raise ValueError(
-                        f"theta_{i} - theta_{j} is not a unit of R_{self.d}"
+                        f"theta_{i} - theta_{j} is not a unit of R_{d}"
                     )
+        return tuple.__new__(cls, (d, blocks))
 
     @property
     def legs(self) -> int:
@@ -144,11 +146,8 @@ def _block_scalar(d, blocks) -> RMap:
 
 # -- membership ----------------------------------------------------------------
 
-@dataclass
-class MembershipWitness:
-    ok: bool
-    idempotents: tuple
-    reasons: list
+class MembershipWitness(namedtuple("MembershipWitness", "ok idempotents reasons")):
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok

@@ -48,7 +48,7 @@ transformation (``repn.gauge``), its two maps are ``into`` and ``outof``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from types import MappingProxyType
 
 from .errors import EmptyLevelSet, NotAUnit, NotInLevelSet
@@ -78,12 +78,13 @@ from .scalars import TruncScalar, trunc_inv
 from .weyl import check_params, reflect_dim
 
 
-@dataclass(frozen=True)
-class SplitAtVertex:
-    vertex: int
-    into: RMap           # V~ (x) R_{d_i} -> V_i (x) R_{d_i}, signs folded in
-    outof: RMap          # V_i (x) R_{d_i} -> V~ (x) R_{d_i}
-    rest: object         # mapping from untouched arrow names to their maps
+class SplitAtVertex(namedtuple("SplitAtVertex", (
+    "vertex",
+    "into",     # V~ (x) R_{d_i} -> V_i (x) R_{d_i}, signs folded in
+    "outof",    # V_i (x) R_{d_i} -> V~ (x) R_{d_i}
+    "rest",     # mapping from untouched arrow names to their maps
+))):
+    __slots__ = ()
 
 
 def tilde_dimension(q: QuiverMult, i, v) -> int:

@@ -18,7 +18,7 @@ adjacent chain coordinates and leaves the remaining generators intact.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import InvalidLeg
 from .quiver import QuiverMult, check_dims
@@ -34,11 +34,12 @@ from .weyl import (
 )
 
 
-@dataclass(frozen=True)
-class LegDescriptor:
-    base: int           # vertex of multiplicity 1 the leg hangs from
-    vertices: tuple     # leg vertices in chain order, all of multiplicity d
-    d: int
+class LegDescriptor(namedtuple("LegDescriptor", (
+    "base",         # vertex of multiplicity 1 the leg hangs from
+    "vertices",     # leg vertices in chain order, all of multiplicity d
+    "d",
+))):
+    __slots__ = ()
 
     @property
     def length(self) -> int:
@@ -172,10 +173,10 @@ def regularize_params(q: QuiverMult, leg: LegDescriptor, lam, v):
     return tuple(new_lam), tuple(new_v)
 
 
-@dataclass
 class HypothesisReport:
-    dim_conditions: list = field(default_factory=list)   # (vertex name, value, ok)
-    unit_conditions: list = field(default_factory=list)  # ((i names), ok)
+    def __init__(self):
+        self.dim_conditions = []    # (vertex name, value, ok)
+        self.unit_conditions = []   # ((i names), ok)
 
     @property
     def all_ok(self) -> bool:
@@ -204,10 +205,8 @@ def check_theorem_hypotheses(q, leg: LegDescriptor, lam, v) -> HypothesisReport:
     return report
 
 
-@dataclass(frozen=True)
-class PhiMap:
-    matrix: tuple
-    inverse: tuple
+class PhiMap(namedtuple("PhiMap", "matrix inverse")):
+    __slots__ = ()
 
     def apply(self, v):
         return tuple(
@@ -248,9 +247,9 @@ def _swap(n, a, b):
     return m
 
 
-@dataclass
 class VerifyReport:
-    items: list = field(default_factory=list)
+    def __init__(self):
+        self.items = []
 
     def add(self, label, ok):
         self.items.append((label, ok))

@@ -37,8 +37,9 @@ from .rmatrix import (
     zero_map,
 )
 from .rng import SplitMix64
-from .scalars import GQ_ZERO, GaussQ, TruncScalar
-from .weyl import check_params, int_mat_mul
+from .scalars import GQ_ZERO, GaussQ
+# random_params is also read as repn.random_params, by perfbench/workloads.py
+from .weyl import check_params, int_mat_mul, random_params  # noqa: F401
 
 
 class Representation:
@@ -142,16 +143,6 @@ def mesh_check(rep: Representation, lam) -> tuple[RMap, ...]:
     for i, m in enumerate(mu):
         out.append(m + scalar_end(lam[i], rep.v[i]))
     return tuple(out)
-
-
-def level_check(q: QuiverMult, lam, v) -> bool:
-    """Whether sum_i v_i * (top residue of lam_i) vanishes."""
-    lam = check_params(q, lam)
-    v = check_dims(q, v)
-    acc = GQ_ZERO
-    for vi, x in zip(v, lam):
-        acc = acc + GaussQ(vi) * x.coeffs[x.d - 1]
-    return not acc
 
 
 def moment_trace_sum(mu) -> GaussQ:
@@ -264,14 +255,6 @@ def random_unit_end(rng: SplitMix64, shape: ModShape) -> RMap:
     return from_slices(parts, d)
 
 
-def random_trunc(rng: SplitMix64, d, unit=False) -> TruncScalar:
-    c0 = rng.randint(-3, 3)
-    if unit:
-        while c0 == 0:
-            c0 = rng.randint(-3, 3)
-    return TruncScalar(d, [c0] + [rng.randint(-3, 3) for _ in range(d - 1)])
-
-
 def random_rep(q: QuiverMult, v, seed) -> Representation:
     """Deterministic random point, drawn in the per-arrow free parametrization."""
     v = check_dims(q, v, nonnegative=True)
@@ -289,13 +272,4 @@ def random_gauge(q: QuiverMult, v, seed):
     mults = q.mults
     return tuple(
         random_unit_end(rng, ModShape(v[i], mults[i])) for i in range(q.n)
-    )
-
-
-def random_params(q: QuiverMult, seed, units=()) -> tuple[TruncScalar, ...]:
-    """Random parameter tuple; vertices listed in ``units`` get unit values."""
-    rng = SplitMix64(seed)
-    unit_ids = {q.index(u) for u in units}
-    return tuple(
-        random_trunc(rng, m, unit=(i in unit_ids)) for i, m in enumerate(q.mults)
     )

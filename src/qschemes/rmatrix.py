@@ -41,7 +41,7 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
+from collections import namedtuple
 
 from .errors import (
     MismatchedOrder,
@@ -62,16 +62,15 @@ from .linalg import (
 from .scalars import GaussQ, TruncScalar
 
 
-@dataclass(frozen=True)
-class ModShape:
-    rank: int
-    order: int
+class ModShape(namedtuple("ModShape", "rank order")):
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.rank < 0:
+    def __new__(cls, rank, order):
+        if rank < 0:
             raise ValueError("rank must be non-negative")
-        if self.order < 1:
+        if order < 1:
             raise ValueError("order must be positive")
+        return tuple.__new__(cls, (rank, order))
 
     @property
     def dim(self) -> int:

@@ -5,8 +5,10 @@ lists low-to-high, matrices are row-major string grids in the canonical flat
 basis order.  ``dumps`` fixes key order and spacing, so serialization is
 byte-identical across runs.
 
-The ``*_from_obj`` readers take untrusted JSON: a value of the wrong type
-raises ``MalformedInput``, a matrix of the wrong size ``ShapeMismatch``.
+The ``*_from_obj`` readers take untrusted JSON: a missing field or a value
+of the wrong type raises ``MalformedInput``, a matrix of the wrong size
+``ShapeMismatch``.  Each reader imports the modules it builds with, so a
+command that reads no parameters, scalars or maps loads none of them.
 """
 
 from __future__ import annotations
@@ -15,8 +17,6 @@ import json
 
 from .errors import MalformedInput, ShapeMismatch
 from .quiver import QuiverMult
-from .scalars import GaussQ, TruncScalar
-from .weyl import check_params
 
 
 def dumps(obj) -> str:
@@ -33,6 +33,13 @@ def _typed(x, kind, what):
     return x
 
 
+def _field(obj, key, what):
+    """obj[key], where obj is the JSON object read as ``what``."""
+    if key not in obj:
+        raise MalformedInput(f"{what} has no field {key!r}")
+    return obj[key]
+
+
 # -- scalars -----------------------------------------------------------------
 
 def trunc_to_obj(t: TruncScalar) -> list:
@@ -40,6 +47,7 @@ def trunc_to_obj(t: TruncScalar) -> list:
 
 
 def trunc_from_obj(obj, d=None) -> TruncScalar:
+    from .scalars import GaussQ, TruncScalar
     coeffs = [GaussQ.parse(_typed(c, str, "coefficient"))
               for c in _typed(obj, list, "truncated scalar")]
     if d is None:
@@ -61,38 +69,39 @@ def rmap_to_obj(f: RMap) -> dict:
 def _shape(obj, what) -> ModShape:
     from .rmatrix import ModShape
     obj = _typed(obj, dict, what)
-    return ModShape(_typed(obj["rank"], int, f"{what} rank"),
-                    _typed(obj["order"], int, f"{what} order"))
+    return ModShape(_typed(_field(obj, "rank", what), int, f"{what} rank"),
+                    _typed(_field(obj, "order", what), int, f"{what} order"))
 
 
 def rmap_from_obj(obj) -> RMap:
     from .linalg import Matrix
     from .rmatrix import RMap
+    from .scalars import GaussQ
     obj = _typed(obj, dict, "map")
-    src, dst = _shape(obj["src"], "src"), _shape(obj["dst"], "dst")
+    src = _shape(_field(obj, "src", "map"), "src")
+    dst = _shape(_field(obj, "dst", "map"), "dst")
     rows = [[GaussQ.parse(_typed(x, str, "matrix entry"))
              for x in _typed(row, list, "matrix row")]
-            for row in _typed(obj["flat"], list, "flat")]
+            for row in _typed(_field(obj, "flat", "map"), list, "flat")]
     if len(rows) != dst.dim or any(len(row) != src.dim for row in rows):
         raise ShapeMismatch(f"flat must be {dst.dim}x{src.dim}")
-    return RMap.from_flat(src, dst, _typed(obj["base"], int, "base"), Matrix(rows, ncols=src.dim))
+    base = _typed(_field(obj, "base", "map"), int, "base")
+    return RMap.from_flat(src, dst, base, Matrix(rows, ncols=src.dim))
 
 
 # -- parameters ------------------------------------------------------------------
 
 def params_to_obj(q: QuiverMult, lam) -> dict:
+    from .weyl import check_params
     lam = check_params(q, lam)
     return {q.name(i): trunc_to_obj(x) for i, x in enumerate(lam)}
 
 
 def params_from_obj(q: QuiverMult, obj) -> tuple:
+    from .weyl import check_params
     obj = _typed(obj, dict, "parameters")
-    out = []
-    for i, v in enumerate(q.vertices):
-        if v.name not in obj:
-            raise KeyError(f"missing parameter for vertex {v.name}")
-        out.append(trunc_from_obj(obj[v.name], v.mult))
-    return check_params(q, out)
+    return check_params(q, [trunc_from_obj(_field(obj, v.name, "parameters"), v.mult)
+                            for v in q.vertices])
 
 
 # -- representations ----------------------------------------------------------------
@@ -107,9 +116,10 @@ def rep_to_obj(rep: Representation) -> dict:
 def rep_from_obj(q: QuiverMult, obj) -> Representation:
     from .repn import Representation
     obj = _typed(obj, dict, "representation")
-    dims = _typed(obj["v"], dict, "v")
-    v = tuple(_typed(dims[q.name(i)], int, "dimension") for i in range(q.n))
-    maps = {name: rmap_from_obj(o) for name, o in _typed(obj["maps"], dict, "maps").items()}
+    dims = _typed(_field(obj, "v", "representation"), dict, "v")
+    v = tuple(_typed(_field(dims, q.name(i), "v"), int, "dimension") for i in range(q.n))
+    maps = {name: rmap_from_obj(o)
+            for name, o in _typed(_field(obj, "maps", "representation"), dict, "maps").items()}
     return Representation(q, v, maps)
 
 
@@ -127,10 +137,11 @@ def orbit_spec_to_obj(spec: OrbitSpec) -> dict:
 def orbit_spec_from_obj(obj) -> OrbitSpec:
     from .orbit import OrbitSpec
     obj = _typed(obj, dict, "orbit spec")
-    d = _typed(obj["d"], int, "d")
+    d = _typed(_field(obj, "d", "orbit spec"), int, "d")
     blocks = tuple(
-        (_typed(_typed(b, dict, "block")["dim"], int, "block dim"), trunc_from_obj(b["theta"], d))
-        for b in _typed(obj["blocks"], list, "blocks")
+        (_typed(_field(_typed(b, dict, "block"), "dim", "block"), int, "block dim"),
+         trunc_from_obj(_field(b, "theta", "block"), d))
+        for b in _typed(_field(obj, "blocks", "orbit spec"), list, "blocks")
     )
     return OrbitSpec(d, blocks)
 

@@ -7,87 +7,28 @@ five built-in profiles instead, given as (d, block sizes): (1, (1, 1)),
 (2, (2, 1)), (2, (1, 1, 1, 1)), (3, (1, 2)) and (3, (2, 1, 1)), chains with
 l = 1, 1, 3, 1 and 2 legs.
 
+Each suite imports its names in its body, as ``cli``'s commands do, so a
+suite loads only its own modules; such an import reads the defining
+module's attribute at call time, so patching it there reaches the suite.
+
 The acceptance criteria in ``tests/test_acceptance.py`` are runs of these
 suites at fixed quivers, seeds and trial counts.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from itertools import accumulate
 
 from .errors import EmptyLevelSet, UnknownSuite
-from .linalg import hstack, rank
-from .orbit import (
-    OrbitSpec,
-    big_theta,
-    free_basis,
-    leg_factorize,
-    leg_mesh_residuals,
-    leg_rank_checks,
-    nu,
-    orbit_dimension,
-    orbit_membership,
-    random_conjugate,
-    random_non_member,
-)
-from .quiver import expected_dim
-from .reflect import (
-    phi,
-    random_level_point,
-    reflection_functor,
-    split,
-    tilde_dimension,
-)
-from .regularize import (
-    find_legs,
-    isometry_check,
-    phi_map,
-    regularize_params,
-    regularize_quiver,
-    verify_param_equivariance,
-    verify_semidirect,
-)
-from .repn import (
-    gauge,
-    level_check,
-    moment_component,
-    moment_derivative_check,
-    moment_map,
-    moment_trace_sum,
-    random_gauge,
-    random_params,
-    random_rep,
-    symplectic_form,
-    symplectic_form_signed,
-)
-from .rmatrix import compose, invert_end, scalar_end
 from .rng import SplitMix64
-from .scalars import GaussQ, TruncScalar
-from .weyl import (
-    dim_reflection_matrix,
-    int_mat_mul,
-    int_transpose,
-    lift_cartan,
-    param_reflection_matrix,
-    pairing_matrix,
-    reflect_dim,
-    reflect_param,
-    rho,
-    rho_matrix,
-    transpose_action_matrix,
-    verify_coxeter,
-)
 
 SUITE_NAMES = ("coxeter", "moment", "functor", "orbit", "regularize", "all")
 
 
-@dataclass
 class SuiteReport:
-    name: str
-    seed: int
-    checks: int = 0
-    failures: list = field(default_factory=list)
+    def __init__(self, name, seed):
+        self.name, self.seed = name, seed
+        self.checks, self.failures = 0, []
 
     @property
     def ok(self) -> bool:
@@ -120,6 +61,11 @@ class SuiteReport:
 
 
 def suite_coxeter(quivers, seed, trials) -> SuiteReport:
+    from .scalars import GaussQ
+    from .weyl import (dim_reflection_matrix, int_mat_mul, int_transpose, lift_cartan,
+                       pairing_matrix, param_reflection_matrix, random_params, reflect_dim,
+                       reflect_param, rho, rho_matrix, transpose_action_matrix,
+                       verify_coxeter)
     report = SuiteReport("coxeter", seed)
     rng = SplitMix64(seed)
     for qname in sorted(quivers):
@@ -173,6 +119,11 @@ def suite_coxeter(quivers, seed, trials) -> SuiteReport:
 
 
 def suite_moment(quivers, seed, trials) -> SuiteReport:
+    from .reflect import split
+    from .repn import (gauge, moment_derivative_check, moment_map, moment_trace_sum,
+                       random_gauge, random_rep, symplectic_form, symplectic_form_signed)
+    from .rmatrix import compose, invert_end
+    from .scalars import GaussQ
     report = SuiteReport("moment", seed)
     rng = SplitMix64(seed)
     for qname in sorted(quivers):
@@ -224,6 +175,10 @@ def suite_moment(quivers, seed, trials) -> SuiteReport:
 
 
 def suite_functor(quivers, seed, trials) -> SuiteReport:
+    from .reflect import phi, random_level_point, reflection_functor, tilde_dimension
+    from .repn import moment_component
+    from .rmatrix import scalar_end
+    from .weyl import random_params, reflect_dim, reflect_param
     report = SuiteReport("functor", seed)
     rng = SplitMix64(seed)
     for qname in sorted(quivers):
@@ -278,6 +233,8 @@ def suite_functor(quivers, seed, trials) -> SuiteReport:
 
 
 def _orbit_profiles(seed):
+    from .orbit import OrbitSpec
+    from .scalars import TruncScalar
     rng = SplitMix64(seed)
     profiles = [
         (1, (1, 1)),           # l = 1
@@ -302,6 +259,11 @@ def _orbit_profiles(seed):
 
 
 def suite_orbit(seed, trials) -> SuiteReport:
+    from .linalg import hstack, rank
+    from .orbit import (big_theta, free_basis, leg_factorize, leg_mesh_residuals,
+                        leg_rank_checks, nu, orbit_dimension, orbit_membership,
+                        random_conjugate, random_non_member)
+    from .rmatrix import compose, scalar_end
     report = SuiteReport("orbit", seed)
     rng = SplitMix64(seed)
     for spec in _orbit_profiles(rng.next_u64()):
@@ -355,6 +317,11 @@ def suite_orbit(seed, trials) -> SuiteReport:
 
 
 def suite_regularize(quivers, seed, trials) -> SuiteReport:
+    from .quiver import expected_dim
+    from .regularize import (find_legs, isometry_check, phi_map, regularize_params,
+                             regularize_quiver, verify_param_equivariance,
+                             verify_semidirect)
+    from .weyl import level_check, random_params
     report = SuiteReport("regularize", seed)
     rng = SplitMix64(seed)
     for qname in sorted(quivers):

@@ -11,12 +11,15 @@ Parameter vectors are flattened vertex-major with eps-powers ascending, so
 every action here is also available as an exact integer matrix (lists of
 int rows, built with the ``int_*`` helpers); Coxeter relations are verified
 by full matrix powering, never by sampling.
+
+``check_params``, ``random_params`` and ``level_check`` act on parameters and
+dimension vectors alone, so the coxeter and regularize suites need no maps.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .errors import LengthMismatch, MismatchedOrder
 from .quiver import QuiverMult, check_dims
@@ -37,6 +40,31 @@ def check_params(q: QuiverMult, lam) -> tuple[TruncScalar, ...]:
                 f"parameter at {v.name} has order {x.d}, vertex multiplicity {v.mult}"
             )
     return lam
+
+
+def level_check(q: QuiverMult, lam, v) -> bool:
+    """Whether sum_i v_i * (top residue of lam_i) vanishes."""
+    lam = check_params(q, lam)
+    v = check_dims(q, v)
+    acc = GQ_ZERO
+    for vi, x in zip(v, lam):
+        acc = acc + GaussQ(vi) * x.coeffs[x.d - 1]
+    return not acc
+
+
+def random_params(q: QuiverMult, seed, units=()) -> tuple[TruncScalar, ...]:
+    """Random parameter tuple, coefficients in -3..3; vertices listed in
+    ``units`` get unit values (the constant term is redrawn until nonzero)."""
+    from .rng import SplitMix64
+    rng = SplitMix64(seed)
+    unit_ids = {q.index(u) for u in units}
+    out = []
+    for i, m in enumerate(q.mults):
+        c0 = rng.randint(-3, 3)
+        while c0 == 0 and i in unit_ids:
+            c0 = rng.randint(-3, 3)
+        out.append(TruncScalar(m, [c0] + [rng.randint(-3, 3) for _ in range(m - 1)]))
+    return tuple(out)
 
 
 def param_offsets(q: QuiverMult) -> list[int]:
@@ -177,11 +205,12 @@ def rho_matrix(q: QuiverMult):
 
 # -- lifted Cartan matrix ------------------------------------------------------
 
-@dataclass(frozen=True)
-class LiftedCartan:
-    indices: tuple          # (vertex, k) pairs, flattened vertex-major
-    c: tuple                # integer matrix on the lifted index set
-    d: tuple                # symmetrizer: multiplicity of the underlying vertex
+class LiftedCartan(namedtuple("LiftedCartan", (
+    "indices",  # (vertex, k) pairs, flattened vertex-major
+    "c",        # integer matrix on the lifted index set
+    "d",        # symmetrizer: multiplicity of the underlying vertex
+))):
+    __slots__ = ()
 
     def reflection_matrix(self, pos):
         n = len(self.indices)
@@ -216,18 +245,17 @@ def lift_cartan(q: QuiverMult) -> LiftedCartan:
 
 # -- Coxeter relations ----------------------------------------------------------
 
-@dataclass
-class RelationCheck:
-    action: str      # "param" or "dim"
-    vertices: tuple
-    order: int
-    ok: bool
+class RelationCheck(namedtuple("RelationCheck", (
+    "action",   # "param" or "dim"
+    "vertices", "order", "ok",
+))):
+    __slots__ = ()
 
 
-@dataclass
 class CoxeterReport:
-    checks: list = field(default_factory=list)
-    skipped: list = field(default_factory=list)
+    def __init__(self):
+        self.checks = []
+        self.skipped = []
 
     @property
     def all_ok(self) -> bool:

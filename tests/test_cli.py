@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
+from qschemes import orbit, reflect, regularize, repn, suites, weyl  # noqa: F401
 from qschemes import serialize as ser
-from qschemes import suites
 from qschemes.cli import main
 from qschemes.orbit import OrbitSpec, random_conjugate, random_non_member
 from qschemes.quiver import parse_quiver
@@ -182,21 +182,28 @@ class TestCheckCommand:
         obj = json.loads(out)
         assert code == 0 and obj["failures"] == []
 
-    # per suite: an invariant it imports, and a wrong value made from the right one
+    # per suite: an invariant it calls, its defining module, and a wrong value
+    # made from the right one
     BROKEN = {
-        "coxeter": ("reflect_dim", lambda v: tuple(x + 1 for x in v)),
-        "moment": ("moment_trace_sum", lambda s: s + GaussQ(1)),
-        "functor": ("reflect_dim", lambda v: tuple(x + 1 for x in v)),
-        "orbit": ("nu", lambda a: -a),
-        "regularize": ("regularize_params", lambda out: (out[0], tuple(x + 1 for x in out[1]))),
+        "coxeter": (weyl, "reflect_dim", lambda v: tuple(x + 1 for x in v)),
+        "moment": (repn, "moment_trace_sum", lambda s: s + GaussQ(1)),
+        "functor": (weyl, "reflect_dim", lambda v: tuple(x + 1 for x in v)),
+        "orbit": (orbit, "nu", lambda a: -a),
+        "regularize": (regularize, "regularize_params",
+                       lambda out: (out[0], tuple(x + 1 for x in out[1]))),
     }
 
     @pytest.mark.parametrize("suite", BROKEN)
     def test_broken_invariant_fails(self, capsys, monkeypatch, corpus, corpus_dir, suite):
-        """A suite whose invariant returns a wrong value must report it."""
-        name, wrong = self.BROKEN[suite]
-        right = getattr(suites, name)
-        monkeypatch.setattr(suites, name, lambda *args: wrong(right(*args)))
+        """A suite whose invariant returns a wrong value must report it.
+
+        A suite imports its names when it runs, so patching the defining
+        module reaches it.  Every module the suites run is imported at the
+        top of this file, before any patch: ``reflect`` binds ``reflect_dim``
+        when it loads, and must not bind the wrong one."""
+        module, name, wrong = self.BROKEN[suite]
+        right = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: wrong(right(*args)))
         report = suites.run_suite(corpus, suite, 1, 2)
         assert report.failures
         assert all(f["case"] and f["seed"] is not None for f in report.failures)
@@ -242,6 +249,36 @@ class TestInputBoundary:
         code, out, err = self.orbit_check(capsys, tmp_path, edit_map=edit)
         assert code == 2 and out == ""
         assert err.startswith("error[input]") and "zero denominator" in err
+
+    @staticmethod
+    def assert_missing_field(result, what, key):
+        code, out, err = result
+        assert code == 2 and out == ""
+        assert err == f"error[malformed-input]: {what} has no field {key!r}\n"
+
+    def test_map_without_base(self, capsys, tmp_path):
+        result = self.orbit_check(capsys, tmp_path, edit_map=lambda obj: obj.pop("base"))
+        self.assert_missing_field(result, "map", "base")
+
+    def test_orbit_spec_without_blocks(self, capsys, tmp_path):
+        result = self.orbit_check(capsys, tmp_path, edit_spec=lambda obj: obj.pop("blocks"))
+        self.assert_missing_field(result, "orbit spec", "blocks")
+
+    def test_representation_without_v(self, capsys, corpus_dir, tmp_path):
+        golden = corpus_dir.parent / "tests" / "golden" / "out_random_rep_a3.json"
+        obj = json.loads(golden.read_text())
+        del obj["v"]
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps(obj))
+        result = run(capsys, "moment", str(corpus_dir / "a3.quiver"), "--rep", str(rep))
+        self.assert_missing_field(result, "representation", "v")
+
+    def test_parameters_without_a_vertex(self, capsys, chain_file, tmp_path):
+        lam = tmp_path / "lam.json"
+        lam.write_text(json.dumps({"i": ["5"], "k": ["-3"]}))
+        result = run(capsys, "reflect", chain_file, "--vertex", "i",
+                     "--lambda", str(lam), "--v", "1,1,1")
+        self.assert_missing_field(result, "parameters", "j")
 
     def test_parameter_zero_denominator(self, capsys, chain_file, tmp_path):
         lam = tmp_path / "lam.json"
@@ -317,14 +354,15 @@ class TestInputBoundary:
 class TestImportsPerCommand:
     """A command loads only the modules it runs.  One fresh interpreter per
     group of commands runs each of them through ``main`` and lists the
-    ``qschemes`` modules it has loaded."""
+    ``qschemes`` modules it has loaded; no command loads ``dataclasses``."""
 
     CHILD = (
         "import contextlib, io, json, sys\n"
         "from qschemes.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(argv) for argv in json.loads(sys.argv[1])]\n"
-        "print(json.dumps([codes, [m for m in sys.modules if m.startswith('qschemes.')]]))\n"
+        "print(json.dumps([codes, [m for m in sys.modules if m.startswith('qschemes.')],\n"
+        "                  'dataclasses' in sys.modules]))\n"
     )
 
     @classmethod
@@ -332,9 +370,16 @@ class TestImportsPerCommand:
         proc = subprocess.run([sys.executable, "-c", cls.CHILD, json.dumps(commands)],
                               capture_output=True, text=True, check=True,
                               env=dict(os.environ, PYTHONPATH=str(repo / "src")))
-        codes, modules = json.loads(proc.stdout)
+        codes, modules, dataclasses = json.loads(proc.stdout)
         assert codes == [0] * len(commands)
+        assert not dataclasses
         return {m.removeprefix("qschemes.") for m in modules}
+
+    def test_quiver_commands(self, corpus_dir):
+        chain = str(corpus_dir / "chain_d2.quiver")
+        loaded = self.loaded(corpus_dir.parent, ["parse", chain, "--dot"], ["cartan", chain],
+                             ["dim", chain, "--v", "1,1,1"])
+        assert loaded == {"cli", "errors", "quiver", "serialize"}
 
     def test_quiver_and_lattice_commands(self, corpus_dir):
         repo = corpus_dir.parent
@@ -371,6 +416,13 @@ class TestImportsPerCommand:
                                     "--a", str(golden / "a_member.json")])
         assert "orbit" in loaded
         assert not loaded & {"reflect", "suites"}
+
+    def test_lattice_suites(self, corpus_dir):
+        loaded = self.loaded(corpus_dir.parent,
+                             *(["check", str(corpus_dir), "--suite", suite, "--trials", "1"]
+                               for suite in ("coxeter", "regularize")))
+        assert "suites" in loaded
+        assert not loaded & {"linalg", "rmatrix", "repn", "orbit", "reflect"}
 
 
 def test_installed_entry_point(chain_file):

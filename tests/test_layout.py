@@ -12,6 +12,10 @@ representation at a vertex and puts it back together).
 
 A quiver's double and Cartan data are built once, by ``QuiverMult`` itself;
 only ``quiver`` may reference their builders.
+
+No module imports ``dataclasses``: it pulls in ``inspect`` and ``ast`` at
+every ``qs`` start, and its classes are built through ``exec``.  Records are
+``collections.namedtuple`` subclasses or slotted classes instead.
 """
 
 import ast
@@ -77,3 +81,17 @@ def test_only_quiver_builds_its_derived_data():
     offenders = [f"{path.stem}.{name}" for path in _library_modules() if path.stem != "quiver"
                  for name in sorted(QUIVER_BUILDERS & _referenced_names([path]))]
     assert not offenders, f"quiver builders referenced outside quiver: {offenders}"
+
+
+def test_no_module_imports_dataclasses():
+    offenders = []
+    for path in _library_modules():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [a.name for a in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            offenders += [path.stem for name in names if name.split(".")[0] == "dataclasses"]
+    assert not offenders, f"modules importing dataclasses: {offenders}"

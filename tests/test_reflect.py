@@ -13,7 +13,6 @@ from qschemes.reflect import (
     unsplit,
 )
 from qschemes.repn import (
-    level_check,
     Representation,
     gauge,
     moment_component,
@@ -31,7 +30,7 @@ from qschemes.rmatrix import (
 )
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar, trunc_inv
-from qschemes.weyl import reflect_dim, reflect_param
+from qschemes.weyl import level_check, reflect_dim, reflect_param
 
 from helpers import (
     braid_probe,

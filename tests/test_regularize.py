@@ -16,9 +16,9 @@ from qschemes.regularize import (
     verify_param_equivariance,
     verify_semidirect,
 )
-from qschemes.repn import level_check, random_params
 from qschemes.rng import SplitMix64
 from qschemes.scalars import TruncScalar
+from qschemes.weyl import level_check, random_params
 
 from helpers import example_star, example_two_legs
 

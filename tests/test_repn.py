@@ -7,7 +7,6 @@ from qschemes.reflect import split
 from qschemes.repn import (
     Representation,
     gauge,
-    level_check,
     mesh_check,
     moment_component,
     moment_derivative_check,
@@ -33,6 +32,7 @@ from qschemes.rmatrix import (
 )
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar
+from qschemes.weyl import level_check
 
 from helpers import eps, example_chain, fields, identity_end, zero_rep
 
