@@ -26,8 +26,10 @@ invariant under conjugation.
 
 ``orbit_membership`` tests (1) with the prefix products
 P_k = prod_{j<k} (A - theta_j) (l composes; P_{l+1} is the product) and (2)
-on the n x n constant slices alone; only for a member does it form
-pi_i = c_i^{-1} P_i S_i, with the suffix products S_i = prod_{j>i} (A - theta_j).
+on the n x n constant slices alone: the residue of P_k is its constant slice,
+and only the residues of the suffix products are multiplied out.  Only for a
+member does it form pi_i = c_i^{-1} P_i S_i, with the suffix products
+S_i = prod_{j>i} (A - theta_j).
 
 ``leg_factorize`` writes a member A as the value of the chain-of-modules
 presentation: nested images V_i = Im(sum_{j>=i} pi_j) get free bases by the
@@ -54,6 +56,7 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
+from itertools import accumulate
 from operator import matmul
 
 from .errors import NotInOrbit, ShapeMismatch
@@ -66,7 +69,6 @@ from .rmatrix import (
     invert_end,
     scalar_end,
     scale_end,
-    slices,
 )
 from .quiver import QuiverMult
 from .repn import Representation, moment_component, random_unit_end
@@ -183,9 +185,9 @@ def orbit_membership(spec: OrbitSpec, a: RMap) -> MembershipWitness:
     reasons = []
     if not prefix[-1].is_zero():
         reasons.append("product of (A - theta_j) does not vanish")
-    res = [f.parts[0] for f in factors]
-    res_prefix = _prefix_products(res, matmul)
-    res_suffix = _prefix_products(res[:0:-1], matmul)[::-1]
+    # residues: those of the prefix products are their constant slices
+    res_prefix = [None] + [p.parts[0] for p in prefix[1:]]
+    res_suffix = _prefix_products([f.parts[0] for f in factors[:0:-1]], matmul)[::-1]
     for i, w in enumerate(spec.dims):
         if rank(_times(res_prefix[i], res_suffix[i], matmul)) != w:
             reasons.append(f"residue rank of pi_{i} differs from block dimension")
@@ -211,10 +213,9 @@ def free_basis(e: RMap) -> RMap:
     column set, and lift those generator columns e(v_j (x) 1); by Nakayama
     they form a free basis of the image.
     """
-    parts = slices(e)
-    pivots = pivot_columns(parts[0])
+    pivots = pivot_columns(e.parts[0])
     d = e.src.order
-    return RMap(ModShape(len(pivots), d), e.src, d, [p.take(cols=pivots) for p in parts])
+    return RMap(ModShape(len(pivots), d), e.src, d, [p.take(cols=pivots) for p in e.parts])
 
 
 def coordinates(u: RMap, f: RMap) -> RMap:
@@ -312,12 +313,10 @@ def leg_factorize(spec: OrbitSpec, a_end: RMap, witness=None) -> Representation:
     n = spec.total
     l = spec.legs
     thetas = spec.thetas
-    bases = [None]  # V_0 is the ambient module itself
-    for i in range(1, l + 1):
-        proj = witness.idempotents[i]
-        for p in witness.idempotents[i + 1:]:
-            proj = proj + p
-        bases.append(free_basis(proj))
+    # V_0 is the ambient module and V_i the image of pi_i + .. + pi_l; those
+    # tails are summed once, from the end
+    tails = list(accumulate(reversed(witness.idempotents[1:]), lambda s, pi: pi + s))
+    bases = [None] + [free_basis(p) for p in reversed(tails)]
     def minus_a_plus(t):
         return scalar_end(t, n) - a_end
     down = [coordinates(bases[1], minus_a_plus(thetas[0]))]
@@ -371,12 +370,12 @@ def random_non_member(spec: OrbitSpec, seed) -> RMap:
         blocks[swap[1]] = (wi, tj)
         base = big_theta(OrbitSpec(spec.d, tuple(blocks)))
     else:
-        consts = [t.constant_term() for t in spec.thetas]
+        consts = [t.coeffs[0] for t in spec.thetas]
         nonempty = [i for i, w in enumerate(spec.dims) if w > 0]
         block = nonempty[rng.randint(0, len(nonempty) - 1)]
         shift = None
         for c in range(1, len(spec.blocks) + 2):
-            cand = spec.thetas[block].constant_term() + GaussQ(c)
+            cand = spec.thetas[block].coeffs[0] + GaussQ(c)
             if all(cand != other for other in consts):
                 shift = GaussQ(c)
                 break

@@ -75,7 +75,7 @@ from .rmatrix import (
 )
 from .rng import SplitMix64
 from .scalars import TruncScalar, trunc_inv
-from .weyl import check_params, reflect_dim
+from .weyl import check_params
 
 
 class SplitAtVertex(namedtuple("SplitAtVertex", (
@@ -90,6 +90,16 @@ class SplitAtVertex(namedtuple("SplitAtVertex", (
 def tilde_dimension(q: QuiverMult, i, v) -> int:
     """dim V~ at vertex i: sum of f_in * v_src over incoming double arrows."""
     return sum(h.f_in * v[h.source] for h in q.incoming[q.index(i)])
+
+
+def _reflected_rank(q: QuiverMult, i: int, lam, v) -> tuple[int, int]:
+    """dim V~ and the reflected rank dim V~ - v_i at vertex i, for lam_i a unit."""
+    if not lam[i].is_unit():
+        raise NotAUnit(f"parameter at vertex {q.name(i)} is not a unit")
+    tilde = tilde_dimension(q, i, v)
+    if tilde < v[i]:
+        raise EmptyLevelSet(f"reflected dimension at {q.name(i)} would be {tilde - v[i]}")
+    return tilde, tilde - v[i]
 
 
 def split(rep: Representation, i) -> SplitAtVertex:
@@ -154,15 +164,8 @@ def random_level_point(q: QuiverMult, lam, v, i, seed) -> Representation:
     q_i = q.index(i)
     lam = check_params(q, lam)
     v = check_dims(q, v, nonnegative=True)
-    if not lam[q_i].is_unit():
-        raise NotAUnit(f"parameter at vertex {q.name(q_i)} is not a unit")
+    tilde, comp = _reflected_rank(q, q_i, lam, v)
     d_i = q.mults[q_i]
-    tilde = tilde_dimension(q, q_i, v)
-    comp = tilde - v[q_i]
-    if comp < 0:
-        raise EmptyLevelSet(
-            f"reflected dimension at {q.name(q_i)} would be {comp}"
-        )
     rng = SplitMix64(seed)
     spec = OrbitSpec(
         d_i, ((comp, TruncScalar(d_i)), (v[q_i], lam[q_i]))
@@ -193,14 +196,7 @@ def reflection_functor(rep: Representation, i, lam) -> Representation:
     q_i = q.index(i)
     lam = check_params(q, lam)
     lam_i = lam[q_i]
-    if not lam_i.is_unit():
-        raise NotAUnit(f"parameter at vertex {q.name(q_i)} is not a unit")
-    tilde = tilde_dimension(q, q_i, rep.v)
-    new_rank = tilde - rep.v[q_i]
-    if new_rank < 0:
-        raise EmptyLevelSet(
-            f"reflected dimension at {q.name(q_i)} would be {new_rank}"
-        )
+    tilde, new_rank = _reflected_rank(q, q_i, lam, rep.v)
     s = split(rep, q_i)
     if compose(s.into, s.outof) != scalar_end(-lam_i, rep.v[q_i]):
         raise NotInLevelSet(
@@ -212,4 +208,4 @@ def reflection_functor(rep: Representation, i, lam) -> Representation:
     shifted = compose(s.outof, s.into) + scalar_end(lam_i, tilde)
     basis = free_basis(scale_end(shifted, trunc_inv(lam_i)))
     s2 = SplitAtVertex(q_i, coordinates(basis, shifted), basis, s.rest)
-    return unsplit(q, reflect_dim(q, q_i, rep.v), s2)
+    return unsplit(q, rep.v[:q_i] + (new_rank,) + rep.v[q_i + 1:], s2)

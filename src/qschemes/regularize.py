@@ -268,7 +268,6 @@ class VerifyReport:
 def verify_semidirect(q: QuiverMult, leg: LegDescriptor) -> VerifyReport:
     """phi s_i phi^{-1} is a chain transposition on the leg and s-check elsewhere,
     and transpositions conjugate the regularized reflections by relabelling."""
-    _validate_leg(q, leg)
     chain = leg.chain()
     reg = regularize_quiver(q, leg)
     phi = phi_map(q, leg)
@@ -322,7 +321,6 @@ def param_map_matrix(q: QuiverMult, leg: LegDescriptor):
 
 def verify_param_equivariance(q: QuiverMult, leg: LegDescriptor) -> VerifyReport:
     """The parameter transfer intertwines each r_i with its phi-conjugated image."""
-    _validate_leg(q, leg)
     chain = leg.chain()
     reg = regularize_quiver(q, leg)
     psi = param_map_matrix(q, leg)

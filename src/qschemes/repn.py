@@ -91,13 +91,6 @@ class Representation:
             {k: self.maps[k] + other.maps[k] for k in self.maps},
         )
 
-    def __sub__(self, other):
-        self._same_space(other)
-        return Representation(
-            self.quiver, self.v,
-            {k: self.maps[k] - other.maps[k] for k in self.maps},
-        )
-
     def _same_space(self, other):
         if self.quiver != other.quiver or self.v != other.v:
             raise ShapeMismatch("representations live on different spaces")

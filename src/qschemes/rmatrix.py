@@ -6,8 +6,8 @@ map V (x) R_d1 -> W (x) R_d2 is therefore a polynomial sum_{m<c} A_m eps_c^m
 whose coefficients ("slices") A_m are (w*d2/c) x (v*d1/c) matrices over the
 base field.  ``RMap`` stores these c slices, so it is linear over its
 declared base by construction.  An endomorphism with base == order has
-n x n slices: the matrix-polynomial coefficients xi_k of
-``slices``/``from_slices``.
+n x n slices ``parts``: the matrix-polynomial coefficients xi_k that
+``from_slices`` takes.
 
 ``_lower`` rewrites the slices over a smaller subring, the block-Toeplitz
 expansion ``linalg.block_toeplitz`` (one integer gather per slice); it is
@@ -16,9 +16,9 @@ the one rule for viewing a map over a subring.
 ``linalg.poly_mul``; ``pair_d`` reads the top coefficient of the trace of
 that product with ``linalg.trace_dot`` and forms no composite.  Scalar
 multiples form no product either: ``scalar_end`` builds each slice c_k I
-from the coefficient's numerators (``Matrix.scalar``), and ``scale_end`` of
-a map over its full order is ``linalg.poly_scale`` of the scalar's
-coefficients and the slices.
+from the coefficient's numerators (``Matrix.scalar``), and ``scale_end``,
+for maps over their full order only, is ``linalg.poly_scale`` of the
+scalar's coefficients and the slices.
 ``RMap.flat`` is the base-1 view: the (w*d2) x (v*d1) matrix in the basis
 {v_j eps^k} at index j*d + k, which serialization prints.  Its validating
 inverse ``RMap.from_flat``, for untrusted input, raises ``NotLinearOverBase``
@@ -217,13 +217,6 @@ def compose(f: RMap, g: RMap) -> RMap:
     return RMap(g.src, f.dst, c, poly_mul(_lower(f, c), _lower(g, c)))
 
 
-def slices(f: RMap) -> list[Matrix]:
-    """Matrix-polynomial coefficients xi_k of an endomorphism."""
-    if not f.is_end():
-        raise NotEndomorphism("slices need src == dst and base == order")
-    return list(f.parts)
-
-
 def from_slices(parts: list[Matrix], order: int) -> RMap:
     if len(parts) != order:
         raise MismatchedOrder(f"need {order} slices, got {len(parts)}")
@@ -247,18 +240,15 @@ def trace_r(f: RMap) -> TruncScalar:
     return trace_base(f, f.src.order)
 
 
-def pair_d(x: RMap, y: RMap, d=None) -> GaussQ:
+def pair_d(x: RMap, y: RMap, d: int) -> GaussQ:
     """Residue pairing <x,y>_d: eps^(d-1) coefficient of the R_d-trace of x.y.
 
     Over R_d that coefficient is trace(sum_j x_j y_(d-1-j)) of the slices
-    x_j, y_j, which ``trace_dot`` reads without forming the composite;
-    d defaults to the common base of x and y.
+    x_j, y_j, which ``trace_dot`` reads without forming the composite.
     """
     if y.dst != x.src:
         raise ShapeMismatch(f"cannot compose: inner shapes {y.dst} vs {x.src}")
     c = math.gcd(x.base, y.base)
-    if d is None:
-        d = c
     if c % d != 0:
         raise NotLinearOverBase(f"composite is not R_{d}-linear")
     if y.src != x.dst:
@@ -372,18 +362,19 @@ def restrict_scalars_rev(y: RMap, dst: ModShape, c: int) -> RMap:
 
 
 def scale_end(f: RMap, t: TruncScalar) -> RMap:
-    """Multiply a square map on V (x) R_d by the scalar t of R_d.
+    """Multiply a square R_d-linear map on V (x) R_d by the scalar t of R_d.
 
-    Over R_d the slices of t f are sum_{j<=m} t_j f_(m-j) (``poly_scale``);
-    a map over a smaller base is composed with ``scalar_end(t)``.
+    The slices of t f are sum_{j<=m} t_j f_(m-j) (``poly_scale``).  A map
+    declared over a smaller base raises ``NotLinearOverBase``; compose it
+    with ``scalar_end(t)`` instead.
     """
     if f.src != f.dst:
         raise ShapeMismatch("scalar multiple of a non-square map")
     if t.d != f.src.order:
         raise MismatchedOrder(f"scalar order {t.d} vs module order {f.src.order}")
-    if f.base == t.d:
-        return RMap(f.src, f.dst, f.base, poly_scale(t.coeffs, f.parts))
-    return compose(scalar_end(t, f.src.rank), f)
+    if f.base != t.d:
+        raise NotLinearOverBase(f"map over R_{f.base} is not declared R_{t.d}-linear")
+    return RMap(f.src, f.dst, f.base, poly_scale(t.coeffs, f.parts))
 
 
 def invert_end(g: RMap) -> RMap:

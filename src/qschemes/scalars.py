@@ -285,9 +285,6 @@ class TruncScalar:
     def is_unit(self) -> bool:
         return bool(self.coeffs[0])
 
-    def constant_term(self) -> GaussQ:
-        return self.coeffs[0]
-
     def __str__(self):
         return "[" + ", ".join(str(c) for c in self.coeffs) + "]"
 

@@ -46,13 +46,11 @@ def trunc_to_obj(t: TruncScalar) -> list:
     return [str(c) for c in t.coeffs]
 
 
-def trunc_from_obj(obj, d=None) -> TruncScalar:
+def trunc_from_obj(obj, d: int) -> TruncScalar:
     from .scalars import GaussQ, TruncScalar
     coeffs = [GaussQ.parse(_typed(c, str, "coefficient"))
               for c in _typed(obj, list, "truncated scalar")]
-    if d is None:
-        d = len(coeffs)
-    return TruncScalar(_typed(d, int, "order"), coeffs)
+    return TruncScalar(d, coeffs)
 
 
 # -- maps ---------------------------------------------------------------------

@@ -26,7 +26,6 @@ from qschemes.rmatrix import (
     compose,
     from_slices,
     scalar_end,
-    slices,
     trace_base,
     trace_r,
     zero_map,
@@ -268,7 +267,7 @@ class TopSliceNotZero(QschemeError):
 
 def shift_decompose(a_end: RMap):
     """Split off the top eps-slice: A = eps^(d-1) top + rest."""
-    parts = slices(a_end)
+    parts = list(a_end.parts)
     d = a_end.src.order
     top = parts[d - 1]
     rest = from_slices(parts[:-1] + [Matrix.zero(top.nrows, top.ncols)], d)
@@ -277,7 +276,7 @@ def shift_decompose(a_end: RMap):
 
 def shift_map(b_end: RMap, m: Matrix, zeta: GaussQ) -> RMap:
     """B - eps^(d-1) (m + zeta Id), for B with vanishing top slice."""
-    parts = slices(b_end)
+    parts = list(b_end.parts)
     d = b_end.src.order
     if not parts[d - 1].is_zero():
         raise TopSliceNotZero("input already has a top eps-slice")

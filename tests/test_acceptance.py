@@ -112,6 +112,8 @@ MALFORMED = [
     "quiver { vertex a mult 1 } junk",                     # trailing input
     "nonsense",                                            # no header
     "quiver { vertex 1a mult 1 }",                         # bad identifier
+    "quiver { vertex a mult x }",                          # non-numeric mult
+    "quiver { edge a }",                                   # unknown statement
 ]
 
 

@@ -199,8 +199,8 @@ class TestCheckCommand:
 
         A suite imports its names when it runs, so patching the defining
         module reaches it.  Every module the suites run is imported at the
-        top of this file, before any patch: ``reflect`` binds ``reflect_dim``
-        when it loads, and must not bind the wrong one."""
+        top of this file, before any patch, so none binds a patched name when
+        it loads."""
         module, name, wrong = self.BROKEN[suite]
         right = getattr(module, name)
         monkeypatch.setattr(module, name, lambda *args: wrong(right(*args)))
@@ -272,6 +272,33 @@ class TestInputBoundary:
         rep.write_text(json.dumps(obj))
         result = run(capsys, "moment", str(corpus_dir / "a3.quiver"), "--rep", str(rep))
         self.assert_missing_field(result, "representation", "v")
+
+    @staticmethod
+    def moment_double_d3(capsys, corpus_dir, tmp_path, edit_a):
+        """Run moment on the golden double_d3 point with its map a edited first."""
+        golden = corpus_dir.parent / "tests" / "golden"
+        obj = json.loads((golden / "out_random_rep_double_d3.json").read_text())
+        edit_a(obj["maps"]["a"])
+        rep = tmp_path / "rep.json"
+        rep.write_text(json.dumps(obj))
+        return run(capsys, "--format", "json", "moment",
+                   str(corpus_dir / "double_d3.quiver"), "--rep", str(rep))
+
+    def test_map_below_arrow_base_is_redeclared(self, capsys, corpus_dir, tmp_path):
+        """A map given over R_1 is re-declared at its arrow's base R_3."""
+        code, out, err = self.moment_double_d3(capsys, corpus_dir, tmp_path,
+                                               lambda a: a.update(base=1))
+        golden = corpus_dir.parent / "tests" / "golden" / "out_moment_double_d3.json"
+        assert code == 0 and err == ""
+        assert out == golden.read_text()
+
+    def test_map_below_arrow_base_not_linear(self, capsys, corpus_dir, tmp_path):
+        def edit(a):
+            a["base"] = 1
+            a["flat"][0][1] = "1"   # above the diagonal of an R_3-linear block
+        code, out, err = self.moment_double_d3(capsys, corpus_dir, tmp_path, edit)
+        assert code == 2 and out == ""
+        assert err.startswith("error[not-linear-over-base]")
 
     def test_parameters_without_a_vertex(self, capsys, chain_file, tmp_path):
         lam = tmp_path / "lam.json"

@@ -30,7 +30,6 @@ from qschemes.rmatrix import (
     invert_end,
     scalar_end,
     scale_end,
-    slices,
     zero_map,
 )
 from qschemes.repn import gauge, moment_map, random_gauge
@@ -92,7 +91,7 @@ def exhaustive_membership(spec, a):
         for j, pj in enumerate(pis):
             ok = ok and compose(pi, pj) == (pi if i == j else zero_map(shape, shape))
         ok = ok and compose(a, pi) == scale_end(pi, thetas[i])
-        ok = ok and rank(slices(pi)[0]) == spec.dims[i]
+        ok = ok and rank(pi.parts[0]) == spec.dims[i]
     return ok, tuple(pis)
 
 
@@ -130,7 +129,7 @@ class TestMembership:
             # witnesses are the coordinate block projectors
             pos = 0
             for blk, pi in zip(spec.blocks, w.idempotents):
-                res = slices(pi)[0]
+                res = pi.parts[0]
                 for j in range(spec.total):
                     want = G(1 if pos <= j < pos + blk[0] else 0)
                     assert res[j, j] == want
@@ -280,7 +279,7 @@ class TestCanonicalPoint:
         p = canonical_leg_point(spec)
         got = nu(spec, p)
         assert got == big_theta(spec)
-        assert [slices(got)[0][i, i] for i in range(2)] == [G(0), G(1)]
+        assert [got.parts[0][i, i] for i in range(2)] == [G(0), G(1)]
 
     def test_general_mesh_residuals(self):
         for make in ALL_SPECS:
@@ -431,7 +430,7 @@ class TestShift:
         theta = big_theta(spec)
         top, rest = shift_decompose(theta)
         assert rest.is_zero()
-        assert top == slices(theta)[0]
+        assert top == theta.parts[0]
 
     def test_top_eps_identity(self):
         sh = ModShape(2, 3)

@@ -71,6 +71,13 @@ class TestFindLegs:
         )
         assert find_legs(q) == []
 
+    def test_branching_chain_breaks_leg(self):
+        q = QuiverMult.build(
+            [("b", 1), ("v1", 2), ("v2", 2), ("v3", 2)],
+            [("a", "b", "v1"), ("c", "v1", "v2"), ("e", "v1", "v3")],
+        )
+        assert find_legs(q) == []
+
 
 class TestRegularizeQuiver:
     def test_star_n2(self):
@@ -110,6 +117,18 @@ class TestRegularizeQuiver:
         kept = [ar for ar in reg.arrows if ar.name == "a0"]
         assert len(kept) == 1
         assert reg.name(kept[0].source) == "w" and reg.name(kept[0].target) == "b"
+
+    def test_taken_arrow_name_is_renamed(self):
+        # the copy of a: c -> base onto the leg vertex would be a_to_leg,
+        # which the kept arrow w -> c already uses
+        q = QuiverMult.build(
+            [("c", 1), ("base", 1), ("leg", 3), ("w", 1)],
+            [("a", "c", "base"), ("a_to_leg", "w", "c"), ("t", "base", "leg")],
+        )
+        reg = regularize_quiver(q, find_legs(q)[0])
+        assert [(ar.name, reg.name(ar.source), reg.name(ar.target)) for ar in reg.arrows] == [
+            ("a", "c", "base"), ("a_to_leg", "w", "c"), ("a_to_leg_x", "c", "leg"),
+            ("reg_base_leg_0", "base", "leg")]
 
     def test_arrow_count_for_longer_leg(self):
         # kept spectator + one duplicate per leg vertex + (l+1 choose 2)(d-2)

@@ -28,7 +28,6 @@ from qschemes.rmatrix import (
     restrict_scalars_rev,
     scalar_end,
     scale_end,
-    slices,
     trace_base,
     trace_r,
 )
@@ -149,17 +148,17 @@ class TestPairing:
     def test_identity_pair(self):
         for d, n, want in ((1, 3, 3), (2, 3, 0), (3, 2, 0)):
             i = identity_end(ModShape(n, d))
-            assert pair_d(i, i) == G(want)
+            assert pair_d(i, i, d) == G(want)
 
     def test_top_eps_power(self):
         for d in (2, 3):
             sh = ModShape(1, d)
-            assert pair_d(scalar_end(eps(d, d - 1), 1), identity_end(sh)) == G(1)
+            assert pair_d(scalar_end(eps(d, d - 1), 1), identity_end(sh), d) == G(1)
 
     def test_scalar_case(self):
         x = scalar_end(TruncScalar(2, [1, 2]), 1)
         y = scalar_end(TruncScalar(2, [3, 1]), 1)
-        assert pair_d(x, y) == residue_pair(TruncScalar(2, [1, 2]), TruncScalar(2, [3, 1]))
+        assert pair_d(x, y, 2) == residue_pair(TruncScalar(2, [1, 2]), TruncScalar(2, [3, 1]))
 
 
 class TestPairingKernel:
@@ -174,9 +173,8 @@ class TestPairingKernel:
             y = gauss_map(rng, v, u, c) if t % 2 else random_linear_map(rng, v, u, c)
             if t > 1:
                 x = x.scale(G(Fraction(1, 6), Fraction(-2, 5)))
-            for d in [None] + [e for e in range(1, c) if c % e == 0]:
-                e = d or c
-                want = trace_base(compose(x, y), e).coeffs[e - 1]
+            for d in [c] + [e for e in range(1, c) if c % e == 0]:
+                want = trace_base(compose(x, y), d).coeffs[d - 1]
                 with monkeypatch.context() as m:
                     for name in ("compose", "trace_base"):
                         m.setattr(rmatrix, name, _refuse(name))
@@ -187,9 +185,9 @@ class TestPairingKernel:
         u, v = ModShape(2, 4), ModShape(1, 2)
         x, y = random_linear_map(rng, u, v, 2), random_linear_map(rng, v, u, 2)
         with pytest.raises(ShapeMismatch):
-            pair_d(x, x)
+            pair_d(x, x, 2)
         with pytest.raises(NotEndomorphism):
-            pair_d(x, random_linear_map(rng, ModShape(1, 4), u, 2))
+            pair_d(x, random_linear_map(rng, ModShape(1, 4), u, 2), 2)
         for d in (3, 4):
             with pytest.raises(NotLinearOverBase):
                 pair_d(x, y, d)
@@ -343,7 +341,7 @@ class TestScalarShortcuts:
                 for a in got.parts:
                     assert_canonical(a)
 
-    # (d, base): module order and the base of the scaled map, base < d included
+    # (d, base): module order and the base of the scaled map; base < d raises
     @pytest.mark.parametrize("d,base", [(1, 1), (2, 2), (2, 1), (3, 3), (3, 1), (4, 4),
                                         (4, 2), (6, 3), (6, 2)])
     def test_scale_end_is_composite_with_scalar_end(self, d, base):
@@ -354,12 +352,14 @@ class TestScalarShortcuts:
                 for t in (TruncScalar(d, [G(Fraction(rng.randint(-4, 4), rng.randint(1, 3)),
                                             rng.randint(-1, 1)) for _ in range(d)]),
                           TruncScalar(d, [rng.randint(-3, 3) for _ in range(d)])):
+                    if base < d:
+                        with pytest.raises(NotLinearOverBase):
+                            scale_end(f, t)
+                        continue
                     got, want = scale_end(f, t), compose(scalar_end(t, n), f)
-                    assert got == want
-                    if base == d:
-                        assert got.parts == want.parts
-                        for a in got.parts:
-                            assert_canonical(a)
+                    assert got == want and got.parts == want.parts
+                    for a in got.parts:
+                        assert_canonical(a)
 
     # (e, d): the order at the far end and at the extended end, which is
     # also the base, so q = 1; d divides e
@@ -533,7 +533,7 @@ class TestSlices:
     def test_roundtrip(self):
         rng = SplitMix64(4)
         f = rand_end(rng, 2, 3, 3)
-        assert from_slices(slices(f), 3) == f
+        assert from_slices(f.parts, 3) == f
 
 
 class TestSliceCore:
