@@ -102,21 +102,23 @@ def cmd_reflect(args):
 def cmd_weyl_verify(args):
     from .weyl import verify_coxeter
     q = _load_quiver(args.file)
-    report = verify_coxeter(q)
+    checks, skipped = verify_coxeter(q)
     obj = {
-        "ok": report.all_ok,
+        "ok": checks.ok,
         "checks": [
-            {"action": c.action, "vertices": list(c.vertices),
-             "order": c.order, "ok": c.ok}
-            for c in report.checks
+            {"action": action, "vertices": list(names), "order": order, "ok": ok}
+            for (action, names, order), ok, _, _ in checks.verdicts
         ],
         "skipped": [
             {"vertices": list(pair), "product": prod}
-            for pair, prod in report.skipped
+            for pair, prod in skipped
         ],
     }
-    _emit(args, obj, report.summary())
-    return 0 if report.all_ok else 1
+    text = "\n".join([checks.summary()] + [
+        f"  skipped infinite pair {pair} (c_ij*c_ji = {prod})" for pair, prod in skipped
+    ])
+    _emit(args, obj, text)
+    return 0 if checks.ok else 1
 
 
 def cmd_moment(args):
@@ -242,7 +244,7 @@ def cmd_regularize(args):
         hyp = check_theorem_hypotheses(q, leg, lam, v)
         result["lambda"] = ser.params_to_obj(reg, lamc)
         result["v"] = list(vc)
-        result["hypotheses_ok"] = hyp.all_ok
+        result["hypotheses_ok"] = hyp.ok
     if args.out:
         Path(args.out).write_text(out_text, encoding="utf-8")
     if args.format == "json":
@@ -264,18 +266,14 @@ def cmd_reg_verify(args):
     iso = isometry_check(q, leg)
     sd = verify_semidirect(q, leg)
     pe = verify_param_equivariance(q, leg)
-    ok = iso and sd.all_ok and pe.all_ok
+    ok = iso and sd.ok and pe.ok
     obj = {
         "isometry": iso,
-        "semidirect": [{"label": l, "ok": o} for l, o in sd.items],
-        "equivariance": [{"label": l, "ok": o} for l, o in pe.items],
+        "semidirect": [{"label": case, "ok": o} for case, o, _, _ in sd.verdicts],
+        "equivariance": [{"label": case, "ok": o} for case, o, _, _ in pe.verdicts],
         "ok": ok,
     }
-    text = "\n".join([
-        f"isometry: {'ok' if iso else 'FAIL'}",
-        "semidirect: " + sd.summary(),
-        "equivariance: " + pe.summary(),
-    ])
+    text = "\n".join([f"isometry: {'ok' if iso else 'FAIL'}", sd.summary(), pe.summary()])
     _emit(args, obj, text)
     return 0 if ok else 1
 
@@ -291,10 +289,7 @@ def cmd_check(args):
     if not quivers:
         raise QschemeError(f"no .quiver files in {corpus_dir}")
     report = run_suite(quivers, args.suite, seed=args.seed, trials=args.trials)
-    if args.format == "json":
-        sys.stdout.write(ser.dumps(report.to_obj()))
-    else:
-        sys.stdout.write(report.summary() + "\n")
+    _emit(args, {"suite": args.suite, "seed": args.seed, **report.to_obj()}, report.summary())
     return 0 if report.ok else 1
 
 

@@ -1,7 +1,8 @@
-"""Exception hierarchy.
+"""Exception hierarchy, and ``Checks``, the one record of pass/fail verdicts.
 
 Every error carries a short machine-parsable ``code`` next to the human
-message; the CLI prints both.
+message; the CLI prints both.  The record lives here because every module
+that makes verdicts already imports this one, so no command loads more.
 """
 
 
@@ -98,3 +99,52 @@ class UnknownSuite(QschemeError):
 
 class MalformedInput(QschemeError):
     code = "malformed-input"
+
+
+# -- verdicts -----------------------------------------------------------------
+
+class Checks:
+    """Named, ordered record of exact verdicts ``(case, ok, seed, detail)``.
+
+    ``seed`` replays a randomized case and ``detail`` explains a failure; the
+    summary shows either only for a failure, and only when it is set.
+    """
+
+    __slots__ = ("name", "verdicts")
+
+    def __init__(self, name):
+        self.name = name
+        self.verdicts = []
+
+    def record(self, ok, case, seed=None, detail=""):
+        self.verdicts.append((case, ok, seed, detail))
+
+    def merge(self, other):
+        self.verdicts.extend(other.verdicts)
+
+    @property
+    def checks(self) -> int:
+        return len(self.verdicts)
+
+    @property
+    def failures(self) -> list:
+        return [{"case": case, "seed": seed, "detail": detail}
+                for case, ok, seed, detail in self.verdicts if not ok]
+
+    @property
+    def ok(self) -> bool:
+        return all(ok for _, ok, _, _ in self.verdicts)
+
+    def to_obj(self):
+        return {"checks": self.checks, "failures": self.failures}
+
+    def summary(self) -> str:
+        """``<name>: <n> checks, <f> failures [ok|FAIL]``, then one line per failure."""
+        failures = self.failures
+        lines = [f"{self.name}: {self.checks} checks, {len(failures)} failures "
+                 f"[{'FAIL' if failures else 'ok'}]"]
+        for f in failures:
+            seed = "" if f["seed"] is None else f" (seed {f['seed']})"
+            detail = f": {f['detail']}" if f["detail"] else ""
+            lines.append(f"  FAIL {f['case']}{seed}{detail}")
+        return "\n".join(lines)

@@ -14,13 +14,15 @@ parameter map are exposed as exact integer matrices; ``verify_semidirect``
 and ``verify_param_equivariance`` certify, by full matrix identities, that
 conjugation by phi turns each chain reflection into a transposition of
 adjacent chain coordinates and leaves the remaining generators intact.
+They and ``check_theorem_hypotheses`` return one ``errors.Checks`` record
+each.  Every verifier validates its leg once, through ``regularize_quiver``.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
-from .errors import InvalidLeg
+from .errors import Checks, InvalidLeg
 from .quiver import QuiverMult, check_dims
 from .scalars import TruncScalar
 from .weyl import (
@@ -173,35 +175,25 @@ def regularize_params(q: QuiverMult, leg: LegDescriptor, lam, v):
     return tuple(new_lam), tuple(new_v)
 
 
-class HypothesisReport:
-    def __init__(self):
-        self.dim_conditions = []    # (vertex name, value, ok)
-        self.unit_conditions = []   # ((i names), ok)
-
-    @property
-    def all_ok(self) -> bool:
-        return all(ok for _, _, ok in self.dim_conditions) and all(
-            ok for _, ok in self.unit_conditions
-        )
-
-
-def check_theorem_hypotheses(q, leg: LegDescriptor, lam, v) -> HypothesisReport:
-    """Evaluate the two transfer hypotheses exactly."""
+def check_theorem_hypotheses(q, leg: LegDescriptor, lam, v) -> Checks:
+    """Evaluate the two transfer hypotheses exactly: cases ``dim <a>-<b>``
+    (v_a - v_b >= 0 for consecutive chain vertices; the detail is the
+    difference) and ``unit <x>+..+<y>`` (lam_x + .. + lam_y is a unit)."""
     lam = check_params(q, lam)
     v = check_dims(q, v)
     chain = leg.chain()
-    report = HypothesisReport()
+    report = Checks("hypotheses")
     for pos in range(len(chain) - 1):
         value = v[chain[pos]] - v[chain[pos + 1]]
-        report.dim_conditions.append((q.name(chain[pos]), value, value >= 0))
+        report.record(value >= 0, f"dim {q.name(chain[pos])}-{q.name(chain[pos + 1])}",
+                      detail=str(value))
     legs = leg.vertices
     for a in range(leg.length):
         acc = TruncScalar(leg.d)
         for b in range(a, leg.length):
             acc = acc + lam[legs[b]]
-            report.unit_conditions.append(
-                (tuple(q.name(x) for x in legs[a:b + 1]), acc.is_unit())
-            )
+            report.record(acc.is_unit(),
+                          "unit " + "+".join(q.name(x) for x in legs[a:b + 1]))
     return report
 
 
@@ -215,8 +207,8 @@ class PhiMap(namedtuple("PhiMap", "matrix inverse")):
 
 
 def phi_map(q: QuiverMult, leg: LegDescriptor) -> PhiMap:
-    """Lattice comparison map: consecutive differences along the chain."""
-    _validate_leg(q, leg)
+    """Lattice comparison map: consecutive differences along the chain of a leg
+    of ``q``, which ``regularize_quiver`` validates and this does not."""
     chain = leg.chain()
     m = int_identity(q.n)
     for pos in range(len(chain) - 1):
@@ -230,8 +222,8 @@ def phi_map(q: QuiverMult, leg: LegDescriptor) -> PhiMap:
 
 def isometry_check(q: QuiverMult, leg: LegDescriptor) -> bool:
     """t(phi) DC(regularized) phi == DC(original), exactly."""
-    phi = phi_map(q, leg)
     reg = regularize_quiver(q, leg)
+    phi = phi_map(q, leg)
     dc = q.cartan.dc_list()
     dc_reg = reg.cartan.dc_list()
     m = [list(r) for r in phi.matrix]
@@ -247,25 +239,7 @@ def _swap(n, a, b):
     return m
 
 
-class VerifyReport:
-    def __init__(self):
-        self.items = []
-
-    def add(self, label, ok):
-        self.items.append((label, ok))
-
-    @property
-    def all_ok(self) -> bool:
-        return all(ok for _, ok in self.items)
-
-    def summary(self) -> str:
-        good = sum(1 for _, ok in self.items if ok)
-        lines = [f"{good}/{len(self.items)} identities hold"]
-        lines.extend(f"  FAIL {label}" for label, ok in self.items if not ok)
-        return "\n".join(lines)
-
-
-def verify_semidirect(q: QuiverMult, leg: LegDescriptor) -> VerifyReport:
+def verify_semidirect(q: QuiverMult, leg: LegDescriptor) -> Checks:
     """phi s_i phi^{-1} is a chain transposition on the leg and s-check elsewhere,
     and transpositions conjugate the regularized reflections by relabelling."""
     chain = leg.chain()
@@ -273,33 +247,31 @@ def verify_semidirect(q: QuiverMult, leg: LegDescriptor) -> VerifyReport:
     phi = phi_map(q, leg)
     m = [list(r) for r in phi.matrix]
     minv = [list(r) for r in phi.inverse]
-    report = VerifyReport()
+    report = Checks("semidirect")
     leg_positions = {v: pos for pos, v in enumerate(chain)}
     for i in range(q.n):
         conj = int_mat_mul(m, int_mat_mul(dim_reflection_matrix(q, i), minv))
         if i in leg_positions and leg_positions[i] >= 1:
             pos = leg_positions[i]
             want = _swap(q.n, chain[pos - 1], chain[pos])
-            report.add(f"phi s_{q.name(i)} phi^-1 = swap", conj == want)
+            report.record(conj == want, f"phi s_{q.name(i)} phi^-1 = swap")
         else:
             want = dim_reflection_matrix(reg, i)
-            report.add(f"phi s_{q.name(i)} phi^-1 = reflected", conj == want)
+            report.record(conj == want, f"phi s_{q.name(i)} phi^-1 = reflected")
     for pos in range(1, len(chain)):
         sigma = _swap(q.n, chain[pos - 1], chain[pos])
         perm = {chain[pos - 1]: chain[pos], chain[pos]: chain[pos - 1]}
         for k in range(q.n):
             lhs = int_mat_mul(sigma, int_mat_mul(dim_reflection_matrix(reg, k), sigma))
             rhs = dim_reflection_matrix(reg, perm.get(k, k))
-            report.add(
-                f"swap_{pos} s_{q.name(k)} swap_{pos} = s_image", lhs == rhs
-            )
+            report.record(lhs == rhs, f"swap_{pos} s_{q.name(k)} swap_{pos} = s_image")
     return report
 
 
-def param_map_matrix(q: QuiverMult, leg: LegDescriptor):
-    """Integer matrix of the parameter transfer, flat coordinates on both sides."""
+def param_map_matrix(q: QuiverMult, leg: LegDescriptor, reg: QuiverMult):
+    """Integer matrix of the parameter transfer, flat coordinates on both sides;
+    ``reg`` is ``regularize_quiver(q, leg)``."""
     chain = leg.chain()
-    reg = regularize_quiver(q, leg)
     offs_src = param_offsets(q)
     offs_dst = param_offsets(reg)
     rows = sum(reg.mults)
@@ -319,13 +291,13 @@ def param_map_matrix(q: QuiverMult, leg: LegDescriptor):
     return m
 
 
-def verify_param_equivariance(q: QuiverMult, leg: LegDescriptor) -> VerifyReport:
+def verify_param_equivariance(q: QuiverMult, leg: LegDescriptor) -> Checks:
     """The parameter transfer intertwines each r_i with its phi-conjugated image."""
     chain = leg.chain()
     reg = regularize_quiver(q, leg)
-    psi = param_map_matrix(q, leg)
+    psi = param_map_matrix(q, leg, reg)
     offs = param_offsets(reg)
-    report = VerifyReport()
+    report = Checks("equivariance")
     leg_positions = {v: pos for pos, v in enumerate(chain)}
     for i in range(q.n):
         lhs = int_mat_mul(psi, param_reflection_matrix(q, i))
@@ -337,5 +309,5 @@ def verify_param_equivariance(q: QuiverMult, leg: LegDescriptor) -> VerifyReport
         else:
             action = param_reflection_matrix(reg, i)
             label = f"psi r_{q.name(i)} = reflected psi"
-        report.add(label, lhs == int_mat_mul(action, psi))
+        report.record(lhs == int_mat_mul(action, psi), label)
     return report

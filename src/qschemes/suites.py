@@ -2,10 +2,15 @@
 
 Each suite walks its invariants over a corpus of quivers, drawing any
 randomness from a SplitMix64 stream seeded per case, so a failing case is
-reproducible from the seed recorded in the report.  The orbit suite walks
+reproducible from the seed recorded with its verdict.  The orbit suite walks
 five built-in profiles instead, given as (d, block sizes): (1, (1, 1)),
 (2, (2, 1)), (2, (1, 1, 1, 1)), (3, (1, 2)) and (3, (2, 1, 1)), chains with
 l = 1, 1, 3, 1 and 2 legs.
+
+A suite returns one ``errors.Checks`` record named ``suite <name>``.  A call
+of a verifier that returns its own record (``verify_coxeter``,
+``verify_semidirect``, ``verify_param_equivariance``) is one check, whose
+detail is that record's summary.
 
 Each suite imports its names in its body, as ``cli``'s commands do, so a
 suite loads only its own modules; such an import reads the defining
@@ -19,60 +24,24 @@ from __future__ import annotations
 
 from itertools import accumulate
 
-from .errors import EmptyLevelSet, UnknownSuite
+from .errors import Checks, EmptyLevelSet, UnknownSuite
 from .rng import SplitMix64
 
 SUITE_NAMES = ("coxeter", "moment", "functor", "orbit", "regularize", "all")
 
 
-class SuiteReport:
-    def __init__(self, name, seed):
-        self.name, self.seed = name, seed
-        self.checks, self.failures = 0, []
-
-    @property
-    def ok(self) -> bool:
-        return not self.failures
-
-    def record(self, ok, case, seed=None, detail=""):
-        self.checks += 1
-        if not ok:
-            self.failures.append({"case": case, "seed": seed, "detail": detail})
-
-    def merge(self, other):
-        self.checks += other.checks
-        self.failures.extend(other.failures)
-
-    def to_obj(self):
-        return {
-            "suite": self.name,
-            "seed": self.seed,
-            "checks": self.checks,
-            "failures": self.failures,
-        }
-
-    def summary(self) -> str:
-        status = "ok" if self.ok else "FAIL"
-        lines = [f"suite {self.name}: {self.checks} checks, "
-                 f"{len(self.failures)} failures [{status}]"]
-        for f in self.failures:
-            lines.append(f"  FAIL {f['case']} (seed {f['seed']}): {f['detail']}")
-        return "\n".join(lines)
-
-
-def suite_coxeter(quivers, seed, trials) -> SuiteReport:
+def suite_coxeter(quivers, seed, trials) -> Checks:
     from .scalars import GaussQ
     from .weyl import (dim_reflection_matrix, int_mat_mul, int_transpose, lift_cartan,
                        pairing_matrix, param_reflection_matrix, random_params, reflect_dim,
                        reflect_param, rho, rho_matrix, transpose_action_matrix,
                        verify_coxeter)
-    report = SuiteReport("coxeter", seed)
+    report = Checks("suite coxeter")
     rng = SplitMix64(seed)
     for qname in sorted(quivers):
         q = quivers[qname]
-        cox = verify_coxeter(q)
-        report.record(cox.all_ok, f"{qname}: coxeter relations",
-                      detail=cox.summary() if not cox.all_ok else "")
+        cox, _ = verify_coxeter(q)
+        report.record(cox.ok, f"{qname}: coxeter relations", detail=cox.summary())
         pairing = pairing_matrix(q)
         lifted = lift_cartan(q)
         n = len(lifted.indices)
@@ -118,13 +87,13 @@ def suite_coxeter(quivers, seed, trials) -> SuiteReport:
     return report
 
 
-def suite_moment(quivers, seed, trials) -> SuiteReport:
+def suite_moment(quivers, seed, trials) -> Checks:
     from .reflect import split
     from .repn import (gauge, moment_derivative_check, moment_map, moment_trace_sum,
                        random_gauge, random_rep, symplectic_form, symplectic_form_signed)
     from .rmatrix import compose, invert_end
     from .scalars import GaussQ
-    report = SuiteReport("moment", seed)
+    report = Checks("suite moment")
     rng = SplitMix64(seed)
     for qname in sorted(quivers):
         q = quivers[qname]
@@ -174,12 +143,12 @@ def suite_moment(quivers, seed, trials) -> SuiteReport:
     return report
 
 
-def suite_functor(quivers, seed, trials) -> SuiteReport:
+def suite_functor(quivers, seed, trials) -> Checks:
     from .reflect import phi, random_level_point, reflection_functor, tilde_dimension
     from .repn import moment_component
     from .rmatrix import scalar_end
     from .weyl import random_params, reflect_dim, reflect_param
-    report = SuiteReport("functor", seed)
+    report = Checks("suite functor")
     rng = SplitMix64(seed)
     for qname in sorted(quivers):
         q = quivers[qname]
@@ -258,13 +227,13 @@ def _orbit_profiles(seed):
     return specs
 
 
-def suite_orbit(seed, trials) -> SuiteReport:
+def suite_orbit(seed, trials) -> Checks:
     from .linalg import hstack, rank
     from .orbit import (big_theta, free_basis, leg_factorize, leg_mesh_residuals,
                         leg_rank_checks, nu, orbit_dimension, orbit_membership,
                         random_conjugate, random_non_member)
     from .rmatrix import compose, scalar_end
-    report = SuiteReport("orbit", seed)
+    report = Checks("suite orbit")
     rng = SplitMix64(seed)
     for spec in _orbit_profiles(rng.next_u64()):
         tag = f"d={spec.d},dims={spec.dims}"
@@ -316,13 +285,13 @@ def suite_orbit(seed, trials) -> SuiteReport:
     return report
 
 
-def suite_regularize(quivers, seed, trials) -> SuiteReport:
+def suite_regularize(quivers, seed, trials) -> Checks:
     from .quiver import expected_dim
     from .regularize import (find_legs, isometry_check, phi_map, regularize_params,
                              regularize_quiver, verify_param_equivariance,
                              verify_semidirect)
     from .weyl import level_check, random_params
-    report = SuiteReport("regularize", seed)
+    report = Checks("suite regularize")
     rng = SplitMix64(seed)
     for qname in sorted(quivers):
         q = quivers[qname]
@@ -331,11 +300,9 @@ def suite_regularize(quivers, seed, trials) -> SuiteReport:
             tag = f"{qname}/leg{ln}"
             report.record(isometry_check(q, leg), f"{tag}: form isometry")
             sd = verify_semidirect(q, leg)
-            report.record(sd.all_ok, f"{tag}: semidirect identities",
-                          detail=sd.summary() if not sd.all_ok else "")
+            report.record(sd.ok, f"{tag}: semidirect identities", detail=sd.summary())
             pe = verify_param_equivariance(q, leg)
-            report.record(pe.all_ok, f"{tag}: parameter equivariance",
-                          detail=pe.summary() if not pe.all_ok else "")
+            report.record(pe.ok, f"{tag}: parameter equivariance", detail=pe.summary())
             reg = regularize_quiver(q, leg)
             chain = set(leg.chain())
             leftover = [
@@ -362,7 +329,7 @@ def suite_regularize(quivers, seed, trials) -> SuiteReport:
     return report
 
 
-def run_suite(quivers, name, seed=1, trials=25) -> SuiteReport:
+def run_suite(quivers, name, seed=1, trials=25) -> Checks:
     """Run one named suite (or all of them) over a corpus of quivers."""
     if name not in SUITE_NAMES:
         raise UnknownSuite(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
@@ -376,7 +343,7 @@ def run_suite(quivers, name, seed=1, trials=25) -> SuiteReport:
         return suite_orbit(seed, trials)
     if name == "regularize":
         return suite_regularize(quivers, seed, trials)
-    total = SuiteReport("all", seed)
+    total = Checks("suite all")
     for sub in SUITE_NAMES[:-1]:
         total.merge(run_suite(quivers, sub, seed, trials))
     return total

@@ -21,7 +21,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 
-from .errors import LengthMismatch, MismatchedOrder
+from .errors import Checks, LengthMismatch, MismatchedOrder
 from .quiver import QuiverMult, check_dims
 from .scalars import GQ_ZERO, GaussQ, TruncScalar
 
@@ -245,37 +245,11 @@ def lift_cartan(q: QuiverMult) -> LiftedCartan:
 
 # -- Coxeter relations ----------------------------------------------------------
 
-class RelationCheck(namedtuple("RelationCheck", (
-    "action",   # "param" or "dim"
-    "vertices", "order", "ok",
-))):
-    __slots__ = ()
-
-
-class CoxeterReport:
-    def __init__(self):
-        self.checks = []
-        self.skipped = []
-
-    @property
-    def all_ok(self) -> bool:
-        return all(c.ok for c in self.checks)
-
-    def summary(self) -> str:
-        bad = [c for c in self.checks if not c.ok]
-        lines = [
-            f"coxeter relations: {len(self.checks) - len(bad)}/{len(self.checks)} hold"
-        ]
-        for c in bad:
-            lines.append(f"  FAIL {c.action} {c.vertices} order {c.order}")
-        for pair, prod in self.skipped:
-            lines.append(f"  skipped infinite pair {pair} (c_ij*c_ji = {prod})")
-        return "\n".join(lines)
-
-
-def verify_coxeter(q: QuiverMult) -> CoxeterReport:
-    """Exact verification of r_i^2 = 1, s_i^2 = 1 and all finite braid relations."""
-    report = CoxeterReport()
+def verify_coxeter(q: QuiverMult):
+    """Exact verification of r_i^2 = 1, s_i^2 = 1 and all finite braid relations:
+    checks with cases ``(action, vertex names, order)``, action ``"param"`` or
+    ``"dim"``, and the skipped pairs ``((name_i, name_j), c_ij * c_ji)``."""
+    checks, skipped = Checks("coxeter relations"), []
     c = q.cartan.c
     size = sum(q.mults)
     rid = int_identity(size)
@@ -283,15 +257,13 @@ def verify_coxeter(q: QuiverMult) -> CoxeterReport:
     rmats = [param_reflection_matrix(q, i) for i in range(q.n)]
     smats = [dim_reflection_matrix(q, i) for i in range(q.n)]
     for i in range(q.n):
-        report.checks.append(RelationCheck(
-            "param", (q.name(i),), 2, int_mat_mul(rmats[i], rmats[i]) == rid))
-        report.checks.append(RelationCheck(
-            "dim", (q.name(i),), 2, int_mat_mul(smats[i], smats[i]) == sid))
+        checks.record(int_mat_mul(rmats[i], rmats[i]) == rid, ("param", (q.name(i),), 2))
+        checks.record(int_mat_mul(smats[i], smats[i]) == sid, ("dim", (q.name(i),), 2))
     for i in range(q.n):
         for j in range(i + 1, q.n):
             m = COXETER_TABLE.get(c[i][j] * c[j][i])
             if m is None:
-                report.skipped.append(((q.name(i), q.name(j)), c[i][j] * c[j][i]))
+                skipped.append(((q.name(i), q.name(j)), c[i][j] * c[j][i]))
                 continue
             rprod = int_mat_mul(rmats[i], rmats[j])
             sprod = int_mat_mul(smats[i], smats[j])
@@ -299,8 +271,7 @@ def verify_coxeter(q: QuiverMult) -> CoxeterReport:
             for _ in range(m):
                 racc = int_mat_mul(racc, rprod)
                 sacc = int_mat_mul(sacc, sprod)
-            report.checks.append(RelationCheck(
-                "param", (q.name(i), q.name(j)), m, racc == rid))
-            report.checks.append(RelationCheck(
-                "dim", (q.name(i), q.name(j)), m, sacc == sid))
-    return report
+            pair = (q.name(i), q.name(j))
+            checks.record(racc == rid, ("param", pair, m))
+            checks.record(sacc == sid, ("dim", pair, m))
+    return checks, skipped

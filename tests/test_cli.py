@@ -62,9 +62,11 @@ class TestBasicCommands:
         assert obj["lambda"]["j"] == ["1", "12"]
         assert obj["lambda"]["k"] == ["2"]
 
-    def test_weyl_verify(self, capsys, chain_file):
-        code, out, _ = run(capsys, "weyl-verify", chain_file)
-        assert code == 0 and "hold" in out
+    def test_weyl_verify(self, capsys, corpus_dir):
+        code, out, _ = run(capsys, "weyl-verify", str(corpus_dir / "kronecker.quiver"))
+        assert code == 0
+        assert out == ("coxeter relations: 4 checks, 0 failures [ok]\n"
+                       "  skipped infinite pair ('p', 'q') (c_ij*c_ji = 4)\n")
 
     def test_error_paths(self, capsys, tmp_path):
         bad = tmp_path / "bad.quiver"
@@ -158,6 +160,14 @@ class TestRegularizeCommands:
         obj = json.loads(js)
         assert out == f"# v: {obj['v']}\n# hypotheses ok: {obj['hypotheses_ok']}\n"
 
+    def test_reg_verify_text(self, capsys, corpus_dir):
+        code, out, _ = run(capsys, "reg-verify", str(corpus_dir / "double_d3.quiver"),
+                           "--leg", "k,i,j")
+        assert code == 0
+        assert out == ("isometry: ok\n"
+                       "semidirect: 9 checks, 0 failures [ok]\n"
+                       "equivariance: 3 checks, 0 failures [ok]\n")
+
     def test_invalid_leg(self, capsys, corpus_dir):
         qfile = corpus_dir / "star_n3_d3.quiver"
         code, _, err = run(capsys, "regularize", str(qfile), "--leg", "base,c1")
@@ -169,6 +179,12 @@ class TestCheckCommand:
         code, out, _ = run(capsys, "check", str(corpus_dir), "--suite", "coxeter",
                            "--seed", "1", "--trials", "5")
         assert code == 0 and "0 failures" in out
+
+    def test_text(self, capsys, corpus_dir):
+        code, out, _ = run(capsys, "check", str(corpus_dir), "--suite", "coxeter",
+                           "--seed", "1", "--trials", "2")
+        assert code == 0
+        assert out == "suite coxeter: 168 checks, 0 failures [ok]\n"
 
     def test_unknown_suite_rejected(self, capsys, corpus_dir):
         code, out, err = run(capsys, "check", str(corpus_dir), "--suite", "bogus")
@@ -211,6 +227,77 @@ class TestCheckCommand:
                            "--suite", suite, "--seed", "1", "--trials", "2")
         assert code == 1
         assert json.loads(out)["failures"] == report.failures
+
+
+class TestBrokenVerifier:
+    """A verifier command whose identity is broken exits 1, marks the broken
+    entries false, lists them as FAIL lines, and ``qs check`` puts the
+    verifier's summary in the failure's detail."""
+
+    @staticmethod
+    def break_reflection(monkeypatch):
+        right = weyl.param_reflection_matrix
+        monkeypatch.setattr(weyl, "param_reflection_matrix",
+                            lambda q, i: [[2 * x for x in row] for row in right(q, i)])
+
+    @staticmethod
+    def break_swap(monkeypatch):
+        monkeypatch.setattr(regularize, "_swap", lambda n, a, b: weyl.int_identity(n))
+
+    def test_weyl_verify(self, capsys, monkeypatch, corpus_dir):
+        self.break_reflection(monkeypatch)
+        qfile = str(corpus_dir / "double_d3.quiver")
+        code, out, _ = run(capsys, "--format", "json", "weyl-verify", qfile)
+        obj = json.loads(out)
+        assert code == 1 and obj["ok"] is False
+        assert [c["ok"] for c in obj["checks"]] == [c["action"] == "dim" for c in obj["checks"]]
+        code, out, _ = run(capsys, "weyl-verify", qfile)
+        lines = out.splitlines()
+        assert code == 1
+        assert lines[0] == "coxeter relations: 12 checks, 6 failures [FAIL]"
+        assert lines[1:] == [
+            f"  FAIL {('param', tuple(c['vertices']), c['order'])}"
+            for c in obj["checks"] if c["action"] == "param"
+        ]
+
+    def test_reg_verify(self, capsys, monkeypatch, corpus_dir):
+        self.break_swap(monkeypatch)
+        argv = ("reg-verify", str(corpus_dir / "double_d3.quiver"), "--leg", "k,i,j")
+        code, out, _ = run(capsys, "--format", "json", *argv)
+        obj = json.loads(out)
+        assert code == 1 and obj["ok"] is False and obj["isometry"] is True
+        failed = [c["label"] for key in ("semidirect", "equivariance")
+                  for c in obj[key] if not c["ok"]]
+        assert failed and all("swap" in label for label in failed)
+        assert all(c["ok"] for key in ("semidirect", "equivariance") for c in obj[key]
+                   if "swap" not in c["label"])
+        code, out, _ = run(capsys, *argv)
+        assert code == 1
+        assert [line.removeprefix("  FAIL ") for line in out.splitlines()
+                if line.startswith("  FAIL ")] == failed
+
+    @pytest.mark.parametrize("suite", ["coxeter", "regularize"])
+    def test_check_detail(self, capsys, monkeypatch, corpus, corpus_dir, suite):
+        if suite == "coxeter":
+            self.break_reflection(monkeypatch)
+            records = {f"{name}: coxeter relations": weyl.verify_coxeter(q)[0]
+                       for name, q in corpus.items()}
+        else:
+            self.break_swap(monkeypatch)
+            records = {}
+            for name, q in corpus.items():
+                for ln, leg in enumerate(regularize.find_legs(q)):
+                    records[f"{name}/leg{ln}: semidirect identities"] = \
+                        regularize.verify_semidirect(q, leg)
+                    records[f"{name}/leg{ln}: parameter equivariance"] = \
+                        regularize.verify_param_equivariance(q, leg)
+        code, out, _ = run(capsys, "--format", "json", "check", str(corpus_dir),
+                           "--suite", suite, "--seed", "1", "--trials", "2")
+        got = {f["case"]: f["detail"] for f in json.loads(out)["failures"]
+               if f["case"] in records}
+        assert code == 1
+        assert got == {case: rec.summary() for case, rec in records.items() if not rec.ok}
+        assert got and all("[FAIL]\n  FAIL " in detail for detail in got.values())
 
 
 class TestInputBoundary:
@@ -425,8 +512,7 @@ class TestImportsPerCommand:
             ["reg-verify", str(double), "--leg", "k,i,j"],
             ["reflect", str(chain), "--vertex", "i", "--lambda", str(lam_chain), "--v", "1,1,1"],
         )
-        assert "weyl" in loaded and "regularize" in loaded
-        assert not loaded & {"linalg", "rmatrix", "repn", "orbit", "reflect", "suites"}
+        assert loaded == {"cli", "errors", "quiver", "regularize", "scalars", "serialize", "weyl"}
 
     def test_representation_commands(self, corpus_dir):
         repo, a3 = corpus_dir.parent, str(corpus_dir / "a3.quiver")
@@ -448,8 +534,8 @@ class TestImportsPerCommand:
         loaded = self.loaded(corpus_dir.parent,
                              *(["check", str(corpus_dir), "--suite", suite, "--trials", "1"]
                                for suite in ("coxeter", "regularize")))
-        assert "suites" in loaded
-        assert not loaded & {"linalg", "rmatrix", "repn", "orbit", "reflect"}
+        assert loaded == {"cli", "errors", "quiver", "regularize", "rng", "scalars", "serialize",
+                          "suites", "weyl"}
 
 
 def test_installed_entry_point(chain_file):

@@ -13,6 +13,9 @@ representation at a vertex and puts it back together).
 A quiver's double and Cartan data are built once, by ``QuiverMult`` itself;
 only ``quiver`` may reference their builders.
 
+Every pass/fail verdict is kept by one record, ``errors.Checks``: no other
+library class defines ``all_ok``, ``summary`` or ``record``.
+
 No module imports ``dataclasses``: it pulls in ``inspect`` and ``ast`` at
 every ``qs`` start, and its classes are built through ``exec``.  Records are
 ``collections.namedtuple`` subclasses or slotted classes instead.
@@ -26,6 +29,7 @@ PACKAGE = REPO / "src" / "qschemes"
 CONVERTERS = {"extend_scalars", "extend_scalars_rev", "restrict_scalars", "restrict_scalars_rev"}
 CONVERTING_MODULES = {"rmatrix", "reflect"}
 QUIVER_BUILDERS = {"_double", "_cartan"}
+VERDICT_MEMBERS = {"all_ok", "summary", "record"}
 
 
 def _library_modules():
@@ -95,3 +99,13 @@ def test_no_module_imports_dataclasses():
                 continue
             offenders += [path.stem for name in names if name.split(".")[0] == "dataclasses"]
     assert not offenders, f"modules importing dataclasses: {offenders}"
+
+
+def test_one_verdict_record():
+    owners = []
+    for path in _library_modules():
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ClassDef):
+                owners += [f"{path.stem}.{node.name}.{item.name}" for item in node.body
+                           if isinstance(item, ast.FunctionDef) and item.name in VERDICT_MEMBERS]
+    assert owners == ["errors.Checks.record", "errors.Checks.summary"], owners

@@ -1,5 +1,6 @@
 import pytest
 
+from qschemes import regularize
 from qschemes.errors import InvalidLeg
 from qschemes.quiver import QuiverMult, bilinear, expected_dim
 from qschemes.regularize import (
@@ -166,31 +167,35 @@ class TestRegularizeParams:
         assert lamc[0] == T(1, [1])
 
 
+def units(rep, terms=None):
+    """Verdicts of the unit conditions, of sums of ``terms`` parameters if given."""
+    return [ok for case, ok, _, _ in rep.verdicts if case.startswith("unit ")
+            and (terms is None or case.count("+") == terms - 1)]
+
+
 class TestHypotheses:
     def test_zero_lambda_fails_units(self):
         q = example_star(3, 2)
         leg = find_legs(q)[0]
         rep = check_theorem_hypotheses(q, leg, (T(2), T(1), T(1)), (1, 1, 1))
-        assert not rep.all_ok
-        assert [ok for _, ok in rep.unit_conditions] == [False]
+        assert not rep.ok
+        assert units(rep) == [False]
 
     def test_non_increasing_passes_dims(self):
         q = example_star(3, 2)
         leg = find_legs(q)[0]
         lam = (T(2, [1, 0]), T(1), T(1))
         rep = check_theorem_hypotheses(q, leg, lam, (1, 2, 0))
-        assert all(ok for _, _, ok in rep.dim_conditions)
-        assert rep.all_ok and [ok for _, ok in rep.unit_conditions] == [True]
+        assert all(ok for case, ok, _, _ in rep.verdicts if case.startswith("dim "))
+        assert rep.ok and units(rep) == [True]
 
     def test_pair_sum_zero_fails(self):
         q = long_leg(2, 2)
         leg = find_legs(q)[0]
         lam = (T(1), T(1), T(2, [1, 0]), T(2, [-1, 0]))
         rep = check_theorem_hypotheses(q, leg, lam, (0, 1, 1, 1))
-        singles = [ok for names, ok in rep.unit_conditions if len(names) == 1]
-        pairs = [ok for names, ok in rep.unit_conditions if len(names) == 2]
-        assert singles == [True, True]
-        assert pairs == [False]
+        assert units(rep, 1) == [True, True]
+        assert units(rep, 2) == [False]
 
 
 class TestPhiMap:
@@ -234,7 +239,7 @@ class TestGroupIdentities:
                   example_two_legs(4, d), long_leg(d, 2)):
             for leg in find_legs(q):
                 rep = verify_semidirect(q, leg)
-                assert rep.all_ok, rep.summary()
+                assert rep.ok, rep.summary()
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_param_equivariance(self, d):
@@ -242,13 +247,13 @@ class TestGroupIdentities:
                   example_two_legs(4, d), long_leg(d, 2)):
             for leg in find_legs(q):
                 rep = verify_param_equivariance(q, leg)
-                assert rep.all_ok, rep.summary()
+                assert rep.ok, rep.summary()
 
     def test_param_matrix_shape(self):
         q = example_star(3, 3)
         leg = find_legs(q)[0]
-        m = param_map_matrix(q, leg)
         reg = regularize_quiver(q, leg)
+        m = param_map_matrix(q, leg, reg)
         assert len(m) == sum(reg.mults)
         assert len(m[0]) == sum(q.mults)
 
@@ -287,3 +292,37 @@ class TestTransferInvariance:
         chain = set(leg.chain())
         for l2 in find_legs(reg):
             assert not set(l2.vertices) & chain
+
+
+class TestValidatesOnce:
+    """A verifier validates its leg once, and the equivariance check builds
+    the rewritten quiver once; counted by wrapping the module's functions."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        calls = []
+        right = getattr(regularize, name)
+
+        def wrapper(*args):
+            calls.append(args)
+            return right(*args)
+
+        monkeypatch.setattr(regularize, name, wrapper)
+        return calls
+
+    @pytest.mark.parametrize("verifier", [isometry_check, verify_semidirect,
+                                          verify_param_equivariance])
+    def test_one_find_legs_call(self, monkeypatch, corpus, verifier):
+        q = corpus["double_d3"]
+        leg = leg_from_names(q, ["k", "i", "j"])
+        calls = self.counted(monkeypatch, "find_legs")
+        result = verifier(q, leg)
+        assert result is True or result.ok
+        assert len(calls) == 1
+
+    def test_equivariance_builds_the_rewrite_once(self, monkeypatch, corpus):
+        q = corpus["double_d3"]
+        leg = leg_from_names(q, ["k", "i", "j"])
+        calls = self.counted(monkeypatch, "regularize_quiver")
+        assert verify_param_equivariance(q, leg).ok
+        assert len(calls) == 1

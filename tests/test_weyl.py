@@ -282,22 +282,22 @@ class TestCoxeterOrder:
 
 class TestVerifyCoxeter:
     def test_single_vertex(self):
-        rep = verify_coxeter(QuiverMult.build([("a", 2)]))
-        assert rep.all_ok and len(rep.checks) == 2
+        rep, _ = verify_coxeter(QuiverMult.build([("a", 2)]))
+        assert rep.ok and rep.checks == 2
 
     def test_chain(self):
-        assert verify_coxeter(example_chain(2)).all_ok
+        assert verify_coxeter(example_chain(2))[0].ok
 
     def test_double_d3(self):
-        rep = verify_coxeter(example_double(3))
-        assert rep.all_ok
-        orders = {c.vertices: c.order for c in rep.checks if len(c.vertices) == 2}
-        assert orders[("i", "j")] == 3  # unit-Cartan pair
+        rep, _ = verify_coxeter(example_double(3))
+        assert rep.ok
+        cases = [case for case, _, _, _ in rep.verdicts]
+        assert ("param", ("i", "j"), 3) in cases and ("dim", ("i", "j"), 3) in cases  # unit Cartan
 
     def test_infinite_pair_skipped(self, corpus):
-        rep = verify_coxeter(corpus["kronecker"])
-        assert rep.all_ok
-        assert rep.skipped == [(("p", "q"), 4)]
+        rep, skipped = verify_coxeter(corpus["kronecker"])
+        assert rep.ok
+        assert skipped == [(("p", "q"), 4)]
 
 
 class TestRho:
