@@ -139,12 +139,14 @@ class Checks:
         return {"checks": self.checks, "failures": self.failures}
 
     def summary(self) -> str:
-        """``<name>: <n> checks, <f> failures [ok|FAIL]``, then one line per failure."""
+        """``<name>: <n> checks, <f> failures [ok|FAIL]``, then one line per
+        failure; the further lines of a multi-line detail (a nested record's
+        summary) are indented under their failure's line."""
         failures = self.failures
         lines = [f"{self.name}: {self.checks} checks, {len(failures)} failures "
                  f"[{'FAIL' if failures else 'ok'}]"]
         for f in failures:
             seed = "" if f["seed"] is None else f" (seed {f['seed']})"
-            detail = f": {f['detail']}" if f["detail"] else ""
+            detail = f": {f['detail']}".replace("\n", "\n    ") if f["detail"] else ""
             lines.append(f"  FAIL {f['case']}{seed}{detail}")
         return "\n".join(lines)

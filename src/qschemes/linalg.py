@@ -11,19 +11,16 @@ The blocks are tuples of tuples, so matrices can share them safely.
 ``den``), so scalars cross the boundary on integers: ``Matrix(rows)`` and
 ``scale`` read their numerators, and entry access, the read-only ``rows``
 view and ``trace`` build ``GaussQ`` values from the integers on demand;
-``Matrix.from_ints`` takes integer rows directly and ``Matrix.scalar`` builds
-c I from the numerators of c.  Degenerate shapes (0 rows or 0 columns) are
-legal and arise naturally from zero dimension vectors.
+``Matrix.from_ints`` takes integer rows directly.  Degenerate shapes (0 rows
+or 0 columns) are legal and arise naturally from zero dimension vectors.
 
 Sums, scalar multiples, stacking, slicing (``take``) and the product work on
 the integer numerators; a real operand takes no imaginary dot products.
-Four kernels act on matrix polynomials, given as lists of slices:
-``poly_mul`` returns the slices of a truncated product in one pass over the
-numerators, ``poly_scale`` those of a scalar polynomial times a matrix
-polynomial, entry by entry with no product formed, ``trace_dot`` returns
-trace(sum_j x_j y_j) without forming a product, and ``block_toeplitz``
-rewrites the slices over a subring, one gather of the numerators per slice.
-The module maps of ``rmatrix`` compose, scale, pair and lower through them.
+A matrix polynomial with c slices is one block, its slices side by side;
+``poly_mul`` (product), ``poly_inverse`` (inverse), ``poly_scale`` (times a
+scalar polynomial), ``trace_dot`` (top coefficient of the trace of a
+product) and ``block_toeplitz`` (the block over a subring) take and return
+blocks, one pass over the numerators each.
 
 Elimination (``_echelon``) is fraction-free Gauss-Jordan in the style of
 Bareiss (Math. Comp. 22, 1968), over Z for real matrices and over Z[i]
@@ -94,21 +91,6 @@ class Matrix:
     @staticmethod
     def identity(n) -> "Matrix":
         return _new(_diagonal(n, 1), None, 1, n)
-
-    @staticmethod
-    def scalar(n, c) -> "Matrix":
-        """The n x n matrix c * I for a scalar c of Q(i), from its numerators."""
-        c = _coerce(c)
-        if not (n and c):
-            return Matrix.zero(n, n)
-        return _new(_diagonal(n, c.num_re), _diagonal(n, c.num_im) if c.num_im else None,
-                    c.den, n)
-
-    @staticmethod
-    def diagonal(entries) -> "Matrix":
-        n = len(entries)
-        return Matrix([[x if i == j else GQ_ZERO for j in range(n)]
-                       for i, x in enumerate(entries)], ncols=n)
 
     @property
     def rows(self) -> tuple:
@@ -182,11 +164,8 @@ class Matrix:
         return self.im is None and not any(map(any, self.re))
 
     def take(self, rows=None, cols=None) -> "Matrix":
-        """The submatrix on the given rows and columns.
-
-        Each of ``rows`` and ``cols`` is None (all of them), a slice, or a
-        sequence of indices, which may repeat or reorder.
-        """
+        """The submatrix on ``rows`` and ``cols``, each None (all of them), a
+        slice, or a sequence of indices, which may repeat or reorder."""
         ncols = self.ncols
         if cols is not None:
             ncols = len(range(ncols)[cols] if type(cols) is slice else cols)
@@ -240,9 +219,7 @@ def _gather(block, rows, cols):
         block = block[rows] if type(rows) is slice else tuple(map(block.__getitem__, rows))
     if cols is None:
         return block
-    if type(cols) is slice:
-        return tuple(map(itemgetter(cols), block))
-    return tuple([tuple(map(r.__getitem__, cols)) for r in block])
+    return tuple(map(itemgetter(cols) if type(cols) is slice else _picker(cols), block))
 
 
 def _times(block, f):
@@ -331,15 +308,11 @@ def _stack(mats, shared, join):
 
 
 def _over_lcm(mats):
-    """(den, re, im): the lcm of the denominators of mats and their numerator
-    blocks over it; ``im`` is None when every matrix is real, and otherwise
-    holds zero blocks for the real ones.
-
-    Blocks joined over that lcm stay canonical: a prime power dividing it
-    exactly divides some matrix's denominator exactly, and that matrix has a
-    numerator the prime does not divide, left so by a cofactor the prime does
-    not divide either.
-    """
+    """(den, re, im): the numerator blocks of mats over the lcm of their
+    denominators, with zero blocks for real ones when any has an ``im``.
+    Joined, they stay canonical: a prime power exactly dividing the lcm
+    exactly divides some denominator, whose matrix has a numerator the prime
+    does not divide, and a cofactor the prime does not divide either."""
     den = lcm(*[a.den for a in mats])
     re = [a.re if a.den == den else _times(a.re, den // a.den) for a in mats]
     im = None
@@ -350,154 +323,178 @@ def _over_lcm(mats):
 
 
 # -- matrix polynomials --------------------------------------------------------
+#
+# A matrix polynomial sum_{m<c} A_m eps^m with p x k slices A_m is one block:
+# the p x (c k) matrix [A_0 | A_1 | .. | A_(c-1)] of ``rmatrix.RMap.block``.
 
-def poly_mul(fs, gs) -> list[Matrix]:
-    """The slices sum_{j<=m} f_j g_(m-j), m < c, of the product of two matrix
-    polynomials truncated at degree c = len(fs) = len(gs).
+def poly_mul(f: Matrix, g: Matrix, c: int) -> Matrix:
+    """The block of f g truncated at degree c: slice m is sum_{j<=m} f_j g_(m-j).
 
-    One slice is the product ``@``.  Otherwise the slices are made in one
-    pass over the integer numerators, each factor over the lcm of its
-    slices' denominators: the rows of f_0, .., f_(c-1) are joined once, and
-    the columns of g_m, g_(m-1), .., g_0 grow by one slice per m.  A row and
-    a column pair up only as far as the shorter reaches, which is f_0 .. f_m.
+    One slice is ``@``.  Otherwise a row of f is already its slices side by
+    side, and column (m, j) of the result pairs it with column j of g_m,
+    g_(m-1), .., g_0 stacked, as far as the shorter reaches (f_0 .. f_m).
     """
-    c = len(fs)
-    if len(gs) != c:
-        raise ShapeMismatch(f"product of polynomials with {c} and {len(gs)} slices")
     if c == 1:
-        return [fs[0] @ gs[0]]
-    p, k, q = fs[0].nrows, fs[0].ncols, gs[0].ncols
-    if any(f.nrows != p or f.ncols != k for f in fs) or any(
-            g.nrows != k or g.ncols != q for g in gs):
-        raise ShapeMismatch(f"slices of {p}x{k} by {k}x{q} polynomials differ in shape")
-    if not (p and k and q):
-        return [Matrix.zero(p, q)] * c
-    fden, fre, fim = _over_lcm(fs)
-    gden, gre, gim = _over_lcm(gs)
-    ar, ai = _join_columns(fre), fim and _join_columns(fim)
-    den = fden * gden
+        return f @ g
+    k, q = f.ncols // c, g.ncols // c
+    if f.ncols != c * k or g.ncols != c * q or g.nrows != k:
+        raise ShapeMismatch(f"{f.nrows}x{f.ncols} by {g.nrows}x{g.ncols} blocks of {c} slices")
+    if not (f.nrows and k and q):
+        return Matrix.zero(f.nrows, c * q)
+    gre, gim = _columns(g.re), g.im and _columns(g.im)
     br = bi = ((),) * q
-    out = []
-    for m in range(c):
-        br = tuple(map(add, _columns(gre[m]), br))
-        if gim is not None:
-            bi = tuple(map(add, _columns(gim[m]), bi))
-        out.append(_canon(*_product(ar, ai, br, gim and bi), den, q))
-    return out
+    cr, ci = [], []
+    for m in range(0, c * q, q):
+        br = tuple(map(add, gre[m:m + q], br))
+        cr += br
+        if gim:
+            bi = tuple(map(add, gim[m:m + q], bi))
+            ci += bi
+    return _canon(*_product(f.re, f.im, cr, gim and ci), f.den * g.den, c * q)
 
 
-def poly_scale(cs, fs) -> list[Matrix]:
-    """The slices sum_{j<=m} c_j f_(m-j), m < c, of the product of a scalar
-    polynomial and a matrix polynomial truncated at degree c = len(cs) =
-    len(fs).
+def poly_inverse(a: Matrix, c: int) -> Matrix:
+    """The block of the inverse, truncated at degree c, of a block a of c
+    square slices with a_0 invertible.  With X_0 = a_0^-1 and X_0 a =
+    [1 | -c_1 | .. | -c_(c-1)] / e, the slices X_k = sum_{1<=j<=k} (c_j / e)
+    X_(k-j) are y_k / (den(X_0) e^k) for y_k = sum_j e^(j-1) c_j y_(k-j): per
+    k one product of the rows of [c_1 | e c_2 | ..] with y_(k-1), .., y_0
+    stacked, as in ``poly_mul``."""
+    n = a.nrows
+    x0 = inverse(a.take(cols=slice(0, n)) if c > 1 else a)
+    if c == 1 or not n:
+        return x0 if c == 1 else a
+    m = x0 @ a
+    e = m.den
+    powers = [-e ** j for j in range(c - 1) for _ in range(n)]
+    cr, ci = (b and tuple([tuple(map(mul, r[n:], powers)) for r in b]) for b in (m.re, m.im))
+    zero = ((0,) * n,) * n if x0.im or ci else None
+    ys, br, bi = [(x0.re, x0.im or zero)], ((),) * n, ((),) * n
+    for _ in range(1, c):
+        br = tuple(map(add, _columns(ys[-1][0]), br))
+        bi = zero and tuple(map(add, _columns(ys[-1][1]), bi))
+        ys.append(_product(cr, ci, br, bi))
+    re, im = ([_lincomb(y[i], e ** (c - 1 - k), None, 0) for k, y in enumerate(ys)]
+              for i in (0, 1))
+    return _canon(_join_columns(re), zero and _join_columns(im), x0.den * e ** (c - 1), c * n)
 
-    Each entry of a slice is one integer dot product of the scalars'
-    numerators (over the lcm of their denominators) with the entries of
-    f_m, .., f_0 there (over the lcm of theirs); no scalar matrix or
-    product is formed.
+
+def poly_scale(cs, f: Matrix) -> Matrix:
+    """The block of (sum_j cs[j] eps^j) f truncated at degree c = len(cs):
+    slice m is sum_{j<=m} c_j f_(m-j).  Each entry is one dot product of the
+    scalars' numerators (over the lcm of their denominators) with the
+    entries of f_m, .., f_0 there, read off a row of f with a negative
+    stride; no product is formed.
     """
-    c = len(fs)
-    if len(cs) != c:
-        raise ShapeMismatch(f"product of polynomials with {len(cs)} and {c} slices")
-    p, q = fs[0].nrows, fs[0].ncols
-    if any(f.nrows != p or f.ncols != q for f in fs):
-        raise ShapeMismatch(f"slices of a {p}x{q} polynomial differ in shape")
+    c = len(cs)
     if c == 1:
-        return [fs[0].scale(cs[0])]
+        return f.scale(cs[0])
+    q = f.ncols // c
+    if f.ncols != c * q:
+        raise ShapeMismatch(f"a block of {f.ncols} columns does not hold {c} slices")
+    if not (f.nrows and q):
+        return f
     cs = list(map(_coerce, cs))
-    if not (p and q):
-        return [Matrix.zero(p, q)] * c
     w = lcm(*[x.den for x in cs])
     u = [x.num_re * (w // x.den) for x in cs]
     v = [x.num_im * (w // x.den) for x in cs] if any(x.num_im for x in cs) else None
-    fden, fre, fim = _over_lcm(fs)
-    fre = [_flat(b) for b in fre]
-    fim = fim and [_flat(b) for b in fim]
-    out = []
-    for m in range(c):
-        # entry e of slice m pairs u_m .. u_0 with f_0[e] .. f_m[e]
-        um, vm = u[m::-1], v and v[m::-1]
-        at = list(zip(*fre[:m + 1]))
-        re = [sum(map(mul, um, e)) for e in at]
-        im = [sum(map(mul, vm, e)) for e in at] if v else None
-        if fim:
-            at = list(zip(*fim[:m + 1]))
-            ui = [sum(map(mul, um, e)) for e in at]
-            im = list(map(add, im, ui)) if im else ui
-            if v:
-                re = list(map(sub, re, [sum(map(mul, vm, e)) for e in at]))
-        out.append(_canon(_unflat(re, q), im and _unflat(im, q), fden * w, q))
-    return out
+    at = [slice(e, None, -q) for e in range(c * q)]
+
+    def dots(us, block):
+        return tuple([tuple([sum(map(mul, us, r[s])) for s in at]) for r in block])
+
+    # (u + i v)(re + i im) = (u re - v im) + i (v re + u im)
+    fim = f.im
+    re = _lincomb(dots(u, f.re), 1, v and fim and dots(v, fim), -1)
+    im = _lincomb(v and dots(v, f.re), 1, fim and dots(u, fim), 1)
+    return _canon(re, im, f.den * w, f.ncols)
 
 
-def block_toeplitz(parts, r, f_rows, f_cols, ts, ss) -> list[Matrix]:
-    """The b/r slices over R_(b/r) of a matrix polynomial over R_b, b = len(parts).
+def block_toeplitz(a: Matrix, b, r, f_rows, f_cols, ts, ss) -> Matrix:
+    """The block over R_(b/r) of a block a of b slices over R_b.
 
-    The rows of each slice come in groups of ``f_rows``, indexed (i, l),
-    and its columns in groups of ``f_cols``, indexed (j, l').  R_b is free
-    over R_(b/r) on 1, e, .., e^(r-1), so slice m of the result has rows
-    (i, t, l) and columns (j, s, l') for t in ts and s in ss, and its entry
-    there is entry ((i, l), (j, l')) of parts[r m + t - s], zero when that
-    index falls outside 0..b-1: (block rows and columns of) a block-Toeplitz
-    expansion.  Each slice is one gather of the numerators of all parts,
-    over the lcm of their denominators.
-
-    The caller (``rmatrix._lower``) guarantees the shapes: r > 1 divides b,
-    every part is p x k with f_rows | p and f_cols | k, ts and ss are
-    ascending indices below r, and one of them is all of range(r).
+    Slice rows come in groups (i, l) of ``f_rows`` and columns in groups
+    (j, l') of ``f_cols``.  R_b is free over R_(b/r) on 1, e, .., e^(r-1),
+    so slice m of the result has rows (i, t, l) and columns (j, s, l') for t
+    in ts and s in ss, and there the entry ((i, l), (j, l')) of a's slice
+    r m + t - s, zero outside 0..b-1.  Row (i, t, l) reads row i + l of a,
+    padded by r - 1 zero slices on either side, at positions set by t: one
+    gather per row.  The caller (``rmatrix._lower``) passes r > 1 dividing
+    b and f_rows, f_cols dividing the slice shape, and all of range(r) as ts
+    or ss, so every entry of a appears and the result keeps a's canonical
+    form.
     """
-    b = len(parts)
-    p, k = parts[0].nrows, parts[0].ncols
+    p, k = a.nrows, a.ncols // b
+    ncols = b // r * len(ss) * k
     if not (p and k):
-        return [Matrix.zero(len(ts) * p, len(ss) * k)] * (b // r)
-    den, re, im = _over_lcm(parts)
-    # the parts end to end between r - 1 zero parts on either side, so that
-    # part r m + t - s of slice m starts at (t - s + r - 1) p k in the window
-    # of 2 r - 1 parts from r m p k; an entry's index there is a row offset
-    # for (i, t, l) plus a column offset for (j, s, l')
-    n = p * k
-    pad = (0,) * ((r - 1) * n)
-    rows = [(t + r - 1) * n + (i + l) * k
-            for i in range(0, p, f_rows) for t in ts for l in range(f_rows)]
-    cols = [j + l - s * n for j in range(0, k, f_cols) for s in ss for l in range(f_cols)]
-    get = itemgetter(*[a + x for a in rows for x in cols])
-    re = pad + _flat(chain.from_iterable(re)) + pad
-    im = im and pad + _flat(chain.from_iterable(im)) + pad
-    out = []
-    for m in range(0, b, r):
-        window = slice(m * n, (m + 2 * r - 1) * n)
-        out.append(_canon(_unflat(get(re[window]), len(cols)),
-                          im and _unflat(get(im[window]), len(cols)), den, len(cols)))
-    return out
+        return Matrix.zero(len(ts) * p, ncols)
+    pad = (0,) * ((r - 1) * k)
+    # column (m, j, s, l') of row (i, t, l) is (r m + t - s + r - 1) k + j + l'
+    # of the padded row i + l
+    at = [(r * m - s + r - 1) * k + j + l for m in range(b // r)
+          for j in range(0, k, f_cols) for s in ss for l in range(f_cols)]
+    get = {t: _picker([t * k + x for x in at]) for t in ts}
+    rows = [(i + l, get[t]) for i in range(0, p, f_rows) for t in ts for l in range(f_rows)]
+
+    def expand(block):
+        padded = [pad + row + pad for row in block]
+        return tuple([g(padded[i]) for i, g in rows])
+
+    return _new(expand(a.re), a.im and expand(a.im), a.den, ncols)
 
 
-def trace_dot(xs, ys) -> GaussQ:
-    """trace(sum_j x_j y_j) for x_j of shape p x k and y_j of shape k x p.
-
-    trace(x y) is the sum of the entrywise products of x and the transpose
-    of y, so each pair costs O(p k) integer products on the numerators (each
-    factor over the lcm of its denominators), and no product matrix is
-    formed.
+def trace_dot(x: Matrix, y: Matrix, c: int) -> GaussQ:
+    """trace(sum_j x_j y_(c-1-j)), the top coefficient of the trace of x y,
+    for blocks of c slices x_j (p x k) and y_j (k x p): one dot product of
+    the entries (a, j, b) of x with y_(c-1-j)[b, a], and no product matrix.
     """
-    xs, ys = list(xs), list(ys)
-    if len(xs) != len(ys) or any(x.nrows != y.ncols or x.ncols != y.nrows
-                                 for x, y in zip(xs, ys)):
-        raise ShapeMismatch("trace_dot needs pairs x_j, y_j with x_j y_j square")
-    xden, xre, xim = _over_lcm(xs)
-    yden, yre, yim = _over_lcm(ys)
-    re = im = 0
-    for t in range(len(xs)):
-        ar, br = _flat(xre[t]), _flat(_columns(yre[t]))
-        re += sum(map(mul, ar, br))
-        bi = yim and _flat(_columns(yim[t]))
-        if bi:
-            im += sum(map(mul, ar, bi))
-        if xim:
-            ai = _flat(xim[t])
-            im += sum(map(mul, ai, br))
-            if bi:
-                re -= sum(map(mul, ai, bi))
-    return _entry(re, im, xden * yden)
+    p, k = x.nrows, y.nrows
+    if x.ncols != c * k or y.ncols != c * p:
+        raise ShapeMismatch("trace_dot needs blocks of slices x_j, y_j with x_j y_j square")
+    if not (p and k):
+        return GQ_ZERO
+    get = _picker([(c - 1 - j) * p + a for a in range(p) for j in range(c)])
+    ar, ai = (b and (_flat(b),) for b in (x.re, x.im))
+    br, bi = (b and (_flat(get(_columns(b))),) for b in (y.re, y.im))
+    re, im = _product(ar, ai, br, bi)
+    return _entry(re[0][0], im[0][0] if im else 0, x.den * y.den)
+
+
+def _regroup(a: Matrix, q, patterns) -> Matrix:
+    """Per run of q rows of a joined end to end, one row of its entries at
+    each index list of ``patterns``, over a's denominator.  The callers keep
+    every entry of a, so the result is canonical as it stands."""
+    gets = [_picker(p) for p in patterns]
+
+    def rows(block):
+        if q > 1:
+            block = [_flat(block[i:i + q]) for i in range(0, len(block), q)]
+        return tuple([g(r) for r in block for g in gets])
+
+    return _new(rows(a.re), a.im and rows(a.im), a.den, len(patterns[0]))
+
+
+def _diagonals(diags) -> Matrix:
+    """The block [D_0 | D_1 | ..] of the diagonal matrices D_m = diag(diags[m])
+    of scalars of Q(i), over the lcm of their denominators (canonical as in
+    ``_over_lcm``)."""
+    n, xs = len(diags[0]), [_coerce(x) for ds in diags for x in ds]
+    w, den = len(xs), lcm(*[x.den for x in xs])
+    re, im = [0] * (n * w), [0] * (n * w) if any(x.num_im for x in xs) else None
+    for k, x in enumerate(xs):
+        # entry (i, m n + i) of the block, for k = m n + i
+        at, f = k + k % n * w, den // x.den
+        re[at] = x.num_re * f
+        if im:
+            im[at] = x.num_im * f
+    return _new(_unflat(re, w), im and _unflat(im, w), den, w)
+
+
+def _picker(index):
+    """A function taking the items of a sequence at ``index``, as a tuple."""
+    if len(index) > 1:
+        return itemgetter(*index)
+    return lambda seq: tuple(map(seq.__getitem__, index))
 
 
 def _flat(block):

@@ -60,11 +60,12 @@ from itertools import accumulate
 from operator import matmul
 
 from .errors import NotInOrbit, ShapeMismatch
-from .linalg import Matrix, hstack, pivot_columns, rank, solve, vstack
+from .linalg import Matrix, _diagonals, hstack, pivot_columns, rank, solve, vstack
 from .rmatrix import (
     ModShape,
     RMap,
     _lower,
+    _rmap,
     compose,
     invert_end,
     scalar_end,
@@ -140,10 +141,13 @@ def big_theta(spec: OrbitSpec) -> RMap:
 def _block_scalar(d, blocks) -> RMap:
     """The endomorphism acting as theta on a block of rank w, per (w, theta)."""
     shape = ModShape(sum(w for w, _ in blocks), d)
-    return RMap(shape, shape, d, [
-        Matrix.diagonal([theta.coeffs[k] for w, theta in blocks for _ in range(w)])
-        for k in range(d)
-    ])
+    return _rmap(shape, shape, d, _diagonals([
+        [theta.coeffs[k] for w, theta in blocks for _ in range(w)] for k in range(d)]))
+
+
+def _constant(f: RMap) -> Matrix:
+    """f's slice 0, the residue of a map over its full order."""
+    return f.block if f.base == 1 else f.block.take(cols=slice(0, f.src.dim // f.base))
 
 
 # -- membership ----------------------------------------------------------------
@@ -186,8 +190,8 @@ def orbit_membership(spec: OrbitSpec, a: RMap) -> MembershipWitness:
     if not prefix[-1].is_zero():
         reasons.append("product of (A - theta_j) does not vanish")
     # residues: those of the prefix products are their constant slices
-    res_prefix = [None] + [p.parts[0] for p in prefix[1:]]
-    res_suffix = _prefix_products([f.parts[0] for f in factors[:0:-1]], matmul)[::-1]
+    res_prefix = [None] + [_constant(p) for p in prefix[1:]]
+    res_suffix = _prefix_products([_constant(f) for f in factors[:0:-1]], matmul)[::-1]
     for i, w in enumerate(spec.dims):
         if rank(_times(res_prefix[i], res_suffix[i], matmul)) != w:
             reasons.append(f"residue rank of pi_{i} differs from block dimension")
@@ -213,9 +217,10 @@ def free_basis(e: RMap) -> RMap:
     column set, and lift those generator columns e(v_j (x) 1); by Nakayama
     they form a free basis of the image.
     """
-    pivots = pivot_columns(e.parts[0])
-    d = e.src.order
-    return RMap(ModShape(len(pivots), d), e.src, d, [p.take(cols=pivots) for p in e.parts])
+    pivots = pivot_columns(_constant(e))
+    d, n = e.src.order, e.src.rank
+    return _rmap(ModShape(len(pivots), d), e.src, d,
+                 e.block.take(cols=[m * n + j for m in range(d) for j in pivots]))
 
 
 def coordinates(u: RMap, f: RMap) -> RMap:
@@ -228,14 +233,16 @@ def coordinates(u: RMap, f: RMap) -> RMap:
     if u.dst != f.dst:
         raise ShapeMismatch("targets differ")
     c = math.gcd(u.base, f.base)
-    us, fs = _lower(u, c), _lower(f, c)
+    ub, fb = _lower(u, c), _lower(f, c)
+    k, n = ub.ncols // c, fb.ncols // c
+    u0 = ub.take(cols=slice(0, k)) if c > 1 else ub
     ks = []
     for m in range(c):
-        rhs = fs[m]
+        rhs = fb.take(cols=slice(m * n, m * n + n)) if c > 1 else fb
         if m:
-            rhs = rhs - hstack(us[1:m + 1]) @ vstack(ks[::-1])
-        ks.append(solve(us[0], rhs))
-    return RMap(f.src, u.src, c, ks)
+            rhs = rhs - ub.take(cols=slice(k, k + m * k)) @ vstack(ks[::-1])
+        ks.append(solve(u0, rhs))
+    return _rmap(f.src, u.src, c, hstack(ks))
 
 
 # -- leg points ------------------------------------------------------------------
@@ -264,7 +271,7 @@ def _inclusion(spec: OrbitSpec, i) -> RMap:
     src = ModShape(spec.tail_dim(i + 1), d)
     dst = ModShape(spec.tail_dim(i), d)
     const = Matrix.identity(dst.rank).take(cols=slice(spec.dims[i], None))
-    return RMap(src, dst, d, [const] + [Matrix.zero(dst.rank, src.rank)] * (d - 1))
+    return _rmap(src, dst, d, hstack([const, Matrix.zero(dst.rank, (d - 1) * src.rank)]))
 
 
 def _scaled_projection(spec: OrbitSpec, i) -> RMap:
@@ -274,7 +281,7 @@ def _scaled_projection(spec: OrbitSpec, i) -> RMap:
     dst = ModShape(spec.tail_dim(i + 1), d)
     # theta_i - Theta on V_i is block-scalar; drop block i's rows
     shifted = _block_scalar(d, [(w, spec.thetas[i] - t) for w, t in spec.blocks[i:]])
-    return RMap(src, dst, d, [p.take(slice(spec.dims[i], None)) for p in shifted.parts])
+    return _rmap(src, dst, d, shifted.block.take(slice(spec.dims[i], None)))
 
 
 def nu(spec: OrbitSpec, point: Representation) -> RMap:
@@ -296,7 +303,7 @@ def leg_rank_checks(spec: OrbitSpec, point: Representation) -> bool:
     Either map of the arrow pair between V_i and V_{i+1} has residue rank
     dim V_{i+1}.
     """
-    return all(rank(point.maps[h.name].parts[0]) == spec.tail_dim(max(h.source, h.target))
+    return all(rank(_constant(point.maps[h.name])) == spec.tail_dim(max(h.source, h.target))
                for h in point.quiver.double)
 
 

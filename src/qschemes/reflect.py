@@ -2,19 +2,22 @@
 
 A representation splits at a vertex i into the maps into i, the maps out of
 i, and the untouched remainder.  Extending the scalars of each arrow map at i
-to R_{d_i} (rmatrix.extend_scalars*) and joining the results slice by slice
-(signs folded into the incoming side) gives the R_{d_i}-linear pair
+to R_{d_i} (rmatrix.extend_scalars*) and joining the results (signs folded
+into the incoming side) gives the R_{d_i}-linear pair
 
     into : V~ (x) R_{d_i} -> V_i (x) R_{d_i},
     outof : V_i (x) R_{d_i} -> V~ (x) R_{d_i},
 
 where V~ concatenates, per double arrow h that ends at i and in the order of
 ``quiver.incoming[i]``, the source module of h as a free module over the
-arrow's base ring; ``tilde_dimension`` is its rank.  ``unsplit`` cuts the
-pair into its per-arrow blocks and restricts their scalars back; in between,
-every map is composed as it is.  The functor refactors the shifted
-composite A - lam_i, A = -outof . into, through a fresh vertex module
-of rank dim V~ - v_i: the one-leg case of orbit.leg_factorize, for the orbit
+arrow's base ring; ``tilde_dimension`` is its rank.  Each map keeps its
+slices side by side in one block (``rmatrix.RMap.block``), so ``split``
+joins blocks once per vertex: ``outof`` is the row stack of the arrows'
+blocks and ``into`` one column gather of their join.  ``unsplit`` cuts the
+pair into its per-arrow blocks, one gather each, and restricts their scalars
+back; in between, every map is composed as it is.  The functor refactors
+the shifted composite A - lam_i, A = -outof . into, through a fresh vertex
+module of rank dim V~ - v_i: the one-leg case of orbit.leg_factorize, for the orbit
 of diag(0 .. 0, lam_i .. lam_i) with block dimensions (dim V~ - v_i, v_i).
 The output is one specific gauge representative, pinned by the deterministic
 basis rule of orbit.free_basis.
@@ -49,6 +52,7 @@ transformation (``repn.gauge``), its two maps are ``into`` and ``outof``.
 from __future__ import annotations
 
 from collections import namedtuple
+from itertools import accumulate
 from types import MappingProxyType
 
 from .errors import EmptyLevelSet, NotAUnit, NotInLevelSet
@@ -63,7 +67,7 @@ from .repn import (
 )
 from .rmatrix import (
     ModShape,
-    RMap,
+    _rmap,
     compose,
     extend_scalars,
     extend_scalars_rev,
@@ -105,18 +109,25 @@ def _reflected_rank(q: QuiverMult, i: int, lam, v) -> tuple[int, int]:
 def split(rep: Representation, i) -> SplitAtVertex:
     q = rep.quiver
     i = q.index(i)
-    shape_i = ModShape(rep.v[i], q.mults[i])
+    d = q.mults[i]
+    shape_i = ModShape(rep.v[i], d)
     arrows = q.incoming[i]
     if arrows:
-        ins = [_signed(extend_scalars(rep.maps[h.name]), h.sign) for h in arrows]
-        outs = [extend_scalars_rev(rep.maps[h.reversed_name]) for h in arrows]
-        tilde = ModShape(sum(f.src.rank for f in ins), shape_i.order)
-        into = RMap(tilde, shape_i, shape_i.order,
-                    [hstack(ps) for ps in zip(*(f.parts for f in ins))])
-        outof = RMap(shape_i, tilde, shape_i.order,
-                     [vstack(ps) for ps in zip(*(f.parts for f in outs))])
+        ins = [extend_scalars(rep.maps[h.name]) for h in arrows]
+        outs = [extend_scalars_rev(rep.maps[h.reversed_name]).block for h in arrows]
+        ws = [f.src.rank for f in ins]
+        tilde = ModShape(sum(ws), d)
+        joined = hstack([f.block if h.sign > 0 else -f.block for f, h in zip(ins, arrows)])
+        if len(ws) > 1:
+            # the join holds column j of slice m of arrow h at d pos_h + m w_h
+            # + j, and into at m dim V~ + pos_h + j
+            starts = [d * pos for pos in accumulate([0] + ws[:-1])]
+            joined = joined.take(cols=[start + m * w + j for m in range(d)
+                                       for start, w in zip(starts, ws) for j in range(w)])
+        into = _rmap(tilde, shape_i, d, joined)
+        outof = _rmap(shape_i, tilde, d, vstack(outs))
     else:
-        empty = ModShape(0, shape_i.order)
+        empty = ModShape(0, d)
         into, outof = zero_map(empty, shape_i), zero_map(shape_i, empty)
     rest = {
         h.name: rep.maps[h.name]
@@ -126,25 +137,26 @@ def split(rep: Representation, i) -> SplitAtVertex:
     return SplitAtVertex(i, into, outof, MappingProxyType(rest))
 
 
-def _signed(f: RMap, sign: int) -> RMap:
-    """The map sign * f of a double arrow's sign +1 or -1."""
-    return f if sign > 0 else -f
-
-
 def unsplit(q: QuiverMult, v, s: SplitAtVertex) -> Representation:
     """Inverse of split; v may differ from the original at the split vertex."""
     maps = dict(s.rest)
     d_i = q.mults[s.vertex]
+    into, outof = s.into.block, s.outof.block
+    tilde = s.into.src.rank
     pos = 0
     for h in q.incoming[s.vertex]:
         src = ModShape(v[h.source], q.mults[h.source])
         block = ModShape(h.f_in * src.rank, d_i)
-        cut = slice(pos, pos + block.rank)
-        x = RMap(block, s.into.dst, d_i, [p.take(cols=cut) for p in s.into.parts])
-        maps[h.name] = _signed(restrict_scalars(x, src, h.base), h.sign)
-        y = RMap(s.outof.src, block, d_i, [p.take(cut) for p in s.outof.parts])
-        maps[h.reversed_name] = restrict_scalars_rev(y, src, h.base)
-        pos += block.rank
+        w = block.rank
+        x, y = into, outof
+        if w != tilde:   # otherwise this arrow holds all of V~
+            x = x.take(cols=[m * tilde + pos + j for m in range(d_i) for j in range(w)])
+            y = y.take(slice(pos, pos + w))
+        x = _rmap(block, s.into.dst, d_i, x if h.sign > 0 else -x)
+        maps[h.name] = restrict_scalars(x, src, h.base)
+        maps[h.reversed_name] = restrict_scalars_rev(_rmap(s.outof.src, block, d_i, y),
+                                                     src, h.base)
+        pos += w
     return Representation(q, v, maps)
 
 

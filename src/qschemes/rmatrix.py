@@ -4,35 +4,26 @@ Over a subring R_c of R_d (c | d, eps_c = eps^(d/c)) the module V (x) R_d is
 free with basis {v_j eps^l : l < d/c}, indexed j*(d/c) + l.  An R_c-linear
 map V (x) R_d1 -> W (x) R_d2 is therefore a polynomial sum_{m<c} A_m eps_c^m
 whose coefficients ("slices") A_m are (w*d2/c) x (v*d1/c) matrices over the
-base field.  ``RMap`` stores these c slices, so it is linear over its
-declared base by construction.  An endomorphism with base == order has
-n x n slices ``parts``: the matrix-polynomial coefficients xi_k that
-``from_slices`` takes.
-
-``_lower`` rewrites the slices over a smaller subring, the block-Toeplitz
-expansion ``linalg.block_toeplitz`` (one integer gather per slice); it is
-the one rule for viewing a map over a subring.
-``compose`` is the truncated product of the slices over the common base,
-``linalg.poly_mul``; ``pair_d`` reads the top coefficient of the trace of
-that product with ``linalg.trace_dot`` and forms no composite.  Scalar
-multiples form no product either: ``scalar_end`` builds each slice c_k I
-from the coefficient's numerators (``Matrix.scalar``), and ``scale_end``,
-for maps over their full order only, is ``linalg.poly_scale`` of the
-scalar's coefficients and the slices.
-``RMap.flat`` is the base-1 view: the (w*d2) x (v*d1) matrix in the basis
-{v_j eps^k} at index j*d + k, which serialization prints.  Its validating
-inverse ``RMap.from_flat``, for untrusted input, raises ``NotLinearOverBase``
-when the matrix is not linear over the requested base; it and random draws
-build maps from a base-field block with ``slice_extend``.
+base field.  ``RMap`` keeps the c slices side by side in one ``Matrix``,
+``block``: integer numerators over one canonical denominator.  Each
+operation here builds its result's block in one pass of a ``linalg``
+kernel (``poly_mul``, ``poly_inverse``, ``poly_scale``, ``trace_dot``,
+``block_toeplitz``) or one gather, and wraps it with the trusted ``_rmap``;
+the validating ``RMap(...)``, ``from_slices`` and ``RMap.from_flat`` (which
+raises ``NotLinearOverBase`` for a matrix that is not linear over the
+requested base) are for callers outside.  ``parts`` is a view: the slices
+as matrices, cut from the block on each read.  ``_lower`` rewrites a block
+over a smaller subring and is the one rule for viewing a map there;
+``RMap.flat`` is its base-1 view, the matrix in the basis {v_j eps^k} at
+index j*d + k that serialization prints.
 
 Extension of scalars from R_c to R_d turns an R_c-linear map into an
 R_d-linear one on (or into) the free R_c-module underneath, and restriction
-undoes it.  ``extend_scalars``/``extend_scalars_rev`` regroup the stored
-slices, and their inverses ``restrict_scalars``/``restrict_scalars_rev``
-gather one block column or block row of ``_lower`` over R_c.  When the map is
-already linear over the extended order (q = d/c = 1) all four return the
-stored slices as they are, and extension returns the map itself when its
-shape is unchanged.  Outside this module only ``reflect`` (splitting a
+undoes it.  ``extend_scalars``/``extend_scalars_rev`` are one gather of the
+block, and ``restrict_scalars``/``restrict_scalars_rev`` gather one block
+column or block row of ``_lower`` over R_c.  For q = d/c = 1 all four keep
+the block, and extension returns the map itself when its shape is
+unchanged.  Outside this module only ``reflect`` (splitting a
 representation at a vertex and putting it back together) calls them, which
 ``tests/test_layout.py`` enforces.
 """
@@ -53,8 +44,13 @@ from .errors import (
 )
 from .linalg import (
     Matrix,
+    _canon,
+    _diagonals,
+    _picker,
+    _regroup,
     block_toeplitz,
-    inverse,
+    hstack,
+    poly_inverse,
     poly_mul,
     poly_scale,
     trace_dot,
@@ -79,35 +75,23 @@ class ModShape(namedtuple("ModShape", "rank order")):
 
 
 class RMap:
-    __slots__ = ("src", "dst", "base", "parts")
+    __slots__ = ("src", "dst", "base", "block")
 
     def __init__(self, src: ModShape, dst: ModShape, base: int, parts):
-        if base < 1 or src.order % base != 0 or dst.order % base != 0:
-            raise NotDivisible(
-                f"base {base} must divide orders {src.order}, {dst.order}"
-            )
         parts = tuple(parts)
-        nrows, ncols = dst.dim // base, src.dim // base
-        if len(parts) != base:
-            raise ShapeMismatch(f"need {base} slices of size {nrows}x{ncols}")
-        for p in parts:
-            if p.nrows != nrows or p.ncols != ncols:
-                raise ShapeMismatch(f"need {base} slices of size {nrows}x{ncols}")
+        _check(src, dst, base, len(parts) == base and {(p.nrows, p.ncols) for p in parts})
         _SET_SRC(self, src)
         _SET_DST(self, dst)
         _SET_BASE(self, base)
-        _SET_PARTS(self, parts)
+        _SET_BLOCK(self, hstack(parts))
 
     def __setattr__(self, name, value):
         raise AttributeError("RMap is immutable")
 
     @staticmethod
     def from_flat(src: ModShape, dst: ModShape, base: int, flat: Matrix) -> "RMap":
-        """The map whose base-1 matrix is ``flat``, checked to be R_base-linear.
-
-        The columns at v_j eps^l (l < src.order/base) determine an
-        R_base-linear map; ``flat`` must be the base-1 matrix of that map.
-        """
+        """The map whose base-1 matrix is ``flat``, checked to be R_base-linear:
+        the map its columns at v_j eps^l (l < src.order/base) determine."""
         if base < 1 or src.order % base != 0 or dst.order % base != 0:
             raise NotDivisible(f"base {base} must divide orders {src.order}, {dst.order}")
         if flat.nrows != dst.dim or flat.ncols != src.dim:
@@ -120,9 +104,14 @@ class RMap:
         return g
 
     @property
+    def parts(self) -> tuple:
+        """The slices, one ``Matrix`` each, cut from the block on every read."""
+        return _slices(self.block, self.base)
+
+    @property
     def flat(self) -> Matrix:
         """The matrix over the base field in the basis {v_j eps^k}, at j*order + k."""
-        return _lower(self, 1)[0]
+        return _lower(self, 1)
 
     # basics -------------------------------------------------------------------
 
@@ -141,17 +130,14 @@ class RMap:
         return hash((self.src, self.dst, self.flat))
 
     def is_zero(self) -> bool:
-        return all(p.is_zero() for p in self.parts)
+        return self.block.is_zero()
 
     def _slicewise(self, other, op):
-        """op applied slice by slice over the common base ring."""
+        """op applied to the blocks over the common base ring."""
         if self.src != other.src or self.dst != other.dst:
             raise ShapeMismatch("sum of maps with different shapes")
         c = math.gcd(self.base, other.base)
-        return RMap(
-            self.src, self.dst, c,
-            [op(a, b) for a, b in zip(_lower(self, c), _lower(other, c))],
-        )
+        return _rmap(self.src, self.dst, c, op(_lower(self, c), _lower(other, c)))
 
     def __add__(self, other):
         return self._slicewise(other, operator.add)
@@ -160,10 +146,10 @@ class RMap:
         return self._slicewise(other, operator.sub)
 
     def __neg__(self):
-        return RMap(self.src, self.dst, self.base, [-p for p in self.parts])
+        return _rmap(self.src, self.dst, self.base, -self.block)
 
     def scale(self, c: GaussQ) -> "RMap":
-        return RMap(self.src, self.dst, self.base, [p.scale(c) for p in self.parts])
+        return _rmap(self.src, self.dst, self.base, self.block.scale(c))
 
     def __repr__(self):
         return (
@@ -175,37 +161,63 @@ class RMap:
 _SET_SRC = RMap.src.__set__
 _SET_DST = RMap.dst.__set__
 _SET_BASE = RMap.base.__set__
-_SET_PARTS = RMap.parts.__set__
+_SET_BLOCK = RMap.block.__set__
+_NEW = object.__new__
 
 
-def _lower(f: RMap, c: int, ts=None, ss=None) -> tuple:
-    """Slices of f over the subring R_c, for c dividing f.base.
+def _rmap(src: ModShape, dst: ModShape, base: int, block: Matrix) -> RMap:
+    """The map src -> dst over R_base with the slices of ``block`` side by
+    side, trusted to have the shape ``_check`` asks for (no checks)."""
+    self = _NEW(RMap)
+    _SET_SRC(self, src)
+    _SET_DST(self, dst)
+    _SET_BASE(self, base)
+    _SET_BLOCK(self, block)
+    return self
 
-    With r = f.base / c, the R_c-basis vector v_j eps^(l + f1*s) (l < f1, s < r)
-    is v_j eps^l times eps_base^s.  Entry ((i, l2 + f2*t), (j, l1 + f1*s)) of
-    slice m is therefore entry ((i, l2), (j, l1)) of f's slice r*m + t - s,
-    and zero when that index falls outside 0..f.base-1: the block-Toeplitz
-    expansion ``linalg.block_toeplitz``, one gather per slice, of only the
-    block rows t in ``ts`` or block columns s in ``ss`` when one is given.
+
+def _check(src, dst, base, shapes):
+    """Raise unless base divides both orders and the set ``shapes`` holds
+    just the slice shape (nrows, ncols) of a map src -> dst over R_base."""
+    if base < 1 or src.order % base != 0 or dst.order % base != 0:
+        raise NotDivisible(f"base {base} must divide orders {src.order}, {dst.order}")
+    if shapes != {(dst.dim // base, src.dim // base)}:
+        raise ShapeMismatch(f"need {base} slices of size {dst.dim // base}x{src.dim // base}")
+
+
+def _slices(block: Matrix, c: int) -> tuple:
+    """The c slices side by side in ``block``, as matrices."""
+    n = block.ncols // c
+    return tuple(block.take(cols=slice(m * n, m * n + n)) for m in range(c))
+
+
+def _lower(f: RMap, c: int, ts=None, ss=None) -> Matrix:
+    """The block of f over the subring R_c, for c dividing f.base.
+
+    With r = f.base / c, v_j eps^(l + f1*s) (l < f1, s < r) is v_j eps^l
+    times eps_base^s, so entry ((i, l2 + f2*t), (j, l1 + f1*s)) of slice m
+    is entry ((i, l2), (j, l1)) of f's slice r*m + t - s, zero outside
+    0..f.base-1: ``linalg.block_toeplitz``, of only the block rows t in
+    ``ts`` or block columns s in ``ss`` when one is given.
     """
     if f.base % c != 0:
         raise NotLinearOverBase(f"map over R_{f.base} is not declared R_{c}-linear")
     r = f.base // c
     if r == 1:
-        return f.parts
-    return tuple(block_toeplitz(f.parts, r, f.dst.order // f.base, f.src.order // f.base,
-                                ts or range(r), ss or range(r)))
+        return f.block
+    return block_toeplitz(f.block, f.base, r, f.dst.order // f.base, f.src.order // f.base,
+                          ts or range(r), ss or range(r))
 
 
 def zero_map(src: ModShape, dst: ModShape) -> RMap:
     base = math.gcd(src.order, dst.order)
-    return RMap(src, dst, base, [Matrix.zero(dst.dim // base, src.dim // base)] * base)
+    return _rmap(src, dst, base, Matrix.zero(dst.dim // base, src.dim))
 
 
 def scalar_end(c: TruncScalar, rank: int) -> RMap:
     """The endomorphism acting as the scalar c on a rank-n module."""
     shape = ModShape(rank, c.d)
-    return RMap(shape, shape, c.d, [Matrix.scalar(rank, x) for x in c.coeffs])
+    return _rmap(shape, shape, c.d, _diagonals([[x] * rank for x in c.coeffs]))
 
 
 def compose(f: RMap, g: RMap) -> RMap:
@@ -214,7 +226,7 @@ def compose(f: RMap, g: RMap) -> RMap:
     if g.dst != f.src:
         raise ShapeMismatch(f"cannot compose: inner shapes {g.dst} vs {f.src}")
     c = math.gcd(f.base, g.base)
-    return RMap(g.src, f.dst, c, poly_mul(_lower(f, c), _lower(g, c)))
+    return _rmap(g.src, f.dst, c, poly_mul(_lower(f, c), _lower(g, c), c))
 
 
 def from_slices(parts: list[Matrix], order: int) -> RMap:
@@ -228,9 +240,7 @@ def trace_base(f: RMap, c: int) -> TruncScalar:
     """Trace over R_c of a square map that is (at least) R_c-linear."""
     if f.src != f.dst:
         raise NotEndomorphism("trace of a non-square map")
-    if f.base % c != 0:
-        raise NotLinearOverBase(f"map is not R_{c}-linear")
-    return TruncScalar(c, [p.trace() for p in _lower(f, c)])
+    return TruncScalar(c, [p.trace() for p in _slices(_lower(f, c), c)])
 
 
 def trace_r(f: RMap) -> TruncScalar:
@@ -241,11 +251,8 @@ def trace_r(f: RMap) -> TruncScalar:
 
 
 def pair_d(x: RMap, y: RMap, d: int) -> GaussQ:
-    """Residue pairing <x,y>_d: eps^(d-1) coefficient of the R_d-trace of x.y.
-
-    Over R_d that coefficient is trace(sum_j x_j y_(d-1-j)) of the slices
-    x_j, y_j, which ``trace_dot`` reads without forming the composite.
-    """
+    """Residue pairing <x,y>_d: eps^(d-1) coefficient of the R_d-trace of x.y,
+    trace(sum_j x_j y_(d-1-j)) of the slices over R_d (``trace_dot``)."""
     if y.dst != x.src:
         raise ShapeMismatch(f"cannot compose: inner shapes {y.dst} vs {x.src}")
     c = math.gcd(x.base, y.base)
@@ -253,7 +260,7 @@ def pair_d(x: RMap, y: RMap, d: int) -> GaussQ:
         raise NotLinearOverBase(f"composite is not R_{d}-linear")
     if y.src != x.dst:
         raise NotEndomorphism("trace of a non-square map")
-    return trace_dot(_lower(x, d), reversed(_lower(y, d)))
+    return trace_dot(_lower(x, d), _lower(y, d), d)
 
 
 def pr_cd(z: RMap) -> RMap:
@@ -263,43 +270,52 @@ def pr_cd(z: RMap) -> RMap:
     the R_d-endomorphisms into the R_c-endomorphisms: <pr(Z), Z'>_d = <Z, Z'>_c
     for every R_d-linear Z'.  On v_j, pr(Z) is sum_k eps^k Z(v_j eps^(q-1-k))
     with q = d/c, so the (l2, l1) block of slice m of Z lands in slice
-    q*m + q-1 + l2 - l1 of the result.  For q = 1 that is Z itself.
+    q*m + q-1 + l2 - l1 of the result, Z itself for q = 1.  Given l2 and the
+    slice, m and l1 are unique where they exist: row i of the result is a
+    sum over l2 of one gather from row (i, l2) of Z's block, which reads a
+    zero appended to the row elsewhere.
     """
     if z.src != z.dst:
         raise ShapeMismatch("pr_cd needs a square map")
-    n, d = z.src.rank, z.src.order
-    q = d // z.base
+    (n, d), c, b = z.src, z.base, z.block
+    q, w = d // c, b.ncols
     if q == 1:
         return z
-    out = [Matrix.zero(n, n)] * d
-    for m, a in enumerate(z.parts):
-        for l2 in range(q):
-            for l1 in range(q):
-                p = q * m + q - 1 + l2 - l1
-                if p < d:
-                    out[p] = out[p] + a.take(slice(l2, None, q), slice(l1, None, q))
-    return RMap(z.src, z.dst, d, out)
+    gets = []
+    for l2 in range(q):
+        at = []
+        for p in range(d):
+            e = p - q + 1 - l2     # = q m - l1
+            m = -(-e // q)
+            at += [m * w // c + j * q + q * m - e if 0 <= m < c else w for j in range(n)]
+        gets.append(_picker(at))
+
+    def gather_sum(block):
+        rows = [r + (0,) for r in block]
+        return tuple([tuple(map(sum, zip(*[g(rows[i * q + l2]) for l2, g in enumerate(gets)])))
+                      for i in range(n)])
+
+    return _rmap(z.src, z.dst, d,
+                 _canon(gather_sum(b.re), b.im and gather_sum(b.im), b.den, d * n))
 
 
 # -- base-field blocks and scalar extension --------------------------------------
 
 def slice_extend(src: ModShape, dst: ModShape, base: int, block: Matrix) -> RMap:
-    """R_base-linear map src -> dst from its free parameter block.
-
-    The block is the base-field matrix sending the slice {v_j eps^l : l <
-    src.order/base} into the target; the unique R_base-linear extension
-    fills in the remaining eps-powers.  Its slice m holds the rows of the
-    block at target powers eps^(l + m*dst.order/base).
+    """R_base-linear map src -> dst from its free parameter block: the
+    base-field matrix sending {v_j eps^l : l < src.order/base} into the
+    target.  Slice m of its unique R_base-linear extension holds the rows of
+    the block at target powers eps^(l + m*dst.order/base): one gather.
     """
     f_in = src.order // base
     f_out = dst.order // base
-    if block.nrows != dst.dim or block.ncols != src.rank * f_in:
+    n = block.ncols
+    if block.nrows != dst.dim or n != src.rank * f_in:
         raise ShapeMismatch("parameter block has the wrong shape")
-    return RMap(src, dst, base, [
-        block.take([i * dst.order + m * f_out + l
-                    for i in range(dst.rank) for l in range(f_out)])
-        for m in range(base)
-    ])
+    if base > 1:
+        block = _regroup(block, dst.order, [[(m * f_out + l) * n + j for m in range(base)
+                                             for j in range(n)] for l in range(f_out)])
+    return _rmap(src, dst, base, block)
 
 
 def extend_scalars(f: RMap) -> RMap:
@@ -307,17 +323,17 @@ def extend_scalars(f: RMap) -> RMap:
 
     Over R_c the source is free of rank f.src.dim / c; the result is the
     R_d-linear map on that free module (x) R_d which agrees with f on it.
-    With q = d/c, row (i, l) of f's slice m is the coefficient at
-    w_i eps^(m*q + l), so slice k of the result is rows l = k % q of slice
-    k // q.
+    Row (i, l) of f's slice m is the coefficient at w_i eps^(m*q + l), q =
+    d/c, so slice k of the result is rows l = k % q of f's slice k // q.
     """
     c, d = f.base, f.dst.order
     q = d // c
     src = ModShape(f.src.dim // c, d)
     if q == 1:
-        return f if src == f.src else RMap(src, f.dst, d, f.parts)
-    return RMap(src, f.dst, d,
-                [f.parts[k // q].take(slice(k % q, None, q)) for k in range(d)])
+        return f if src == f.src else _rmap(src, f.dst, d, f.block)
+    n, w = src.rank, f.block.ncols
+    return _rmap(src, f.dst, d, _regroup(
+        f.block, q, [[k % q * w + k // q * n + j for k in range(d) for j in range(n)]]))
 
 
 def extend_scalars_rev(f: RMap) -> RMap:
@@ -331,67 +347,54 @@ def extend_scalars_rev(f: RMap) -> RMap:
     q = d // c
     dst = ModShape(f.dst.dim // c, d)
     if q == 1:
-        return f if dst == f.dst else RMap(f.src, dst, d, f.parts)
-    return RMap(f.src, dst, d,
-                [f.parts[k // q].take(cols=slice(q - 1 - k % q, None, q)) for k in range(d)])
+        return f if dst == f.dst else _rmap(f.src, dst, d, f.block)
+    v = f.src.rank
+    return _rmap(f.src, dst, d, _regroup(f.block, 1, [
+        [k // q * v * q + j * q + q - 1 - k % q for k in range(d) for j in range(v)]]))
 
 
 def restrict_scalars(x: RMap, src: ModShape, c: int) -> RMap:
-    """The R_c-linear map f on src with extend_scalars(f) == x.
-
-    x is declared over its full order d.  Slice a of ``_lower(x, c)`` has
-    entry ((i, t), (j, s)) = x_(qa+t-s)[i, j] with q = d/c, and slice a of f
-    is its s = 0 block column, the only one gathered.
-    """
+    """The R_c-linear map f on src with extend_scalars(f) == x, declared
+    over its full order d: the s = 0 block column of ``_lower(x, c)``, whose
+    slice a has entry ((i, t), (j, s)) = x_(qa+t-s)[i, j] for q = d/c."""
     d = x.dst.order
     if x.base != d:
         raise NotLinearOverBase(f"map over R_{x.base} is not declared R_{d}-linear")
-    return RMap(src, x.dst, c, _lower(x, c, ss=(0,)))
+    block = _lower(x, c, ss=(0,))
+    _check(src, x.dst, c, {(block.nrows, x.src.rank)})
+    return _rmap(src, x.dst, c, block)
 
 
 def restrict_scalars_rev(y: RMap, dst: ModShape, c: int) -> RMap:
-    """The R_c-linear map f into dst with extend_scalars_rev(f) == y.
-
-    y is declared over its full order d.  Slice a of f is the t = q-1 block
-    row of slice a of ``_lower(y, c)`` (entries as in ``restrict_scalars``).
-    """
+    """The R_c-linear map f into dst with extend_scalars_rev(f) == y,
+    declared over its full order d: the t = q-1 block row of ``_lower(y, c)``."""
     d = y.src.order
     if y.base != d:
         raise NotLinearOverBase(f"map over R_{y.base} is not declared R_{d}-linear")
-    return RMap(y.src, dst, c, _lower(y, c, ts=(d // c - 1,)))
+    block = _lower(y, c, ts=(d // c - 1,))
+    _check(y.src, dst, c, {(block.nrows, block.ncols // c)})
+    return _rmap(y.src, dst, c, block)
 
 
 def scale_end(f: RMap, t: TruncScalar) -> RMap:
-    """Multiply a square R_d-linear map on V (x) R_d by the scalar t of R_d.
-
-    The slices of t f are sum_{j<=m} t_j f_(m-j) (``poly_scale``).  A map
-    declared over a smaller base raises ``NotLinearOverBase``; compose it
-    with ``scalar_end(t)`` instead.
-    """
+    """t f for a square map f declared R_d-linear on V (x) R_d and t in R_d:
+    slices sum_{j<=m} t_j f_(m-j) (``poly_scale``); compose a map over a
+    smaller base with ``scalar_end(t)`` instead."""
     if f.src != f.dst:
         raise ShapeMismatch("scalar multiple of a non-square map")
     if t.d != f.src.order:
         raise MismatchedOrder(f"scalar order {t.d} vs module order {f.src.order}")
     if f.base != t.d:
         raise NotLinearOverBase(f"map over R_{f.base} is not declared R_{t.d}-linear")
-    return RMap(f.src, f.dst, f.base, poly_scale(t.coeffs, f.parts))
+    return _rmap(f.src, f.dst, f.base, poly_scale(t.coeffs, f.block))
 
 
 def invert_end(g: RMap) -> RMap:
-    """Inverse of a unit endomorphism (invertible constant slice).
-
-    With X_0 the inverse of the constant slice A_0 and C_j = -X_0 A_j, the
-    slices of the inverse are X_k = sum_{1<=j<=k} C_j X_{k-j}.
-    """
+    """Inverse of a unit endomorphism (invertible constant slice), by
+    ``poly_inverse`` of its block."""
     if not g.is_end():
         raise NotEndomorphism("inverse needs a full endomorphism")
     try:
-        x0 = inverse(g.parts[0])
+        return _rmap(g.src, g.dst, g.base, poly_inverse(g.block, g.base))
     except NotInvertible:
         raise NotInvertible("constant slice is singular") from None
-    cs = [-(x0 @ a) for a in g.parts[1:]]
-    xs = [x0]
-    for k in range(1, g.base):
-        terms = [c @ x for c, x in zip(cs[:k], xs[::-1])]
-        xs.append(sum(terms[1:], terms[0]))
-    return RMap(g.src, g.dst, g.base, xs)

@@ -3,9 +3,9 @@ quivers at sizes beyond ``corpus/``, the monomial eps^k of R_d, the residue
 pairing and subring embedding of truncated scalars, a Gaussian rational kept
 as a pair of ``Fraction`` values (the reference for ``GaussQ``), the
 canonical-form check and the stored fields of a matrix, the matrix
-transpose, the stacked lowering of a map to a subring and the stacked
-restrictions of scalars (the references for ``rmatrix._lower`` and
-``rmatrix.restrict_scalars*``), the base-field blocks of a map read off its
+transpose, the slices of a map over a subring, the stacked lowering of a map to a
+subring and the stacked restrictions of scalars (the references for
+``rmatrix._lower`` and ``rmatrix.restrict_scalars*``), the base-field blocks of a map read off its
 flat view, the identity endomorphism, the zero representation, the
 top-slice shift maps, the gauge unit induced on a split vertex, the Coxeter
 order of a vertex pair and the braid-word probe of the reflection functor."""
@@ -23,6 +23,7 @@ from qschemes.rmatrix import (
     ModShape,
     RMap,
     _lower,
+    _slices,
     compose,
     from_slices,
     scalar_end,
@@ -128,6 +129,12 @@ class FracPair:
         return f"GaussQ({self.re!r}, {self.im!r})"
 
 
+def slices_over(f: RMap, c: int) -> tuple:
+    """The slices of f over R_c: the block ``rmatrix._lower`` cut into its c
+    slices."""
+    return _slices(_lower(f, c), c)
+
+
 def lower_stacked(f: RMap, c: int) -> tuple:
     """The slices of f over R_c, c dividing f.base, stacked block by block.
 
@@ -163,7 +170,7 @@ def restrict_stacked(x: RMap, src: ModShape, c: int) -> RMap:
     to (i, eps-power)."""
     d = x.dst.order
     q = d // c
-    xs = _lower(x, d)
+    xs = slices_over(x, d)
     if q == 1:
         return RMap(src, x.dst, c, xs)
     rows = _interleave(x.dst.rank, q)
@@ -176,7 +183,7 @@ def restrict_rev_stacked(y: RMap, dst: ModShape, c: int) -> RMap:
     columns from (eps-power, j) to (j, eps-power)."""
     d = y.src.order
     q = d // c
-    ys = _lower(y, d)
+    ys = slices_over(y, d)
     if q == 1:
         return RMap(y.src, dst, c, ys)
     cols = _interleave(y.src.rank, q)
@@ -303,7 +310,7 @@ def split_gauge(q: QuiverMult, v, i, g) -> RMap:
     parts = [[[GQ_ZERO] * tilde for _ in range(tilde)] for _ in range(d_i)]
     offset = 0
     for h, dim in zip(arrows, dims):
-        for m, gm in enumerate(_lower(g[h.source], h.base)):
+        for m, gm in enumerate(slices_over(g[h.source], h.base)):
             block = parts[m * h.f_out]
             for r, row in enumerate(gm.rows):
                 block[offset + r][offset:offset + dim] = row

@@ -299,6 +299,19 @@ class TestBrokenVerifier:
         assert got == {case: rec.summary() for case, rec in records.items() if not rec.ok}
         assert got and all("[FAIL]\n  FAIL " in detail for detail in got.values())
 
+    def test_check_text_nests_detail(self, capsys, monkeypatch, corpus_dir):
+        """The suite's FAIL lines start at two spaces; the lines of a failing
+        verifier's summary in their detail sit deeper, under their FAIL line."""
+        self.break_swap(monkeypatch)
+        code, out, _ = run(capsys, "check", str(corpus_dir), "--suite", "regularize",
+                           "--seed", "1", "--trials", "2")
+        body = out.splitlines()[1:]
+        assert code == 1 and body[0].startswith("  FAIL ")
+        assert all(line.startswith(("  FAIL ", "      FAIL ")) for line in body)
+        for k, line in enumerate(body):
+            if line.startswith("  FAIL "):
+                assert line.endswith("[FAIL]") and body[k + 1].startswith("      FAIL ")
+
 
 class TestInputBoundary:
     """Malformed input fails with a typed error and exit 2, not a traceback."""

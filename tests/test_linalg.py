@@ -7,8 +7,9 @@ replaced, which must give exactly the same entries and pivots.  sympy's
 ``DomainMatrix`` over ``QQ_I`` is an independent check of rank, solve and
 inverse on real and non-real matrices.  ``TestCanonicalForm`` checks that
 every operation leaves the stored form canonical.  ``TestPolyKernels``
-checks the matrix-polynomial kernels against the stacked products and the
-explicit traces they replace.
+checks the matrix-polynomial kernels, which take and return blocks of slices
+side by side, against the stacked products and the explicit traces of the
+slices.
 """
 
 import random
@@ -21,6 +22,7 @@ import qschemes.linalg as linalg
 from qschemes.errors import NotInvertible, ShapeMismatch
 from qschemes.linalg import (
     Matrix,
+    _diagonals,
     _echelon,
     hstack,
     inverse,
@@ -399,8 +401,9 @@ class TestAgainstSympy:
 
 
 class TestPolyKernels:
-    """poly_mul and trace_dot against the stacked products and explicit
-    traces, on slices that are real, non-real, with den > 1 or of rank 0."""
+    """poly_mul, poly_scale and trace_dot on blocks (slices side by side)
+    against the stacked products, scaled sums and explicit traces of their
+    slices, on slices that are real, non-real, with den > 1 or of rank 0."""
 
     def slices(self, rng, c, m, n):
         kinds = KINDS + ("zero",)
@@ -415,34 +418,34 @@ class TestPolyKernels:
         for c in (1, 2, 3, 4):
             for _ in range(6):
                 fs, gs = self.slices(rng, c, p, k), self.slices(rng, c, k, q)
-                got = poly_mul(fs, gs)
-                assert len(got) == c
-                for m, h in enumerate(got):
-                    assert_canonical(h)
-                    assert fields(h) == fields(hstack(fs[:m + 1]) @ vstack(gs[m::-1]))
+                got = poly_mul(hstack(fs), hstack(gs), c)
+                want = [hstack(fs[:m + 1]) @ vstack(gs[m::-1]) for m in range(c)]
+                assert_canonical(got)
+                assert fields(got) == fields(hstack(want))
 
     @pytest.mark.parametrize("p,k,q", SHAPES)
     def test_trace_dot_matches_trace_of_products(self, p, k, q):
         rng = random.Random(f"trace_dot/{p}/{k}")
-        for c in (0, 1, 2, 4):
+        for c in (1, 2, 3, 4):
             for _ in range(6):
                 xs, ys = self.slices(rng, c, p, k), self.slices(rng, c, k, p)
                 want = sum(((x @ y).trace() for x, y in zip(xs, ys)), GQ_ZERO)
-                got = trace_dot(iter(xs), iter(ys))
+                # trace_dot pairs x_j with y_(c-1-j)
+                got = trace_dot(hstack(xs), hstack(ys[::-1]), c)
                 assert type(got) is GaussQ and got == want
 
     def test_shape_mismatch(self):
         a, b = Matrix.zero(2, 3), Matrix.zero(3, 2)
         with pytest.raises(ShapeMismatch):
-            poly_mul([a, a], [b])
+            poly_mul(a, b, 2)
         with pytest.raises(ShapeMismatch):
-            poly_mul([a, a], [b, Matrix.zero(3, 3)])
+            poly_mul(hstack([a, a]), hstack([a, a]), 2)
         with pytest.raises(ShapeMismatch):
-            poly_mul([a], [a])
+            poly_mul(a, a, 1)
         with pytest.raises(ShapeMismatch):
-            trace_dot([a, a], [b])
+            trace_dot(hstack([a, a]), b, 2)
         with pytest.raises(ShapeMismatch):
-            trace_dot([a], [a])
+            trace_dot(a, a, 1)
 
     @pytest.mark.parametrize("p,q", [(2, 2), (1, 3), (3, 1), (0, 2), (2, 0)])
     def test_poly_scale_matches_scaled_sums(self, p, q):
@@ -451,28 +454,35 @@ class TestPolyKernels:
             for _ in range(6):
                 fs = self.slices(rng, c, p, q)
                 cs = [random_entry(rng, rng.choice(KINDS)) for _ in range(c)]
-                got = poly_scale(cs, fs)
-                assert len(got) == c
-                for m, h in enumerate(got):
-                    want = Matrix.zero(p, q)
+                got = poly_scale(cs, hstack(fs))
+                want = []
+                for m in range(c):
+                    want.append(Matrix.zero(p, q))
                     for j in range(m + 1):
-                        want = want + fs[m - j].scale(cs[j])
-                    assert_canonical(h)
-                    assert fields(h) == fields(want)
+                        want[m] = want[m] + fs[m - j].scale(cs[j])
+                assert_canonical(got)
+                assert fields(got) == fields(hstack(want))
 
     def test_scalar_matrix(self):
+        xs = [GaussQ(0), GaussQ(-2), GaussQ(Fraction(3, 4), Fraction(-1, 6))]
         for n in (0, 1, 3):
-            for x in (GaussQ(0), GaussQ(-2), GaussQ(Fraction(3, 4), Fraction(-1, 6))):
-                got = Matrix.scalar(n, x)
+            for x in xs:
+                got = _diagonals([[x] * n])
                 assert_canonical(got)
                 assert fields(got) == fields(Matrix.identity(n).scale(x))
+            got = _diagonals([[x] * n for x in xs])
+            assert_canonical(got)
+            assert fields(got) == fields(hstack([Matrix.identity(n).scale(x) for x in xs]))
+        got = _diagonals([xs, xs[::-1]])
+        assert_canonical(got)
+        assert got.rows == tuple(tuple(xs[i] if j == i else xs[2 - i] if j == i + 3 else GQ_ZERO
+                                       for j in range(6)) for i in range(3))
 
     def test_scalar_kernel_shape_mismatch(self):
-        a = Matrix.zero(2, 3)
         with pytest.raises(ShapeMismatch):
-            poly_scale([1], [a, a])
+            poly_scale([1, 2], Matrix.zero(2, 3))
         with pytest.raises(ShapeMismatch):
-            poly_scale([1, 2], [a, Matrix.zero(3, 3)])
+            poly_scale([1, 2, 3], Matrix.zero(3, 4))
 
 
 class TestSolveOnIntegers:

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -12,6 +13,7 @@ from qschemes.errors import (
     ShapeMismatch,
 )
 from qschemes.linalg import Matrix, hstack, vstack
+from qschemes.reflect import random_level_point, reflection_functor
 from qschemes.repn import random_linear_map
 from qschemes.rmatrix import (
     ModShape,
@@ -33,6 +35,7 @@ from qschemes.rmatrix import (
 )
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar
+from qschemes.weyl import random_params
 
 from helpers import (
     assert_canonical,
@@ -43,6 +46,7 @@ from helpers import (
     residue_pair,
     restrict_rev_stacked,
     restrict_stacked,
+    slices_over,
 )
 
 G = GaussQ
@@ -271,16 +275,16 @@ class TestLowerByGather:
             for f in (real, gauss_map(rng, src, dst, base), real.scale(third)):
                 for c in range(1, base + 1):
                     if base % c == 0:
-                        got, want = _lower(f, c), lower_stacked(f, c)
+                        got, want = slices_over(f, c), lower_stacked(f, c)
                         assert got == want
-                        for a in got:
+                        for a in got + (_lower(f, c),):
                             assert_canonical(a)
 
     def test_den_and_nonreal_cover_the_cases(self):
         rng = SplitMix64(5)
         sh = ModShape(2, 4)
         f = gauss_map(rng, sh, sh, 4).scale(G(Fraction(1, 6)))
-        lowered = _lower(f, 1)[0]
+        lowered = _lower(f, 1)
         assert lowered.den > 1 and lowered.im is not None
         assert lowered == lower_stacked(f, 1)[0] == f.flat
 
@@ -380,10 +384,10 @@ class TestScalarShortcuts:
                     assert xe is x and ye is y
                 rows = list(range(v))
                 assert restrict_scalars(xe, x.src, d).parts == tuple(
-                    vstack([a]).take(rows) for a in _lower(xe, d))
+                    vstack([a]).take(rows) for a in slices_over(xe, d))
                 cols = list(range(v))
                 assert restrict_scalars_rev(ye, y.dst, d).parts == tuple(
-                    hstack([a]).take(cols=cols) for a in _lower(ye, d))
+                    hstack([a]).take(cols=cols) for a in slices_over(ye, d))
                 assert restrict_scalars(xe, x.src, d) == x
                 assert restrict_scalars_rev(ye, y.dst, d) == y
 
@@ -563,7 +567,7 @@ class TestSliceCore:
         for sub in range(1, c + 1):
             if c % sub:
                 continue
-            low = RMap(src, dst, sub, _lower(f, sub))
+            low = RMap(src, dst, sub, slices_over(f, sub))
             assert low == f and hash(low) == hash(f)
             back = RMap.from_flat(src, dst, c, low.flat)
             assert back.parts == f.parts and back.base == c
@@ -597,3 +601,39 @@ class TestSliceCore:
         with pytest.raises(NotLinearOverBase):
             RMap.from_flat(src, dst, c, flat + bump)
         assert RMap.from_flat(src, dst, 1, flat + bump).base == 1
+
+
+class TestNoPerSliceObjects:
+    """A map keeps its slices in one block, so the kernels and the functor's
+    split and unsplit build one matrix per result, not one per slice, and no
+    validating ``RMap(...)``.  The counts are pinned for one corpus functor
+    call (vertex q of ``nested``: order 4, incoming arrows over R_2 and R_1)
+    and one order-3 compose; a matrix per slice would raise them."""
+
+    @staticmethod
+    def counts(monkeypatch, fn, *args):
+        seen = Counter()
+
+        def counting(name, original):
+            def wrapper(*a, **kw):
+                seen[name] += 1
+                return original(*a, **kw)
+            return wrapper
+
+        with monkeypatch.context() as m:
+            m.setattr(linalg, "_new", counting("matrix", linalg._new))
+            m.setattr(Matrix, "__init__", counting("matrix", Matrix.__init__))
+            m.setattr(RMap, "__init__", counting("rmap_init", RMap.__init__))
+            fn(*args)
+        return dict(seen)
+
+    def test_reflection_functor(self, monkeypatch, corpus):
+        q = corpus["nested"]
+        lam = random_params(q, 5, units=[1])
+        p = random_level_point(q, lam, (1, 2, 1), "q", 7)
+        assert self.counts(monkeypatch, reflection_functor, p, "q", lam) == {"matrix": 50}
+
+    def test_compose(self, monkeypatch):
+        rng, sh = SplitMix64(3), ModShape(2, 3)
+        f, g = random_linear_map(rng, sh, sh, 3), random_linear_map(rng, sh, sh, 3)
+        assert self.counts(monkeypatch, compose, f, g) == {"matrix": 1}

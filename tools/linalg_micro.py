@@ -15,7 +15,12 @@ rows time ``GaussQ`` arithmetic on Gaussian rationals with denominators,
 ``restrict_scalars`` and ``restrict_scalars_rev`` from R_q to R_1 (q = 2, 3)
 of endomorphisms of rank-2 and rank-4 modules.  ``scale_end`` takes only
 maps over their full order, so no row scales a map over R_1 (the
-``scale_end_3_d3_base1`` row of older result files).
+``scale_end_3_d3_base1`` row of older result files).  The module-map rows
+time ``compose`` of endomorphisms of rank n and order d over R_c for (n, d,
+c) = (1, 1, 1), (2, 1, 1), (2, 2, 2), (2, 3, 3) and (4, 4, 4), on real and on
+Gaussian maps; ``+`` of two maps over different bases; ``pr_cd`` from R_2
+to R_4 and from R_1 to R_3; and ``reflect.split`` and ``unsplit`` of one
+representation of ``corpus/nested.quiver`` at its order-4 vertex q.
 """
 
 from __future__ import annotations
@@ -33,9 +38,12 @@ import json, random, sys, timeit
 sys.path.insert(0, sys.argv[1] + "/src")
 from fractions import Fraction
 from qschemes.linalg import Matrix, hstack, inverse, rank
+from qschemes.quiver import parse_quiver
+from qschemes.reflect import random_level_point, split, unsplit
 from qschemes.repn import random_linear_map
-from qschemes.rmatrix import (ModShape, restrict_scalars, restrict_scalars_rev, scalar_end,
-                              scale_end)
+from qschemes.rmatrix import (ModShape, compose, pr_cd, restrict_scalars, restrict_scalars_rev,
+                              scalar_end, scale_end)
+from qschemes.weyl import random_params
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar, trunc_inv, trunc_mul
 
@@ -87,6 +95,24 @@ for q in (2, 3):
             (lambda f=ends[0], far=far: restrict_scalars(f, far, 1)), 500)
         ops[f"restrict_scalars_rev_q{q}_n{n}"] = (
             (lambda f=ends[1], far=far: restrict_scalars_rev(f, far, 1)), 500)
+I = GaussQ(0, 1)
+for n, d, c in ((1, 1, 1), (2, 1, 1), (2, 2, 2), (2, 3, 3), (4, 4, 4)):
+    sh, draw = ModShape(n, d), SplitMix64(100 * n + 10 * d + c)
+    u, v, w = (random_linear_map(draw, sh, sh, c) for _ in range(3))
+    for kind, (a, b) in (("real", (u, v)), ("gauss", (u + w.scale(I), v - w.scale(I)))):
+        ops[f"compose_n{n}_d{d}_c{c}_{kind}"] = ((lambda a=a, b=b: compose(a, b)), 500)
+sh, draw = ModShape(2, 4), SplitMix64(7)
+u, v, z = (random_linear_map(draw, sh, sh, c) for c in (4, 2, 2))
+ops["add_n2_d4_c4_c2"] = (lambda: u + v, 2000)
+ops["pr_cd_n2_d4_c2"] = (lambda: pr_cd(z), 2000)
+z1 = random_linear_map(draw, ModShape(2, 3), ModShape(2, 3), 1)
+ops["pr_cd_n2_d3_c1"] = (lambda: pr_cd(z1), 2000)
+nested = parse_quiver(open(sys.argv[1] + "/corpus/nested.quiver").read())
+lam = random_params(nested, 5, units=[1])
+point = random_level_point(nested, lam, (1, 2, 1), "q", 7)
+parted = split(point, "q")
+ops["split_nested_q"] = (lambda: split(point, "q"), 1000)
+ops["unsplit_nested_q"] = (lambda: unsplit(nested, point.v, parted), 1000)
 out = {name: min(timeit.repeat(f, number=n, repeat=5)) / n * 1e6 for name, (f, n) in ops.items()}
 print(json.dumps(out))
 """
