@@ -260,12 +260,14 @@ def cmd_regularize(args):
 
 
 def cmd_reg_verify(args):
-    from .regularize import isometry_check, verify_param_equivariance, verify_semidirect
+    from .regularize import (isometry_check, regularize_quiver, verify_param_equivariance,
+                             verify_semidirect)
     q = _load_quiver(args.file)
     leg = _leg_from_arg(q, args.leg)
-    iso = isometry_check(q, leg)
-    sd = verify_semidirect(q, leg)
-    pe = verify_param_equivariance(q, leg)
+    reg = regularize_quiver(q, leg)
+    iso = isometry_check(q, leg, reg)
+    sd = verify_semidirect(q, leg, reg)
+    pe = verify_param_equivariance(q, leg, reg)
     ok = iso and sd.ok and pe.ok
     obj = {
         "isometry": iso,

@@ -9,8 +9,8 @@ matrices therefore have equal fields, and ``==`` and ``hash`` read the fields.
 The blocks are tuples of tuples, so matrices can share them safely.
 ``GaussQ`` keeps the same form for one entry (``num_re``, ``num_im``,
 ``den``), so scalars cross the boundary on integers: ``Matrix(rows)`` and
-``scale`` read their numerators, and entry access, the read-only ``rows``
-view and ``trace`` build ``GaussQ`` values from the integers on demand;
+``scale`` read their numerators, and entry access and the read-only
+``rows`` view build ``GaussQ`` values from the integers on demand;
 ``Matrix.from_ints`` takes integer rows directly.  Degenerate shapes (0 rows
 or 0 columns) are legal and arise naturally from zero dimension vectors.
 
@@ -18,9 +18,12 @@ Sums, scalar multiples, stacking, slicing (``take``) and the product work on
 the integer numerators; a real operand takes no imaginary dot products.
 A matrix polynomial with c slices is one block, its slices side by side;
 ``poly_mul`` (product), ``poly_inverse`` (inverse), ``poly_scale`` (times a
-scalar polynomial), ``trace_dot`` (top coefficient of the trace of a
-product) and ``block_toeplitz`` (the block over a subring) take and return
-blocks, one pass over the numerators each.
+scalar polynomial), ``poly_shift`` (plus a diagonal matrix polynomial),
+``trace_dot`` (top coefficient of the trace of a product) and
+``block_toeplitz`` (the block over a subring) take and return blocks, one
+pass over the numerators each; scalars and diagonals enter as numerators
+over one denominator (for a scalar polynomial, ``scalars.TruncScalar``'s
+fields).
 
 Elimination (``_echelon``) is fraction-free Gauss-Jordan in the style of
 Bareiss (Math. Comp. 22, 1968), over Z for real matrices and over Z[i]
@@ -45,7 +48,7 @@ from math import gcd, lcm
 from operator import add, itemgetter, mul, sub
 
 from .errors import NotInvertible, ShapeMismatch
-from .scalars import GQ_ZERO, GaussQ, _coerce, _reduced
+from .scalars import GQ_ZERO, GaussQ, _coerce, _entry
 
 
 class Matrix:
@@ -149,16 +152,7 @@ class Matrix:
     def scale(self, c) -> "Matrix":
         """The multiple c * self for a scalar c of Q(i)."""
         c = _coerce(c)
-        u, v, w = c.num_re, c.num_im, c.den
-        # (u + i v)(re + i im) = (u re - v im) + i (v re + u im)
-        re, im = self.re, self.im
-        return _canon(_lincomb(re, u, im, -v), _lincomb(im, u, v and re, v),
-                      self.den * w, self.ncols)
-
-    def trace(self) -> GaussQ:
-        """Sum of the diagonal entries of a square matrix."""
-        im = sum(r[k] for k, r in enumerate(self.im)) if self.im else 0
-        return _entry(sum(r[k] for k, r in enumerate(self.re)), im, self.den)
+        return _scaled(self, c.num_re, c.num_im, c.den)
 
     def is_zero(self) -> bool:
         return self.im is None and not any(map(any, self.re))
@@ -206,6 +200,13 @@ def _canon(re, im, den, ncols) -> Matrix:
         if g != 1:
             re, im, den = _exact_div(re, g), im and _exact_div(im, g), den // g
     return _new(re, im, den, ncols)
+
+
+def _scaled(a: Matrix, u, v, w) -> Matrix:
+    """The multiple ((u + i v) / w) a, on the numerators."""
+    # (u + i v)(re + i im) = (u re - v im) + i (v re + u im)
+    re, im = a.re, a.im
+    return _canon(_lincomb(re, u, im, -v), _lincomb(im, u, v and re, v), a.den * w, a.ncols)
 
 
 def _diagonal(n, x):
@@ -270,11 +271,6 @@ def _product(ar, ai, br, bi):
 
 def _columns(block):
     return tuple(zip(*block))
-
-
-def _entry(re, im, den):
-    """The GaussQ (re + i im) / den of integer numerators and denominator."""
-    return _reduced(re, im, den) if re or im else GQ_ZERO
 
 
 def hstack(mats) -> Matrix:
@@ -379,25 +375,22 @@ def poly_inverse(a: Matrix, c: int) -> Matrix:
     return _canon(_join_columns(re), zero and _join_columns(im), x0.den * e ** (c - 1), c * n)
 
 
-def poly_scale(cs, f: Matrix) -> Matrix:
-    """The block of (sum_j cs[j] eps^j) f truncated at degree c = len(cs):
-    slice m is sum_{j<=m} c_j f_(m-j).  Each entry is one dot product of the
-    scalars' numerators (over the lcm of their denominators) with the
-    entries of f_m, .., f_0 there, read off a row of f with a negative
-    stride; no product is formed.
+def poly_scale(re, im, den, f: Matrix) -> Matrix:
+    """The block of t f truncated at degree c = len(re), for the scalar
+    polynomial t = sum_j (re[j] + i im[j]) / den eps^j given by its
+    numerators (im None when real): slice m is sum_{j<=m} t_j f_(m-j).  Each
+    entry is one dot product of the numerators with the entries of f_m, ..,
+    f_0 there, read off a row of f with a negative stride; no product is
+    formed.
     """
-    c = len(cs)
+    c = len(re)
     if c == 1:
-        return f.scale(cs[0])
+        return _scaled(f, re[0], im[0] if im else 0, den)
     q = f.ncols // c
     if f.ncols != c * q:
         raise ShapeMismatch(f"a block of {f.ncols} columns does not hold {c} slices")
     if not (f.nrows and q):
         return f
-    cs = list(map(_coerce, cs))
-    w = lcm(*[x.den for x in cs])
-    u = [x.num_re * (w // x.den) for x in cs]
-    v = [x.num_im * (w // x.den) for x in cs] if any(x.num_im for x in cs) else None
     at = [slice(e, None, -q) for e in range(c * q)]
 
     def dots(us, block):
@@ -405,9 +398,37 @@ def poly_scale(cs, f: Matrix) -> Matrix:
 
     # (u + i v)(re + i im) = (u re - v im) + i (v re + u im)
     fim = f.im
-    re = _lincomb(dots(u, f.re), 1, v and fim and dots(v, fim), -1)
-    im = _lincomb(v and dots(v, f.re), 1, fim and dots(u, fim), 1)
-    return _canon(re, im, f.den * w, f.ncols)
+    out_re = _lincomb(dots(re, f.re), 1, im and fim and dots(im, fim), -1)
+    out_im = _lincomb(im and dots(im, f.re), 1, fim and dots(re, fim), 1)
+    return _canon(out_re, out_im, f.den * den, f.ncols)
+
+
+def poly_shift(re, im, den, f: Matrix) -> Matrix:
+    """The block of f + D for a block f of c = len(re) square n x n slices
+    and the diagonal matrix polynomial D whose slice m has the diagonal
+    entries (re[m][i] + i im[m][i]) / den, i < n, given by their numerators
+    (im None when every entry is real): over the lcm of the denominators the
+    diagonals change and nothing else does.
+    """
+    c, n = len(re), f.nrows
+    if f.ncols != c * n:
+        raise ShapeMismatch(f"a {n}x{f.ncols} block does not hold {c} square slices")
+    w = f.den if f.den == den else lcm(f.den, den)
+    ff, ft = w // f.den, w // den
+
+    def shifted(block, diags):
+        if block is None:
+            block = ((0,) * f.ncols,) * n
+        rows = []
+        for i, r in enumerate(block):
+            r = list(r) if ff == 1 else [x * ff for x in r]
+            for m, ds in enumerate(diags):
+                r[m * n + i] += ds[i] * ft
+            rows.append(tuple(r))
+        return tuple(rows)
+
+    out_im = shifted(f.im, im) if im else _lincomb(f.im, ff, None, 0)
+    return _canon(shifted(f.re, re), out_im, w, f.ncols)
 
 
 def block_toeplitz(a: Matrix, b, r, f_rows, f_cols, ts, ss) -> Matrix:
@@ -474,22 +495,6 @@ def _regroup(a: Matrix, q, patterns) -> Matrix:
     return _new(rows(a.re), a.im and rows(a.im), a.den, len(patterns[0]))
 
 
-def _diagonals(diags) -> Matrix:
-    """The block [D_0 | D_1 | ..] of the diagonal matrices D_m = diag(diags[m])
-    of scalars of Q(i), over the lcm of their denominators (canonical as in
-    ``_over_lcm``)."""
-    n, xs = len(diags[0]), [_coerce(x) for ds in diags for x in ds]
-    w, den = len(xs), lcm(*[x.den for x in xs])
-    re, im = [0] * (n * w), [0] * (n * w) if any(x.num_im for x in xs) else None
-    for k, x in enumerate(xs):
-        # entry (i, m n + i) of the block, for k = m n + i
-        at, f = k + k % n * w, den // x.den
-        re[at] = x.num_re * f
-        if im:
-            im[at] = x.num_im * f
-    return _new(_unflat(re, w), im and _unflat(im, w), den, w)
-
-
 def _picker(index):
     """A function taking the items of a sequence at ``index``, as a tuple."""
     if len(index) > 1:
@@ -499,11 +504,6 @@ def _picker(index):
 
 def _flat(block):
     return tuple(chain.from_iterable(block))
-
-
-def _unflat(entries, width):
-    """The rows of ``width`` entries each, in order."""
-    return tuple(zip(*[iter(entries)] * width))
 
 
 def _echelon(rows, ncols, im=None, mult=None):

@@ -60,7 +60,7 @@ from itertools import accumulate
 from operator import matmul
 
 from .errors import NotInOrbit, ShapeMismatch
-from .linalg import Matrix, _diagonals, hstack, pivot_columns, rank, solve, vstack
+from .linalg import Matrix, hstack, pivot_columns, poly_shift, rank, solve, vstack
 from .rmatrix import (
     ModShape,
     RMap,
@@ -68,13 +68,13 @@ from .rmatrix import (
     _rmap,
     compose,
     invert_end,
-    scalar_end,
     scale_end,
+    shift_end,
 )
 from .quiver import QuiverMult
 from .repn import Representation, moment_component, random_unit_end
 from .rng import SplitMix64
-from .scalars import GaussQ, TruncScalar, trunc_inv
+from .scalars import GaussQ, TruncScalar, trunc_inv, trunc_mul
 
 
 class OrbitSpec(namedtuple("OrbitSpec", (
@@ -139,10 +139,23 @@ def big_theta(spec: OrbitSpec) -> RMap:
 
 
 def _block_scalar(d, blocks) -> RMap:
-    """The endomorphism acting as theta on a block of rank w, per (w, theta)."""
-    shape = ModShape(sum(w for w, _ in blocks), d)
-    return _rmap(shape, shape, d, _diagonals([
-        [theta.coeffs[k] for w, theta in blocks for _ in range(w)] for k in range(d)]))
+    """The endomorphism acting as theta on a block of rank w, per (w, theta):
+    the thetas' numerators, over the lcm of their denominators, on the
+    diagonals of the zero map."""
+    n = sum(w for w, _ in blocks)
+    den = math.lcm(*[t.den for _, t in blocks])
+
+    def diags(part):
+        rows = [[] for _ in range(d)]
+        for w, t in blocks:
+            f, xs = den // t.den, getattr(t, part) or (0,) * d
+            for m in range(d):
+                rows[m] += [xs[m] * f] * w
+        return rows
+
+    im = diags("im") if any(t.im for _, t in blocks) else None
+    shape = ModShape(n, d)
+    return _rmap(shape, shape, d, poly_shift(diags("re"), im, den, Matrix.zero(n, d * n)))
 
 
 def _constant(f: RMap) -> Matrix:
@@ -184,7 +197,7 @@ def orbit_membership(spec: OrbitSpec, a: RMap) -> MembershipWitness:
             f"endomorphism must act on a rank-{n} order-{spec.d} module"
         )
     thetas = spec.thetas
-    factors = [a - scalar_end(t, n) for t in thetas]
+    factors = [shift_end(a, -t) for t in thetas]
     prefix = _prefix_products(factors, compose)
     reasons = []
     if not prefix[-1].is_zero():
@@ -200,10 +213,10 @@ def orbit_membership(spec: OrbitSpec, a: RMap) -> MembershipWitness:
     suffix = _prefix_products(factors[:0:-1], compose)[::-1]
     pis = []
     for i, ti in enumerate(thetas):
-        c = TruncScalar.const(spec.d, 1)
+        c = None
         for j, tj in enumerate(thetas):
             if j != i:
-                c = c * (ti - tj)
+                c = _times(c, ti - tj, trunc_mul)
         pis.append(scale_end(_times(prefix[i], suffix[i], compose), trunc_inv(c)))
     return MembershipWitness(True, tuple(pis), [])
 
@@ -286,14 +299,14 @@ def _scaled_projection(spec: OrbitSpec, i) -> RMap:
 
 def nu(spec: OrbitSpec, point: Representation) -> RMap:
     """theta_0 + mu_0 = theta_0 - up[0] down[0]; recovers the presented endomorphism."""
-    return scalar_end(spec.thetas[0], spec.total) + moment_component(point, 0)
+    return shift_end(moment_component(point, 0), spec.thetas[0])
 
 
 def leg_mesh_residuals(spec: OrbitSpec, point: Representation) -> tuple[RMap, ...]:
     """mu_i + (theta_i - theta_{i-1}) Id at the chain vertices i = 1..l; zero
     on the level set."""
     th = spec.thetas
-    return tuple(moment_component(point, i) + scalar_end(th[i] - th[i - 1], point.v[i])
+    return tuple(shift_end(moment_component(point, i), th[i] - th[i - 1])
                  for i in range(1, spec.legs + 1))
 
 
@@ -317,19 +330,17 @@ def leg_factorize(spec: OrbitSpec, a_end: RMap, witness=None) -> Representation:
         witness = orbit_membership(spec, a_end)
     if not witness.ok:
         raise NotInOrbit("; ".join(witness.reasons))
-    n = spec.total
     l = spec.legs
     thetas = spec.thetas
     # V_0 is the ambient module and V_i the image of pi_i + .. + pi_l; those
     # tails are summed once, from the end
     tails = list(accumulate(reversed(witness.idempotents[1:]), lambda s, pi: pi + s))
     bases = [None] + [free_basis(p) for p in reversed(tails)]
-    def minus_a_plus(t):
-        return scalar_end(t, n) - a_end
-    down = [coordinates(bases[1], minus_a_plus(thetas[0]))]
+    minus_a = -a_end
+    down = [coordinates(bases[1], shift_end(minus_a, thetas[0]))]
     up = [bases[1]]
     for i in range(1, l):
-        down.append(coordinates(bases[i + 1], compose(minus_a_plus(thetas[i]), bases[i])))
+        down.append(coordinates(bases[i + 1], compose(shift_end(minus_a, thetas[i]), bases[i])))
         up.append(coordinates(bases[i], bases[i + 1]))
     return _leg_point(spec, down, up)
 
@@ -377,12 +388,12 @@ def random_non_member(spec: OrbitSpec, seed) -> RMap:
         blocks[swap[1]] = (wi, tj)
         base = big_theta(OrbitSpec(spec.d, tuple(blocks)))
     else:
-        consts = [t.coeffs[0] for t in spec.thetas]
+        consts = [t.coeff(0) for t in spec.thetas]
         nonempty = [i for i, w in enumerate(spec.dims) if w > 0]
         block = nonempty[rng.randint(0, len(nonempty) - 1)]
         shift = None
         for c in range(1, len(spec.blocks) + 2):
-            cand = spec.thetas[block].coeffs[0] + GaussQ(c)
+            cand = spec.thetas[block].coeff(0) + GaussQ(c)
             if all(cand != other for other in consts):
                 shift = GaussQ(c)
                 break

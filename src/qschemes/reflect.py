@@ -73,8 +73,8 @@ from .rmatrix import (
     extend_scalars_rev,
     restrict_scalars,
     restrict_scalars_rev,
-    scalar_end,
     scale_end,
+    shift_end,
     zero_map,
 )
 from .rng import SplitMix64
@@ -208,16 +208,16 @@ def reflection_functor(rep: Representation, i, lam) -> Representation:
     q_i = q.index(i)
     lam = check_params(q, lam)
     lam_i = lam[q_i]
-    tilde, new_rank = _reflected_rank(q, q_i, lam, rep.v)
+    _, new_rank = _reflected_rank(q, q_i, lam, rep.v)
     s = split(rep, q_i)
-    if compose(s.into, s.outof) != scalar_end(-lam_i, rep.v[q_i]):
+    if not shift_end(compose(s.into, s.outof), lam_i).is_zero():
         raise NotInLevelSet(
             f"moment value at {q.name(q_i)} is not -lambda Id"
         )
     # for A = -outof . into, the moment condition makes -(A - lam_i) =
     # outof . into + lam_i equal to lam_i times an idempotent of residue rank
     # new_rank (see the module docstring)
-    shifted = compose(s.outof, s.into) + scalar_end(lam_i, tilde)
+    shifted = shift_end(compose(s.outof, s.into), lam_i)
     basis = free_basis(scale_end(shifted, trunc_inv(lam_i)))
     s2 = SplitAtVertex(q_i, coordinates(basis, shifted), basis, s.rest)
     return unsplit(q, rep.v[:q_i] + (new_rank,) + rep.v[q_i + 1:], s2)

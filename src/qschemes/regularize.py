@@ -15,7 +15,8 @@ and ``verify_param_equivariance`` certify, by full matrix identities, that
 conjugation by phi turns each chain reflection into a transposition of
 adjacent chain coordinates and leaves the remaining generators intact.
 They and ``check_theorem_hypotheses`` return one ``errors.Checks`` record
-each.  Every verifier validates its leg once, through ``regularize_quiver``.
+each.  ``regularize_quiver`` validates the leg and builds the rewrite; the
+verifiers take that rewritten quiver, so a caller builds it once per leg.
 """
 
 from __future__ import annotations
@@ -167,10 +168,10 @@ def regularize_params(q: QuiverMult, leg: LegDescriptor, lam, v):
     for pos in range(len(chain) - 1):
         new_v[chain[pos]] = v[chain[pos]] - v[chain[pos + 1]]
     new_lam = list(lam)
-    acc = lam[leg.base].coeffs[0]
+    acc = lam[leg.base].coeff(0)
     new_lam[leg.base] = TruncScalar(1, [acc])
     for i in leg.vertices:
-        acc = acc + lam[i].coeffs[lam[i].d - 1]
+        acc = acc + lam[i].coeff(lam[i].d - 1)
         new_lam[i] = TruncScalar(1, [acc])
     return tuple(new_lam), tuple(new_v)
 
@@ -220,9 +221,8 @@ def phi_map(q: QuiverMult, leg: LegDescriptor) -> PhiMap:
     return PhiMap(tuple(tuple(r) for r in m), tuple(tuple(r) for r in inv))
 
 
-def isometry_check(q: QuiverMult, leg: LegDescriptor) -> bool:
-    """t(phi) DC(regularized) phi == DC(original), exactly."""
-    reg = regularize_quiver(q, leg)
+def isometry_check(q: QuiverMult, leg: LegDescriptor, reg: QuiverMult) -> bool:
+    """t(phi) DC(reg) phi == DC(q), exactly; ``reg`` is ``regularize_quiver(q, leg)``."""
     phi = phi_map(q, leg)
     dc = q.cartan.dc_list()
     dc_reg = reg.cartan.dc_list()
@@ -239,11 +239,11 @@ def _swap(n, a, b):
     return m
 
 
-def verify_semidirect(q: QuiverMult, leg: LegDescriptor) -> Checks:
+def verify_semidirect(q: QuiverMult, leg: LegDescriptor, reg: QuiverMult) -> Checks:
     """phi s_i phi^{-1} is a chain transposition on the leg and s-check elsewhere,
-    and transpositions conjugate the regularized reflections by relabelling."""
+    and transpositions conjugate the regularized reflections of ``reg`` =
+    ``regularize_quiver(q, leg)`` by relabelling."""
     chain = leg.chain()
-    reg = regularize_quiver(q, leg)
     phi = phi_map(q, leg)
     m = [list(r) for r in phi.matrix]
     minv = [list(r) for r in phi.inverse]
@@ -291,10 +291,10 @@ def param_map_matrix(q: QuiverMult, leg: LegDescriptor, reg: QuiverMult):
     return m
 
 
-def verify_param_equivariance(q: QuiverMult, leg: LegDescriptor) -> Checks:
-    """The parameter transfer intertwines each r_i with its phi-conjugated image."""
+def verify_param_equivariance(q: QuiverMult, leg: LegDescriptor, reg: QuiverMult) -> Checks:
+    """The parameter transfer intertwines each r_i with its phi-conjugated
+    image in ``reg`` = ``regularize_quiver(q, leg)``."""
     chain = leg.chain()
-    reg = regularize_quiver(q, leg)
     psi = param_map_matrix(q, leg, reg)
     offs = param_offsets(reg)
     report = Checks("equivariance")

@@ -31,7 +31,7 @@ from .rmatrix import (
     invert_end,
     pair_d,
     pr_cd,
-    scalar_end,
+    shift_end,
     slice_extend,
     trace_r,
     zero_map,
@@ -132,10 +132,7 @@ def mesh_check(rep: Representation, lam) -> tuple[RMap, ...]:
     """Residuals mu_i + lam_i * Id; all zero exactly on the level set."""
     lam = check_params(rep.quiver, lam)
     mu = moment_map(rep)
-    out = []
-    for i, m in enumerate(mu):
-        out.append(m + scalar_end(lam[i], rep.v[i]))
-    return tuple(out)
+    return tuple(shift_end(m, x) for m, x in zip(mu, lam))
 
 
 def moment_trace_sum(mu) -> GaussQ:
@@ -143,7 +140,7 @@ def moment_trace_sum(mu) -> GaussQ:
     acc = GQ_ZERO
     for m in mu:
         t = trace_r(m)
-        acc = acc + t.coeffs[t.d - 1]
+        acc = acc + t.coeff(t.d - 1)
     return acc
 
 

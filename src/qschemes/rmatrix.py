@@ -7,13 +7,16 @@ whose coefficients ("slices") A_m are (w*d2/c) x (v*d1/c) matrices over the
 base field.  ``RMap`` keeps the c slices side by side in one ``Matrix``,
 ``block``: integer numerators over one canonical denominator.  Each
 operation here builds its result's block in one pass of a ``linalg``
-kernel (``poly_mul``, ``poly_inverse``, ``poly_scale``, ``trace_dot``,
-``block_toeplitz``) or one gather, and wraps it with the trusted ``_rmap``;
-the validating ``RMap(...)``, ``from_slices`` and ``RMap.from_flat`` (which
-raises ``NotLinearOverBase`` for a matrix that is not linear over the
-requested base) are for callers outside.  ``parts`` is a view: the slices
-as matrices, cut from the block on each read.  ``_lower`` rewrites a block
-over a smaller subring and is the one rule for viewing a map there;
+kernel (``poly_mul``, ``poly_inverse``, ``poly_scale``, ``poly_shift``,
+``trace_dot``, ``block_toeplitz``) or one gather, and wraps it with the
+trusted ``_rmap``; the validating ``RMap(...)``, ``from_slices`` and
+``RMap.from_flat`` (which raises ``NotLinearOverBase`` for a matrix that is
+not linear over the requested base) are for callers outside.  A scalar t of
+R_d acts on an R_d-endomorphism f through ``scale_end`` (t f) and
+``shift_end`` (f + t Id), both on t's integer numerators.  ``parts`` is a
+view: the slices as matrices, cut from the block on each read.  ``_lower``
+rewrites a block over a smaller subring and is the one rule for viewing a
+map there;
 ``RMap.flat`` is its base-1 view, the matrix in the basis {v_j eps^k} at
 index j*d + k that serialization prints.
 
@@ -45,7 +48,6 @@ from .errors import (
 from .linalg import (
     Matrix,
     _canon,
-    _diagonals,
     _picker,
     _regroup,
     block_toeplitz,
@@ -53,9 +55,10 @@ from .linalg import (
     poly_inverse,
     poly_mul,
     poly_scale,
+    poly_shift,
     trace_dot,
 )
-from .scalars import GaussQ, TruncScalar
+from .scalars import GaussQ, TruncScalar, _trunc_canon
 
 
 class ModShape(namedtuple("ModShape", "rank order")):
@@ -214,12 +217,6 @@ def zero_map(src: ModShape, dst: ModShape) -> RMap:
     return _rmap(src, dst, base, Matrix.zero(dst.dim // base, src.dim))
 
 
-def scalar_end(c: TruncScalar, rank: int) -> RMap:
-    """The endomorphism acting as the scalar c on a rank-n module."""
-    shape = ModShape(rank, c.d)
-    return _rmap(shape, shape, c.d, _diagonals([[x] * rank for x in c.coeffs]))
-
-
 def compose(f: RMap, g: RMap) -> RMap:
     """f after g: the truncated product of the two matrix polynomials over
     the common base gcd(f.base, g.base)."""
@@ -237,10 +234,17 @@ def from_slices(parts: list[Matrix], order: int) -> RMap:
 
 
 def trace_base(f: RMap, c: int) -> TruncScalar:
-    """Trace over R_c of a square map that is (at least) R_c-linear."""
+    """Trace over R_c of a square map that is (at least) R_c-linear: the
+    numerator traces of the slices of ``_lower(f, c)`` over its denominator."""
     if f.src != f.dst:
         raise NotEndomorphism("trace of a non-square map")
-    return TruncScalar(c, [p.trace() for p in _slices(_lower(f, c), c)])
+    b = _lower(f, c)
+    n = b.nrows
+
+    def traces(block):
+        return tuple([sum([r[m * n + k] for k, r in enumerate(block)]) for m in range(c)])
+
+    return _trunc_canon(c, traces(b.re), b.im and traces(b.im), b.den)
 
 
 def trace_r(f: RMap) -> TruncScalar:
@@ -376,17 +380,32 @@ def restrict_scalars_rev(y: RMap, dst: ModShape, c: int) -> RMap:
     return _rmap(y.src, dst, c, block)
 
 
-def scale_end(f: RMap, t: TruncScalar) -> RMap:
-    """t f for a square map f declared R_d-linear on V (x) R_d and t in R_d:
-    slices sum_{j<=m} t_j f_(m-j) (``poly_scale``); compose a map over a
-    smaller base with ``scalar_end(t)`` instead."""
+def _scalar_on(f: RMap, t: TruncScalar, what):
+    """Raise unless f is a square map declared R_d-linear on V (x) R_d, d = t.d."""
     if f.src != f.dst:
-        raise ShapeMismatch("scalar multiple of a non-square map")
+        raise ShapeMismatch(f"{what} of a non-square map")
     if t.d != f.src.order:
         raise MismatchedOrder(f"scalar order {t.d} vs module order {f.src.order}")
     if f.base != t.d:
         raise NotLinearOverBase(f"map over R_{f.base} is not declared R_{t.d}-linear")
-    return _rmap(f.src, f.dst, f.base, poly_scale(t.coeffs, f.block))
+
+
+def scale_end(f: RMap, t: TruncScalar) -> RMap:
+    """t f for a square map f declared R_d-linear on V (x) R_d and t in R_d:
+    slices sum_{j<=m} t_j f_(m-j) (``poly_scale``); compose a map over a
+    smaller base with the scalar map instead."""
+    _scalar_on(f, t, "scalar multiple")
+    return _rmap(f.src, f.dst, f.base, poly_scale(t.re, t.im, t.den, f.block))
+
+
+def shift_end(f: RMap, t: TruncScalar) -> RMap:
+    """f + t Id for a square map f declared R_d-linear on V (x) R_d and t in
+    R_d: t_m is added to the diagonal of slice m (``poly_shift``).  The map
+    t Id itself is ``shift_end`` of the zero map."""
+    _scalar_on(f, t, "shift")
+    n = f.src.rank
+    re, im = ([(x,) * n for x in xs] if xs else None for xs in (t.re, t.im))
+    return _rmap(f.src, f.dst, f.base, poly_shift(re, im, t.den, f.block))
 
 
 def invert_end(g: RMap) -> RMap:

@@ -146,7 +146,7 @@ def suite_moment(quivers, seed, trials) -> Checks:
 def suite_functor(quivers, seed, trials) -> Checks:
     from .reflect import phi, random_level_point, reflection_functor, tilde_dimension
     from .repn import moment_component
-    from .rmatrix import scalar_end
+    from .rmatrix import shift_end
     from .weyl import random_params, reflect_dim, reflect_param
     report = Checks("suite functor")
     rng = SplitMix64(seed)
@@ -170,7 +170,7 @@ def suite_functor(quivers, seed, trials) -> Checks:
                 continue
             p = random_level_point(q, lam, v, i, srng.next_u64())
             report.record(
-                moment_component(p, i) == scalar_end(-lam[i], v[i]),
+                shift_end(moment_component(p, i), lam[i]).is_zero(),
                 f"{case}: generator moment", case_seed,
             )
             out = reflection_functor(p, i, lam)
@@ -180,15 +180,15 @@ def suite_functor(quivers, seed, trials) -> Checks:
                 case_seed,
             )
             report.record(
-                moment_component(out, i) == scalar_end(lam[i], out.v[i]),
+                shift_end(moment_component(out, i), -lam[i]).is_zero(),
                 f"{case}: vertex moment flip", case_seed,
             )
             diff_ok = True
             for j in range(q.n):
                 if j == i:
                     continue
-                want = scalar_end(-(lam2[j] - lam[j]), v[j])
-                if moment_component(out, j) - moment_component(p, j) != want:
+                diff = moment_component(out, j) - moment_component(p, j)
+                if not shift_end(diff, lam2[j] - lam[j]).is_zero():
                     diff_ok = False
             report.record(diff_ok, f"{case}: neighbour correction", case_seed)
             back = reflection_functor(out, i, lam2)
@@ -232,7 +232,7 @@ def suite_orbit(seed, trials) -> Checks:
     from .orbit import (big_theta, free_basis, leg_factorize, leg_mesh_residuals,
                         leg_rank_checks, nu, orbit_dimension, orbit_membership,
                         random_conjugate, random_non_member)
-    from .rmatrix import compose, scalar_end
+    from .rmatrix import compose, shift_end
     report = Checks("suite orbit")
     rng = SplitMix64(seed)
     for spec in _orbit_profiles(rng.next_u64()):
@@ -263,9 +263,9 @@ def suite_orbit(seed, trials) -> Checks:
             tails = list(accumulate(reversed(w.idempotents[1:]), lambda s, pi: pi + s))
             tails.reverse()
             img_ok = True
-            prod = None
+            prod, minus_a = None, -a
             for theta_j, proj in zip(spec.thetas, tails):
-                f = scalar_end(theta_j, spec.total) - a
+                f = shift_end(minus_a, theta_j)
                 prod = f if prod is None else compose(f, prod)
                 u = free_basis(proj)
                 stacked = hstack([u.flat, prod.flat])
@@ -298,12 +298,12 @@ def suite_regularize(quivers, seed, trials) -> Checks:
         legs = find_legs(q)
         for ln, leg in enumerate(legs):
             tag = f"{qname}/leg{ln}"
-            report.record(isometry_check(q, leg), f"{tag}: form isometry")
-            sd = verify_semidirect(q, leg)
-            report.record(sd.ok, f"{tag}: semidirect identities", detail=sd.summary())
-            pe = verify_param_equivariance(q, leg)
-            report.record(pe.ok, f"{tag}: parameter equivariance", detail=pe.summary())
             reg = regularize_quiver(q, leg)
+            report.record(isometry_check(q, leg, reg), f"{tag}: form isometry")
+            sd = verify_semidirect(q, leg, reg)
+            report.record(sd.ok, f"{tag}: semidirect identities", detail=sd.summary())
+            pe = verify_param_equivariance(q, leg, reg)
+            report.record(pe.ok, f"{tag}: parameter equivariance", detail=pe.summary())
             chain = set(leg.chain())
             leftover = [
                 l2 for l2 in find_legs(reg) if set(l2.vertices) & chain

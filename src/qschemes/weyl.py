@@ -23,7 +23,7 @@ from collections import namedtuple
 
 from .errors import Checks, LengthMismatch, MismatchedOrder
 from .quiver import QuiverMult, check_dims
-from .scalars import GQ_ZERO, GaussQ, TruncScalar
+from .scalars import GQ_ZERO, GaussQ, TruncScalar, _trunc_canon
 
 COXETER_TABLE = {0: 2, 1: 3, 2: 4, 3: 6}
 
@@ -48,7 +48,7 @@ def level_check(q: QuiverMult, lam, v) -> bool:
     v = check_dims(q, v)
     acc = GQ_ZERO
     for vi, x in zip(v, lam):
-        acc = acc + GaussQ(vi) * x.coeffs[x.d - 1]
+        acc = acc + GaussQ(vi) * x.coeff(x.d - 1)
     return not acc
 
 
@@ -114,17 +114,19 @@ def reflect_param(q: QuiverMult, i, lam) -> tuple[TruncScalar, ...]:
     for j in range(q.n):
         if j == i or c[i][j] == 0:
             continue
-        coeffs = [GQ_ZERO] * d[j]
+        # the correction's numerators are some of lam_i's, over its denominator
+        x, re, im = lam[i], [0] * d[j], [0] * d[j]
         for ki, kj in _matched_powers(d[i], d[j]):
-            coeffs[d[j] - 1 - kj] = lam[i].coeffs[d[i] - 1 - ki]
-        out[j] = lam[j] - TruncScalar(d[j], coeffs) * GaussQ(c[i][j])
+            re[d[j] - 1 - kj] = x.re[d[i] - 1 - ki]
+            im[d[j] - 1 - kj] = x.im[d[i] - 1 - ki] if x.im else 0
+        out[j] = lam[j] - _trunc_canon(d[j], tuple(re), tuple(im), x.den) * c[i][j]
     return tuple(out)
 
 
 def rho(q: QuiverMult, lam) -> tuple[GaussQ, ...]:
     """Per-vertex residue: the top coefficient of each parameter."""
     lam = check_params(q, lam)
-    return tuple(x.coeffs[x.d - 1] for x in lam)
+    return tuple(x.coeff(x.d - 1) for x in lam)
 
 
 # -- matrices of the actions ---------------------------------------------------

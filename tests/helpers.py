@@ -3,12 +3,13 @@ quivers at sizes beyond ``corpus/``, the monomial eps^k of R_d, the residue
 pairing and subring embedding of truncated scalars, a Gaussian rational kept
 as a pair of ``Fraction`` values (the reference for ``GaussQ``), the
 canonical-form check and the stored fields of a matrix, the matrix
-transpose, the slices of a map over a subring, the stacked lowering of a map to a
-subring and the stacked restrictions of scalars (the references for
-``rmatrix._lower`` and ``rmatrix.restrict_scalars*``), the base-field blocks of a map read off its
-flat view, the identity endomorphism, the zero representation, the
-top-slice shift maps, the gauge unit induced on a split vertex, the Coxeter
-order of a vertex pair and the braid-word probe of the reflection functor."""
+transpose, the slices of a map over a subring, the stacked lowering of a
+map to a subring and the stacked restrictions of scalars (the references
+for ``rmatrix._lower`` and ``rmatrix.restrict_scalars*``), the base-field
+blocks of a map read off its flat view, the scalar endomorphism c Id, the
+identity endomorphism, the zero representation, the top-slice shift maps,
+the gauge unit induced on a split vertex, the Coxeter order of a vertex
+pair and the braid-word probe of the reflection functor."""
 
 import math
 from fractions import Fraction
@@ -26,7 +27,7 @@ from qschemes.rmatrix import (
     _slices,
     compose,
     from_slices,
-    scalar_end,
+    shift_end,
     trace_base,
     trace_r,
     zero_map,
@@ -253,8 +254,15 @@ def embed_subring(a: TruncScalar, d: int) -> TruncScalar:
     return TruncScalar(d, out)
 
 
+def scalar_end(c: TruncScalar, rank: int) -> RMap:
+    """The endomorphism acting as the scalar c on a rank-n module: the zero
+    map shifted by c."""
+    shape = ModShape(rank, c.d)
+    return shift_end(zero_map(shape, shape), c)
+
+
 def identity_end(shape: ModShape) -> RMap:
-    return scalar_end(TruncScalar.const(shape.order, 1), shape.rank)
+    return scalar_end(TruncScalar(shape.order, [1]), shape.rank)
 
 
 def zero_rep(q: QuiverMult, v) -> Representation:

@@ -17,8 +17,10 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
+from qschemes.errors import MismatchedOrder, NotLinearOverBase, ShapeMismatch
 from qschemes.linalg import Matrix
 from qschemes.rmatrix import (
     ModShape,
@@ -32,13 +34,15 @@ from qschemes.rmatrix import (
     restrict_scalars,
     restrict_scalars_rev,
     scale_end,
+    shift_end,
     trace_base,
 )
-from qschemes.scalars import GQ_ONE, GQ_ZERO, GaussQ, TruncScalar
+from qschemes.scalars import GQ_ZERO, GaussQ, TruncScalar
 
 from helpers import assert_canonical, fields, slices_over
 
 SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+GQ_ONE = GaussQ(1)
 ORDERS = st.integers(1, 4)
 RANKS = st.integers(0, 3)
 
@@ -180,6 +184,42 @@ def test_scale_end(data):
     got = scale_end(f, t)
     check_block(got)
     assert flat_of(got) == matmul(scalar_flat(t, sh), flat_of(f), sh.dim)
+
+
+@SETTINGS
+@given(st.data())
+def test_shift_end(data):
+    """f + t Id, against the base-field matrices and against f plus the
+    scalar map built slice by slice from t's coefficients."""
+    (sh,) = data.draw(shapes(1))
+    n, d = sh
+    f = data.draw(rmaps(sh, sh, d))
+    rng, real = random.Random(data.draw(st.integers(0, 2 ** 32))), data.draw(st.booleans())
+    t = TruncScalar(d, [entry(rng, real) for _ in range(d)])
+    got = shift_end(f, t)
+    check_block(got)
+    assert got.base == d
+    assert flat_of(got) == add(flat_of(f), scalar_flat(t, sh))
+    scalar = RMap(sh, sh, d, [Matrix.identity(n).scale(x) for x in t.coeffs])
+    assert fields(got.block) == fields((f + scalar).block)
+
+
+@SETTINGS
+@given(st.data())
+def test_shift_end_errors(data):
+    """Typed errors: a non-square map, a scalar of another order, a map
+    declared over a smaller base."""
+    u, v = data.draw(shapes())
+    t = TruncScalar(u.order, [1])
+    if u != v:
+        with pytest.raises(ShapeMismatch):
+            shift_end(data.draw(rmaps(u, v, base_for(data.draw, u, v))), t)
+    f = data.draw(rmaps(u, u, u.order))
+    with pytest.raises(MismatchedOrder):
+        shift_end(f, TruncScalar(u.order + 1, [1]))
+    if u.order > 1:
+        with pytest.raises(NotLinearOverBase):
+            shift_end(data.draw(rmaps(u, u, 1)), t)
 
 
 @SETTINGS

@@ -287,10 +287,11 @@ class TestBrokenVerifier:
             records = {}
             for name, q in corpus.items():
                 for ln, leg in enumerate(regularize.find_legs(q)):
+                    reg = regularize.regularize_quiver(q, leg)
                     records[f"{name}/leg{ln}: semidirect identities"] = \
-                        regularize.verify_semidirect(q, leg)
+                        regularize.verify_semidirect(q, leg, reg)
                     records[f"{name}/leg{ln}: parameter equivariance"] = \
-                        regularize.verify_param_equivariance(q, leg)
+                        regularize.verify_param_equivariance(q, leg, reg)
         code, out, _ = run(capsys, "--format", "json", "check", str(corpus_dir),
                            "--suite", suite, "--seed", "1", "--trials", "2")
         got = {f["case"]: f["detail"] for f in json.loads(out)["failures"]

@@ -12,6 +12,7 @@ side by side, against the stacked products and the explicit traces of the
 slices.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -22,23 +23,29 @@ import qschemes.linalg as linalg
 from qschemes.errors import NotInvertible, ShapeMismatch
 from qschemes.linalg import (
     Matrix,
-    _diagonals,
     _echelon,
     hstack,
     inverse,
     pivot_columns,
     poly_mul,
     poly_scale,
+    poly_shift,
     rank,
     solve,
     trace_dot,
     vstack,
 )
-from qschemes.scalars import GQ_ONE, GQ_ZERO, GaussQ
+from qschemes.scalars import GQ_ZERO, GaussQ, TruncScalar
 
 from helpers import assert_canonical, fields, transpose
 
 KINDS = ("integer", "fraction", "gaussian", "sparse")
+GQ_ONE = GaussQ(1)
+
+
+def trace(a):
+    """Sum of the diagonal entries of a square matrix, read entry by entry."""
+    return sum((a[k, k] for k in range(a.nrows)), GQ_ZERO)
 
 
 def oracle_matmul(a, b):
@@ -429,7 +436,7 @@ class TestPolyKernels:
         for c in (1, 2, 3, 4):
             for _ in range(6):
                 xs, ys = self.slices(rng, c, p, k), self.slices(rng, c, k, p)
-                want = sum(((x @ y).trace() for x, y in zip(xs, ys)), GQ_ZERO)
+                want = sum((trace(x @ y) for x, y in zip(xs, ys)), GQ_ZERO)
                 # trace_dot pairs x_j with y_(c-1-j)
                 got = trace_dot(hstack(xs), hstack(ys[::-1]), c)
                 assert type(got) is GaussQ and got == want
@@ -454,7 +461,8 @@ class TestPolyKernels:
             for _ in range(6):
                 fs = self.slices(rng, c, p, q)
                 cs = [random_entry(rng, rng.choice(KINDS)) for _ in range(c)]
-                got = poly_scale(cs, hstack(fs))
+                t = TruncScalar(c, cs)
+                got = poly_scale(t.re, t.im, t.den, hstack(fs))
                 want = []
                 for m in range(c):
                     want.append(Matrix.zero(p, q))
@@ -463,26 +471,58 @@ class TestPolyKernels:
                 assert_canonical(got)
                 assert fields(got) == fields(hstack(want))
 
+    @staticmethod
+    def numerators(diags):
+        """GaussQ diagonals as (re, im, den): numerators over the lcm of the
+        denominators, im None when every entry is real."""
+        den = math.lcm(*[x.den for ds in diags for x in ds])
+        re = [[x.num_re * (den // x.den) for x in ds] for ds in diags]
+        im = [[x.num_im * (den // x.den) for x in ds] for ds in diags]
+        return re, im if any(map(any, im)) else None, den
+
+    def diagonals(self, diags):
+        """The block of the diagonal matrices with GaussQ diagonals ``diags``:
+        ``poly_shift`` of a zero block."""
+        n = len(diags[0])
+        return poly_shift(*self.numerators(diags), Matrix.zero(n, len(diags) * n))
+
+    @pytest.mark.parametrize("n", [0, 1, 2, 3])
+    def test_poly_shift_matches_sums(self, n):
+        rng = random.Random(f"poly_shift/{n}")
+        for c in (1, 2, 3, 4):
+            for _ in range(6):
+                fs = self.slices(rng, c, n, n)
+                diags = [[random_entry(rng, rng.choice(KINDS)) for _ in range(n)]
+                         for _ in range(c)]
+                got = poly_shift(*self.numerators(diags), hstack(fs))
+                want = [f + Matrix([[x if i == j else GQ_ZERO for j in range(n)]
+                                    for i, x in enumerate(ds)], ncols=n)
+                        for f, ds in zip(fs, diags)]
+                assert_canonical(got)
+                assert fields(got) == fields(hstack(want))
+
     def test_scalar_matrix(self):
         xs = [GaussQ(0), GaussQ(-2), GaussQ(Fraction(3, 4), Fraction(-1, 6))]
         for n in (0, 1, 3):
             for x in xs:
-                got = _diagonals([[x] * n])
+                got = self.diagonals([[x] * n])
                 assert_canonical(got)
                 assert fields(got) == fields(Matrix.identity(n).scale(x))
-            got = _diagonals([[x] * n for x in xs])
+            got = self.diagonals([[x] * n for x in xs])
             assert_canonical(got)
             assert fields(got) == fields(hstack([Matrix.identity(n).scale(x) for x in xs]))
-        got = _diagonals([xs, xs[::-1]])
+        got = self.diagonals([xs, xs[::-1]])
         assert_canonical(got)
         assert got.rows == tuple(tuple(xs[i] if j == i else xs[2 - i] if j == i + 3 else GQ_ZERO
                                        for j in range(6)) for i in range(3))
 
     def test_scalar_kernel_shape_mismatch(self):
         with pytest.raises(ShapeMismatch):
-            poly_scale([1, 2], Matrix.zero(2, 3))
+            poly_scale((1, 2), None, 1, Matrix.zero(2, 3))
         with pytest.raises(ShapeMismatch):
-            poly_scale([1, 2, 3], Matrix.zero(3, 4))
+            poly_scale((1, 2, 3), None, 1, Matrix.zero(3, 4))
+        with pytest.raises(ShapeMismatch):
+            poly_shift((1, 2), None, 1, Matrix.zero(2, 3))
 
 
 class TestSolveOnIntegers:
@@ -518,7 +558,7 @@ class TestSolveOnIntegers:
             raise AssertionError("solve built a GaussQ")
 
         # every way linalg has of making a scalar
-        for name in ("GaussQ", "_coerce", "_reduced"):
+        for name in ("GaussQ", "_coerce", "_entry"):
             monkeypatch.setattr(linalg, name, boom)
         inv, x = inverse(a), solve(a, b)
         monkeypatch.undo()

@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import qschemes.orbit
+import qschemes.scalars as scalars
 from qschemes import serialize as ser
 from qschemes.errors import NotInOrbit, ShapeMismatch
 from qschemes.linalg import Matrix, hstack, rank
@@ -28,7 +29,6 @@ from qschemes.rmatrix import (
     compose,
     from_slices,
     invert_end,
-    scalar_end,
     scale_end,
     zero_map,
 )
@@ -36,7 +36,8 @@ from qschemes.repn import gauge, moment_map, random_gauge
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar, trunc_inv
 
-from helpers import TopSliceNotZero, eps, identity_end, shift_decompose, shift_map
+from helpers import (TopSliceNotZero, eps, identity_end, scalar_end, shift_decompose,
+                     shift_map)
 
 G = GaussQ
 T = TruncScalar
@@ -77,7 +78,7 @@ def exhaustive_membership(spec, a):
         product = compose(product, a - scalar_end(t, n))
     pis = []
     for i, ti in enumerate(thetas):
-        prod, c = identity_end(shape), T.const(spec.d, 1)
+        prod, c = identity_end(shape), T(spec.d, [1])
         for j, tj in enumerate(thetas):
             if j != i:
                 prod = compose(prod, a - scalar_end(tj, n))
@@ -243,7 +244,7 @@ class TestOperationCount:
                 w, n = self.count_composes(monkeypatch, spec, random_conjugate(spec, seed))
                 assert w.ok and n <= 3 * l - 2, (make.__name__, seed, n)
             # Theta + eps (Theta + 1 at d = 1): the product does not vanish
-            shift = eps(spec.d) if spec.d > 1 else T.const(1, 1)
+            shift = eps(spec.d) if spec.d > 1 else T(1, [1])
             bad = big_theta(spec) + scalar_end(shift, spec.total)
             w, n = self.count_composes(monkeypatch, spec, bad)
             assert not w.ok and w.reasons[0].startswith("product")
@@ -263,6 +264,23 @@ class TestOperationCount:
                 assert leg_factorize(spec, a, w) == want
                 with pytest.raises(NotInOrbit):
                     leg_factorize(spec, bad, w_bad)
+
+    def test_no_gauss_scalars(self, monkeypatch):
+        """A member decision runs on integer numerators: it builds no GaussQ,
+        with real thetas (spec_d3) or a non-real theta with a denominator
+        (spec_golden).  Every GaussQ goes through ``scalars._gq`` or the
+        constructor, both counted."""
+        for make in (spec_d3, spec_golden):
+            spec = make()
+            a = random_conjugate(spec, 5)
+            built = []
+            with monkeypatch.context() as m:
+                for owner, name in ((scalars, "_gq"), (GaussQ, "__init__")):
+                    original = getattr(owner, name)
+                    m.setattr(owner, name, lambda *args, f=original: built.append(1) or f(*args))
+                w = orbit_membership(spec, a)
+            assert w.ok and len(w.idempotents) == 3
+            assert len(built) == 0, make.__name__
 
 
 class TestCanonicalPoint:

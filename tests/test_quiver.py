@@ -18,10 +18,9 @@ from qschemes.quiver import (
 from qschemes.reflect import phi, random_level_point, reflection_functor
 from qschemes.regularize import find_legs
 from qschemes.repn import moment_map, random_params
-from qschemes.rmatrix import scalar_end
 from qschemes.weyl import reflect_param
 
-from helpers import example_chain, example_double
+from helpers import example_chain, example_double, scalar_end
 
 
 class TestParser:

@@ -25,7 +25,6 @@ from qschemes.rmatrix import (
     RMap,
     compose,
     invert_end,
-    scalar_end,
     scale_end,
 )
 from qschemes.rng import SplitMix64
@@ -37,6 +36,7 @@ from helpers import (
     example_chain,
     example_double,
     parameter_block,
+    scalar_end,
     split_gauge,
     top_block,
     zero_rep,

@@ -1,3 +1,5 @@
+import json
+
 import pytest
 
 from qschemes import regularize
@@ -229,7 +231,7 @@ class TestPhiMap:
         for d in (2, 3, 4):
             for q in (example_star(3, d), example_two_legs(4, d), long_leg(d, 2)):
                 for leg in find_legs(q):
-                    assert isometry_check(q, leg)
+                    assert isometry_check(q, leg, regularize_quiver(q, leg))
 
 
 class TestGroupIdentities:
@@ -238,7 +240,7 @@ class TestGroupIdentities:
         for q in (example_star(3, d), example_star(4, d),
                   example_two_legs(4, d), long_leg(d, 2)):
             for leg in find_legs(q):
-                rep = verify_semidirect(q, leg)
+                rep = verify_semidirect(q, leg, regularize_quiver(q, leg))
                 assert rep.ok, rep.summary()
 
     @pytest.mark.parametrize("d", [2, 3, 4])
@@ -246,7 +248,7 @@ class TestGroupIdentities:
         for q in (example_star(3, d), example_star(4, d),
                   example_two_legs(4, d), long_leg(d, 2)):
             for leg in find_legs(q):
-                rep = verify_param_equivariance(q, leg)
+                rep = verify_param_equivariance(q, leg, regularize_quiver(q, leg))
                 assert rep.ok, rep.summary()
 
     def test_param_matrix_shape(self):
@@ -295,8 +297,10 @@ class TestTransferInvariance:
 
 
 class TestValidatesOnce:
-    """A verifier validates its leg once, and the equivariance check builds
-    the rewritten quiver once; counted by wrapping the module's functions."""
+    """The leg is validated once, when ``regularize_quiver`` builds the
+    rewrite; the verifiers take that rewrite and build none of their own, so
+    ``qs reg-verify`` and the regularize suite build it once per leg.
+    Counted by wrapping the module's functions."""
 
     @staticmethod
     def counted(monkeypatch, name):
@@ -316,7 +320,7 @@ class TestValidatesOnce:
         q = corpus["double_d3"]
         leg = leg_from_names(q, ["k", "i", "j"])
         calls = self.counted(monkeypatch, "find_legs")
-        result = verifier(q, leg)
+        result = verifier(q, leg, regularize.regularize_quiver(q, leg))
         assert result is True or result.ok
         assert len(calls) == 1
 
@@ -324,5 +328,25 @@ class TestValidatesOnce:
         q = corpus["double_d3"]
         leg = leg_from_names(q, ["k", "i", "j"])
         calls = self.counted(monkeypatch, "regularize_quiver")
-        assert verify_param_equivariance(q, leg).ok
+        assert verify_param_equivariance(q, leg, regularize.regularize_quiver(q, leg)).ok
         assert len(calls) == 1
+
+    def test_reg_verify_builds_the_rewrite_once(self, monkeypatch, capsys, corpus_dir):
+        from qschemes.cli import main
+        legs = self.counted(monkeypatch, "find_legs")
+        rewrites = self.counted(monkeypatch, "regularize_quiver")
+        path = str(corpus_dir / "double_d3.quiver")
+        assert main(["--format", "json", "reg-verify", path, "--leg", "k,i,j"]) == 0
+        assert json.loads(capsys.readouterr().out)["ok"]
+        # one validation when the leg is parsed, one when the rewrite is built
+        assert (len(legs), len(rewrites)) == (2, 1)
+
+    def test_suite_builds_each_rewrite_once(self, monkeypatch, corpus):
+        from qschemes.suites import suite_regularize
+        n_legs = sum(len(find_legs(q)) for q in corpus.values())
+        legs = self.counted(monkeypatch, "find_legs")
+        rewrites = self.counted(monkeypatch, "regularize_quiver")
+        assert suite_regularize(corpus, 1, 1).ok
+        assert len(rewrites) == n_legs > 0
+        # per quiver one search; per leg one validation and one search of the rewrite
+        assert len(legs) == len(corpus) + 2 * n_legs

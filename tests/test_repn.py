@@ -25,7 +25,6 @@ from qschemes.rmatrix import (
     compose,
     from_slices,
     invert_end,
-    scalar_end,
     slice_extend,
     trace_r,
     zero_map,
@@ -34,7 +33,7 @@ from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar
 from qschemes.weyl import level_check
 
-from helpers import eps, example_chain, fields, identity_end, zero_rep
+from helpers import eps, example_chain, fields, identity_end, scalar_end, zero_rep
 
 G = GaussQ
 T = TruncScalar
@@ -209,7 +208,7 @@ class TestHamiltonianIdentity:
         rep = random_rep(mixed_quiver, v, 41)
         delta = random_rep(mixed_quiver, v, 42)
         xi = [
-            scalar_end(T.const(mixed_quiver.mults[i], 5), v[i])
+            scalar_end(T(mixed_quiver.mults[i], [5]), v[i])
             for i in range(3)
         ]
         assert moment_derivative_check(rep, delta, xi)
@@ -228,7 +227,7 @@ class TestGauge:
     def test_central_scalar_acts_trivially(self, mixed_quiver):
         v = (1, 2, 1)
         rep = random_rep(mixed_quiver, v, 4)
-        g = [scalar_end(T.const(mixed_quiver.mults[i], 3), v[i]) for i in range(3)]
+        g = [scalar_end(T(mixed_quiver.mults[i], [3]), v[i]) for i in range(3)]
         assert gauge(rep, g) == rep
 
     def test_moment_conjugates(self, mixed_quiver):

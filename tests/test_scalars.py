@@ -3,7 +3,7 @@ from decimal import Decimal
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from qschemes.errors import MismatchedOrder, NotAUnit, NotDivisible
 from qschemes.linalg import Matrix
@@ -162,7 +162,7 @@ class TestTruncMul:
     def test_truncation_kills_square(self):
         one_plus = TruncScalar(2, [1, 1])
         one_minus = TruncScalar(2, [1, -1])
-        assert trunc_mul(one_plus, one_minus) == TruncScalar.const(2, 1)
+        assert trunc_mul(one_plus, one_minus) == TruncScalar(2, [1])
 
     def test_nilpotency(self):
         e = eps(2)
@@ -191,7 +191,7 @@ class TestTruncMul:
 
 class TestTruncInv:
     def test_one(self):
-        one = TruncScalar.const(3, 1)
+        one = TruncScalar(3, [1])
         assert trunc_inv(one) == one
 
     def test_geometric_series(self):
@@ -201,7 +201,7 @@ class TestTruncInv:
     def test_multiply_back(self):
         a = TruncScalar(2, [2, 1])
         inv = trunc_inv(a)
-        assert trunc_mul(a, inv) == TruncScalar.const(2, 1)
+        assert trunc_mul(a, inv) == TruncScalar(2, [1])
         assert inv == TruncScalar(2, [Fraction(1, 2), Fraction(-1, 4)])
 
     def test_not_a_unit(self):
@@ -214,7 +214,7 @@ class TestTruncInv:
         if coeffs[0] == 0:
             coeffs[0] = Fraction(1)
         a = TruncScalar(d, coeffs)
-        assert trunc_mul(a, trunc_inv(a)) == TruncScalar.const(d, 1)
+        assert trunc_mul(a, trunc_inv(a)) == TruncScalar(d, [1])
 
 
 class TestTruncArithmetic:
@@ -243,10 +243,10 @@ class TestTruncArithmetic:
         assert results["neg"] == TruncScalar(3, [-x for x in a.coeffs])
         assert results["mul"] == results["mul_op"] == TruncScalar(
             3, poly_mul_oracle(a.coeffs, b.coeffs, 3))
-        assert trunc_mul(a, results["inv"]) == TruncScalar.const(3, 1)
+        assert trunc_mul(a, results["inv"]) == TruncScalar(3, [1])
         for x in self.OPERANDS:
-            assert results[f"add {x}"] == (a + TruncScalar.const(3, x),) * 2
-            assert results[f"sub {x}"] == a - TruncScalar.const(3, x)
+            assert results[f"add {x}"] == (a + TruncScalar(3, [x]),) * 2
+            assert results[f"sub {x}"] == a - TruncScalar(3, [x])
             assert results[f"mul {x}"] == (TruncScalar(3, [c * x for c in a.coeffs]),) * 2
         for r in results.values():
             for t in r if isinstance(r, tuple) else (r,):
@@ -273,7 +273,7 @@ class TestResiduePair:
                     assert value == GaussQ(1 if i + j == d - 1 else 0)
 
     def test_order_one(self):
-        one = TruncScalar.const(1, 1)
+        one = TruncScalar(1, [1])
         assert residue_pair(one, one) == GaussQ(1)
 
     def test_coefficient_extraction(self):
@@ -294,7 +294,7 @@ class TestResiduePair:
 
 class TestEmbed:
     def test_const(self):
-        assert embed_subring(TruncScalar.const(1, 1), 3) == TruncScalar.const(3, 1)
+        assert embed_subring(TruncScalar(1, [1]), 3) == TruncScalar(3, [1])
 
     def test_substitution(self):
         assert embed_subring(eps(2), 4) == eps(4, 2)
@@ -314,3 +314,129 @@ class TestEmbed:
         assert embed_subring(trunc_mul(a, b), d) == trunc_mul(
             embed_subring(a, d), embed_subring(b, d)
         )
+
+
+# -- integer storage of truncated scalars against GaussQ coefficients -----------
+
+SETTINGS = settings(max_examples=100, deadline=None, derandomize=True, database=None)
+KINDS = {"int": st.integers(-9, 9), "real": rationals, "gauss": gaussians}
+
+
+@st.composite
+def coefficient_lists(draw, d):
+    """Up to d coefficients of one kind: ints, real rationals with
+    denominators, or Gaussian rationals; zeros are frequent."""
+    kind = KINDS[draw(st.sampled_from(sorted(KINDS)))]
+    return draw(st.lists(st.one_of(st.just(0), kind), max_size=d))
+
+
+def reference(d, cs):
+    """The d coefficients as GaussQ values, as the ring operations define them."""
+    return [c if isinstance(c, GaussQ) else GaussQ(c) for c in cs] + [GaussQ(0)] * (d - len(cs))
+
+
+def inverse_oracle(cs):
+    """The inverse series of GaussQ coefficients, degree by degree from a*x = 1."""
+    inv0 = GaussQ(1) / cs[0]
+    out = [inv0]
+    for k in range(1, len(cs)):
+        acc = GaussQ(0)
+        for j in range(1, k + 1):
+            acc = acc + cs[j] * out[k - j]
+        out.append(-acc * inv0)
+    return out
+
+
+def assert_trunc_canonical(t, d):
+    """Integer tuples of length d over den > 0 coprime to them; im None
+    exactly when every coefficient is real."""
+    assert t.d == d and type(t.re) is tuple and len(t.re) == d
+    assert all(type(x) is int for x in t.re + (t.im or ()))
+    if t.im is not None:
+        assert type(t.im) is tuple and len(t.im) == d and any(t.im)
+    assert type(t.den) is int and t.den > 0 and math.gcd(t.den, *t.re, *(t.im or ())) == 1
+
+
+def fields_of(t):
+    return t.d, t.re, t.im, t.den
+
+
+class TestIntegerTruncParity:
+    """Every operation on the integer numerators agrees with its definition
+    on GaussQ coefficients, and every result is in canonical form."""
+
+    @staticmethod
+    def check(got, want):
+        assert_trunc_canonical(got, len(want))
+        assert got.coeffs == tuple(want)
+        assert all(type(c) is GaussQ for c in got.coeffs)
+        assert [got.coeff(k) for k in range(got.d)] == list(want)
+
+    @SETTINGS
+    @given(st.integers(1, 4), st.data())
+    def test_constructor_and_view(self, d, data):
+        cs = data.draw(coefficient_lists(d))
+        self.check(TruncScalar(d, cs), reference(d, cs))
+
+    @SETTINGS
+    @given(st.integers(1, 4), st.data())
+    def test_ring_operations(self, d, data):
+        ca, cb = data.draw(coefficient_lists(d)), data.draw(coefficient_lists(d))
+        a, b = TruncScalar(d, ca), TruncScalar(d, cb)
+        ra, rb = reference(d, ca), reference(d, cb)
+        self.check(a + b, [x + y for x, y in zip(ra, rb)])
+        self.check(a - b, [x - y for x, y in zip(ra, rb)])
+        self.check(-a, [-x for x in ra])
+        self.check(trunc_mul(a, b), poly_mul_oracle(ra, rb, d))
+        self.check(a * b, poly_mul_oracle(ra, rb, d))
+
+    @SETTINGS
+    @given(st.integers(1, 4), st.data(),
+           st.one_of(st.integers(-6, 6), rationals, gaussians))
+    def test_scalar_operands(self, d, data, x):
+        cs = data.draw(coefficient_lists(d))
+        a, ra = TruncScalar(d, cs), reference(d, cs)
+        gx = x if isinstance(x, GaussQ) else GaussQ(x)
+        for got in (a * x, x * a):
+            self.check(got, [c * gx for c in ra])
+        for got in (a + x, x + a):
+            self.check(got, [ra[0] + gx] + ra[1:])
+        self.check(a - x, [ra[0] - gx] + ra[1:])
+
+    @SETTINGS
+    @given(st.integers(1, 4), st.data())
+    def test_inverse_round_trip(self, d, data):
+        cs = reference(d, data.draw(coefficient_lists(d)))
+        if not cs[0]:
+            cs[0] = data.draw(st.one_of(st.just(GaussQ(1)), gaussians.filter(bool)))
+        a = TruncScalar(d, cs)
+        inv = trunc_inv(a)
+        self.check(inv, inverse_oracle(cs))
+        one = TruncScalar(d, [1])
+        assert fields_of(trunc_mul(a, inv)) == fields_of(one)
+        assert fields_of(trunc_inv(inv)) == fields_of(a)
+
+    @SETTINGS
+    @given(st.integers(1, 4), st.data())
+    def test_equal_values_have_equal_fields(self, d, data):
+        ca, cb = data.draw(coefficient_lists(d)), data.draw(coefficient_lists(d))
+        a, b = TruncScalar(d, ca), TruncScalar(d, cb)
+        same = [TruncScalar(d, reference(d, ca)), (a + b) - b, -(-a), a * 1,
+                trunc_mul(a, TruncScalar(d, [1])), a * GaussQ(0, 1) * GaussQ(0, -1)]
+        for t in same:
+            assert t == a and fields_of(t) == fields_of(a)
+        zero = a - a
+        assert fields_of(zero) == fields_of(TruncScalar(d)) == (d, (0,) * d, None, 1)
+
+    @SETTINGS
+    @given(st.integers(1, 4), st.data())
+    def test_equality_text_and_hash(self, d, data):
+        ca, cb = data.draw(coefficient_lists(d)), data.draw(coefficient_lists(d))
+        a, b = TruncScalar(d, ca), TruncScalar(d, cb)
+        ra, rb = reference(d, ca), reference(d, cb)
+        assert (a == b) == (ra == rb) and (a != b) == (ra != rb)
+        assert str(a) == "[" + ", ".join(str(c) for c in ra) + "]"
+        assert repr(a) == f"TruncScalar({d}, {[str(c) for c in ra]})"
+        assert hash(a) == hash((d, tuple(ra)))
+        assert bool(a) == any(ra) and a.is_unit() == bool(ra[0])
+        assert a != TruncScalar(d + 1, ca)

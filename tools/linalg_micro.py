@@ -1,6 +1,6 @@
 """Microbenchmarks of qschemes.linalg and its scalars on two checkouts.
 
-    python tools/linalg_micro.py BASE CHANGE --out BENCH_matrix_storage.json
+    python tools/linalg_micro.py BASE CHANGE --out BENCH_int_trunc.json
 
 Each of three rounds times every operation once in a fresh child process per
 checkout, alternating which checkout goes first; the child imports
@@ -10,8 +10,12 @@ under ``"microbench"``, with the ratio CHANGE / BASE.  Inputs are seeded
 integer and Gaussian-integer matrices, built through ``Matrix(rows)`` of
 ``GaussQ`` entries, which every version of the library accepts.  The scalar
 rows time ``GaussQ`` arithmetic on Gaussian rationals with denominators,
-``trunc_mul`` and ``trunc_inv`` of such truncated scalars at orders 1 to 4,
-``scalar_end`` and ``scale_end`` on a rank-3 module of order 3, and
+``trunc_mul`` and ``trunc_inv`` of such truncated scalars at orders 1 to 4
+(rows ``_real`` use real ones with denominators), their sums and
+differences, ``TruncScalar(d, ints)`` construction (``trunc_new_ints``),
+``scalar_end`` and ``scale_end`` on a rank-3 module of order 3, f + t Id
+there (``plus_scalar_3_d3``: ``shift_end`` where the checkout has it, else
+``f + scalar_end(t, 3)``, which ``add_scalar_end_3_d3`` times on both), and
 ``restrict_scalars`` and ``restrict_scalars_rev`` from R_q to R_1 (q = 2, 3)
 of endomorphisms of rank-2 and rank-4 modules.  ``scale_end`` takes only
 maps over their full order, so no row scales a map over R_1 (the
@@ -20,7 +24,10 @@ time ``compose`` of endomorphisms of rank n and order d over R_c for (n, d,
 c) = (1, 1, 1), (2, 1, 1), (2, 2, 2), (2, 3, 3) and (4, 4, 4), on real and on
 Gaussian maps; ``+`` of two maps over different bases; ``pr_cd`` from R_2
 to R_4 and from R_1 to R_3; and ``reflect.split`` and ``unsplit`` of one
-representation of ``corpus/nested.quiver`` at its order-4 vertex q.
+representation of ``corpus/nested.quiver`` at its order-4 vertex q.  A
+checkout that lacks an operation gives no row for it, and the file keeps
+the rows both checkouts time.  ``scalar_end`` is read from
+``tests/helpers.py`` where the library no longer has it.
 """
 
 from __future__ import annotations
@@ -41,8 +48,13 @@ from qschemes.linalg import Matrix, hstack, inverse, rank
 from qschemes.quiver import parse_quiver
 from qschemes.reflect import random_level_point, split, unsplit
 from qschemes.repn import random_linear_map
-from qschemes.rmatrix import (ModShape, compose, pr_cd, restrict_scalars, restrict_scalars_rev,
-                              scalar_end, scale_end)
+import qschemes.rmatrix as rmatrix
+from qschemes.rmatrix import ModShape, compose, pr_cd, restrict_scalars, restrict_scalars_rev, scale_end
+try:
+    from qschemes.rmatrix import scalar_end
+except ImportError:
+    sys.path.insert(0, sys.argv[1] + "/tests")
+    from helpers import scalar_end
 from qschemes.weyl import random_params
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar, trunc_inv, trunc_mul
@@ -72,21 +84,32 @@ def gq():
     return GaussQ(Fraction(rng.randint(-9, 9), rng.randint(1, 6)),
                   Fraction(rng.randint(-9, 9), rng.randint(1, 6)))
 
-def trunc(d):
-    return TruncScalar(d, [GaussQ(rng.randint(1, 9))] + [gq() for _ in range(d - 1)])
+def trunc(d, real=False):
+    rest = [Fraction(rng.randint(-9, 9), rng.randint(1, 6)) if real else gq()
+            for _ in range(d - 1)]
+    return TruncScalar(d, [GaussQ(rng.randint(1, 9))] + rest)
 
 x, y = gq(), gq()
 ops["gaussq_mul"] = (lambda: x * y, 20000)
 ops["gaussq_add"] = (lambda: x + y, 20000)
 ops["gaussq_div"] = (lambda: x / y, 20000)
 for d in (1, 2, 3, 4):
-    s, t = trunc(d), trunc(d)
-    ops[f"trunc_mul_d{d}"] = ((lambda s=s, t=t: trunc_mul(s, t)), 2000)
-    ops[f"trunc_inv_d{d}"] = ((lambda s=s: trunc_inv(s)), 2000)
+    ints = [rng.randint(-9, 9) for _ in range(d)]
+    ops[f"trunc_new_ints_d{d}"] = ((lambda ints=ints, d=d: TruncScalar(d, ints)), 20000)
+    for kind in ("", "_real"):
+        s, t = trunc(d, kind == "_real"), trunc(d, kind == "_real")
+        ops[f"trunc_mul_d{d}{kind}"] = ((lambda s=s, t=t: trunc_mul(s, t)), 2000)
+        ops[f"trunc_inv_d{d}{kind}"] = ((lambda s=s: trunc_inv(s)), 2000)
+        ops[f"trunc_add_d{d}{kind}"] = ((lambda s=s, t=t: s + t), 5000)
+        ops[f"trunc_sub_d{d}{kind}"] = ((lambda s=s, t=t: s - t), 5000)
 t3, sh = trunc(3), ModShape(3, 3)
 f3 = random_linear_map(SplitMix64(3), sh, sh, 3)
 ops["scalar_end_3_d3"] = (lambda: scalar_end(t3, 3), 2000)
 ops["scale_end_3_d3"] = (lambda: scale_end(f3, t3), 500)
+ops["add_scalar_end_3_d3"] = (lambda: f3 + scalar_end(t3, 3), 1000)
+shift = getattr(rmatrix, "shift_end", None)
+ops["plus_scalar_3_d3"] = ((lambda: shift(f3, t3)) if shift else ops["add_scalar_end_3_d3"][0],
+                           1000)
 for q in (2, 3):
     for n in (2, 4):
         near, far, draw = ModShape(n, q), ModShape(n, 1), SplitMix64(10 * q + n)
@@ -141,7 +164,7 @@ def main(argv=None):
         "rounds": ROUNDS,
         "rows": {name: {"base": best["base"][name], "change": us,
                         "ratio": us / best["base"][name]}
-                 for name, us in best["change"].items()},
+                 for name, us in best["change"].items() if name in best["base"]},
     }
     args.out.write_text(json.dumps(table, indent=1, sort_keys=True) + "\n")
     return 0
