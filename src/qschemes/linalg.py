@@ -17,8 +17,8 @@ or 0 columns) are legal and arise naturally from zero dimension vectors.
 Sums, scalar multiples, stacking, slicing (``take``) and the product work on
 the integer numerators; a real operand takes no imaginary dot products.
 A matrix polynomial with c slices is one block, its slices side by side;
-``poly_mul`` (product), ``poly_inverse`` (inverse), ``poly_scale`` (times a
-scalar polynomial), ``poly_shift`` (plus a diagonal matrix polynomial),
+``poly_mul`` (product), ``poly_scale`` (times a scalar polynomial),
+``poly_shift`` (plus a diagonal matrix polynomial),
 ``trace_dot`` (top coefficient of the trace of a product) and
 ``block_toeplitz`` (the block over a subring) take and return blocks, one
 pass over the numerators each; scalars and diagonals enter as numerators
@@ -35,10 +35,19 @@ determinant of the leading pivot minor.  An eliminated row becomes
 complement, minors of the input: the division is exact in Z or Z[i] and
 entries grow no faster than minors do.  Rows with a zero in the pivot column
 are left alone.  The reduced row-echelon form is unique, so the results are
-exactly those of schoolbook elimination over ``GaussQ``.  ``solve`` finishes
-on the integers too: the reduced rows are a multiple q of the solution, for
-the last pivot q, and dividing by q is a sign and a denominator |q| when q
-is real, and multiplication by conj(q) over the denominator |q|^2 otherwise.
+exactly those of schoolbook elimination over ``GaussQ``.
+
+``solve`` and ``inverse`` are one exact solver over R_c = Q(i)[eps]/(eps^c)
+on blocks of c slices (plain matrices at c = 1): a x = b means
+sum_{j<=m} a_j x_(m-j) = b_m for every m.  One ``_echelon`` of [a | b],
+pivots searched in a_0's k columns, leaves the top k rows e [I | H_1 .. |
+G_0 ..] for one integer e (the last pivot, or its norm when it is not real)
+and the rows below multiples of [0 | B_1 .. | F_0 ..].  The back-substitution
+x_m = G_m - sum_{1<=j<=m} H_j x_(m-j) runs on the integers y_m = e^(m+1) x_m,
+one product per slice of the rows [e H_1 | e^2 H_2 | ..] with y_(m-1), ..,
+y_0 stacked, and a row below must give F_m = sum_j B_j x_(m-j) (at c = 1: a
+zero row, or the system is inconsistent).  ``inverse`` passes the identity as
+one slice, so the zero slices after it never enter the elimination.
 """
 
 from __future__ import annotations
@@ -349,32 +358,6 @@ def poly_mul(f: Matrix, g: Matrix, c: int) -> Matrix:
     return _canon(*_product(f.re, f.im, cr, gim and ci), f.den * g.den, c * q)
 
 
-def poly_inverse(a: Matrix, c: int) -> Matrix:
-    """The block of the inverse, truncated at degree c, of a block a of c
-    square slices with a_0 invertible.  With X_0 = a_0^-1 and X_0 a =
-    [1 | -c_1 | .. | -c_(c-1)] / e, the slices X_k = sum_{1<=j<=k} (c_j / e)
-    X_(k-j) are y_k / (den(X_0) e^k) for y_k = sum_j e^(j-1) c_j y_(k-j): per
-    k one product of the rows of [c_1 | e c_2 | ..] with y_(k-1), .., y_0
-    stacked, as in ``poly_mul``."""
-    n = a.nrows
-    x0 = inverse(a.take(cols=slice(0, n)) if c > 1 else a)
-    if c == 1 or not n:
-        return x0 if c == 1 else a
-    m = x0 @ a
-    e = m.den
-    powers = [-e ** j for j in range(c - 1) for _ in range(n)]
-    cr, ci = (b and tuple([tuple(map(mul, r[n:], powers)) for r in b]) for b in (m.re, m.im))
-    zero = ((0,) * n,) * n if x0.im or ci else None
-    ys, br, bi = [(x0.re, x0.im or zero)], ((),) * n, ((),) * n
-    for _ in range(1, c):
-        br = tuple(map(add, _columns(ys[-1][0]), br))
-        bi = zero and tuple(map(add, _columns(ys[-1][1]), bi))
-        ys.append(_product(cr, ci, br, bi))
-    re, im = ([_lincomb(y[i], e ** (c - 1 - k), None, 0) for k, y in enumerate(ys)]
-              for i in (0, 1))
-    return _canon(_join_columns(re), zero and _join_columns(im), x0.den * e ** (c - 1), c * n)
-
-
 def poly_scale(re, im, den, f: Matrix) -> Matrix:
     """The block of t f truncated at degree c = len(re), for the scalar
     polynomial t = sum_j (re[j] + i im[j]) / den eps^j given by its
@@ -586,48 +569,82 @@ def rank(mat: Matrix) -> int:
     return len(pivot_columns(mat))
 
 
-def solve(a: Matrix, b: Matrix) -> Matrix:
-    """Solve a @ x = b exactly for a of full column rank.
+def solve(a: Matrix, b: Matrix, c: int = 1) -> Matrix:
+    """Solve a x = b exactly over R_c = Q(i)[eps]/(eps^c).
 
-    Raises ShapeMismatch when the system is inconsistent or the solution is
-    not unique.
+    a, b and x are blocks of c slices, p x k, p x n and k x n, and slice m of
+    a x is sum_{j<=m} a_j x_(m-j); at c = 1 they are plain matrices.  Raises
+    ShapeMismatch when a_0 is rank-deficient (the solution is not unique) or
+    the system is inconsistent.
     """
     if a.nrows != b.nrows:
         raise ShapeMismatch("row counts differ")
-    n = a.ncols
-    aug = hstack([a, b])
-    rows, im = list(aug.re), aug.im and list(aug.im)
-    mult = []
-    pivots = _echelon(rows, n, im, mult)
-    if len(pivots) != n:
-        raise ShapeMismatch("coefficient matrix is rank-deficient")
-    for i in range(n, len(rows)):
-        if any(rows[i][n:]) or (im is not None and any(im[i][n:])):
-            raise ShapeMismatch("inconsistent system")
-    # pivots == range(n); rows[k] is q times row k of the reduced form, for
-    # the last pivot q, once brought to that multiple
-    if not n:
-        return Matrix.zero(0, b.ncols)
-    q = mult[n - 1]
-    for k in range(n):
-        _rescale(rows, im or [None] * n, mult, k, q)
-    re = tuple([tuple(r[n:]) for r in rows[:n]])
-    im = im and tuple([tuple(r[n:]) for r in im[:n]])
-    # divide by q on the numerators: by its sign and |q| when q is real, and
-    # otherwise multiply by conj(q) and divide by |q|^2
-    q0, q1 = (q, 0) if im is None else q
-    if not q1:
-        if q0 < 0:
-            re, im = _times(re, -1), im and _times(im, -1)
-        return _canon(re, im, abs(q0), b.ncols)
-    return _canon(_lincomb(re, q0, im, q1), _lincomb(im, q0, re, -q1), q0 * q0 + q1 * q1,
-                  b.ncols)
+    if a.ncols % c or b.ncols % c:
+        raise ShapeMismatch(f"blocks of {a.ncols} and {b.ncols} columns do not hold {c} slices")
+    return _solve(a, b, c, b.ncols // c)
 
 
-def inverse(a: Matrix) -> Matrix:
-    if a.nrows != a.ncols:
+def inverse(a: Matrix, c: int = 1) -> Matrix:
+    """The inverse over R_c of a block a of c square slices, a_0 invertible."""
+    n = a.nrows
+    if a.ncols != c * n:
         raise NotInvertible("non-square matrix")
     try:
-        return solve(a, Matrix.identity(a.nrows))
+        return _solve(a, Matrix.identity(n), c, n)
     except ShapeMismatch:
         raise NotInvertible("singular matrix") from None
+
+
+def _solve(a: Matrix, b: Matrix, c, n) -> Matrix:
+    """``solve`` for a block b of the first b.ncols // n of the c slices of
+    the right-hand side, each p x n; the slices after them are zero."""
+    k, w = a.ncols // c, a.ncols
+    # the rows of [a | b] over one denominator, as lists like the rows
+    # _echelon makes: joined tuples, as many widths as there are systems,
+    # would stay behind in CPython's per-size tuple free lists once freed
+    _, re, im = _over_lcm([a, b])
+    rows, im = ([[*r, *s] for r, s in zip(*v)] if v else None for v in (re, im))
+    mult = []
+    if len(_echelon(rows, k, im, mult)) != k:
+        raise ShapeMismatch("coefficient matrix is rank-deficient")
+    if not (k and n):
+        if not (k or b.is_zero()):
+            raise ShapeMismatch("inconsistent system")
+        return Matrix.zero(k, c * n)
+    # pivots == range(k); bring the top rows to the multiple e of their
+    # reduced rows: the last pivot q when real, else |q|^2 = q conj(q)
+    e = q = mult[k - 1]
+    if im is not None:
+        e = q[0] * q[0] + q[1] * q[1] if q[1] else q[0]
+        q = (e, 0)
+    ims = im or [None] * k
+    for i in range(k):
+        _rescale(rows, ims, mult, i, q)
+    if c > 1:
+        weights = [e ** j for j in range(c - 1) for _ in range(k)]
+        hr, hi = ([list(map(mul, r[k:w], weights)) for r in v] if v else None for v in (rows, im))
+    zero = im and ((0,) * n,) * k
+    yr, yi, br, bi = [], [], ((),) * n, ((),) * n
+    for m in range(c):
+        dr = di = None
+        if m * n < b.ncols:
+            at, f = slice(w + m * n, w + m * n + n), e ** m
+            dr = _lincomb(tuple([tuple(r[at]) for r in rows]), f, None, 0)
+            di = im and _lincomb(tuple([tuple(r[at]) for r in im]), f, None, 0)
+        if m:
+            br = tuple(map(add, _columns(yr[-1]), br))
+            bi = zero and tuple(map(add, _columns(yi[-1]), bi))
+            pr, pi = _product(hr, hi, br, bi)
+            dr, di = _lincomb(dr, 1, pr, -1), _lincomb(di, 1, pi, -1)
+        if any(map(any, dr[k:])) or di and any(map(any, di[k:])):
+            raise ShapeMismatch("inconsistent system")
+        yr.append(dr[:k])
+        yi.append(di[:k] if di else zero)
+    # x_m = y_m e^(c-1-m) / e^c, negated when e^c < 0
+    re, im = yr[0], yi[0]
+    if c > 1:
+        re, im = (ys[0] and _join_columns([_lincomb(y, e ** (c - 1 - m), None, 0)
+                                           for m, y in enumerate(ys)]) for ys in (yr, yi))
+    if e < 0 and c % 2:
+        re, im = _times(re, -1), im and _times(im, -1)
+    return _canon(re, im, abs(e) ** c, c * n)

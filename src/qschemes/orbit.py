@@ -56,11 +56,11 @@ from __future__ import annotations
 import functools
 import math
 from collections import namedtuple
-from itertools import accumulate
+from itertools import accumulate, combinations
 from operator import matmul
 
 from .errors import NotInOrbit, ShapeMismatch
-from .linalg import Matrix, hstack, pivot_columns, poly_shift, rank, solve, vstack
+from .linalg import Matrix, hstack, pivot_columns, poly_shift, rank, solve
 from .rmatrix import (
     ModShape,
     RMap,
@@ -239,23 +239,14 @@ def free_basis(e: RMap) -> RMap:
 def coordinates(u: RMap, f: RMap) -> RMap:
     """The map k with u . k = f, for u injective with Im f inside Im u.
 
-    Solved slice by slice over the common base ring: u_0 k_m equals
-    f_m - sum_{1<=j<=m} u_j k_(m-j), and u_0 has full column rank exactly
-    when u is injective.
+    One ``solve`` over the common base ring R_c: sum_{j<=m} u_j k_(m-j) = f_m
+    for every slice m, with one elimination of u_0 for all of them; u_0 has
+    full column rank exactly when u is injective.
     """
     if u.dst != f.dst:
         raise ShapeMismatch("targets differ")
     c = math.gcd(u.base, f.base)
-    ub, fb = _lower(u, c), _lower(f, c)
-    k, n = ub.ncols // c, fb.ncols // c
-    u0 = ub.take(cols=slice(0, k)) if c > 1 else ub
-    ks = []
-    for m in range(c):
-        rhs = fb.take(cols=slice(m * n, m * n + n)) if c > 1 else fb
-        if m:
-            rhs = rhs - ub.take(cols=slice(k, k + m * k)) @ vstack(ks[::-1])
-        ks.append(solve(u0, rhs))
-    return _rmap(f.src, u.src, c, hstack(ks))
+    return _rmap(f.src, u.src, c, solve(_lower(u, c), _lower(f, c), c))
 
 
 # -- leg points ------------------------------------------------------------------
@@ -368,35 +359,22 @@ def random_non_member(spec: OrbitSpec, seed) -> RMap:
     same scalars with swapped block sizes (breaks the residue-rank condition);
     then conjugates.
     """
+    n, dims = spec.total, spec.dims
+    if not n:
+        raise ShapeMismatch("an orbit of total rank 0 has no non-member")
     rng = SplitMix64(seed)
-    n = spec.total
-    mode = rng.randint(0, 1)
-    swap = None
-    if mode == 1:
-        for i in range(len(spec.blocks)):
-            for j in range(i + 1, len(spec.blocks)):
-                if spec.dims[i] != spec.dims[j]:
-                    swap = (i, j)
-                    break
-            if swap:
-                break
-    if swap is not None:
-        blocks = list(spec.blocks)
-        wi, ti = blocks[swap[0]]
-        wj, tj = blocks[swap[1]]
-        blocks[swap[0]] = (wj, ti)
-        blocks[swap[1]] = (wi, tj)
+    differ = [(i, j) for i, j in combinations(range(len(dims)), 2) if dims[i] != dims[j]]
+    if rng.randint(0, 1) and differ:
+        # the first two blocks of different sizes trade sizes
+        (i, j), blocks = differ[0], list(spec.blocks)
+        blocks[i], blocks[j] = (dims[j], spec.thetas[i]), (dims[i], spec.thetas[j])
         base = big_theta(OrbitSpec(spec.d, tuple(blocks)))
     else:
         consts = [t.coeff(0) for t in spec.thetas]
-        nonempty = [i for i, w in enumerate(spec.dims) if w > 0]
+        nonempty = [i for i, w in enumerate(dims) if w > 0]
         block = nonempty[rng.randint(0, len(nonempty) - 1)]
-        shift = None
-        for c in range(1, len(spec.blocks) + 2):
-            cand = spec.thetas[block].coeff(0) + GaussQ(c)
-            if all(cand != other for other in consts):
-                shift = GaussQ(c)
-                break
+        shift = next(GaussQ(c) for c in range(1, len(consts) + 2)
+                     if consts[block] + GaussQ(c) not in consts)
         # the first vertex of the block becomes a block of its own, at theta + shift
         w, theta = spec.blocks[block]
         split = ((1, theta + shift), (w - 1, theta))

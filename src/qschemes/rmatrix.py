@@ -7,11 +7,12 @@ whose coefficients ("slices") A_m are (w*d2/c) x (v*d1/c) matrices over the
 base field.  ``RMap`` keeps the c slices side by side in one ``Matrix``,
 ``block``: integer numerators over one canonical denominator.  Each
 operation here builds its result's block in one pass of a ``linalg``
-kernel (``poly_mul``, ``poly_inverse``, ``poly_scale``, ``poly_shift``,
-``trace_dot``, ``block_toeplitz``) or one gather, and wraps it with the
-trusted ``_rmap``; the validating ``RMap(...)``, ``from_slices`` and
-``RMap.from_flat`` (which raises ``NotLinearOverBase`` for a matrix that is
-not linear over the requested base) are for callers outside.  A scalar t of
+kernel (``poly_mul``, ``poly_scale``, ``poly_shift``, ``trace_dot``,
+``block_toeplitz``, and the solver ``inverse`` over R_c) or one gather, and
+wraps it with the trusted ``_rmap``; the validating ``RMap(...)``,
+``from_slices`` and ``RMap.from_flat`` (which raises ``NotLinearOverBase``
+for a matrix that is not linear over the requested base) are for callers
+outside.  A scalar t of
 R_d acts on an R_d-endomorphism f through ``scale_end`` (t f) and
 ``shift_end`` (f + t Id), both on t's integer numerators.  ``parts`` is a
 view: the slices as matrices, cut from the block on each read.  ``_lower``
@@ -52,7 +53,7 @@ from .linalg import (
     _regroup,
     block_toeplitz,
     hstack,
-    poly_inverse,
+    inverse,
     poly_mul,
     poly_scale,
     poly_shift,
@@ -409,11 +410,11 @@ def shift_end(f: RMap, t: TruncScalar) -> RMap:
 
 
 def invert_end(g: RMap) -> RMap:
-    """Inverse of a unit endomorphism (invertible constant slice), by
-    ``poly_inverse`` of its block."""
+    """Inverse of a unit endomorphism (invertible constant slice): the
+    ``inverse`` of its block over its base ring."""
     if not g.is_end():
         raise NotEndomorphism("inverse needs a full endomorphism")
     try:
-        return _rmap(g.src, g.dst, g.base, poly_inverse(g.block, g.base))
+        return _rmap(g.src, g.dst, g.base, inverse(g.block, g.base))
     except NotInvertible:
         raise NotInvertible("constant slice is singular") from None

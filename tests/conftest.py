@@ -1,7 +1,16 @@
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
+
+# hypothesis first imports this module in its report hook when a property
+# fails; libcst, which it loads, raises a DeprecationWarning on import that
+# filterwarnings = ["error"] turns into an INTERNALERROR hiding the
+# falsifying example.  Imported here once, with that warning ignored.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore", DeprecationWarning)
+    import hypothesis.extra._patching  # noqa: F401
 
 REPO = Path(__file__).resolve().parent.parent
 CORPUS = REPO / "corpus"

@@ -391,6 +391,73 @@ class TestAgainstSympy:
             b = random_matrix(rng, kind, n, rng.randint(1, 3))
             assert solve(a, b) == from_dm(dm.lu_solve(to_dm(b)))
 
+    @staticmethod
+    def toeplitz(a, c):
+        """The block lower-triangular Toeplitz matrix of a block of c slices:
+        block (m, j) is slice m - j, zero above the diagonal."""
+        p, k = a.nrows, a.ncols // c
+        return vstack([hstack([a.take(cols=slice((m - j) * k, (m - j + 1) * k)) if j <= m
+                               else Matrix.zero(p, k) for j in range(c)]) for m in range(c)])
+
+    @staticmethod
+    def stacked(b, c):
+        n = b.ncols // c
+        return vstack([b.take(cols=slice(m * n, m * n + n)) for m in range(c)])
+
+    @staticmethod
+    def side_by_side(x, c):
+        k = x.nrows // c
+        return hstack([x.take(rows=slice(m * k, m * k + k)) for m in range(c)])
+
+    @pytest.mark.parametrize("kind", ("integer", "gaussian"))
+    @pytest.mark.parametrize("c", (2, 3, 4))
+    def test_solve_inverse_over_rc(self, kind, c, qq_i):
+        """solve(a, b, c) and inverse(a, c) over R_c against the reduced
+        Toeplitz system [T(a) | b_0; ..; b_(c-1)]: the solution, or the
+        typed error for a rank-deficient a_0 or an inconsistent b."""
+        to_dm, from_dm = qq_i
+        rng = random.Random(f"sympy-rc/{kind}/{c}")
+        seen = set()
+        for t in range(12):
+            k = rng.randint(1, 3)
+            # a random slice of b is inconsistent once p > k
+            p = k + rng.choice((1, 2) if t % 4 == 2 else (0, 1, 2))
+            a = random_matrix(rng, kind, p, c * k)
+            if t % 4 == 1:
+                a0 = rank_at_most(rng, kind, p, k, k - 1)
+                a = hstack([a0, a.take(cols=slice(k, None))])
+            n = rng.randint(1, 2)
+            b = poly_mul(a, random_matrix(rng, kind, k, c * n), c)
+            if t % 4 == 2:
+                # only the last slice leaves the image
+                b = hstack([b.take(cols=slice(0, (c - 1) * n)), random_matrix(rng, kind, p, n)])
+            big = to_dm(self.toeplitz(a, c))
+            reduced, pivots = big.hstack(to_dm(self.stacked(b, c))).rref()
+            if sum(j < c * k for j in pivots) < c * k:
+                seen.add("rank-deficient")
+                with pytest.raises(ShapeMismatch, match="rank-deficient"):
+                    solve(a, b, c)
+            elif len(pivots) > c * k:
+                seen.add("inconsistent")
+                with pytest.raises(ShapeMismatch, match="inconsistent"):
+                    solve(a, b, c)
+            else:
+                seen.add("solved")
+                want = from_dm(reduced.extract(range(c * k), range(c * k, c * k + n)))
+                assert solve(a, b, c) == self.side_by_side(want, c)
+            sq = random_matrix(rng, kind, k, c * k)
+            if t % 4 == 3:
+                sq = hstack([rank_at_most(rng, kind, k, k, k - 1), sq.take(cols=slice(k, None))])
+            big = to_dm(self.toeplitz(sq, c))
+            if big.rank() < c * k:
+                seen.add("singular")
+                with pytest.raises(NotInvertible):
+                    inverse(sq, c)
+            else:
+                want = from_dm(big.inv().extract(range(c * k), range(k)))
+                assert inverse(sq, c) == self.side_by_side(want, c)
+        assert seen == {"rank-deficient", "inconsistent", "solved", "singular"}
+
     def test_large_nonreal(self, qq_i):
         to_dm, from_dm = qq_i
         rng = random.Random("sympy/large")

@@ -3,11 +3,12 @@ from pathlib import Path
 
 import pytest
 
+import qschemes.linalg as linalg
 import qschemes.orbit
 import qschemes.scalars as scalars
 from qschemes import serialize as ser
 from qschemes.errors import NotInOrbit, ShapeMismatch
-from qschemes.linalg import Matrix, hstack, rank
+from qschemes.linalg import Matrix, _echelon, hstack, rank
 from qschemes.orbit import (
     OrbitSpec,
     big_theta,
@@ -32,7 +33,7 @@ from qschemes.rmatrix import (
     scale_end,
     zero_map,
 )
-from qschemes.repn import gauge, moment_map, random_gauge
+from qschemes.repn import gauge, moment_map, random_gauge, random_unit_end
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar, trunc_inv
 
@@ -172,6 +173,12 @@ class TestMembership:
         with pytest.raises(ShapeMismatch):
             orbit_membership(spec, identity_end(ModShape(3, 1)))
 
+    def test_rank_zero_has_no_non_member(self):
+        spec = OrbitSpec(2, ((0, T(2, [1])), (0, T(2, [2]))))
+        for seed in range(4):
+            with pytest.raises(ShapeMismatch, match="no non-member"):
+                random_non_member(spec, seed)
+
 
 class TestAgainstExhaustiveCheck:
     """``orbit_membership`` agrees with checking every projector identity."""
@@ -264,6 +271,31 @@ class TestOperationCount:
                 assert leg_factorize(spec, a, w) == want
                 with pytest.raises(NotInOrbit):
                     leg_factorize(spec, bad, w_bad)
+
+    def test_one_elimination_per_solve(self, monkeypatch):
+        """``coordinates`` and ``invert_end`` over R_c, c > 1, each run one
+        ``_echelon`` for all c slices."""
+        spec = spec_d3()
+        a = random_conjugate(spec, 4)
+        e = orbit_membership(spec, a).idempotents[1]
+        u = free_basis(e)
+        g = random_unit_end(SplitMix64(4), ModShape(3, 3))
+        calls = []
+
+        def counting(*args):
+            calls.append(1)
+            return _echelon(*args)
+
+        monkeypatch.setattr(linalg, "_echelon", counting)
+        k = coordinates(u, e)
+        assert len(calls) == 1 and compose(u, k) == e
+        calls.clear()
+        with pytest.raises(ShapeMismatch, match="inconsistent"):
+            coordinates(u, a)
+        assert len(calls) == 1
+        calls.clear()
+        h = invert_end(g)
+        assert len(calls) == 1 and compose(g, h) == identity_end(g.src)
 
     def test_no_gauss_scalars(self, monkeypatch):
         """A member decision runs on integer numerators: it builds no GaussQ,

@@ -631,7 +631,7 @@ class TestNoPerSliceObjects:
         q = corpus["nested"]
         lam = random_params(q, 5, units=[1])
         p = random_level_point(q, lam, (1, 2, 1), "q", 7)
-        assert self.counts(monkeypatch, reflection_functor, p, "q", lam) == {"matrix": 49}
+        assert self.counts(monkeypatch, reflection_functor, p, "q", lam) == {"matrix": 25}
 
     def test_compose(self, monkeypatch):
         rng, sh = SplitMix64(3), ModShape(2, 3)
