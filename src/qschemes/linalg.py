@@ -43,11 +43,15 @@ sum_{j<=m} a_j x_(m-j) = b_m for every m.  One ``_echelon`` of [a | b],
 pivots searched in a_0's k columns, leaves the top k rows e [I | H_1 .. |
 G_0 ..] for one integer e (the last pivot, or its norm when it is not real)
 and the rows below multiples of [0 | B_1 .. | F_0 ..].  The back-substitution
-x_m = G_m - sum_{1<=j<=m} H_j x_(m-j) runs on the integers y_m = e^(m+1) x_m,
-one product per slice of the rows [e H_1 | e^2 H_2 | ..] with y_(m-1), ..,
-y_0 stacked, and a row below must give F_m = sum_j B_j x_(m-j) (at c = 1: a
-zero row, or the system is inconsistent).  ``inverse`` passes the identity as
-one slice, so the zero slices after it never enter the elimination.
+x_m = G_m - sum_{1<=j<=m} H_j x_(m-j) runs on the integers y_m = e^(m+1) x_m
+= e^m (e G_m) + sum_j (-e^j H_j) y_(m-j): the sign is folded into the
+weights, so slice m is one product of the rows [-e H_1 | -e^2 H_2 | ..] with
+y_(m-1), .., y_0 stacked, plus e^m times slice m of the right-hand side
+where b has one.  When rows lie below the pivot rows, each must give F_m =
+sum_j B_j x_(m-j) (at c = 1: a zero row), or the system is inconsistent.
+``inverse`` passes the identity as one slice, so the zero slices after it
+never enter the elimination; a and b enter on their own numerators when
+their denominators agree.
 """
 
 from __future__ import annotations
@@ -602,8 +606,14 @@ def _solve(a: Matrix, b: Matrix, c, n) -> Matrix:
     # the rows of [a | b] over one denominator, as lists like the rows
     # _echelon makes: joined tuples, as many widths as there are systems,
     # would stay behind in CPython's per-size tuple free lists once freed
-    _, re, im = _over_lcm([a, b])
-    rows, im = ([[*r, *s] for r, s in zip(*v)] if v else None for v in (re, im))
+    if a.den == b.den:
+        ar, ai, br, bi = a.re, a.im, b.re, b.im
+    else:
+        _, (ar, br), im = _over_lcm([a, b])
+        ai, bi = im or (None, None)
+    rows, im = [[*r, *s] for r, s in zip(ar, br)], None
+    if ai is not None or bi is not None:
+        im = [[*r, *s] for r, s in zip(ai or repeat((0,) * w), bi or repeat((0,) * b.ncols))]
     mult = []
     if len(_echelon(rows, k, im, mult)) != k:
         raise ShapeMismatch("coefficient matrix is rank-deficient")
@@ -621,30 +631,34 @@ def _solve(a: Matrix, b: Matrix, c, n) -> Matrix:
     for i in range(k):
         _rescale(rows, ims, mult, i, q)
     if c > 1:
-        weights = [e ** j for j in range(c - 1) for _ in range(k)]
-        hr, hi = ([list(map(mul, r[k:w], weights)) for r in v] if v else None for v in (rows, im))
+        # the rows [-e H_1 | -e^2 H_2 | ..]: each step adds one product
+        weights = [-e ** j for j in range(c - 1) for _ in range(k)]
+        hr = [list(map(mul, r[k:w], weights)) for r in rows]
+        hi = im and [list(map(mul, r[k:w], weights)) for r in im]
+    below = len(rows) > k   # rows that must agree with the solution
     zero = im and ((0,) * n,) * k
-    yr, yi, br, bi = [], [], ((),) * n, ((),) * n
+    yr, yi, cr, ci = [], [], ((),) * n, ((),) * n
     for m in range(c):
-        dr = di = None
+        if m:
+            cr = tuple(map(add, _columns(yr[-1]), cr))
+            ci = zero and tuple(map(add, _columns(yi[-1]), ci))
+            dr, di = _product(hr, hi, cr, ci)
         if m * n < b.ncols:
             at, f = slice(w + m * n, w + m * n + n), e ** m
-            dr = _lincomb(tuple([tuple(r[at]) for r in rows]), f, None, 0)
-            di = im and _lincomb(tuple([tuple(r[at]) for r in im]), f, None, 0)
-        if m:
-            br = tuple(map(add, _columns(yr[-1]), br))
-            bi = zero and tuple(map(add, _columns(yi[-1]), bi))
-            pr, pi = _product(hr, hi, br, bi)
-            dr, di = _lincomb(dr, 1, pr, -1), _lincomb(di, 1, pi, -1)
-        if any(map(any, dr[k:])) or di and any(map(any, di[k:])):
+            gr = tuple([tuple(map(f.__mul__, r[at])) for r in rows])
+            gi = im and tuple([tuple(map(f.__mul__, r[at])) for r in im])
+            dr, di = (_lincomb(dr, 1, gr, 1), _lincomb(di, 1, gi, 1)) if m else (gr, gi)
+        if below and (any(map(any, dr[k:])) or di and any(map(any, di[k:]))):
             raise ShapeMismatch("inconsistent system")
         yr.append(dr[:k])
         yi.append(di[:k] if di else zero)
     # x_m = y_m e^(c-1-m) / e^c, negated when e^c < 0
     re, im = yr[0], yi[0]
     if c > 1:
-        re, im = (ys[0] and _join_columns([_lincomb(y, e ** (c - 1 - m), None, 0)
-                                           for m, y in enumerate(ys)]) for ys in (yr, yi))
+        re = _join_columns([_lincomb(y, e ** (c - 1 - m), None, 0) for m, y in enumerate(yr)])
+        im = zero and _join_columns([_lincomb(y, e ** (c - 1 - m), None, 0)
+                                     for m, y in enumerate(yi)])
     if e < 0 and c % 2:
         re, im = _times(re, -1), im and _times(im, -1)
     return _canon(re, im, abs(e) ** c, c * n)
+

@@ -9,7 +9,10 @@ endomorphism with alternating signs:
 
     mu_i = sum over incoming h of sgn(h) * pr(B_h . B_hbar)
 
-where pr is the averaging map of rmatrix.pr_cd.
+where pr is the averaging map of rmatrix.pr_cd.  The sum is bilinear in the
+pair of maps composed on each arrow, so the derivative of mu at B in the
+direction D is the same sum over B_h D_hbar + D_h B_hbar (the polarization
+that ``moment_derivative_check`` reads).
 
 Random maps are drawn as base-field blocks, extended by rmatrix.slice_extend:
 a plain linear map out of the slice spanned by the first d/gcd eps-powers of
@@ -84,13 +87,6 @@ class Representation:
             and dict(self.maps) == dict(other.maps)
         )
 
-    def __add__(self, other):
-        self._same_space(other)
-        return Representation(
-            self.quiver, self.v,
-            {k: self.maps[k] + other.maps[k] for k in self.maps},
-        )
-
     def _same_space(self, other):
         if self.quiver != other.quiver or self.v != other.v:
             raise ShapeMismatch("representations live on different spaces")
@@ -106,21 +102,29 @@ def random_linear_map(rng: SplitMix64, src: ModShape, dst: ModShape, base: int) 
 
 # -- moment map -----------------------------------------------------------------
 
-def moment_component(rep: Representation, i) -> RMap:
-    """Moment value at one vertex."""
-    q = rep.quiver
-    i = q.index(i)
+def _moment_sum(rep: Representation, i: int, product) -> RMap:
+    """sum over incoming h of sgn(h) * pr(product(h)) at vertex i, where
+    product(h) is an endomorphism of vertex i built from the maps on h and h~."""
     acc = None
-    for h in q.incoming[i]:
-        prod = pr_cd(compose(rep.maps[h.name], rep.maps[h.reversed_name]))
+    for h in rep.quiver.incoming[i]:
+        prod = pr_cd(product(h))
         if acc is None:
             acc = prod if h.sign > 0 else -prod
         else:
             acc = acc + prod if h.sign > 0 else acc - prod
     if acc is None:
-        shape = ModShape(rep.v[i], q.mults[i])
+        shape = ModShape(rep.v[i], rep.quiver.mults[i])
         return zero_map(shape, shape)
     return acc
+
+
+def moment_component(rep: Representation, i) -> RMap:
+    """Moment value at one vertex: the bilinear sum ``_moment_sum`` over
+    P_h = B_h B_hbar, whose polarization is ``moment_derivative_check``'s
+    derivative."""
+    b = rep.maps
+    return _moment_sum(rep, rep.quiver.index(i),
+                       lambda h: compose(b[h.name], b[h.reversed_name]))
 
 
 def moment_map(rep: Representation) -> tuple[RMap, ...]:
@@ -181,20 +185,29 @@ def generating_tangent(rep: Representation, xi) -> Representation:
     return Representation(q, rep.v, maps)
 
 
+def _moment_derivative(rep: Representation, delta: Representation, i: int) -> RMap:
+    """Dmu_B[D] at vertex i: the moment sum over P_h = B_h D_hbar + D_h B_hbar."""
+    b, d = rep.maps, delta.maps
+    return _moment_sum(rep, i, lambda h: compose(b[h.name], d[h.reversed_name])
+                       + compose(d[h.name], b[h.reversed_name]))
+
+
 def moment_derivative_check(rep: Representation, delta: Representation, xi) -> bool:
     """Hamiltonian identity <Dmu(B)[delta], xi> = omega(xi*, delta), exactly.
 
-    The derivative is computed by polarization of the quadratic map mu.
+    The derivative is the polarization of the quadratic map mu: at vertex i,
+    Dmu_B[D]_i = sum over incoming h of sgn(h) * pr(B_h D_hbar + D_h B_hbar),
+    which equals mu(B + D) - mu(B) - mu(D) exactly, because ``compose`` is
+    bilinear and ``pr_cd`` linear.
     """
+    q = rep.quiver
+    if len(xi) != q.n:
+        raise LengthMismatch("one endomorphism per vertex required")
     rep._same_space(delta)
-    mults = rep.quiver.mults
-    mu_b = moment_map(rep)
-    mu_bd = moment_map(rep + delta)
-    mu_d = moment_map(delta)
+    mults = q.mults
     lhs = GQ_ZERO
-    for i in range(rep.quiver.n):
-        deriv = mu_bd[i] - mu_b[i] - mu_d[i]
-        lhs = lhs + pair_d(deriv, xi[i], mults[i])
+    for i in range(q.n):
+        lhs = lhs + pair_d(_moment_derivative(rep, delta, i), xi[i], mults[i])
     rhs = symplectic_form(generating_tangent(rep, xi), delta)
     return lhs == rhs
 

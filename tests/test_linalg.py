@@ -409,7 +409,7 @@ class TestAgainstSympy:
         k = x.nrows // c
         return hstack([x.take(rows=slice(m * k, m * k + k)) for m in range(c)])
 
-    @pytest.mark.parametrize("kind", ("integer", "gaussian"))
+    @pytest.mark.parametrize("kind", ("integer", "fraction", "gaussian"))
     @pytest.mark.parametrize("c", (2, 3, 4))
     def test_solve_inverse_over_rc(self, kind, c, qq_i):
         """solve(a, b, c) and inverse(a, c) over R_c against the reduced

@@ -1,12 +1,15 @@
 import pytest
 
-from qschemes.errors import NotInvertible, ShapeMismatch
+import qschemes.repn as repn
+from qschemes.errors import LengthMismatch, NotInvertible, ShapeMismatch
 from qschemes.linalg import Matrix
 from qschemes.quiver import QuiverMult
 from qschemes.reflect import split
 from qschemes.repn import (
     Representation,
+    _moment_derivative,
     gauge,
+    generating_tangent,
     mesh_check,
     moment_component,
     moment_derivative_check,
@@ -25,6 +28,7 @@ from qschemes.rmatrix import (
     compose,
     from_slices,
     invert_end,
+    pair_d,
     slice_extend,
     trace_r,
     zero_map,
@@ -37,6 +41,7 @@ from helpers import eps, example_chain, fields, identity_end, scalar_end, zero_r
 
 G = GaussQ
 T = TruncScalar
+I_UNIT = G(0, 1)
 
 
 def gmat(rows):
@@ -212,9 +217,60 @@ class TestHamiltonianIdentity:
             for i in range(3)
         ]
         assert moment_derivative_check(rep, delta, xi)
-        from qschemes.repn import generating_tangent
-
         assert all(m.is_zero() for m in generating_tangent(rep, xi).maps.values())
+
+
+    def test_xi_of_wrong_length_is_typed(self, corpus):
+        # a short xi used to escape as an IndexError from the pairing loop
+        q, v = corpus["a3"], (1, 1, 1)
+        rep, delta, xi = random_rep(q, v, 1), random_rep(q, v, 2), random_gauge(q, v, 3)
+        for bad in (xi[:2], xi + xi[:1]):
+            with pytest.raises(LengthMismatch):
+                moment_derivative_check(rep, delta, bad)
+
+    @pytest.mark.parametrize("scalars", ("real", "gaussian"))
+    def test_polarization_matches_three_moment_maps(self, corpus, scalars):
+        """The bilinear sum equals mu(B + D) - mu(B) - mu(D), map by map and
+        paired with xi, on seeded points of every corpus quiver."""
+        rng = SplitMix64(61 if scalars == "real" else 62)
+
+        def draw(q, v):
+            a = random_rep(q, v, rng.next_u64())
+            if scalars == "real":
+                return a
+            b = random_rep(q, v, rng.next_u64())
+            return Representation(q, v, {k: a.maps[k] + b.maps[k].scale(I_UNIT) for k in a.maps})
+
+        for q in corpus.values():
+            for _ in range(2):
+                v = tuple(rng.randint(0, 2) for _ in range(q.n))
+                rep, delta = draw(q, v), draw(q, v)
+                xi = [g + h.scale(I_UNIT) if scalars == "gaussian" else g
+                      for g, h in zip(random_gauge(q, v, rng.next_u64()),
+                                      random_gauge(q, v, rng.next_u64()))]
+                both = Representation(q, v, {k: rep.maps[k] + delta.maps[k] for k in rep.maps})
+                want = [bd - b - d for bd, b, d in
+                        zip(moment_map(both), moment_map(rep), moment_map(delta))]
+                got = [_moment_derivative(rep, delta, i) for i in range(q.n)]
+                assert got == want
+                pair = [pair_d(x, y, d) for x, y, d in zip(want, xi, q.mults)]
+                assert sum(pair, G(0)) == sum(
+                    (pair_d(x, y, d) for x, y, d in zip(got, xi, q.mults)), G(0))
+                assert sum(pair, G(0)) == symplectic_form(generating_tangent(rep, xi), delta)
+                assert moment_derivative_check(rep, delta, xi)
+
+    def test_wrong_tangent_fails(self, corpus, monkeypatch):
+        q, v = corpus["chain_d2"], (1, 2, 1)
+        rep, delta, xi = random_rep(q, v, 1), random_rep(q, v, 2), random_gauge(q, v, 3)
+        assert symplectic_form(generating_tangent(rep, xi), delta) == G(-45)
+        assert moment_derivative_check(rep, delta, xi)
+
+        def doubled(rep, xi):
+            t = generating_tangent(rep, xi)
+            return Representation(t.quiver, t.v, {k: f + f for k, f in t.maps.items()})
+
+        monkeypatch.setattr(repn, "generating_tangent", doubled)
+        assert not moment_derivative_check(rep, delta, xi)
 
 
 class TestGauge:
@@ -245,6 +301,32 @@ class TestGauge:
         t2 = random_rep(mixed_quiver, v, 12)
         g = random_gauge(mixed_quiver, v, 13)
         assert symplectic_form(gauge(t1, g), gauge(t2, g)) == symplectic_form(t1, t2)
+
+    def test_wrong_count_rejected(self, mixed_quiver):
+        v = (1, 2, 1)
+        rep, g = random_rep(mixed_quiver, v, 4), random_gauge(mixed_quiver, v, 5)
+        with pytest.raises(LengthMismatch):
+            gauge(rep, g[:2])
+        with pytest.raises(LengthMismatch):
+            generating_tangent(rep, g + g[:1])
+
+    @pytest.mark.parametrize("shape", [ModShape(2, 2), ModShape(1, 1)])
+    def test_wrong_rank_or_order_rejected(self, mixed_quiver, shape):
+        # vertex a has multiplicity 2 and dimension 1
+        v = (1, 2, 1)
+        rep, g = random_rep(mixed_quiver, v, 4), random_gauge(mixed_quiver, v, 5)
+        bad = (random_unit_end(SplitMix64(6), shape),) + g[1:]
+        with pytest.raises(ShapeMismatch, match="vertex a"):
+            gauge(rep, bad)
+
+    def test_end_over_a_subring_rejected(self, mixed_quiver):
+        # the right shape at vertex b (multiplicity 3), but linear only over R_1
+        v = (1, 2, 1)
+        rep, g = random_rep(mixed_quiver, v, 4), random_gauge(mixed_quiver, v, 5)
+        sh = ModShape(2, 3)
+        bad = g[:1] + (random_linear_map(SplitMix64(7), sh, sh, 1),) + g[2:]
+        with pytest.raises(ShapeMismatch, match="vertex b"):
+            gauge(rep, bad)
 
     def test_non_unit_rejected(self, a2, a2_rep):
         bad = [scalar_end(eps(1, 0), 1).scale(G(0)), scalar_end(eps(1, 0), 1)]

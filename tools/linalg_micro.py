@@ -24,7 +24,15 @@ time ``compose`` of endomorphisms of rank n and order d over R_c for (n, d,
 c) = (1, 1, 1), (2, 1, 1), (2, 2, 2), (2, 3, 3) and (4, 4, 4), on real and on
 Gaussian maps; ``+`` of two maps over different bases; ``pr_cd`` from R_2
 to R_4 and from R_1 to R_3; and ``reflect.split`` and ``unsplit`` of one
-representation of ``corpus/nested.quiver`` at its order-4 vertex q.  A
+representation of ``corpus/nested.quiver`` at its order-4 vertex q.  The
+rows ``invert_end_n{n}_d{d}_{real,gauss}`` invert a unit endomorphism of
+rank n and order d, (n, d) = (1, 1), (2, 1), (2, 2) and (2, 3), the shapes
+the ``moment_gauss`` workload gauges by: a real one from
+``repn.random_unit_end`` and a Gaussian one whose constant slice is a product
+of two unitriangular Gaussian-integer matrices.  ``moment_derivative_check``
+times one Hamiltonian check on ``corpus/chain_d2.quiver`` at v = (1, 2, 1),
+with the point, direction and xi drawn by ``random_rep`` and
+``random_gauge`` at seeds 1, 2 and 3.  A
 checkout that lacks an operation gives no row for it, and the file keeps
 the rows both checkouts time.  ``scalar_end`` is read from
 ``tests/helpers.py`` where the library no longer has it.
@@ -47,9 +55,11 @@ from fractions import Fraction
 from qschemes.linalg import Matrix, hstack, inverse, rank
 from qschemes.quiver import parse_quiver
 from qschemes.reflect import random_level_point, split, unsplit
-from qschemes.repn import random_linear_map
+from qschemes.repn import (moment_derivative_check, random_gauge, random_linear_map, random_rep,
+                           random_unit_end)
 import qschemes.rmatrix as rmatrix
-from qschemes.rmatrix import ModShape, compose, pr_cd, restrict_scalars, restrict_scalars_rev, scale_end
+from qschemes.rmatrix import (ModShape, compose, from_slices, invert_end, pr_cd, restrict_scalars,
+                              restrict_scalars_rev, scale_end)
 try:
     from qschemes.rmatrix import scalar_end
 except ImportError:
@@ -136,6 +146,21 @@ point = random_level_point(nested, lam, (1, 2, 1), "q", 7)
 parted = split(point, "q")
 ops["split_nested_q"] = (lambda: split(point, "q"), 1000)
 ops["unsplit_nested_q"] = (lambda: unsplit(nested, point.v, parted), 1000)
+def unitriangular(n, lower):
+    return Matrix([[GaussQ(1) if i == j else
+                    GaussQ(rng.randint(-2, 2), rng.randint(-2, 2)) if (i > j) == lower else
+                    GaussQ(0) for j in range(n)] for i in range(n)], ncols=n)
+
+for n, d in ((1, 1), (2, 1), (2, 2), (2, 3)):
+    real = random_unit_end(SplitMix64(10 * n + d), ModShape(n, d))
+    gauss = from_slices([unitriangular(n, True) @ unitriangular(n, False)]
+                        + [mat(n, n, True) for _ in range(d - 1)], d)
+    for kind, g in (("real", real), ("gauss", gauss)):
+        ops[f"invert_end_n{n}_d{d}_{kind}"] = ((lambda g=g: invert_end(g)), 2000)
+chain = parse_quiver(open(sys.argv[1] + "/corpus/chain_d2.quiver").read())
+ham = (random_rep(chain, (1, 2, 1), 1), random_rep(chain, (1, 2, 1), 2),
+       random_gauge(chain, (1, 2, 1), 3))
+ops["moment_derivative_check"] = (lambda: moment_derivative_check(*ham), 200)
 out = {name: min(timeit.repeat(f, number=n, repeat=5)) / n * 1e6 for name, (f, n) in ops.items()}
 print(json.dumps(out))
 """
