@@ -661,4 +661,3 @@ def _solve(a: Matrix, b: Matrix, c, n) -> Matrix:
     if e < 0 and c % 2:
         re, im = _times(re, -1), im and _times(im, -1)
     return _canon(re, im, abs(e) ** c, c * n)
-

@@ -219,9 +219,8 @@ class TestHamiltonianIdentity:
         assert moment_derivative_check(rep, delta, xi)
         assert all(m.is_zero() for m in generating_tangent(rep, xi).maps.values())
 
-
     def test_xi_of_wrong_length_is_typed(self, corpus):
-        # a short xi used to escape as an IndexError from the pairing loop
+        # checked before the derivative pairs xi[i] vertex by vertex
         q, v = corpus["a3"], (1, 1, 1)
         rep, delta, xi = random_rep(q, v, 1), random_rep(q, v, 2), random_gauge(q, v, 3)
         for bad in (xi[:2], xi + xi[:1]):

@@ -146,6 +146,7 @@ point = random_level_point(nested, lam, (1, 2, 1), "q", 7)
 parted = split(point, "q")
 ops["split_nested_q"] = (lambda: split(point, "q"), 1000)
 ops["unsplit_nested_q"] = (lambda: unsplit(nested, point.v, parted), 1000)
+
 def unitriangular(n, lower):
     return Matrix([[GaussQ(1) if i == j else
                     GaussQ(rng.randint(-2, 2), rng.randint(-2, 2)) if (i > j) == lower else
