@@ -47,11 +47,10 @@ x_m = G_m - sum_{1<=j<=m} H_j x_(m-j) runs on the integers y_m = e^(m+1) x_m
 = e^m (e G_m) + sum_j (-e^j H_j) y_(m-j): the sign is folded into the
 weights, so slice m is one product of the rows [-e H_1 | -e^2 H_2 | ..] with
 y_(m-1), .., y_0 stacked, plus e^m times slice m of the right-hand side
-where b has one.  When rows lie below the pivot rows, each must give F_m =
-sum_j B_j x_(m-j) (at c = 1: a zero row), or the system is inconsistent.
-``inverse`` passes the identity as one slice, so the zero slices after it
-never enter the elimination; a and b enter on their own numerators when
-their denominators agree.
+where b has one.  A row below the pivot rows must give F_m = sum_j B_j
+x_(m-j) (at c = 1: a zero row), or the system is inconsistent.  ``inverse``
+passes the identity as one slice, so the zero slices after it never enter the
+elimination.
 """
 
 from __future__ import annotations
@@ -606,14 +605,8 @@ def _solve(a: Matrix, b: Matrix, c, n) -> Matrix:
     # the rows of [a | b] over one denominator, as lists like the rows
     # _echelon makes: joined tuples, as many widths as there are systems,
     # would stay behind in CPython's per-size tuple free lists once freed
-    if a.den == b.den:
-        ar, ai, br, bi = a.re, a.im, b.re, b.im
-    else:
-        _, (ar, br), im = _over_lcm([a, b])
-        ai, bi = im or (None, None)
-    rows, im = [[*r, *s] for r, s in zip(ar, br)], None
-    if ai is not None or bi is not None:
-        im = [[*r, *s] for r, s in zip(ai or repeat((0,) * w), bi or repeat((0,) * b.ncols))]
+    _, re, im = _over_lcm([a, b])
+    rows, im = ([[*r, *s] for r, s in zip(*v)] if v else None for v in (re, im))
     mult = []
     if len(_echelon(rows, k, im, mult)) != k:
         raise ShapeMismatch("coefficient matrix is rank-deficient")
@@ -635,7 +628,6 @@ def _solve(a: Matrix, b: Matrix, c, n) -> Matrix:
         weights = [-e ** j for j in range(c - 1) for _ in range(k)]
         hr = [list(map(mul, r[k:w], weights)) for r in rows]
         hi = im and [list(map(mul, r[k:w], weights)) for r in im]
-    below = len(rows) > k   # rows that must agree with the solution
     zero = im and ((0,) * n,) * k
     yr, yi, cr, ci = [], [], ((),) * n, ((),) * n
     for m in range(c):
@@ -648,7 +640,7 @@ def _solve(a: Matrix, b: Matrix, c, n) -> Matrix:
             gr = tuple([tuple(map(f.__mul__, r[at])) for r in rows])
             gi = im and tuple([tuple(map(f.__mul__, r[at])) for r in im])
             dr, di = (_lincomb(dr, 1, gr, 1), _lincomb(di, 1, gi, 1)) if m else (gr, gi)
-        if below and (any(map(any, dr[k:])) or di and any(map(any, di[k:]))):
+        if any(map(any, dr[k:])) or di and any(map(any, di[k:])):
             raise ShapeMismatch("inconsistent system")
         yr.append(dr[:k])
         yi.append(di[:k] if di else zero)
