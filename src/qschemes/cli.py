@@ -289,7 +289,7 @@ def cmd_check(args):
     for path in sorted(corpus_dir.glob("*.quiver")):
         quivers[path.stem] = parse_quiver(path.read_text(encoding="utf-8"))
     if not quivers:
-        raise QschemeError(f"no .quiver files in {corpus_dir}")
+        raise MalformedInput(f"no .quiver files in {corpus_dir}")
     report = run_suite(quivers, args.suite, seed=args.seed, trials=args.trials)
     _emit(args, {"suite": args.suite, "seed": args.seed, **report.to_obj()}, report.summary())
     return 0 if report.ok else 1

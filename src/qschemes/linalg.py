@@ -602,6 +602,11 @@ def _solve(a: Matrix, b: Matrix, c, n) -> Matrix:
     """``solve`` for a block b of the first b.ncols // n of the c slices of
     the right-hand side, each p x n; the slices after them are zero."""
     k, w = a.ncols // c, a.ncols
+    if not k:
+        # no unknowns: a has full column rank, and only b = 0 is consistent
+        if not b.is_zero():
+            raise ShapeMismatch("inconsistent system")
+        return Matrix.zero(0, c * n)
     # the rows of [a | b] over one denominator, as lists like the rows
     # _echelon makes: joined tuples, as many widths as there are systems,
     # would stay behind in CPython's per-size tuple free lists once freed
@@ -610,10 +615,8 @@ def _solve(a: Matrix, b: Matrix, c, n) -> Matrix:
     mult = []
     if len(_echelon(rows, k, im, mult)) != k:
         raise ShapeMismatch("coefficient matrix is rank-deficient")
-    if not (k and n):
-        if not (k or b.is_zero()):
-            raise ShapeMismatch("inconsistent system")
-        return Matrix.zero(k, c * n)
+    if not n:
+        return Matrix.zero(k, 0)
     # pivots == range(k); bring the top rows to the multiple e of their
     # reduced rows: the last pivot q when real, else |q|^2 = q conj(q)
     e = q = mult[k - 1]

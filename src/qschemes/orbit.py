@@ -27,9 +27,10 @@ invariant under conjugation.
 ``orbit_membership`` tests (1) with the prefix products
 P_k = prod_{j<k} (A - theta_j) (l composes; P_{l+1} is the product) and (2)
 on the n x n constant slices alone: the residue of P_k is its constant slice,
-and only the residues of the suffix products are multiplied out.  Only for a
-member does it form pi_i = c_i^{-1} P_i S_i, with the suffix products
-S_i = prod_{j>i} (A - theta_j).
+and only the residues of the suffix products are multiplied out.  That is the
+whole decision, for a member as for a non-member.  Its witness keeps the
+factors A - theta_j and the P_k, and projectors are built when read:
+pi_i = c_i^{-1} P_i S_i, with the suffix products S_i = prod_{j>i} (A - theta_j).
 
 ``leg_factorize`` writes a member A as the value of the chain-of-modules
 presentation: nested images V_i = Im(sum_{j>=i} pi_j) get free bases by the
@@ -165,11 +166,35 @@ def _constant(f: RMap) -> Matrix:
 
 # -- membership ----------------------------------------------------------------
 
-class MembershipWitness(namedtuple("MembershipWitness", "ok idempotents reasons")):
-    __slots__ = ()
+class MembershipWitness:
+    """The verdict of ``orbit_membership``: ``ok``, the failed conditions in
+    ``reasons``, and the factors A - theta_j with their prefix products P_k,
+    from which the projectors are built when read."""
+    __slots__ = ("ok", "reasons", "_thetas", "_factors", "_prefix")
 
-    def __bool__(self):
-        return self.ok
+    def __init__(self, ok, reasons, thetas, factors, prefix):
+        self.ok, self.reasons = ok, reasons
+        self._thetas, self._factors, self._prefix = thetas, factors, prefix
+
+    @property
+    def idempotents(self) -> tuple[RMap, ...]:
+        """(pi_0, .., pi_l) for a member, () for a non-member; built on each read."""
+        return tuple(self._projectors(0)) if self.ok else ()
+
+    def _projectors(self, start) -> list[RMap]:
+        """pi_start, .., pi_l: (l - start - 1)^+ composes for the suffix
+        products S_i, one more for each P_i S_i with 0 < i < l, and one
+        ``scale_end`` per projector."""
+        thetas, prefix = self._thetas, self._prefix
+        suffix = _prefix_products(self._factors[:start:-1], compose)[::-1]
+        pis = []
+        for i in range(start, len(thetas)):
+            c = None
+            for j, tj in enumerate(thetas):
+                if j != i:
+                    c = _times(c, thetas[i] - tj, trunc_mul)
+            pis.append(scale_end(_times(prefix[i], suffix[i - start], compose), trunc_inv(c)))
+        return pis
 
 
 def _prefix_products(factors, mul) -> list:
@@ -188,7 +213,8 @@ def _times(x, y, mul):
 def orbit_membership(spec: OrbitSpec, a: RMap) -> MembershipWitness:
     """Decide whether A lies in the orbit of Theta (see the module docstring).
 
-    A non-member's witness has no idempotents and lists the failed conditions.
+    l composes and no ``scale_end``, whatever the verdict.  A non-member's
+    witness has no idempotents and lists the failed conditions.
     """
     n = spec.total
     shape = ModShape(n, spec.d)
@@ -208,17 +234,7 @@ def orbit_membership(spec: OrbitSpec, a: RMap) -> MembershipWitness:
     for i, w in enumerate(spec.dims):
         if rank(_times(res_prefix[i], res_suffix[i], matmul)) != w:
             reasons.append(f"residue rank of pi_{i} differs from block dimension")
-    if reasons:
-        return MembershipWitness(False, (), reasons)
-    suffix = _prefix_products(factors[:0:-1], compose)[::-1]
-    pis = []
-    for i, ti in enumerate(thetas):
-        c = None
-        for j, tj in enumerate(thetas):
-            if j != i:
-                c = _times(c, ti - tj, trunc_mul)
-        pis.append(scale_end(_times(prefix[i], suffix[i], compose), trunc_inv(c)))
-    return MembershipWitness(True, tuple(pis), [])
+    return MembershipWitness(not reasons, reasons, thetas, factors, prefix)
 
 
 # -- free bases over the truncated ring -----------------------------------------
@@ -324,8 +340,8 @@ def leg_factorize(spec: OrbitSpec, a_end: RMap, witness=None) -> Representation:
     l = spec.legs
     thetas = spec.thetas
     # V_0 is the ambient module and V_i the image of pi_i + .. + pi_l; those
-    # tails are summed once, from the end
-    tails = list(accumulate(reversed(witness.idempotents[1:]), lambda s, pi: pi + s))
+    # tails are summed once, from the end, and pi_0 is never built
+    tails = list(accumulate(reversed(witness._projectors(1)), lambda s, pi: pi + s))
     bases = [None] + [free_basis(p) for p in reversed(tails)]
     minus_a = -a_end
     down = [coordinates(bases[1], shift_end(minus_a, thetas[0]))]

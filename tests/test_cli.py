@@ -192,6 +192,15 @@ class TestCheckCommand:
         assert err.startswith("error[unknown-suite]")
         assert all(repr(name) in err for name in suites.SUITE_NAMES)
 
+    @pytest.mark.parametrize("where", ("empty", "missing"))
+    def test_no_quiver_files(self, capsys, tmp_path, where):
+        corpus_dir = tmp_path / where
+        if where == "empty":
+            corpus_dir.mkdir()
+        code, out, err = run(capsys, "check", str(corpus_dir), "--suite", "coxeter")
+        assert code == 2 and out == ""
+        assert err == f"error[malformed-input]: no .quiver files in {corpus_dir}\n"
+
     def test_json_format(self, capsys, corpus_dir):
         code, out, _ = run(capsys, "--format", "json", "check", str(corpus_dir),
                            "--suite", "regularize", "--seed", "1", "--trials", "2")

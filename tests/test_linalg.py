@@ -219,6 +219,19 @@ class TestSolveInverse:
             with pytest.raises(ShapeMismatch, match="inconsistent"):
                 solve(a, b)
 
+    def test_no_unknowns(self, monkeypatch):
+        """A p x 0 system is consistent exactly when b = 0, and runs no
+        elimination."""
+        calls = []
+        monkeypatch.setattr(linalg, "_echelon", lambda *args: calls.append(1) or _echelon(*args))
+        a = Matrix.zero(3, 0)
+        for c in (1, 2):
+            assert solve(a, Matrix.zero(3, 2 * c), c) == Matrix.zero(0, 2 * c)
+            b = Matrix([[GQ_ZERO] * c, [GQ_ZERO] * (c - 1) + [GaussQ(0, 1)], [GQ_ZERO] * c])
+            with pytest.raises(ShapeMismatch, match="^inconsistent system$"):
+                solve(a, b, c)
+        assert calls == []
+
     @pytest.mark.parametrize("kind", KINDS)
     def test_inverse_rejects_singular(self, kind):
         rng = random.Random(f"singular/{kind}")

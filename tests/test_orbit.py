@@ -144,16 +144,27 @@ class TestMembership:
                 a = random_conjugate(spec, seed)
                 w = orbit_membership(spec, a)
                 assert w.ok, (make.__name__, seed, w.reasons)
-                total = w.idempotents[0]
-                for pi in w.idempotents[1:]:
+                pis = w.idempotents
+                total = pis[0]
+                for pi in pis[1:]:
                     total = total + pi
                 assert total == identity_end(a.src)
-                for i, pi in enumerate(w.idempotents):
+                for i, pi in enumerate(pis):
                     assert compose(pi, pi) == pi
                     assert compose(a, pi) == scale_end(pi, spec.thetas[i])
-                    for j, pj in enumerate(w.idempotents):
+                    for j, pj in enumerate(pis):
                         if i != j:
                             assert compose(pi, pj).is_zero()
+
+    def test_idempotents_built_on_read(self):
+        """The projectors are a read-only view, built anew on each read."""
+        spec = spec_d2()
+        w = orbit_membership(spec, random_conjugate(spec, 1))
+        first, again = w.idempotents, w.idempotents
+        assert first == again and all(p is not q for p, q in zip(first, again))
+        with pytest.raises(AttributeError):
+            w.idempotents = ()
+        assert orbit_membership(spec, random_non_member(spec, 1)).idempotents == ()
 
     def test_eps_perturbation_fails(self):
         for make in (spec_d2, spec_d3):
@@ -227,35 +238,42 @@ class TestAgainstExhaustiveCheck:
 
 
 class TestOperationCount:
-    """Membership is decided with at most l composes; a member costs at
-    most 3l - 2 (``scale_end`` of these full-order maps forms no product)."""
+    """A decision, member or not, takes at most l composes and no
+    ``scale_end``; ``leg_factorize`` scales only the l projectors it reads."""
 
     @staticmethod
-    def count_composes(monkeypatch, spec, a):
-        calls = []
-
-        def counting(f, g):
-            calls.append(1)
-            return compose(f, g)
-
+    def count_calls(monkeypatch, run):
+        calls = {"compose": 0, "scale_end": 0}
         with monkeypatch.context() as m:
-            m.setattr(qschemes.orbit, "compose", counting)
-            w = orbit_membership(spec, a)
-        return w, len(calls)
+            for name in calls:
+                def counting(*args, name=name, f=getattr(qschemes.orbit, name)):
+                    calls[name] += 1
+                    return f(*args)
+                m.setattr(qschemes.orbit, name, counting)
+            out = run()
+        return out, calls
 
     def test_compose_budget(self, monkeypatch):
         for make in ALL_SPECS + [spec_golden]:
             spec = make()
             l = spec.legs
-            for seed in range(3):
-                w, n = self.count_composes(monkeypatch, spec, random_conjugate(spec, seed))
-                assert w.ok and n <= 3 * l - 2, (make.__name__, seed, n)
             # Theta + eps (Theta + 1 at d = 1): the product does not vanish
             shift = eps(spec.d) if spec.d > 1 else T(1, [1])
             bad = big_theta(spec) + scalar_end(shift, spec.total)
-            w, n = self.count_composes(monkeypatch, spec, bad)
-            assert not w.ok and w.reasons[0].startswith("product")
-            assert n <= l, (make.__name__, n)
+            cases = [(True, random_conjugate(spec, seed)) for seed in range(3)]
+            cases += [(False, bad), (False, random_non_member(spec, 1))]
+            for member, a in cases:
+                w, n = self.count_calls(monkeypatch, lambda: orbit_membership(spec, a))
+                assert w.ok == member, (make.__name__, w.reasons)
+                assert a is not bad or w.reasons[0].startswith("product")
+                assert n["compose"] <= l and n["scale_end"] == 0, (make.__name__, n)
+
+    def test_leg_factorize_scales_only_pi_1_to_pi_l(self, monkeypatch):
+        for make in ALL_SPECS + [spec_golden]:
+            spec = make()
+            a = random_conjugate(spec, 3)
+            _, n = self.count_calls(monkeypatch, lambda: leg_factorize(spec, a))
+            assert n["scale_end"] == spec.legs, (make.__name__, n)
 
     def test_witness_reuse(self, monkeypatch):
         for make in ALL_SPECS:
@@ -298,7 +316,8 @@ class TestOperationCount:
         assert len(calls) == 1 and compose(g, h) == identity_end(g.src)
 
     def test_no_gauss_scalars(self, monkeypatch):
-        """A member decision runs on integer numerators: it builds no GaussQ,
+        """A member decision and its projectors run on integer numerators:
+        they build no GaussQ,
         with real thetas (spec_d3) or a non-real theta with a denominator
         (spec_golden).  Every GaussQ goes through ``scalars._gq`` or the
         constructor, both counted."""
@@ -311,7 +330,8 @@ class TestOperationCount:
                     original = getattr(owner, name)
                     m.setattr(owner, name, lambda *args, f=original: built.append(1) or f(*args))
                 w = orbit_membership(spec, a)
-            assert w.ok and len(w.idempotents) == 3
+                pis = w.idempotents
+            assert w.ok and len(pis) == 3
             assert len(built) == 0, make.__name__
 
 
@@ -395,10 +415,10 @@ class TestFactorize:
         spec = spec_d2()
         for seed in range(3):
             a = random_conjugate(spec, seed)
-            w = orbit_membership(spec, a)
+            pis = orbit_membership(spec, a).idempotents
             for i in range(1, spec.legs + 1):
-                proj = w.idempotents[i]
-                for pjj in w.idempotents[i + 1:]:
+                proj = pis[i]
+                for pjj in pis[i + 1:]:
                     proj = proj + pjj
                 u = free_basis(proj)
                 prod = None
@@ -450,8 +470,8 @@ class TestFreeBasis:
     def test_basis_is_section(self):
         spec = spec_d2()
         a = random_conjugate(spec, 8)
-        w = orbit_membership(spec, a)
-        e = w.idempotents[1] + w.idempotents[2]
+        _, p1, p2 = orbit_membership(spec, a).idempotents
+        e = p1 + p2
         u = free_basis(e)
         k = coordinates(u, e)
         assert compose(u, k) == e

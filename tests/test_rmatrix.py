@@ -532,6 +532,16 @@ class TestInvert:
         with pytest.raises(NotInvertible):
             invert_end(scalar_end(eps(2), 1))
 
+    def test_rank_zero_runs_no_elimination(self, monkeypatch):
+        """A system with no unknowns is decided on b alone."""
+        calls = []
+        echelon = linalg._echelon
+        monkeypatch.setattr(linalg, "_echelon", lambda *args: calls.append(1) or echelon(*args))
+        for d in (1, 3):
+            shape = ModShape(0, d)
+            assert invert_end(identity_end(shape)) == identity_end(shape)
+        assert calls == []
+
 
 class TestSlices:
     def test_roundtrip(self):

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from qschemes.errors import UnknownVertex
+from qschemes.errors import LengthMismatch, MismatchedOrder, UnknownVertex
 from qschemes.quiver import QuiverMult, bilinear
 from qschemes.repn import random_params
 from qschemes.rng import SplitMix64
@@ -79,6 +79,16 @@ def transpose_action(q, i, kappa):
     out = list(kappa)
     out[i] = kappa[i] - T(d[i], corr)
     return tuple(out)
+
+
+class TestCheckParams:
+    def test_length_and_order_errors(self, corpus):
+        q = corpus["chain_d2"]
+        with pytest.raises(LengthMismatch, match="^2 parameters for 3 vertices$"):
+            check_params(q, (T(1, [1]), T(2, [1, 0])))
+        with pytest.raises(MismatchedOrder,
+                           match="^parameter at j has order 1, vertex multiplicity 2$"):
+            check_params(q, (T(1, [1]), T(1, [1]), T(1, [1])))
 
 
 class TestReflectDim:

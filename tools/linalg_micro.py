@@ -32,7 +32,13 @@ the ``moment_gauss`` workload gauges by: a real one from
 of two unitriangular Gaussian-integer matrices.  ``moment_derivative_check``
 times one Hamiltonian check on ``corpus/chain_d2.quiver`` at v = (1, 2, 1),
 with the point, direction and xi drawn by ``random_rep`` and
-``random_gauge`` at seeds 1, 2 and 3.  A
+``random_gauge`` at seeds 1, 2 and 3.  The rows
+``orbit_membership_{profile}_{member,nonmember}`` decide membership of a
+``random_conjugate`` and of a ``random_non_member`` at seed 11, and
+``leg_factorize_{profile}`` factorizes that member without a witness, on the
+(d, dims) = (4, (2, 2, 1)) and (2, (1, 1, 1, 1)) profiles of the ``orbit``
+workload (profile ``d4_221`` and ``d2_1111``), with distinct constant terms
+in -5..5 and higher coefficients in -3..3.  A
 checkout that lacks an operation gives no row for it, and the file keeps
 the rows both checkouts time.  ``scalar_end`` is read from
 ``tests/helpers.py`` where the library no longer has it.
@@ -53,6 +59,8 @@ import json, random, sys, timeit
 sys.path.insert(0, sys.argv[1] + "/src")
 from fractions import Fraction
 from qschemes.linalg import Matrix, hstack, inverse, rank
+from qschemes.orbit import (OrbitSpec, leg_factorize, orbit_membership, random_conjugate,
+                            random_non_member)
 from qschemes.quiver import parse_quiver
 from qschemes.reflect import random_level_point, split, unsplit
 from qschemes.repn import (moment_derivative_check, random_gauge, random_linear_map, random_rep,
@@ -162,6 +170,16 @@ chain = parse_quiver(open(sys.argv[1] + "/corpus/chain_d2.quiver").read())
 ham = (random_rep(chain, (1, 2, 1), 1), random_rep(chain, (1, 2, 1), 2),
        random_gauge(chain, (1, 2, 1), 3))
 ops["moment_derivative_check"] = (lambda: moment_derivative_check(*ham), 200)
+for d, dims in ((4, (2, 2, 1)), (2, (1, 1, 1, 1))):
+    consts = rng.sample(range(-5, 6), len(dims))
+    spec = OrbitSpec(d, tuple((w, TruncScalar(d, [c] + [rng.randint(-3, 3) for _ in range(d - 1)]))
+                              for w, c in zip(dims, consts)))
+    tag = f"d{d}_" + "".join(map(str, dims))
+    member, other = random_conjugate(spec, 11), random_non_member(spec, 11)
+    for kind, a in (("member", member), ("nonmember", other)):
+        ops[f"orbit_membership_{tag}_{kind}"] = (
+            (lambda spec=spec, a=a: orbit_membership(spec, a)), 20)
+    ops[f"leg_factorize_{tag}"] = ((lambda spec=spec, a=member: leg_factorize(spec, a)), 20)
 out = {name: min(timeit.repeat(f, number=n, repeat=5)) / n * 1e6 for name, (f, n) in ops.items()}
 print(json.dumps(out))
 """
