@@ -34,7 +34,10 @@ def _load_json(path):
 
 
 def _parse_dims(text):
-    return tuple(int(x) for x in text.split(","))
+    try:
+        return tuple(int(x) for x in text.split(","))
+    except ValueError:
+        raise MalformedInput(f"--v must be comma-separated integers, got {text!r}") from None
 
 
 def _emit(args, obj, text):

@@ -23,7 +23,10 @@ A matrix polynomial with c slices is one block, its slices side by side;
 ``block_toeplitz`` (the block over a subring) take and return blocks, one
 pass over the numerators each; scalars and diagonals enter as numerators
 over one denominator (for a scalar polynomial, ``scalars.TruncScalar``'s
-fields).
+fields).  The index lists, strides and ``itemgetter``s a gather kernel picks
+entries with depend on the shape alone; private plan functions of shape
+integers build them once per shape (``_plan``), so a kernel call does only
+its gathers and its integer arithmetic.
 
 Elimination (``_echelon``) is fraction-free Gauss-Jordan in the style of
 Bareiss (Math. Comp. 22, 1968), over Z for real matrices and over Z[i]
@@ -55,6 +58,7 @@ elimination.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import chain, repeat
 from math import gcd, lcm
 from operator import add, itemgetter, mul, sub
@@ -105,7 +109,7 @@ class Matrix:
 
     @staticmethod
     def identity(n) -> "Matrix":
-        return _new(_diagonal(n, 1), None, 1, n)
+        return _new(_unit_block(n), None, 1, n)
 
     @property
     def rows(self) -> tuple:
@@ -189,6 +193,20 @@ _SET_IM = Matrix.im.__set__
 _SET_DEN = Matrix.den.__set__
 _NEW = object.__new__
 
+# A plan function takes shape integers (and tuples of them) only and returns
+# an immutable value: tuples, slices and pickers.  Its results are memoized per
+# shape, never per matrix, and every plan cache holds at most
+# _PLAN_CACHE_SIZE shapes.
+_PLAN_CACHE_SIZE = 256
+_PLANS = []
+
+
+def _plan(build):
+    """The plan function ``build``, memoized per shape; listed in _PLANS."""
+    cached = lru_cache(maxsize=_PLAN_CACHE_SIZE)(build)
+    _PLANS.append(cached)
+    return cached
+
 
 def _new(re, im, den, ncols) -> Matrix:
     """A matrix from fields already in canonical form (no checks)."""
@@ -225,6 +243,11 @@ def _diagonal(n, x):
     """The integer block x * I of size n."""
     zero = (0,) * n
     return tuple([zero[:i] + (x,) + zero[i + 1:] for i in range(n)])
+
+
+@_plan
+def _unit_block(n):
+    return _diagonal(n, 1)
 
 
 def _gather(block, rows, cols):
@@ -377,7 +400,7 @@ def poly_scale(re, im, den, f: Matrix) -> Matrix:
         raise ShapeMismatch(f"a block of {f.ncols} columns does not hold {c} slices")
     if not (f.nrows and q):
         return f
-    at = [slice(e, None, -q) for e in range(c * q)]
+    at = _scale_plan(c, q)
 
     def dots(us, block):
         return tuple([tuple([sum(map(mul, us, r[s])) for s in at]) for r in block])
@@ -387,6 +410,13 @@ def poly_scale(re, im, den, f: Matrix) -> Matrix:
     out_re = _lincomb(dots(re, f.re), 1, im and fim and dots(im, fim), -1)
     out_im = _lincomb(im and dots(im, f.re), 1, fim and dots(re, fim), 1)
     return _canon(out_re, out_im, f.den * den, f.ncols)
+
+
+@_plan
+def _scale_plan(c, q):
+    """The strides of ``poly_scale``: entry (m, j) of a row reads its entries
+    at m q + j, (m - 1) q + j, .., j."""
+    return tuple([slice(e, None, -q) for e in range(c * q)])
 
 
 def poly_shift(re, im, den, f: Matrix) -> Matrix:
@@ -432,22 +462,29 @@ def block_toeplitz(a: Matrix, b, r, f_rows, f_cols, ts, ss) -> Matrix:
     form.
     """
     p, k = a.nrows, a.ncols // b
-    ncols = b // r * len(ss) * k
     if not (p and k):
-        return Matrix.zero(len(ts) * p, ncols)
-    pad = (0,) * ((r - 1) * k)
-    # column (m, j, s, l') of row (i, t, l) is (r m + t - s + r - 1) k + j + l'
-    # of the padded row i + l
-    at = [(r * m - s + r - 1) * k + j + l for m in range(b // r)
-          for j in range(0, k, f_cols) for s in ss for l in range(f_cols)]
-    get = {t: _picker([t * k + x for x in at]) for t in ts}
-    rows = [(i + l, get[t]) for i in range(0, p, f_rows) for t in ts for l in range(f_rows)]
+        return Matrix.zero(len(ts) * p, b // r * len(ss) * k)
+    ncols, pad, rows = _toeplitz_plan(p, k, b, r, f_rows, f_cols, tuple(ts), tuple(ss))
 
     def expand(block):
         padded = [pad + row + pad for row in block]
         return tuple([g(padded[i]) for i, g in rows])
 
     return _new(expand(a.re), a.im and expand(a.im), a.den, ncols)
+
+
+@_plan
+def _toeplitz_plan(p, k, b, r, f_rows, f_cols, ts, ss):
+    """The width, the padding and the (row of the padded block, picker)
+    pairs of ``block_toeplitz`` on p x (b k) blocks."""
+    # column (m, j, s, l') of row (i, t, l) is (r m + t - s + r - 1) k + j + l'
+    # of the padded row i + l
+    at = [(r * m - s + r - 1) * k + j + l for m in range(b // r)
+          for j in range(0, k, f_cols) for s in ss for l in range(f_cols)]
+    get = {t: _picker([t * k + x for x in at]) for t in ts}
+    rows = tuple([(i + l, get[t]) for i in range(0, p, f_rows) for t in ts
+                  for l in range(f_rows)])
+    return len(at), (0,) * ((r - 1) * k), rows
 
 
 def trace_dot(x: Matrix, y: Matrix, c: int) -> GaussQ:
@@ -460,31 +497,41 @@ def trace_dot(x: Matrix, y: Matrix, c: int) -> GaussQ:
         raise ShapeMismatch("trace_dot needs blocks of slices x_j, y_j with x_j y_j square")
     if not (p and k):
         return GQ_ZERO
-    get = _picker([(c - 1 - j) * p + a for a in range(p) for j in range(c)])
+    get = _trace_plan(c, p)
     ar, ai = (b and (_flat(b),) for b in (x.re, x.im))
     br, bi = (b and (_flat(get(_columns(b))),) for b in (y.re, y.im))
     re, im = _product(ar, ai, br, bi)
     return _entry(re[0][0], im[0][0] if im else 0, x.den * y.den)
 
 
-def _regroup(a: Matrix, q, patterns) -> Matrix:
-    """Per run of q rows of a joined end to end, one row of its entries at
-    each index list of ``patterns``, over a's denominator.  The callers keep
-    every entry of a, so the result is canonical as it stands."""
-    gets = [_picker(p) for p in patterns]
+@_plan
+def _trace_plan(c, p):
+    """The picker of ``trace_dot``: y_(c-1-j)[b, a] at entry (a, j, b)."""
+    return _picker([(c - 1 - j) * p + a for a in range(p) for j in range(c)])
 
+
+def _regroup(a: Matrix, q, gets, ncols) -> Matrix:
+    """Per run of q rows of a joined end to end, one row of ncols entries
+    for each picker of ``gets``, over a's denominator.  The callers keep
+    every entry of a, so the result is canonical as it stands."""
     def rows(block):
         if q > 1:
             block = [_flat(block[i:i + q]) for i in range(0, len(block), q)]
         return tuple([g(r) for r in block for g in gets])
 
-    return _new(rows(a.re), a.im and rows(a.im), a.den, len(patterns[0]))
+    return _new(rows(a.re), a.im and rows(a.im), a.den, ncols)
+
+
+def _take_cols(a: Matrix, get, ncols) -> Matrix:
+    """The columns of a that the picker ``get`` of ncols indices takes."""
+    return _canon(tuple(map(get, a.re)), a.im and tuple(map(get, a.im)), a.den, ncols)
 
 
 def _picker(index):
     """A function taking the items of a sequence at ``index``, as a tuple."""
     if len(index) > 1:
         return itemgetter(*index)
+    index = tuple(index)
     return lambda seq: tuple(map(seq.__getitem__, index))
 
 

@@ -15,12 +15,13 @@ slices side by side in one block (``rmatrix.RMap.block``), so ``split``
 joins blocks once per vertex: ``outof`` is the row stack of the arrows'
 blocks and ``into`` one column gather of their join.  ``unsplit`` cuts the
 pair into its per-arrow blocks, one gather each, and restricts their scalars
-back; in between, every map is composed as it is.  The functor refactors
-the shifted composite A - lam_i, A = -outof . into, through a fresh vertex
-module of rank dim V~ - v_i: the one-leg case of orbit.leg_factorize, for the orbit
-of diag(0 .. 0, lam_i .. lam_i) with block dimensions (dim V~ - v_i, v_i).
-The output is one specific gauge representative, pinned by the deterministic
-basis rule of orbit.free_basis.
+back.  Both gathers run on per-shape plans (``linalg._plan``).  In between,
+every map is composed as it is.  The functor refactors the shifted composite
+A - lam_i, A = -outof . into, through a fresh vertex module of rank
+dim V~ - v_i: the one-leg case of orbit.leg_factorize, for the orbit of
+diag(0 .. 0, lam_i .. lam_i) with block dimensions (dim V~ - v_i, v_i).  The
+output is one specific gauge representative, pinned by the deterministic basis
+rule of orbit.free_basis.
 
 The functor reads the moment value at i off its split: mu_i = X Y for
 X = into and Y = outof.  For a double arrow h into i over R_c, q = d_i/c, the
@@ -56,7 +57,7 @@ from itertools import accumulate
 from types import MappingProxyType
 
 from .errors import EmptyLevelSet, NotAUnit, NotInLevelSet
-from .linalg import hstack, vstack
+from .linalg import _picker, _plan, _regroup, _take_cols, hstack, vstack
 from .orbit import OrbitSpec, canonical_leg_point, coordinates, free_basis
 from .quiver import QuiverMult, check_dims
 from .repn import (
@@ -119,11 +120,7 @@ def split(rep: Representation, i) -> SplitAtVertex:
         tilde = ModShape(sum(ws), d)
         joined = hstack([f.block if h.sign > 0 else -f.block for f, h in zip(ins, arrows)])
         if len(ws) > 1:
-            # the join holds column j of slice m of arrow h at d pos_h + m w_h
-            # + j, and into at m dim V~ + pos_h + j
-            starts = [d * pos for pos in accumulate([0] + ws[:-1])]
-            joined = joined.take(cols=[start + m * w + j for m in range(d)
-                                       for start, w in zip(starts, ws) for j in range(w)])
+            joined = _regroup(joined, 1, _split_plan(d, tuple(ws)), joined.ncols)
         into = _rmap(tilde, shape_i, d, joined)
         outof = _rmap(shape_i, tilde, d, vstack(outs))
     else:
@@ -135,6 +132,17 @@ def split(rep: Representation, i) -> SplitAtVertex:
         if h.source != i and h.target != i
     }
     return SplitAtVertex(i, into, outof, MappingProxyType(rest))
+
+
+@_plan
+def _split_plan(d, ws):
+    """The picker of ``split`` from the join of the arrows' blocks, of widths
+    ws, to ``into``."""
+    # the join holds column j of slice m of arrow h at d pos_h + m w_h + j,
+    # and into at m dim V~ + pos_h + j
+    starts = [d * pos for pos in accumulate((0,) + ws[:-1])]
+    return (_picker([start + m * w + j for m in range(d)
+                     for start, w in zip(starts, ws) for j in range(w)]),)
 
 
 def unsplit(q: QuiverMult, v, s: SplitAtVertex) -> Representation:
@@ -150,7 +158,7 @@ def unsplit(q: QuiverMult, v, s: SplitAtVertex) -> Representation:
         w = block.rank
         x, y = into, outof
         if w != tilde:   # otherwise this arrow holds all of V~
-            x = x.take(cols=[m * tilde + pos + j for m in range(d_i) for j in range(w)])
+            x = _take_cols(x, _unsplit_plan(d_i, tilde, pos, w), d_i * w)
             y = y.take(slice(pos, pos + w))
         x = _rmap(block, s.into.dst, d_i, x if h.sign > 0 else -x)
         maps[h.name] = restrict_scalars(x, src, h.base)
@@ -158,6 +166,12 @@ def unsplit(q: QuiverMult, v, s: SplitAtVertex) -> Representation:
                                                      src, h.base)
         pos += w
     return Representation(q, v, maps)
+
+
+@_plan
+def _unsplit_plan(d_i, tilde, pos, w):
+    """The picker of the columns of arrow block pos..pos+w in ``into``."""
+    return _picker([m * tilde + pos + j for m in range(d_i) for j in range(w)])
 
 
 def phi(rep: Representation, i):

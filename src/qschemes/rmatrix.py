@@ -8,13 +8,13 @@ base field.  ``RMap`` keeps the c slices side by side in one ``Matrix``,
 ``block``: integer numerators over one canonical denominator.  Each
 operation here builds its result's block in one pass of a ``linalg``
 kernel (``poly_mul``, ``poly_scale``, ``poly_shift``, ``trace_dot``,
-``block_toeplitz``, and the solver ``inverse`` over R_c) or one gather, and
-wraps it with the trusted ``_rmap``; the validating ``RMap(...)``,
-``from_slices`` and ``RMap.from_flat`` (which raises ``NotLinearOverBase``
-for a matrix that is not linear over the requested base) are for callers
-outside.  A scalar t of
-R_d acts on an R_d-endomorphism f through ``scale_end`` (t f) and
-``shift_end`` (f + t Id), both on t's integer numerators.  ``parts`` is a
+``block_toeplitz``, and the solver ``inverse`` over R_c) or one gather on a
+per-shape plan (``linalg._plan``), and wraps it with the trusted ``_rmap``;
+the validating ``RMap(...)``, ``from_slices`` and ``RMap.from_flat`` (which
+raises ``NotLinearOverBase`` for a matrix that is not linear over the
+requested base) are for callers outside.  A scalar t of R_d acts on an
+R_d-endomorphism f through ``scale_end`` (t f) and ``shift_end`` (f + t Id),
+both on t's integer numerators.  ``parts`` is a
 view: the slices as matrices, cut from the block on each read.  ``_lower``
 rewrites a block over a smaller subring and is the one rule for viewing a
 map there;
@@ -50,6 +50,7 @@ from .linalg import (
     Matrix,
     _canon,
     _picker,
+    _plan,
     _regroup,
     block_toeplitz,
     hstack,
@@ -283,17 +284,10 @@ def pr_cd(z: RMap) -> RMap:
     if z.src != z.dst:
         raise ShapeMismatch("pr_cd needs a square map")
     (n, d), c, b = z.src, z.base, z.block
-    q, w = d // c, b.ncols
+    q = d // c
     if q == 1:
         return z
-    gets = []
-    for l2 in range(q):
-        at = []
-        for p in range(d):
-            e = p - q + 1 - l2     # = q m - l1
-            m = -(-e // q)
-            at += [m * w // c + j * q + q * m - e if 0 <= m < c else w for j in range(n)]
-        gets.append(_picker(at))
+    gets = _pr_cd_plan(n, d, c)
 
     def gather_sum(block):
         rows = [r + (0,) for r in block]
@@ -302,6 +296,22 @@ def pr_cd(z: RMap) -> RMap:
 
     return _rmap(z.src, z.dst, d,
                  _canon(gather_sum(b.re), b.im and gather_sum(b.im), b.den, d * n))
+
+
+@_plan
+def _pr_cd_plan(n, d, c):
+    """The q = d/c pickers of ``pr_cd`` for rank n, one per l2: row (i, l2)
+    of Z's block, a zero appended at w = n d, gives its share of row i."""
+    q, w = d // c, n * d
+    gets = []
+    for l2 in range(q):
+        at = []
+        for p in range(d):
+            e = p - q + 1 - l2     # = q m - l1
+            m = -(-e // q)
+            at += [m * w // c + j * q + q * m - e if 0 <= m < c else w for j in range(n)]
+        gets.append(_picker(at))
+    return tuple(gets)
 
 
 # -- base-field blocks and scalar extension --------------------------------------
@@ -318,9 +328,16 @@ def slice_extend(src: ModShape, dst: ModShape, base: int, block: Matrix) -> RMap
     if block.nrows != dst.dim or n != src.rank * f_in:
         raise ShapeMismatch("parameter block has the wrong shape")
     if base > 1:
-        block = _regroup(block, dst.order, [[(m * f_out + l) * n + j for m in range(base)
-                                             for j in range(n)] for l in range(f_out)])
+        block = _regroup(block, dst.order, _slice_extend_plan(base, f_out, n), base * n)
     return _rmap(src, dst, base, block)
+
+
+@_plan
+def _slice_extend_plan(base, f_out, n):
+    """The pickers of ``slice_extend``, one per l < f_out, on the dst.order
+    rows of a target vector joined."""
+    return tuple([_picker([(m * f_out + l) * n + j for m in range(base) for j in range(n)])
+                  for l in range(f_out)])
 
 
 def extend_scalars(f: RMap) -> RMap:
@@ -336,9 +353,15 @@ def extend_scalars(f: RMap) -> RMap:
     src = ModShape(f.src.dim // c, d)
     if q == 1:
         return f if src == f.src else _rmap(src, f.dst, d, f.block)
-    n, w = src.rank, f.block.ncols
-    return _rmap(src, f.dst, d, _regroup(
-        f.block, q, [[k % q * w + k // q * n + j for k in range(d) for j in range(n)]]))
+    n = src.rank
+    return _rmap(src, f.dst, d, _regroup(f.block, q, _extend_plan(c, d, n), d * n))
+
+
+@_plan
+def _extend_plan(c, d, n):
+    """The picker of ``extend_scalars`` on q = d/c rows of width w = c n joined."""
+    q, w = d // c, c * n
+    return (_picker([k % q * w + k // q * n + j for k in range(d) for j in range(n)]),)
 
 
 def extend_scalars_rev(f: RMap) -> RMap:
@@ -354,8 +377,15 @@ def extend_scalars_rev(f: RMap) -> RMap:
     if q == 1:
         return f if dst == f.dst else _rmap(f.src, dst, d, f.block)
     v = f.src.rank
-    return _rmap(f.src, dst, d, _regroup(f.block, 1, [
-        [k // q * v * q + j * q + q - 1 - k % q for k in range(d) for j in range(v)]]))
+    return _rmap(f.src, dst, d, _regroup(f.block, 1, _extend_rev_plan(c, d, v), d * v))
+
+
+@_plan
+def _extend_rev_plan(c, d, v):
+    """The picker of ``extend_scalars_rev`` on one row, q = d/c."""
+    q = d // c
+    return (_picker([k // q * v * q + j * q + q - 1 - k % q for k in range(d)
+                     for j in range(v)]),)
 
 
 def restrict_scalars(x: RMap, src: ModShape, c: int) -> RMap:

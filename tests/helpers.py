@@ -9,14 +9,16 @@ for ``rmatrix._lower`` and ``rmatrix.restrict_scalars*``), the base-field
 blocks of a map read off its flat view, the scalar endomorphism c Id, the
 identity endomorphism, the zero representation, the top-slice shift maps,
 the gauge unit induced on a split vertex, the Coxeter order of a vertex
-pair and the braid-word probe of the reflection functor."""
+pair and the braid-word probe of the reflection functor, and the check that
+the gather kernels' per-shape plans (``linalg._PLANS``) give the same
+results cold as warm."""
 
 import math
 from fractions import Fraction
 from math import gcd
 
 from qschemes.errors import NotDivisible, QschemeError, ShapeMismatch
-from qschemes.linalg import Matrix, hstack, vstack
+from qschemes.linalg import _PLANS, Matrix, hstack, vstack
 from qschemes.quiver import QuiverMult
 from qschemes.reflect import phi, reflection_functor
 from qschemes.repn import Representation
@@ -208,6 +210,24 @@ def assert_canonical(mat):
     assert (mat.im is None) == all(not x.im for r in mat.rows for x in r)
     if mat.im is not None:
         assert len(mat.im) == mat.nrows and all(len(r) == mat.ncols for r in mat.im)
+
+
+def clear_plans():
+    """Empty every plan cache of the gather kernels."""
+    for plan in _PLANS:
+        plan.cache_clear()
+
+
+def assert_cold_equals_warm(calls):
+    """Each call gives the same result with every plan cache emptied just
+    before it as on the caches that all the calls, run again in reverse
+    order, leave behind: two shapes that shared a plan would differ."""
+    cold = []
+    for call in calls:
+        clear_plans()
+        cold.append(call())
+    warm = [call() for call in reversed(calls)]
+    assert warm[::-1] == cold
 
 
 def transpose(a: Matrix) -> Matrix:

@@ -1,5 +1,6 @@
 """tools/bench_pairs.py: the condensing step on synthetic run records, the
-checkout sha it records, and its runs on checkouts without bytecode caches."""
+checkout sha it records, the order of its runs, and its runs on checkouts
+without bytecode caches."""
 
 import importlib.util
 import json
@@ -15,11 +16,10 @@ spec.loader.exec_module(bench_pairs)
 
 
 def records(pairs):
-    """Run records from (base, change) metric dicts, alternating the order."""
+    """Run records from (base, change) metric dicts, in the tool's run order."""
     out = []
     for i, (base, change) in enumerate(pairs):
-        sides = [("base", base), ("change", change)]
-        for side, metrics in sides if i % 2 == 0 else sides[::-1]:
+        for side, metrics in (("base", base), ("change", change)):
             out.append({"pair": i, "side": side, "metrics": metrics})
     return out
 
@@ -56,6 +56,30 @@ class TestCondense:
         assert got["setup_s"]["base"]["runs"] == [2.0]
         assert got["setup_s"]["wins"] == {"change": 1, "base": 0, "tie": 0}
         assert got["setup_s"]["base"]["q1"] == got["setup_s"]["base"]["q3"] == 2.0
+
+
+class TestRunOrder:
+    def test_sides_alternate_and_never_run_twice_in_a_row(self, tmp_path, monkeypatch):
+        base, change = tmp_path / "base", tmp_path / "change"
+        for checkout in (base, change):
+            checkout.mkdir()
+        (change / "BENCHMARK.json").write_text(json.dumps(
+            {"end_to_end": [{"name": "setup_s", "better": "lower"}]}))
+        order = []
+
+        def fake_run(checkout, workload, seed, setup_only):
+            order.append(checkout.name)
+            return {"correct": True, "metrics": {"setup_s": 1.0}}
+
+        monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+        out = tmp_path / "out.json"
+        argv = [str(base), str(change), "--workload", "cli", "--pairs", "5", "--seed", "1",
+                "--setup-only", "--out", str(out)]
+        assert bench_pairs.main(argv) == 0
+        assert order == ["base", "change"] * 5
+        runs = json.loads(out.read_text())["cli/setup"]["runs"]
+        assert [(r["pair"], r["side"]) for r in runs] == [
+            (i, side) for i in range(5) for side in ("base", "change")]
 
 
 class TestGitSha:

@@ -480,6 +480,16 @@ class TestInputBoundary:
             assert code == 2 and out == ""
             assert err.startswith("error[malformed-input]")
 
+    @pytest.mark.parametrize("command", [("dim",), ("random-rep", "--seed", "1")])
+    @pytest.mark.parametrize("v", ["1,,2", "1,x,2"])
+    def test_malformed_dimension_vector(self, capsys, corpus_dir, command, v):
+        name, *flags = command
+        code, out, err = run(capsys, "--format", "json", name,
+                             str(corpus_dir / "a3.quiver"), "--v", v, *flags)
+        assert code == 2 and out == ""
+        assert err == ("error[malformed-input]: --v must be comma-separated integers, "
+                       f"got {v!r}\n")
+
     def test_check_rejects_non_positive_trials(self, capsys, corpus_dir):
         for trials in ("-3", "0"):
             code, out, err = run(capsys, "check", str(corpus_dir), "--suite", "coxeter",

@@ -14,8 +14,11 @@ slices.
 
 import math
 import random
+import sys
 from fractions import Fraction
 from itertools import product
+from operator import itemgetter
+from types import FunctionType
 
 import pytest
 
@@ -37,7 +40,7 @@ from qschemes.linalg import (
 )
 from qschemes.scalars import GQ_ZERO, GaussQ, TruncScalar
 
-from helpers import assert_canonical, fields, transpose
+from helpers import assert_canonical, assert_cold_equals_warm, clear_plans, fields, transpose
 
 KINDS = ("integer", "fraction", "gaussian", "sparse")
 GQ_ONE = GaussQ(1)
@@ -654,3 +657,72 @@ def oracle_inverse(a):
             for i, r in enumerate(a.rows)]
     assert oracle_echelon(rows, n) == list(range(n))
     return [r[n:] for r in rows]
+
+
+def immutable(x):
+    """True for ints, None, slices of them, itemgetters, tuples of immutable
+    values and functions that close over immutable values only."""
+    if x is None or type(x) in (int, itemgetter):
+        return True
+    if type(x) is slice:
+        return all(map(immutable, (x.start, x.stop, x.step)))
+    if type(x) is tuple:
+        return all(map(immutable, x))
+    if type(x) is FunctionType:
+        return all(immutable(cell.cell_contents) for cell in x.__closure__ or ())
+    return False
+
+
+def is_shape(arg):
+    return type(arg) is int or type(arg) is tuple and all(type(x) is int for x in arg)
+
+
+class TestPlans:
+    """The per-shape plans of the gather kernels (``linalg._plan``)."""
+
+    def test_inverse_and_identity(self):
+        rng, calls = random.Random("plans/inverse"), []
+        for n in (0, 1, 2, 3, 4):
+            calls.append(lambda n=n: fields(Matrix.identity(n)))
+            for c in (1, 2, 3):
+                for kind in ("integer", "gaussian", "fraction"):
+                    a = hstack([invertible(rng, kind, n)]
+                               + [random_matrix(rng, kind, n, n) for _ in range(c - 1)])
+                    calls.append(lambda a=a, c=c: fields(inverse(a, c)))
+        assert_cold_equals_warm(calls)
+
+    @pytest.fixture(scope="class")
+    def suite_plans(self, corpus):
+        """Every plan call of ``run_suite(corpus, "all", 1, 2)`` on empty
+        caches, by plan: {shape arguments: value}, and the cache sizes after."""
+        from qschemes.suites import run_suite
+
+        clear_plans()
+        calls = {plan: {} for plan in linalg._PLANS}
+        with pytest.MonkeyPatch.context() as patch:
+            for plan, seen in calls.items():
+                module = sys.modules[plan.__module__]
+                assert getattr(module, plan.__name__) is plan
+
+                def record(*args, plan=plan, seen=seen):
+                    seen[args] = plan(*args)
+                    return seen[args]
+
+                patch.setattr(module, plan.__name__, record)
+            assert run_suite(corpus, "all", 1, 2).ok
+        return calls, {plan: plan.cache_info().currsize for plan in linalg._PLANS}
+
+    def test_caches_stay_below_the_bound(self, suite_plans):
+        calls, sizes = suite_plans
+        assert len(sizes) >= 10
+        for plan, size in sizes.items():
+            assert size == len(calls[plan]) < linalg._PLAN_CACHE_SIZE, plan.__name__
+        # the suites reach every plan
+        assert all(sizes.values())
+
+    def test_plans_take_shapes_and_hold_no_list(self, suite_plans):
+        calls, _ = suite_plans
+        for plan, seen in calls.items():
+            for args, value in seen.items():
+                assert all(map(is_shape, args)), (plan.__name__, args)
+                assert immutable(value), (plan.__name__, args)

@@ -2,13 +2,18 @@ import pytest
 from hypothesis import given, strategies as st
 
 from qschemes.errors import (
+    DuplicateName,
+    EdgeLoopForbidden,
     LengthMismatch,
     NegativeDimension,
+    QschemeError,
     QuiverSyntaxError,
     UnknownVertex,
 )
 from qschemes.quiver import (
+    Arrow,
     QuiverMult,
+    Vertex,
     bilinear,
     expected_dim,
     parse_quiver,
@@ -103,6 +108,39 @@ def test_serialize_parse_roundtrip(vnames, data):
             arrows.append((f"ar{k}", s, t))
     q = QuiverMult.build(list(zip(vnames, mults)), arrows)
     assert parse_quiver(serialize_quiver(q)) == q
+
+
+class TestConstructorChecks:
+    """The checks of ``QuiverMult.__init__``, reached through the library API:
+    ``parse_quiver`` rejects most of these inputs first, and ``build`` rejects
+    unknown endpoint names itself."""
+
+    def test_multiplicity_below_one(self):
+        for mult in (0, -2):
+            with pytest.raises(ValueError) as exc:
+                QuiverMult.build([("a", 1), ("b", mult)], [("x", "a", "b")])
+            # the one untyped check of the constructor
+            assert type(exc.value) is ValueError
+            assert str(exc.value) == "vertex b: multiplicity must be >= 1"
+
+    def test_duplicate_vertex(self):
+        with pytest.raises(DuplicateName, match=r"^vertex a declared twice$"):
+            QuiverMult.build([("a", 1), ("b", 2), ("a", 3)])
+
+    def test_duplicate_arrow(self):
+        with pytest.raises(DuplicateName, match=r"^arrow x declared twice$"):
+            QuiverMult.build([("a", 1), ("b", 2)], [("x", "a", "b"), ("x", "b", "a")])
+
+    @pytest.mark.parametrize("source,target", [(0, 2), (5, 1), (-1, 0), (1, -1)])
+    def test_endpoint_out_of_range(self, source, target):
+        vertices = [Vertex("a", 1), Vertex("b", 2)]
+        with pytest.raises(UnknownVertex, match=r"^arrow x: endpoint out of range$"):
+            QuiverMult(vertices, [Arrow("x", source, target)])
+
+    def test_edge_loop(self):
+        with pytest.raises(EdgeLoopForbidden, match=r"^arrow y is an edge-loop$"):
+            QuiverMult.build([("a", 1), ("b", 2)], [("x", "a", "b"), ("y", "b", "b")])
+        assert issubclass(EdgeLoopForbidden, QschemeError)
 
 
 class TestCartan:

@@ -13,8 +13,8 @@ from qschemes.errors import (
     ShapeMismatch,
 )
 from qschemes.linalg import Matrix, hstack, vstack
-from qschemes.reflect import random_level_point, reflection_functor
-from qschemes.repn import random_linear_map
+from qschemes.reflect import random_level_point, reflection_functor, split, unsplit
+from qschemes.repn import Representation, random_linear_map, random_rep, random_unit_end
 from qschemes.rmatrix import (
     ModShape,
     RMap,
@@ -29,6 +29,7 @@ from qschemes.rmatrix import (
     restrict_scalars,
     restrict_scalars_rev,
     scale_end,
+    slice_extend,
     trace_base,
     trace_r,
 )
@@ -38,6 +39,7 @@ from qschemes.weyl import random_params
 
 from helpers import (
     assert_canonical,
+    assert_cold_equals_warm,
     eps,
     fields,
     identity_end,
@@ -647,3 +649,102 @@ class TestNoPerSliceObjects:
         rng, sh = SplitMix64(3), ModShape(2, 3)
         f, g = random_linear_map(rng, sh, sh, 3), random_linear_map(rng, sh, sh, 3)
         assert self.counts(monkeypatch, compose, f, g) == {"matrix": 1}
+
+
+def as_fields(f: RMap):
+    """A map's stored fields, compared without lowering either side."""
+    return f.src, f.dst, f.base, f.block
+
+
+class TestPlans:
+    """Every gather kernel gives the same block with its plan caches emptied
+    before the call as on warm caches, over a grid of shapes, on real maps
+    and on non-real maps with denominators."""
+
+    @staticmethod
+    def maps(rng, src, dst, base):
+        third = G(Fraction(1, 3), Fraction(-2, 5))
+        return (random_linear_map(rng, src, dst, base),
+                gauss_map(rng, src, dst, base).scale(third))
+
+    def test_lower(self):
+        rng, calls = SplitMix64(41), []
+        for d1, d2, base in [(2, 2, 2), (4, 2, 2), (2, 4, 2), (6, 3, 3), (4, 4, 4), (6, 4, 2)]:
+            for w, v in ((1, 1), (2, 3), (3, 1)):
+                for f in self.maps(rng, ModShape(w, d1), ModShape(v, d2), base):
+                    for c in range(1, base):
+                        if base % c == 0:
+                            r = base // c
+                            calls += [lambda f=f, c=c: _lower(f, c),
+                                      lambda f=f, c=c: _lower(f, c, ss=(0,)),
+                                      lambda f=f, c=c, r=r: _lower(f, c, ts=(r - 1,))]
+        assert_cold_equals_warm(calls)
+
+    def test_pair_d(self):
+        rng, calls = SplitMix64(42), []
+        for n1, n2, base in [(1, 1, 1), (1, 2, 2), (2, 1, 3), (2, 2, 4), (3, 2, 2), (1, 3, 6)]:
+            v, w = ModShape(n1, base), ModShape(n2, base)
+            for x, y in zip(self.maps(rng, v, w, base), self.maps(rng, w, v, base)[::-1]):
+                calls += [lambda x=x, y=y, d=d: pair_d(x, y, d)
+                          for d in range(1, base + 1) if base % d == 0]
+        assert_cold_equals_warm(calls)
+
+    def test_pr_cd(self):
+        rng, calls = SplitMix64(43), []
+        for d, c in ((2, 1), (3, 1), (4, 1), (4, 2), (6, 2), (6, 3)):
+            for n in (1, 2, 3):
+                sh = ModShape(n, d)
+                calls += [lambda z=z: as_fields(pr_cd(z)) for z in self.maps(rng, sh, sh, c)]
+        assert_cold_equals_warm(calls)
+
+    def test_scale_end(self):
+        rng, calls = SplitMix64(44), []
+        for d in (1, 2, 3, 4):
+            t = TruncScalar(d, [G(rng.randint(1, 5), rng.randint(-3, 3))]
+                            + [G(Fraction(rng.randint(-5, 5), 7), rng.randint(-3, 3))
+                               for _ in range(d - 1)])
+            for n in (1, 2, 3):
+                sh = ModShape(n, d)
+                calls += [lambda f=f, t=t: as_fields(scale_end(f, t))
+                          for f in self.maps(rng, sh, sh, d)]
+        assert_cold_equals_warm(calls)
+
+    def test_extend_and_slice_extend(self):
+        rng, calls = SplitMix64(45), []
+        for d1, d2, c in [(2, 4, 2), (2, 4, 1), (3, 6, 3), (1, 4, 1), (4, 2, 2), (6, 4, 2)]:
+            for w, v in ((1, 1), (2, 1), (1, 3)):
+                near, far = ModShape(w, d1), ModShape(v, d2)
+                for f in self.maps(rng, near, far, c):
+                    calls.append(lambda f=f: as_fields(extend_scalars(f)))
+                for f in self.maps(rng, far, near, c):
+                    calls.append(lambda f=f: as_fields(extend_scalars_rev(f)))
+                # the free parameter block: dst.dim rows, one column per v_j eps^l, l < d1/c
+                for f in self.maps(rng, ModShape(w * d1 // c, 1), ModShape(v * d2, 1), 1):
+                    calls.append(lambda block=f.block, near=near, far=far, c=c:
+                                 as_fields(slice_extend(near, far, c, block)))
+        assert_cold_equals_warm(calls)
+
+    def test_invert_end(self):
+        rng, calls = SplitMix64(46), []
+        for n in (1, 2, 3):
+            for d in (1, 2, 3):
+                for g in (random_unit_end(rng, ModShape(n, d)), gauss_unit(rng, n, d)):
+                    calls.append(lambda g=g: as_fields(invert_end(g)))
+        assert_cold_equals_warm(calls)
+
+    def test_split_and_unsplit(self, corpus):
+        calls = []
+        for k, q in enumerate(corpus.values()):
+            for v in ((1,) * q.n, tuple(1 + i % 2 for i in range(q.n))):
+                a, b = random_rep(q, v, 3 * k), random_rep(q, v, 3 * k + 1)
+                half_i = G(Fraction(1, 2), 1)
+                gauss = Representation(q, v, {h: a.maps[h] + b.maps[h].scale(half_i)
+                                              for h in a.maps})
+                for rep in (a, gauss):
+                    for i in range(q.n):
+                        calls.append(lambda rep=rep, i=i: [
+                            as_fields(m) for m in split(rep, i)[1:3]])
+                        calls.append(lambda rep=rep, i=i: {
+                            h: as_fields(m) for h, m in
+                            unsplit(rep.quiver, rep.v, split(rep, i)).maps.items()})
+        assert_cold_equals_warm(calls)

@@ -5,9 +5,10 @@
 
 Each pair runs ``perfbench/run.py --trace 0`` at the given seed, for the
 runner's own run length, once in each checkout, as a subprocess with the
-checkout as its working directory; pair i runs BASE first when i is even and
-CHANGE first when it is odd, so a slow spell of the host hits both sides
-alike.  ``--setup-only`` times one set-up per run instead (the
+checkout as its working directory.  Every pair runs BASE and then CHANGE, so
+the runs alternate BASE, CHANGE, BASE, .. and no side ever runs twice in a
+row: a fast or slow spell of the host that spans two runs touches both sides,
+never one side twice.  ``--setup-only`` times one set-up per run instead (the
 runner's ``{"setup_s": ...}`` line).  The last line a run prints is its JSON
 result.
 
@@ -146,8 +147,7 @@ def main(argv=None):
            "loadavg_start": os.getloadavg()}
     runs = []
     for i in range(args.pairs):
-        order = ("base", "change") if i % 2 == 0 else ("change", "base")
-        for side in order:
+        for side in ("base", "change"):
             rec = run_once(getattr(args, side), args.workload, args.seed, args.setup_only)
             runs.append({"pair": i, "side": side, **rec})
             print(json.dumps(runs[-1]), flush=True)

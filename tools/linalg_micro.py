@@ -38,7 +38,18 @@ with the point, direction and xi drawn by ``random_rep`` and
 ``leg_factorize_{profile}`` factorizes that member without a witness, on the
 (d, dims) = (4, (2, 2, 1)) and (2, (1, 1, 1, 1)) profiles of the ``orbit``
 workload (profile ``d4_221`` and ``d2_1111``), with distinct constant terms
-in -5..5 and higher coefficients in -3..3.  A
+in -5..5 and higher coefficients in -3..3.  The gather rows time the kernels
+that run on per-shape plans at the shapes of the ``moment_gauss`` workload,
+rank n in {1, 2} and order d in {2, 3, 4} over R_c, c = 2 for d = 4 and
+c = 1 otherwise, on Gaussian maps: ``pair_d`` of two endomorphisms over R_d
+(rows ``pair_d_n{n}_d{d}``), ``pr_cd`` of an endomorphism over R_c
+(``pr_cd_n{n}_d{d}_c{c}``), ``compose`` of an endomorphism over R_d after
+one over R_c (``compose_cross_n{n}_d{d}_c{c}``, which lowers the first
+through ``block_toeplitz``) and ``extend_scalars`` of a map from rank n over
+R_c to rank n over R_d (``extend_scalars_n{n}_d{d}_c{c}``).  Each has a
+``_warm`` row and a ``_cold`` row; a cold call first empties every plan
+cache (``linalg._PLANS``; a checkout without plans empties nothing), and its
+time includes that.  A
 checkout that lacks an operation gives no row for it, and the file keeps
 the rows both checkouts time.  ``scalar_end`` is read from
 ``tests/helpers.py`` where the library no longer has it.
@@ -58,6 +69,7 @@ CHILD = r"""
 import json, random, sys, timeit
 sys.path.insert(0, sys.argv[1] + "/src")
 from fractions import Fraction
+import qschemes.linalg as linalg
 from qschemes.linalg import Matrix, hstack, inverse, rank
 from qschemes.orbit import (OrbitSpec, leg_factorize, orbit_membership, random_conjugate,
                             random_non_member)
@@ -66,8 +78,8 @@ from qschemes.reflect import random_level_point, split, unsplit
 from qschemes.repn import (moment_derivative_check, random_gauge, random_linear_map, random_rep,
                            random_unit_end)
 import qschemes.rmatrix as rmatrix
-from qschemes.rmatrix import (ModShape, compose, from_slices, invert_end, pr_cd, restrict_scalars,
-                              restrict_scalars_rev, scale_end)
+from qschemes.rmatrix import (ModShape, compose, extend_scalars, from_slices, invert_end, pair_d,
+                              pr_cd, restrict_scalars, restrict_scalars_rev, scale_end)
 try:
     from qschemes.rmatrix import scalar_end
 except ImportError:
@@ -180,6 +192,37 @@ for d, dims in ((4, (2, 2, 1)), (2, (1, 1, 1, 1))):
         ops[f"orbit_membership_{tag}_{kind}"] = (
             (lambda spec=spec, a=a: orbit_membership(spec, a)), 20)
     ops[f"leg_factorize_{tag}"] = ((lambda spec=spec, a=member: leg_factorize(spec, a)), 20)
+plans = getattr(linalg, "_PLANS", ())
+
+def cold(op):
+    def call():
+        for plan in plans:
+            plan.cache_clear()
+        return op()
+    return call
+
+# the gather rows at rank n and order d, in a function so that their names
+# leave alone the module globals that the lambdas above read
+def gather_rows(n, d):
+    c = 2 if d == 4 else 1
+    sh, sub, draw = ModShape(n, d), ModShape(n, c), SplitMix64(1000 + 10 * n + d)
+
+    def gmap(src, dst, base):
+        re, im = (random_linear_map(draw, src, dst, base) for _ in range(2))
+        return re + im.scale(I)
+
+    f, g, z, h, e = (gmap(sh, sh, d), gmap(sh, sh, d), gmap(sh, sh, c), gmap(sh, sh, c),
+                     gmap(sub, sh, c))
+    return {f"pair_d_n{n}_d{d}": lambda: pair_d(f, g, d),
+            f"pr_cd_n{n}_d{d}_c{c}": lambda: pr_cd(z),
+            f"compose_cross_n{n}_d{d}_c{c}": lambda: compose(f, h),
+            f"extend_scalars_n{n}_d{d}_c{c}": lambda: extend_scalars(e)}
+
+for n in (1, 2):
+    for d in (2, 3, 4):
+        for name, op in gather_rows(n, d).items():
+            ops[name + "_warm"] = (op, 1000)
+            ops[name + "_cold"] = (cold(op), 1000)
 out = {name: min(timeit.repeat(f, number=n, repeat=5)) / n * 1e6 for name, (f, n) in ops.items()}
 print(json.dumps(out))
 """
