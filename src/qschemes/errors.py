@@ -73,6 +73,10 @@ class NegativeDimension(QschemeError):
     code = "negative-dimension"
 
 
+class InvalidMultiplicity(QschemeError):
+    code = "invalid-multiplicity"
+
+
 # -- orbits and reflection functors ------------------------------------------
 
 class NotInOrbit(QschemeError):

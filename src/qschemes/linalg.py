@@ -610,13 +610,15 @@ def _axpy(xr, xi, a, yr, yi, b, q):
             [(a0 * x1 + a1 * x0 - b0 * y1 - b1 * y0) // q0 for x0, x1, y0, y1 in rows])
 
 
-def pivot_columns(mat: Matrix) -> list[int]:
-    """Lexicographically smallest column set spanning the column space."""
-    return _echelon(list(mat.re), mat.ncols, mat.im and list(mat.im))
+def pivot_columns(mat: Matrix, ncols=None) -> list[int]:
+    """Lexicographically smallest column set spanning the column space of
+    ``mat``, or of its first ``ncols`` columns: one ``_echelon`` of cut rows."""
+    n = mat.ncols if ncols is None else ncols
+    return _echelon([r[:n] for r in mat.re], n, mat.im and [r[:n] for r in mat.im])
 
 
-def rank(mat: Matrix) -> int:
-    return len(pivot_columns(mat))
+def rank(mat: Matrix, ncols=None) -> int:
+    return len(pivot_columns(mat, ncols))
 
 
 def solve(a: Matrix, b: Matrix, c: int = 1) -> Matrix:

@@ -25,12 +25,19 @@ the local ring R_d, hence free of rank equal to the residue rank of pi_i, and
 invariant under conjugation.
 
 ``orbit_membership`` tests (1) with the prefix products
-P_k = prod_{j<k} (A - theta_j) (l composes; P_{l+1} is the product) and (2)
-on the n x n constant slices alone: the residue of P_k is its constant slice,
-and only the residues of the suffix products are multiplied out.  That is the
-whole decision, for a member as for a non-member.  Its witness keeps the
-factors A - theta_j and the P_k, and projectors are built when read:
-pi_i = c_i^{-1} P_i S_i, with the suffix products S_i = prod_{j>i} (A - theta_j).
+P_k = prod_{j<k} (A - theta_j) (l composes; P_{l+1} is the product), and (2)
+with one residue rank per factor and no residue product, by the nullity
+identity: with B = A(0) and t_j = theta_j(0) (distinct, as the
+theta_i - theta_j are units), rank pi_i(0) = n - sum_{j != i} nullity(B - t_j)
+for every B.  For pi_i(0) is a nonzero multiple of Q = prod_{j != i} (B - t_j),
+which preserves each generalized eigenspace V_s of B (over an algebraic
+closure, which changes no rank).  On V_s, B - t_j is invertible unless
+s = t_j, and ker(B - t_j) lies in V_{t_j}; so Q is invertible on V_s unless
+s = t_k for some k != i, and there it is an invertible map times B - t_k, of
+rank dim V_s - nullity(B - t_k).  That is the whole decision, member or not.
+The witness keeps the factors and the P_k, from which ``leg_factorize``
+builds only the projectors it reads: pi_i = c_i^{-1} P_i S_i, with the
+suffix products S_i = prod_{j>i} (A - theta_j).
 
 ``leg_factorize`` writes a member A as the value of the chain-of-modules
 presentation: nested images V_i = Im(sum_{j>=i} pi_j) get free bases by the
@@ -58,7 +65,6 @@ import functools
 import math
 from collections import namedtuple
 from itertools import accumulate, combinations
-from operator import matmul
 
 from .errors import NotInOrbit, ShapeMismatch
 from .linalg import Matrix, hstack, pivot_columns, poly_shift, rank, solve
@@ -159,9 +165,9 @@ def _block_scalar(d, blocks) -> RMap:
     return _rmap(shape, shape, d, poly_shift(diags("re"), im, den, Matrix.zero(n, d * n)))
 
 
-def _constant(f: RMap) -> Matrix:
-    """f's slice 0, the residue of a map over its full order."""
-    return f.block if f.base == 1 else f.block.take(cols=slice(0, f.src.dim // f.base))
+def _residue_rank(f: RMap) -> int:
+    """The rank of f(0), the residue of a map over its full order."""
+    return rank(f.block, f.src.dim // f.base)
 
 
 # -- membership ----------------------------------------------------------------
@@ -169,70 +175,52 @@ def _constant(f: RMap) -> Matrix:
 class MembershipWitness:
     """The verdict of ``orbit_membership``: ``ok``, the failed conditions in
     ``reasons``, and the factors A - theta_j with their prefix products P_k,
-    from which the projectors are built when read."""
+    from which ``leg_factorize`` builds the projectors it reads."""
     __slots__ = ("ok", "reasons", "_thetas", "_factors", "_prefix")
 
     def __init__(self, ok, reasons, thetas, factors, prefix):
-        self.ok, self.reasons = ok, reasons
-        self._thetas, self._factors, self._prefix = thetas, factors, prefix
-
-    @property
-    def idempotents(self) -> tuple[RMap, ...]:
-        """(pi_0, .., pi_l) for a member, () for a non-member; built on each read."""
-        return tuple(self._projectors(0)) if self.ok else ()
+        self.ok, self.reasons, self._thetas, self._factors, self._prefix = (
+            ok, reasons, thetas, factors, prefix)
 
     def _projectors(self, start) -> list[RMap]:
         """pi_start, .., pi_l: (l - start - 1)^+ composes for the suffix
         products S_i, one more for each P_i S_i with 0 < i < l, and one
         ``scale_end`` per projector."""
         thetas, prefix = self._thetas, self._prefix
-        suffix = _prefix_products(self._factors[:start:-1], compose)[::-1]
+        suffix = [None, *accumulate(self._factors[:start:-1], compose)][::-1]
         pis = []
         for i in range(start, len(thetas)):
-            c = None
-            for j, tj in enumerate(thetas):
-                if j != i:
-                    c = _times(c, thetas[i] - tj, trunc_mul)
-            pis.append(scale_end(_times(prefix[i], suffix[i - start], compose), trunc_inv(c)))
+            c = functools.reduce(trunc_mul, [thetas[i] - tj for tj in thetas[:i] + thetas[i + 1:]])
+            pis.append(scale_end(_times(prefix[i], suffix[i - start]), trunc_inv(c)))
         return pis
 
 
-def _prefix_products(factors, mul) -> list:
-    """[None, f_0, f_0 f_1, ..., f_0 ... f_(m-1)]; None stands for the identity."""
-    out = [None]
-    for f in factors:
-        out.append(f if out[-1] is None else mul(out[-1], f))
-    return out
-
-
-def _times(x, y, mul):
-    """x y, where None stands for the identity."""
-    return y if x is None else x if y is None else mul(x, y)
+def _times(f, g):
+    """f after g, where None stands for the identity."""
+    return g if f is None else f if g is None else compose(f, g)
 
 
 def orbit_membership(spec: OrbitSpec, a: RMap) -> MembershipWitness:
     """Decide whether A lies in the orbit of Theta (see the module docstring).
 
-    l composes and no ``scale_end``, whatever the verdict.  A non-member's
-    witness has no idempotents and lists the failed conditions.
+    l composes, l + 1 residue ranks and no ``scale_end``, whatever the
+    verdict.  A non-member's witness lists the failed conditions.
     """
     n = spec.total
     shape = ModShape(n, spec.d)
     if a.src != shape or a.dst != shape or not a.is_end():
-        raise ShapeMismatch(
-            f"endomorphism must act on a rank-{n} order-{spec.d} module"
-        )
+        raise ShapeMismatch(f"endomorphism must act on a rank-{n} order-{spec.d} module")
     thetas = spec.thetas
     factors = [shift_end(a, -t) for t in thetas]
-    prefix = _prefix_products(factors, compose)
+    prefix = [None, *accumulate(factors, compose)]   # None stands for the identity
     reasons = []
     if not prefix[-1].is_zero():
         reasons.append("product of (A - theta_j) does not vanish")
-    # residues: those of the prefix products are their constant slices
-    res_prefix = [None] + [_constant(p) for p in prefix[1:]]
-    res_suffix = _prefix_products([_constant(f) for f in factors[:0:-1]], matmul)[::-1]
+    # rank pi_i(0) = n - sum_{j != i} nullity(A(0) - theta_j(0))
+    nullity = [n - _residue_rank(f) for f in factors]
+    kept = n - sum(nullity)
     for i, w in enumerate(spec.dims):
-        if rank(_times(res_prefix[i], res_suffix[i], matmul)) != w:
+        if kept + nullity[i] != w:
             reasons.append(f"residue rank of pi_{i} differs from block dimension")
     return MembershipWitness(not reasons, reasons, thetas, factors, prefix)
 
@@ -242,12 +230,13 @@ def orbit_membership(spec: OrbitSpec, a: RMap) -> MembershipWitness:
 def free_basis(e: RMap) -> RMap:
     """Deterministic free basis of the image of an idempotent endomorphism.
 
-    Column-reduce the residue e(0), take the lexicographically smallest pivot
-    column set, and lift those generator columns e(v_j (x) 1); by Nakayama
-    they form a free basis of the image.
+    Column-reduce the residue e(0) (on the numerator rows of slice 0), take
+    the lexicographically smallest pivot column set, and lift those
+    generator columns e(v_j (x) 1); by Nakayama they form a free basis of the
+    image.
     """
-    pivots = pivot_columns(_constant(e))
     d, n = e.src.order, e.src.rank
+    pivots = pivot_columns(e.block, n)
     return _rmap(ModShape(len(pivots), d), e.src, d,
                  e.block.take(cols=[m * n + j for m in range(d) for j in pivots]))
 
@@ -323,7 +312,7 @@ def leg_rank_checks(spec: OrbitSpec, point: Representation) -> bool:
     Either map of the arrow pair between V_i and V_{i+1} has residue rank
     dim V_{i+1}.
     """
-    return all(rank(_constant(point.maps[h.name])) == spec.tail_dim(max(h.source, h.target))
+    return all(_residue_rank(point.maps[h.name]) == spec.tail_dim(max(h.source, h.target))
                for h in point.quiver.double)
 
 
@@ -338,16 +327,16 @@ def leg_factorize(spec: OrbitSpec, a_end: RMap, witness=None) -> Representation:
     if not witness.ok:
         raise NotInOrbit("; ".join(witness.reasons))
     l = spec.legs
-    thetas = spec.thetas
     # V_0 is the ambient module and V_i the image of pi_i + .. + pi_l; those
     # tails are summed once, from the end, and pi_0 is never built
     tails = list(accumulate(reversed(witness._projectors(1)), lambda s, pi: pi + s))
     bases = [None] + [free_basis(p) for p in reversed(tails)]
-    minus_a = -a_end
-    down = [coordinates(bases[1], shift_end(minus_a, thetas[0]))]
+    # theta_i - A is the witness's factor A - theta_i, negated
+    factors = witness._factors
+    down = [coordinates(bases[1], -factors[0])]
     up = [bases[1]]
     for i in range(1, l):
-        down.append(coordinates(bases[i + 1], compose(shift_end(minus_a, thetas[i]), bases[i])))
+        down.append(coordinates(bases[i + 1], compose(-factors[i], bases[i])))
         up.append(coordinates(bases[i], bases[i + 1]))
     return _leg_point(spec, down, up)
 

@@ -32,6 +32,7 @@ from fractions import Fraction
 from .errors import (
     DuplicateName,
     EdgeLoopForbidden,
+    InvalidMultiplicity,
     LengthMismatch,
     NegativeDimension,
     QuiverSyntaxError,
@@ -57,7 +58,7 @@ class QuiverMult:
         index = {}
         for v in vs:
             if v.mult < 1:
-                raise ValueError(f"vertex {v.name}: multiplicity must be >= 1")
+                raise InvalidMultiplicity(f"vertex {v.name}: multiplicity must be >= 1")
             if v.name in index:
                 raise DuplicateName(f"vertex {v.name} declared twice")
             index[v.name] = len(index)

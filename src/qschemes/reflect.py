@@ -42,7 +42,8 @@ so E = -lam_i^{-1} (A - lam_i) satisfies E^2 = lam_i^{-2} (A^2 - 2 lam_i A
 is invertible, so rank A(0) = v_i; as A(0)^2 = lam_i(0) A(0) with lam_i(0) != 0,
 rank E(0) = dim ker A(0) = dim V~ - v_i, the reflected dimension.  So
 ``reflection_functor`` checks X Y = -lam_i Id only, then takes the free basis
-U of Im E and the coordinates of -(A - lam_i) = lam_i E against U.
+U of Im E and the coordinates of -(A - lam_i) = lam_i E against U.  As
+lam_i(0) != 0, U is ``free_basis(lam_i E)`` with its columns scaled by lam_i^{-1}.
 
 ``random_level_point`` runs this the other way round.  The canonical chain
 point of the same two-block orbit is a representation of the one-arrow leg
@@ -57,7 +58,7 @@ from itertools import accumulate
 from types import MappingProxyType
 
 from .errors import EmptyLevelSet, NotAUnit, NotInLevelSet
-from .linalg import _picker, _plan, _regroup, _take_cols, hstack, vstack
+from .linalg import _picker, _plan, _regroup, _take_cols, hstack, poly_scale, vstack
 from .orbit import OrbitSpec, canonical_leg_point, coordinates, free_basis
 from .quiver import QuiverMult, check_dims
 from .repn import (
@@ -74,7 +75,6 @@ from .rmatrix import (
     extend_scalars_rev,
     restrict_scalars,
     restrict_scalars_rev,
-    scale_end,
     shift_end,
     zero_map,
 )
@@ -232,6 +232,7 @@ def reflection_functor(rep: Representation, i, lam) -> Representation:
     # outof . into + lam_i equal to lam_i times an idempotent of residue rank
     # new_rank (see the module docstring)
     shifted = shift_end(compose(s.outof, s.into), lam_i)
-    basis = free_basis(scale_end(shifted, trunc_inv(lam_i)))
+    basis, t = free_basis(shifted), trunc_inv(lam_i)
+    basis = _rmap(basis.src, basis.dst, basis.base, poly_scale(t.re, t.im, t.den, basis.block))
     s2 = SplitAtVertex(q_i, coordinates(basis, shifted), basis, s.rest)
     return unsplit(q, rep.v[:q_i] + (new_rank,) + rep.v[q_i + 1:], s2)

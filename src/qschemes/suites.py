@@ -22,8 +22,6 @@ suites at fixed quivers, seeds and trial counts.
 
 from __future__ import annotations
 
-from itertools import accumulate
-
 from .errors import Checks, EmptyLevelSet, UnknownSuite
 from .rng import SplitMix64
 
@@ -229,7 +227,7 @@ def _orbit_profiles(seed):
 
 def suite_orbit(seed, trials) -> Checks:
     from .linalg import hstack, rank
-    from .orbit import (big_theta, free_basis, leg_factorize, leg_mesh_residuals,
+    from .orbit import (big_theta, leg_factorize, leg_mesh_residuals,
                         leg_rank_checks, nu, orbit_dimension, orbit_membership,
                         random_conjugate, random_non_member)
     from .rmatrix import compose, shift_end
@@ -258,16 +256,14 @@ def suite_orbit(seed, trials) -> Checks:
             report.record(
                 leg_rank_checks(spec, point), f"{case}: rank witnesses", case_seed
             )
-            # leg i: Im(sum_{j>=i} pi_j) = Im(prod_{j<i} (theta_j - A)), with
-            # the sums built as suffix sums and the products as prefix products
-            tails = list(accumulate(reversed(w.idempotents[1:]), lambda s, pi: pi + s))
-            tails.reverse()
+            # leg i: Im(sum_{j>=i} pi_j) = Im(prod_{j<i} (theta_j - A)), where the first
+            # is the image of up[0] .. up[i-1], as bases[i] up[i] = bases[i+1] exactly
             img_ok = True
             prod, minus_a = None, -a
-            for theta_j, proj in zip(spec.thetas, tails):
+            for i, theta_j in enumerate(spec.thetas[:spec.legs]):
                 f = shift_end(minus_a, theta_j)
                 prod = f if prod is None else compose(f, prod)
-                u = free_basis(proj)
+                u = compose(u, point.maps[f"b{i}~"]) if i else point.maps["b0~"]
                 stacked = hstack([u.flat, prod.flat])
                 if not (rank(stacked) == rank(u.flat) == rank(prod.flat)):
                     img_ok = False

@@ -9,16 +9,18 @@ for ``rmatrix._lower`` and ``rmatrix.restrict_scalars*``), the base-field
 blocks of a map read off its flat view, the scalar endomorphism c Id, the
 identity endomorphism, the zero representation, the top-slice shift maps,
 the gauge unit induced on a split vertex, the Coxeter order of a vertex
-pair and the braid-word probe of the reflection functor, and the check that
+pair and the braid-word probe of the reflection functor, the check that
 the gather kernels' per-shape plans (``linalg._PLANS``) give the same
-results cold as warm."""
+results cold as warm, the projectors of an orbit membership witness, and
+the residue-product membership rule (the reference for the nullity rule of
+``orbit.orbit_membership``)."""
 
 import math
 from fractions import Fraction
 from math import gcd
 
 from qschemes.errors import NotDivisible, QschemeError, ShapeMismatch
-from qschemes.linalg import _PLANS, Matrix, hstack, vstack
+from qschemes.linalg import _PLANS, Matrix, hstack, rank, vstack
 from qschemes.quiver import QuiverMult
 from qschemes.reflect import phi, reflection_functor
 from qschemes.repn import Representation
@@ -420,3 +422,33 @@ def braid_probe(rep: Representation, lam, i, j) -> dict:
         "invariants": [inv1, inv2],
         "agree": inv1 == inv2 and out1.v == out2.v,
     }
+
+
+def idempotents(witness) -> tuple:
+    """(pi_0, .., pi_l) of an ``orbit_membership`` witness, () for a
+    non-member; built anew on each call."""
+    return tuple(witness._projectors(0)) if witness.ok else ()
+
+
+def residue_product_membership(spec, a: RMap):
+    """(ok, reasons) of orbit membership by the residue-product rule:
+    prod_j (A - theta_j) vanishes, and for each i the product
+    prod_{j != i} (A(0) - theta_j(0)), multiplied out on canonical constant
+    slices, has rank w_i.  The reasons read as ``orbit_membership``'s."""
+    n = spec.total
+    factors = [shift_end(a, -t) for t in spec.thetas]
+    product = factors[0]
+    for f in factors[1:]:
+        product = compose(product, f)
+    reasons = []
+    if not product.is_zero():
+        reasons.append("product of (A - theta_j) does not vanish")
+    residues = [f.block.take(cols=slice(0, n)) for f in factors]
+    for i, w in enumerate(spec.dims):
+        res = Matrix.identity(n)
+        for j, r in enumerate(residues):
+            if j != i:
+                res = res @ r
+        if rank(res) != w:
+            reasons.append(f"residue rank of pi_{i} differs from block dimension")
+    return not reasons, reasons

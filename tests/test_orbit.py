@@ -1,4 +1,5 @@
 import json
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -33,12 +34,12 @@ from qschemes.rmatrix import (
     scale_end,
     zero_map,
 )
-from qschemes.repn import gauge, moment_map, random_gauge, random_unit_end
+from qschemes.repn import gauge, moment_map, random_gauge, random_linear_map, random_unit_end
 from qschemes.rng import SplitMix64
 from qschemes.scalars import GaussQ, TruncScalar, trunc_inv
 
-from helpers import (TopSliceNotZero, eps, identity_end, scalar_end, shift_decompose,
-                     shift_map)
+from helpers import (TopSliceNotZero, eps, identity_end, idempotents,
+                     residue_product_membership, scalar_end, shift_decompose, shift_map)
 
 G = GaussQ
 T = TruncScalar
@@ -130,7 +131,7 @@ class TestMembership:
             assert w.ok, w.reasons
             # witnesses are the coordinate block projectors
             pos = 0
-            for blk, pi in zip(spec.blocks, w.idempotents):
+            for blk, pi in zip(spec.blocks, idempotents(w)):
                 res = pi.parts[0]
                 for j in range(spec.total):
                     want = G(1 if pos <= j < pos + blk[0] else 0)
@@ -144,7 +145,7 @@ class TestMembership:
                 a = random_conjugate(spec, seed)
                 w = orbit_membership(spec, a)
                 assert w.ok, (make.__name__, seed, w.reasons)
-                pis = w.idempotents
+                pis = idempotents(w)
                 total = pis[0]
                 for pi in pis[1:]:
                     total = total + pi
@@ -157,14 +158,15 @@ class TestMembership:
                             assert compose(pi, pj).is_zero()
 
     def test_idempotents_built_on_read(self):
-        """The projectors are a read-only view, built anew on each read."""
+        """The witness keeps no projectors: they are built anew on each read,
+        and the slotted witness cannot store them."""
         spec = spec_d2()
         w = orbit_membership(spec, random_conjugate(spec, 1))
-        first, again = w.idempotents, w.idempotents
+        first, again = idempotents(w), idempotents(w)
         assert first == again and all(p is not q for p, q in zip(first, again))
         with pytest.raises(AttributeError):
             w.idempotents = ()
-        assert orbit_membership(spec, random_non_member(spec, 1)).idempotents == ()
+        assert idempotents(orbit_membership(spec, random_non_member(spec, 1))) == ()
 
     def test_eps_perturbation_fails(self):
         for make in (spec_d2, spec_d3):
@@ -216,10 +218,10 @@ class TestAgainstExhaustiveCheck:
                 w = orbit_membership(spec, a)
                 assert w.ok == want_ok, (make.__name__, name, w.reasons)
                 if w.ok:
-                    assert w.idempotents == want_pis, (make.__name__, name)
+                    assert idempotents(w) == want_pis, (make.__name__, name)
                     assert w.reasons == []
                 else:
-                    assert w.idempotents == ()
+                    assert idempotents(w) == ()
                     assert w.reasons and all(r.startswith(self.DECISIVE) for r in w.reasons)
                 kinds.add((name.split()[0], w.ok))
         # both verdicts occur, and every kind of non-member is rejected
@@ -234,7 +236,79 @@ class TestAgainstExhaustiveCheck:
             want_ok, want_pis = exhaustive_membership(spec, a)
             w = orbit_membership(spec, a)
             assert w.ok == want_ok == member
-            assert w.idempotents == (want_pis if member else ())
+            assert idempotents(w) == (want_pis if member else ())
+
+
+def spec_gauss():
+    """d = 2 with non-real thetas, one of them over a denominator."""
+    return OrbitSpec(2, ((2, T(2, [G(0, 1), 1])), (1, T(2, [G(1, -1), 0])),
+                         (2, T(2, [G(Fraction(-1, 2)), G(0, 2)]))))
+
+
+def conjugated(rng, parts):
+    """g A g^{-1} for the endomorphism A with the given slices and a seeded unit g."""
+    a = from_slices([Matrix(p) for p in parts], len(parts))
+    g = random_unit_end(rng, a.src)
+    return compose(g, compose(a, invert_end(g)))
+
+
+def block_scalar_plus_nilpotent(spec, rng):
+    """A conjugate of Theta + N, N strictly upper triangular inside each block
+    of Theta with entries 0 or 1 in every slice: its residue is in general
+    not diagonalizable."""
+    n, d = spec.total, spec.d
+    block = [i for i, w in enumerate(spec.dims) for _ in range(w)]
+    theta = big_theta(spec).block
+    parts = []
+    for m in range(d):
+        const = theta.take(cols=slice(m * n, (m + 1) * n)).rows
+        parts.append([[const[i][j] + (rng.randint(0, 1) if i < j and block[i] == block[j] else 0)
+                       for j in range(n)] for i in range(n)])
+    return conjugated(rng, parts)
+
+
+def triangular_end(spec, rng):
+    """A conjugate of an upper-triangular endomorphism whose residue has its
+    diagonal drawn from the theta_j(0) and one value that is none of them,
+    and random entries above the diagonal and in the higher slices."""
+    n, d = spec.total, spec.d
+    consts = [t.coeff(0) for t in spec.thetas]
+    values = consts + [next(G(c) for c in range(1, len(consts) + 2) if G(c) not in consts)]
+    diag = [values[rng.randint(0, len(values) - 1)] for _ in range(n)]
+    parts = [[[diag[i] if i == j else rng.randint(-1, 1) if i < j else 0 for j in range(n)]
+              for i in range(n)]]
+    parts += [[[rng.randint(-1, 1) for _ in range(n)] for _ in range(n)] for _ in range(d - 1)]
+    return conjugated(rng, parts)
+
+
+class TestNullityRule:
+    """The verdicts and reasons of ``orbit_membership``, which reads the
+    residue ranks of the projectors off the nullities of the factors
+    A(0) - theta_j(0), equal those of the residue-product rule on members,
+    random endomorphisms, block-scalar plus nilpotent endomorphisms (residues
+    not diagonalizable) and triangular ones, with real and Gaussian thetas."""
+
+    def test_agrees_with_residue_products(self):
+        seen = set()
+        for make in ALL_SPECS + [spec_golden, spec_gauss]:
+            spec = make()
+            rng = SplitMix64(len(spec.dims) * 10 + spec.d)
+            shape = ModShape(spec.total, spec.d)
+            cases = [random_conjugate(spec, seed) for seed in range(2)]
+            cases += [random_non_member(spec, seed) for seed in range(4)]
+            cases += [random_linear_map(rng, shape, shape, spec.d) for _ in range(3)]
+            cases += [block_scalar_plus_nilpotent(spec, rng) for _ in range(6)]
+            cases += [triangular_end(spec, rng) for _ in range(12)]
+            for k, a in enumerate(cases):
+                w = orbit_membership(spec, a)
+                assert (w.ok, w.reasons) == residue_product_membership(spec, a), (make.__name__, k)
+                seen.add((w.ok, tuple(r.split()[0] for r in w.reasons)))
+        # members, and non-members that fail on the ranks alone, on the
+        # product alone and on both
+        assert (True, ()) in seen
+        assert any(not ok and "product" not in rs for ok, rs in seen)
+        assert (False, ("product",)) in seen
+        assert any(len(rs) > 1 and rs[0] == "product" for ok, rs in seen)
 
 
 class TestOperationCount:
@@ -275,6 +349,34 @@ class TestOperationCount:
             _, n = self.count_calls(monkeypatch, lambda: leg_factorize(spec, a))
             assert n["scale_end"] == spec.legs, (make.__name__, n)
 
+    def test_membership_multiplies_no_residues(self, monkeypatch):
+        """A decision makes exactly l composes and no matrix product besides
+        them (a compose over R_1 is one)."""
+        matmuls = []
+        original = Matrix.__matmul__
+        monkeypatch.setattr(Matrix, "__matmul__",
+                            lambda *args: matmuls.append(1) or original(*args))
+        for make in ALL_SPECS + [spec_golden]:
+            spec = make()
+            for a in (random_conjugate(spec, 1), random_non_member(spec, 1)):
+                matmuls.clear()
+                _, n = self.count_calls(monkeypatch, lambda: orbit_membership(spec, a))
+                assert n["compose"] == spec.legs, (make.__name__, n)
+                assert len(matmuls) == (spec.legs if spec.d == 1 else 0), make.__name__
+
+    def test_leg_factorize_with_witness_shifts_nothing(self, monkeypatch):
+        """theta_i - A is read off the witness's factors, not shifted anew."""
+        for make in ALL_SPECS + [spec_golden]:
+            spec = make()
+            a = random_conjugate(spec, 6)
+            w = orbit_membership(spec, a)
+            calls = []
+            with monkeypatch.context() as m:
+                m.setattr(qschemes.orbit, "shift_end",
+                          lambda *args, f=qschemes.orbit.shift_end: calls.append(1) or f(*args))
+                point = leg_factorize(spec, a, w)
+            assert not calls and nu(spec, point) == a, make.__name__
+
     def test_witness_reuse(self, monkeypatch):
         for make in ALL_SPECS:
             spec = make()
@@ -295,7 +397,7 @@ class TestOperationCount:
         ``_echelon`` for all c slices."""
         spec = spec_d3()
         a = random_conjugate(spec, 4)
-        e = orbit_membership(spec, a).idempotents[1]
+        e = idempotents(orbit_membership(spec, a))[1]
         u = free_basis(e)
         g = random_unit_end(SplitMix64(4), ModShape(3, 3))
         calls = []
@@ -330,7 +432,7 @@ class TestOperationCount:
                     original = getattr(owner, name)
                     m.setattr(owner, name, lambda *args, f=original: built.append(1) or f(*args))
                 w = orbit_membership(spec, a)
-                pis = w.idempotents
+                pis = idempotents(w)
             assert w.ok and len(pis) == 3
             assert len(built) == 0, make.__name__
 
@@ -415,7 +517,7 @@ class TestFactorize:
         spec = spec_d2()
         for seed in range(3):
             a = random_conjugate(spec, seed)
-            pis = orbit_membership(spec, a).idempotents
+            pis = idempotents(orbit_membership(spec, a))
             for i in range(1, spec.legs + 1):
                 proj = pis[i]
                 for pjj in pis[i + 1:]:
@@ -470,7 +572,7 @@ class TestFreeBasis:
     def test_basis_is_section(self):
         spec = spec_d2()
         a = random_conjugate(spec, 8)
-        _, p1, p2 = orbit_membership(spec, a).idempotents
+        _, p1, p2 = idempotents(orbit_membership(spec, a))
         e = p1 + p2
         u = free_basis(e)
         k = coordinates(u, e)
@@ -480,7 +582,7 @@ class TestFreeBasis:
     def test_deterministic(self):
         spec = spec_d3()
         a = random_conjugate(spec, 5)
-        e = orbit_membership(spec, a).idempotents[0]
+        e = idempotents(orbit_membership(spec, a))[0]
         assert free_basis(e) == free_basis(e)
 
 

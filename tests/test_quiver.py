@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from qschemes.errors import (
     DuplicateName,
     EdgeLoopForbidden,
+    InvalidMultiplicity,
     LengthMismatch,
     NegativeDimension,
     QschemeError,
@@ -117,11 +118,10 @@ class TestConstructorChecks:
 
     def test_multiplicity_below_one(self):
         for mult in (0, -2):
-            with pytest.raises(ValueError) as exc:
+            with pytest.raises(InvalidMultiplicity,
+                               match=r"^vertex b: multiplicity must be >= 1$") as exc:
                 QuiverMult.build([("a", 1), ("b", mult)], [("x", "a", "b")])
-            # the one untyped check of the constructor
-            assert type(exc.value) is ValueError
-            assert str(exc.value) == "vertex b: multiplicity must be >= 1"
+            assert isinstance(exc.value, QschemeError) and exc.value.code == "invalid-multiplicity"
 
     def test_duplicate_vertex(self):
         with pytest.raises(DuplicateName, match=r"^vertex a declared twice$"):

@@ -643,7 +643,7 @@ class TestNoPerSliceObjects:
         q = corpus["nested"]
         lam = random_params(q, 5, units=[1])
         p = random_level_point(q, lam, (1, 2, 1), "q", 7)
-        assert self.counts(monkeypatch, reflection_functor, p, "q", lam) == {"matrix": 25}
+        assert self.counts(monkeypatch, reflection_functor, p, "q", lam) == {"matrix": 24}
 
     def test_compose(self, monkeypatch):
         rng, sh = SplitMix64(3), ModShape(2, 3)
