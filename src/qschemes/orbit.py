@@ -179,8 +179,8 @@ class MembershipWitness:
     __slots__ = ("ok", "reasons", "_thetas", "_factors", "_prefix")
 
     def __init__(self, ok, reasons, thetas, factors, prefix):
-        self.ok, self.reasons, self._thetas, self._factors, self._prefix = (
-            ok, reasons, thetas, factors, prefix)
+        self.ok, self.reasons = ok, reasons
+        self._thetas, self._factors, self._prefix = thetas, factors, prefix
 
     def _projectors(self, start) -> list[RMap]:
         """pi_start, .., pi_l: (l - start - 1)^+ composes for the suffix
@@ -209,7 +209,9 @@ def orbit_membership(spec: OrbitSpec, a: RMap) -> MembershipWitness:
     n = spec.total
     shape = ModShape(n, spec.d)
     if a.src != shape or a.dst != shape or not a.is_end():
-        raise ShapeMismatch(f"endomorphism must act on a rank-{n} order-{spec.d} module")
+        raise ShapeMismatch(
+            f"endomorphism must act on a rank-{n} order-{spec.d} module"
+        )
     thetas = spec.thetas
     factors = [shift_end(a, -t) for t in thetas]
     prefix = [None, *accumulate(factors, compose)]   # None stands for the identity
