@@ -42,7 +42,7 @@ SUITES = ("coxeter", "moment", "functor", "orbit", "regularize", "all")
 
 
 def job(args):
-    """The pass to count, as a picklable description."""
+    """The pass to count, as a JSON-able description."""
     if args.suite is not None:
         return {"suite": args.suite, "seed": args.seed, "trials": args.trials}
     return {"workload": args.workload, "seed": args.seed}
